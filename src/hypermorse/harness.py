@@ -7,7 +7,6 @@ point with enough parameters to reproduce it from a single CLI call.
 """
 from __future__ import annotations
 
-import cmath
 import csv
 import itertools
 import json
@@ -402,56 +401,13 @@ def check_whittaker_product(tol_overrides: Optional[dict] = None) -> IdentityRep
                    worst, tol, t0)
 
 
-def _transverse_resolvent_k0(alpha: float, y: float, yp: float,
-                             rotate_at: float = 30.0) -> complex:
-    """int_-inf^inf e^{-iu} G_free(s = 1/2 + alpha; z(u), z') du, divided by
-    sqrt(y y').
-
-    The k = 0 integrand is even and phase-free, so the integral is
-    2 Re int_0^inf.  The algebraic u^(-1-2 alpha) tail is taken along the
-    rotated ray u = U - i w, where the oscillation turns into pure e^{-w}
-    decay; the closed free kernel continues analytically (its branch points
-    sit on the imaginary axis at +- i |y - y'|, away from the ray).
-    """
-    from .hkernels import _resolvent_radial  # radial part accepts complex c2
-
-    s = 0.5 + alpha
-    v = y + yp
-    scfg = specfun.SeriesConfig()
-
-    def g(c2: complex) -> complex:
-        return _resolvent_radial(s, 0.0, c2, scfg)
-
-    def head(u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty(u.shape, dtype=complex)
-        for i, ui in enumerate(u):
-            c2 = (ui * ui + v * v) / (4.0 * y * yp)
-            out[i] = g(c2) * cmath.exp(-1j * ui)
-        return out
-
-    def tail(w: np.ndarray) -> np.ndarray:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty(w.shape, dtype=complex)
-        for i, wi in enumerate(w):
-            uc = rotate_at - 1j * wi
-            c2 = (uc * uc + v * v) / (4.0 * y * yp)
-            out[i] = g(c2) * cmath.exp(-wi)
-        return out
-
-    qcfg = quad.QuadConfig(rel_tol=1e-11, abs_tol=1e-16)
-    head_val = quad.integrate_finite(head, 0.0, rotate_at, qcfg).value
-    tail_val = -1j * cmath.exp(-1j * rotate_at) * quad.integrate_semiinfinite(tail, 0.0, qcfg).value
-    return 2.0 * (head_val + tail_val).real / math.sqrt(y * yp)
-
-
 def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport:
     """Bessel-product identity: I_a(u) K_a(v) equals half the exponentially
     weighted integral of J0(sqrt(2uv cosh b - u^2 - v^2)) over the support.
 
-    The right-hand side is the k = 0 transmutation double integral; it is
-    evaluated transverse-first with a rotated-contour tail, which keeps the
-    slowly decaying alpha = 1/2 case both fast and sharp.
+    The right-hand side is the k = 0 Morse transmutation integral at
+    lam = 1, X = ln u, X' = ln v, mu = -i alpha, i.e. half of
+    mkernels.resolvent_integral there.
     """
     t0 = time.perf_counter()
     tol = _tol("bessel_product", tol_overrides)
@@ -460,7 +416,8 @@ def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport
         point = {"alpha": alpha, "u": u, "v": v}
         try:
             lhs = specfun.bessel("I", alpha, u) * specfun.bessel("K", alpha, v)
-            rhs = _transverse_resolvent_k0(alpha, u, v)
+            cfg = MorseConfig(lam=1.0, k=0.0, X=math.log(u), Xp=math.log(v))
+            rhs = 0.5 * morse_resolvent_integral(cfg, -1j * alpha).value
             worst.update(_relerr(lhs, rhs), point)
         except HypermorseError as exc:
             worst.error(point, exc)
@@ -576,21 +533,26 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
     mapping_id = _unique_winner({m: residuals[f"mapping_{m}"] for m in SPECTRAL_MAPPINGS}, tol,
                                 "spectral mapping")
 
-    # Whittaker index convention: Morse closed vs integral at k = 0
+    # Whittaker index convention: Morse closed vs integral at k = 0; the
+    # integral does not depend on the convention, so it is computed once per mu
     cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
-    for conv in ("order_mu", "order_imu"):
-        worst = 0.0
-        for mu in (-0.7j, -1.1j):
+    convs = ("order_mu", "order_imu")
+    worst_conv = dict.fromkeys(convs, 0.0)
+    for mu in (-0.7j, -1.1j):
+        try:
+            integ = morse_resolvent_integral(cfg, mu).value
+        except HypermorseError:
+            worst_conv = dict.fromkeys(convs, float("inf"))
+            continue
+        for conv in convs:
             try:
                 closed = morse_resolvent_closed(cfg, mu, index_convention=conv)
-                integ = morse_resolvent_integral(cfg, mu)
-                worst = max(worst, _relerr(closed, integ.value))
+                worst_conv[conv] = max(worst_conv[conv], _relerr(closed, integ))
             except HypermorseError:
-                worst = float("inf")
-        residuals[f"whittaker_{conv}"] = worst
-    whittaker_convention = _unique_winner(
-        {c: residuals[f"whittaker_{c}"] for c in ("order_mu", "order_imu")}, tol,
-        "Whittaker index convention")
+                worst_conv[conv] = float("inf")
+    for conv in convs:
+        residuals[f"whittaker_{conv}"] = worst_conv[conv]
+    whittaker_convention = _unique_winner(worst_conv, tol, "Whittaker index convention")
 
     # Morse wave variant: k = 0 Bessel reduction
     cfg0 = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(1.5))

@@ -191,11 +191,17 @@ def _gamma_prefactor(s: complex, k: Union[float, MagneticK]) -> complex:
     return cmath.exp(lg) / (4.0 * math.pi)
 
 
+def _resolvent_profile(s: complex, ak: float, c2: complex,
+                       cfg: specfun.SeriesConfig) -> complex:
+    """c2^(-s) F(s-|k|, s+|k|; 2s; 1/c2): the radial resolvent without its
+    gamma prefactor.  c2 = cosh^2(rho/2) may be complex; the principal
+    branches continue it analytically off c2 in (-inf, 1]."""
+    return c2 ** (-s) * specfun.gauss_2f1(s - ak, s + ak, 2 * s, 1.0 / c2, cfg)
+
+
 def _resolvent_radial(s: complex, k: Union[float, MagneticK], c2: float,
                       cfg: specfun.SeriesConfig) -> complex:
-    ak = as_magnetic(k).abs_k
-    F = specfun.gauss_2f1(s - ak, s + ak, 2 * s, 1.0 / c2, cfg)
-    return _gamma_prefactor(s, k) * c2 ** (-s) * F
+    return _gamma_prefactor(s, k) * _resolvent_profile(s, as_magnetic(k).abs_k, c2, cfg)
 
 
 def resolvent_closed(sp: SpectralParam, k: Union[float, MagneticK],

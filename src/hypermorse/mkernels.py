@@ -5,6 +5,10 @@ Bessel reduction at k = 0, Fourier transport of the hyperbolic wave kernel),
 the Whittaker closed resolvent and its transmutation-integral counterpart,
 the heat kernel, and the Hartman-Watson double-integral oracle for it.
 
+The resolvent integral takes the oscillating tails of its transverse
+integrand along rays rotated into the lower half-plane, continuing the
+magnetic phase analytically there (see resolvent_integral).
+
 Calibrated conventions (measured by the harness, not assumed):
 
 * Fourier connection: W(b) = 1/(2 sqrt(y y')) * int e^{-i lam u} W_hyp du;
@@ -43,12 +47,11 @@ from .errors import (
     UnsupportedK,
 )
 from .geometry import HalfPlanePoint, MagneticK, as_magnetic
-from .hkernels import SpectralParam, resolvent_closed as _hyp_resolvent_closed, \
-    heat_kernel as _hyp_heat_kernel
+from .hkernels import SpectralParam, heat_kernel as _hyp_heat_kernel, \
+    _gamma_prefactor as _hyp_gamma_prefactor, _resolvent_profile as _hyp_resolvent_profile
 
 __all__ = [
     "MorseConfig",
-    "wave_support_radius",
     "wave_aux_z",
     "wave_kernel_bessel0",
     "wave_kernel_phi1",
@@ -103,10 +106,6 @@ class MorseConfig:
     @property
     def mk(self) -> MagneticK:
         return as_magnetic(self.k)
-
-
-def wave_support_radius(cfg: MorseConfig) -> float:
-    return cfg.rho_m
 
 
 def wave_aux_z(cfg: MorseConfig, b) -> np.ndarray:
@@ -316,24 +315,24 @@ def resolvent_closed(cfg: MorseConfig, mu: complex,
                      series_cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES) -> complex:
     """Whittaker-product closed form of the Morse resolvent.
 
-    Gamma(nu-|k|+1/2)/(lam Gamma(1+2nu)) e^{-(X+X')/2}
-      * W_{|k|,nu}(2 lam e^{max(X,X')}) * M_{|k|,nu}(2 lam e^{min(X,X')}),
+    Gamma(nu-k+1/2)/(lam Gamma(1+2nu)) e^{-(X+X')/2}
+      * W_{k,nu}(2 lam e^{max(X,X')}) * M_{k,nu}(2 lam e^{min(X,X')}),
 
-    nu = i mu under the calibrated index convention.  The formula pairs M
-    with the smaller and W with the larger coordinate, making it a function
-    of the unordered pair.
+    nu = i mu under the calibrated index convention, with the signed k as the
+    Whittaker index.  The formula pairs M with the smaller and W with the
+    larger coordinate, making it a function of the unordered pair.
     """
-    ak = cfg.mk.abs_k
+    k = cfg.k
     nu = _whittaker_order(mu, index_convention)
-    pole_arg = nu - ak + 0.5
+    pole_arg = nu - k + 0.5
     if abs(complex(pole_arg).imag) < 1e-10 and complex(pole_arg).real < 0.5 \
             and abs(complex(pole_arg).real - round(complex(pole_arg).real)) < 1e-10:
-        raise GammaPole(f"bound-state pole: nu - |k| + 1/2 = {pole_arg}")
+        raise GammaPole(f"bound-state pole: nu - k + 1/2 = {pole_arg}")
     x_lo, x_hi = min(cfg.X, cfg.Xp), max(cfg.X, cfg.Xp)
     pref = cmath.exp(specfun.log_gamma(pole_arg) - specfun.log_gamma(1.0 + 2.0 * nu)) / cfg.lam
     return pref * math.exp(-(cfg.X + cfg.Xp) / 2.0) \
-        * specfun.whittaker("W", ak, nu, 2.0 * cfg.lam * math.exp(x_hi), series_cfg) \
-        * specfun.whittaker("M", ak, nu, 2.0 * cfg.lam * math.exp(x_lo), series_cfg)
+        * specfun.whittaker("W", k, nu, 2.0 * cfg.lam * math.exp(x_hi), series_cfg) \
+        * specfun.whittaker("M", k, nu, 2.0 * cfg.lam * math.exp(x_lo), series_cfg)
 
 
 def _check_morse_decay(cfg: MorseConfig, mu: complex):
@@ -359,29 +358,55 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
     This keeps every special-function argument at desk scale; the literal
     b-first sweep would drive the k = 0 Bessel factor four orders of
     magnitude past the reliable series range before the tail closes.
+
+    The integrand decays only like |u|^(-2 Re s) while it oscillates, so only
+    the head |u| < U = y + y' stays on the real axis.  The tails are rotated
+    onto u = +-U - i w, where e^{-i lam u} decays like e^{-lam w}; G_hyp is
+    analytic there (its branch points +-i|y - y'|, +-i(y + y') lie on the
+    imaginary axis) and |cosh^2(rho/2)| >= 2 keeps its 2F1 argument in
+    |z| <= 1/2.  On the left ray u + iv (v = y + y') crosses the negative real
+    axis at w = v, so the phase ((-u + iv)/(u + iv))^k continues that log as
+    i pi + log(-u - iv); the principal branch would be off by e^{-2 pi i k}
+    beyond w = v.  The u-independent gamma prefactor is computed once.
     """
     _check_morse_decay(cfg, mu)
     if cfg.rho_m < 1e-7:
         raise DiagonalSingularity("resolvent integral needs X != X'")
-    sp = SpectralParam(mu)
-    zp = HalfPlanePoint(0.0, cfg.yp)
-    y = cfg.y
+    s = SpectralParam(mu).s
+    k, ak, lam = cfg.k, cfg.mk.abs_k, cfg.lam
+    pref = _hyp_gamma_prefactor(s, k)
+    y, yp = cfg.y, cfg.yp
+    v = y + yp
+    big_u = v
 
-    def f(u: float) -> complex:
-        return _hyp_resolvent_closed(sp, cfg.k, HalfPlanePoint(u, y), zp)
+    def profile(u: np.ndarray) -> np.ndarray:
+        # G_hyp without its prefactor and phase, at real or complex u
+        return np.array([_hyp_resolvent_profile(s, ak, c2, specfun.DEFAULT_SERIES)
+                         for c2 in (u * u + v * v) / (4.0 * y * yp)])
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def head(u: np.ndarray) -> np.ndarray:
+        # G_hyp at +-u shares its profile; the phases at +-u are reciprocal
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty(u.shape, dtype=complex)
-        for i, ui in enumerate(u):
-            out[i] = f(ui) * cmath.exp(-1j * cfg.lam * ui) \
-                + f(-ui) * cmath.exp(1j * cfg.lam * ui)
-        return out
+        osc = np.exp(k * (np.log(-u + 1j * v) - np.log(u + 1j * v)) - 1j * lam * u)
+        return profile(u) * (osc + 1.0 / osc)
 
-    res = quad.integrate_semiinfinite(g, 0.0, qcfg)
-    scale = 2.0 / math.sqrt(cfg.y * cfg.yp)
-    return quad.QuadratureResult(scale * res.value, scale * res.err_estimate,
-                                 res.n_evals, res.converged)
+    # du = -i dw on both rays; the left tail int_-inf^-U runs up its ray, hence +i
+    rot_r = -1j * cmath.exp(-1j * lam * big_u)
+    rot_l = 1j * cmath.exp(1j * lam * big_u)
+
+    def tails(w: np.ndarray) -> np.ndarray:
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        ur, ul = big_u - 1j * w, -big_u - 1j * w
+        phase_r = np.exp(k * (np.log(-ur + 1j * v) - np.log(ur + 1j * v)))
+        phase_l = np.exp(k * (np.log(-ul + 1j * v) - 1j * math.pi - np.log(-ul - 1j * v)))
+        return np.exp(-lam * w) * (rot_r * phase_r * profile(ur) + rot_l * phase_l * profile(ul))
+
+    h = quad.integrate_finite(head, 0.0, big_u, qcfg)
+    t = quad.integrate_semiinfinite(tails, 0.0, qcfg)
+    scale = 2.0 * pref / math.sqrt(y * yp)
+    return quad.QuadratureResult(scale * (h.value + t.value),
+                                 abs(scale) * (h.err_estimate + t.err_estimate),
+                                 h.n_evals + t.n_evals, h.converged and t.converged)
 
 
 def heat_kernel(cfg: MorseConfig, t: float,
@@ -397,6 +422,8 @@ def heat_kernel(cfg: MorseConfig, t: float,
     The wave factor uses the calibration-winning construction; the
     alternative variant's series leaves its convergence disc a fixed
     distance above the support edge, so it cannot feed a b-integral at all.
+    n_evals includes the inner integrals' evaluations and converged is
+    False if any inner integral did not converge.
     """
     if not t > 0:
         raise ValueError("heat kernel needs t > 0")
@@ -405,9 +432,15 @@ def heat_kernel(cfg: MorseConfig, t: float,
     zp = HalfPlanePoint(0.0, cfg.yp)
     y = cfg.y
     inner_cfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-15)
+    inner_evals = 0
+    inner_converged = True
 
     def f(u: float) -> complex:
-        return _hyp_heat_kernel(t, cfg.k, HalfPlanePoint(u, y), zp, inner_cfg).value
+        nonlocal inner_evals, inner_converged
+        r = _hyp_heat_kernel(t, cfg.k, HalfPlanePoint(u, y), zp, inner_cfg)
+        inner_evals += r.n_evals
+        inner_converged = inner_converged and r.converged
+        return r.value
 
     def g(u: np.ndarray) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -420,7 +453,8 @@ def heat_kernel(cfg: MorseConfig, t: float,
     res = quad.integrate_semiinfinite(g, 0.0, qcfg)
     scale = 1.0 / (2.0 * math.sqrt(cfg.y * cfg.yp))
     return quad.QuadratureResult(scale * res.value, scale * res.err_estimate,
-                                 res.n_evals, res.converged)
+                                 res.n_evals + inner_evals,
+                                 res.converged and inner_converged)
 
 
 def theta_hw(r: float, tau: float,

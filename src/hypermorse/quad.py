@@ -7,9 +7,9 @@ removed by the substitution b = a + u^2, and Richardson-extrapolated central
 differences for derivatives up to fourth order.
 
 Integrands are callables mapping a float ndarray of abscissae to a complex
-ndarray of values; scalar-only callables can be wrapped with `vectorize_1d`.
-All routines are pure functions of their inputs and evaluate nodes in a fixed
-order, so results are deterministic and safe to call from multiple threads.
+ndarray of values.  All routines are pure functions of their inputs and
+evaluate nodes in a fixed order, so results are deterministic and safe to
+call from multiple threads.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ __all__ = [
     "integrate_semiinfinite",
     "integrate_sqrt_endpoint",
     "nth_derivative",
-    "vectorize_1d",
 ]
 
 # Gauss-Kronrod 7/15 nodes on [-1, 1] and weights.  Odd-indexed nodes carry
@@ -124,15 +123,6 @@ class QuadratureResult:
 
     def tolerance_bound(self, cfg: QuadConfig) -> float:
         return max(cfg.abs_tol, cfg.rel_tol * abs(self.value))
-
-
-def vectorize_1d(f: Callable[[float], complex]) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a scalar callable so the integrators can batch-evaluate it."""
-
-    def fv(x: np.ndarray) -> np.ndarray:
-        return np.array([f(float(xi)) for xi in np.asarray(x).ravel()], dtype=complex)
-
-    return fv
 
 
 def _panel(f, lo: float, hi: float):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hypermorse import specfun
+from hypermorse import mkernels, quad, specfun
 from hypermorse.errors import (
     ConvergenceViolated,
     OutsideSupport,
@@ -225,6 +225,16 @@ class TestResolventClosed:
         b = resolvent_closed(cfg, -0.8j, index_convention="order_mu")
         assert relerr(a, b) > 1e-2
 
+    @pytest.mark.parametrize("k", [-0.5, -1.0])
+    def test_negative_k_matches_integral(self, k):
+        # the Whittaker index is the signed k; with |k| the k < 0 closed form
+        # would return the k > 0 resolvent (0.400 against 0.179 here)
+        cfg = MorseConfig(lam=1.0, k=k, X=0.2, Xp=-0.5)
+        mu = -1.05j
+        integ = resolvent_integral(cfg, mu)
+        assert integ.converged
+        assert relerr(resolvent_closed(cfg, mu), integ.value) < 1e-10
+
 
 class TestResolventIntegral:
     def test_k0_matches_closed(self):
@@ -244,6 +254,34 @@ class TestResolventIntegral:
     def test_decay_precondition(self):
         with pytest.raises(ConvergenceViolated):
             resolvent_integral(MorseConfig(1.0, 1.0, 0.0, 0.3), -0.3j)
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("X, Xp", [(0.0, 0.35), (0.35, 0.0)])
+    @pytest.mark.parametrize("mu", [-1.2j, 0.4 - 1.1j])
+    def test_rotated_contour_matches_closed(self, k, lam, X, Xp, mu):
+        cfg = MorseConfig(lam=lam, k=k, X=X, Xp=Xp)
+        got = resolvent_integral(cfg, mu)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(cfg, mu)) < 1e-10
+
+    def test_converges_near_decay_bound(self):
+        # alpha = 0.735 at k = 0, near the decay bound, where the tail decays
+        # too slowly for a sweep along the real axis to finish
+        cfg = MorseConfig(lam=1.0077535156730204, k=0.0, X=0.1905807548607078,
+                          Xp=0.5581692726900779)
+        got = resolvent_integral(cfg, -0.735j)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(cfg, -0.735j)) < 1e-10
+
+    @pytest.mark.parametrize("Xp", [-0.4, 0.4])
+    def test_half_k_phase_continued_on_left_ray(self, Xp):
+        # on the left ray u + i(y + y') crosses the negative real axis; the
+        # principal-branch phase there misses the closed form by ~1e-2
+        cfg = MorseConfig(lam=1.0, k=0.5, X=0.0, Xp=Xp)
+        got = resolvent_integral(cfg, -1.05j)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(cfg, -1.05j)) < 1e-10
 
     def test_support_lower_limit_irrelevant(self):
         # partial transmutation integrals from 0 and from |X-X'| coincide:
@@ -294,6 +332,20 @@ class TestHeatKernel:
     def test_requires_discrete_k(self):
         with pytest.raises(UnsupportedK):
             heat_kernel(MorseConfig(1.0, 0.3, 0.0, 0.3), 0.5)
+
+    def test_inner_bookkeeping_propagates(self, monkeypatch):
+        # an unconverged inner hyperbolic heat integral must not be dropped
+        calls = []
+
+        def fake_inner(t, k, z, zp, cfg):
+            calls.append(z.x)
+            return quad.QuadratureResult(math.exp(-z.x * z.x), 0.0, 7, z.x != calls[0])
+
+        monkeypatch.setattr(mkernels, "_hyp_heat_kernel", fake_inner)
+        got = heat_kernel(MorseConfig(1.0, 0.0, 0.0, 0.3), 0.8)
+        assert not got.converged
+        # each outer node evaluates the inner integral at +-u
+        assert got.n_evals == len(calls) // 2 + 7 * len(calls)
 
 
 class TestHartmanWatsonOracle:
