@@ -63,8 +63,10 @@ class DiscPoint:
 class MagneticK:
     """Magnetic / coupling constant k with its discreteness bookkeeping.
 
-    is_discrete marks 2k integer (within 1e-12), the regime where the
-    Chebyshev and finite-sum wave-kernel forms apply.  sign is +1 at k = 0;
+    is_discrete marks 2k integer (within 1e-12), the regime of the
+    Chebyshev and finite-sum wave-kernel forms and of the Morse
+    confluent-series paths.  The production kernel integrals take every
+    real k and never branch on it.  sign is +1 at k = 0;
     every term it multiplies carries a k
     -dependent zero prefactor there, so the choice is inert.
     """

@@ -7,12 +7,14 @@ point with enough parameters to reproduce it from a single CLI call.
 """
 from __future__ import annotations
 
+import ast
 import csv
 import itertools
 import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from importlib import resources
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -180,8 +182,9 @@ def _tol(name: str, overrides: Optional[dict]) -> float:
 # ---------------------------------------------------------------------------
 
 def check_hyperbolic_forms(tol_overrides: Optional[dict] = None) -> IdentityReport:
-    """All five wave-kernel representations agree for 2k = 0..4 on a
-    10 x 10 grid rho in [0.2, 2.5], b in (rho, rho + 4]."""
+    """The production profile ("auto") and all five wave-kernel
+    representations agree for 2k = 0..4 on a 10 x 10 grid rho in [0.2, 2.5],
+    b in (rho, rho + 4]."""
     t0 = time.perf_counter()
     tol = _tol("hyperbolic_forms", tol_overrides)
     worst = _Worst()
@@ -195,13 +198,14 @@ def check_hyperbolic_forms(tol_overrides: Optional[dict] = None) -> IdentityRepo
                 point = {"two_k": two_k, "rho": float(rho), "b": b}
                 try:
                     vals = [complex(wave_kernel_radial(k, b, float(rho), form=fm))
-                            for fm in WAVE_FORMS]
+                            for fm in ("auto",) + WAVE_FORMS]
                     scale = max(abs(v) for v in vals)
                     spread = max(abs(v - w) for v in vals for w in vals) / scale
                     worst.update(spread, point)
                 except HypermorseError as exc:
                     worst.error(point, exc)
-    return _report("hyperbolic_forms", "2k in 0..4; rho in [0.2,2.5] x b in (rho, rho+4], 10x10",
+    return _report("hyperbolic_forms",
+                   "auto + 5 forms; 2k in 0..4; rho in [0.2,2.5] x b in (rho, rho+4], 10x10",
                    worst, tol, t0)
 
 
@@ -216,7 +220,7 @@ _RESOLVENT_PAIRS = (
 
 def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None,
                                mus: Sequence[complex] = (-0.8j, -1.5j, -2.5j),
-                               ks: Sequence[float] = (0.0, 0.5, 1.0),
+                               ks: Sequence[float] = (0.0, 0.3, 0.5, 1.0),
                                mapping_id: str = "C") -> IdentityReport:
     """Closed resolvent vs transmutation integral at the calibrated mapping."""
     t0 = time.perf_counter()
@@ -264,6 +268,7 @@ _PDE_SAMPLES = (
     (0.9, 1.0, (0.2, 1.1), (-0.3, 1.8)),
     (1.2, 0.5, (0.0, 0.9), (0.6, 1.2)),
     (1.0, 0.0, (0.0, 1.0), (0.8, 2.0)),
+    (0.8, 0.3, (0.0, 1.0), (0.4, 1.5)),
 )
 
 
@@ -457,20 +462,15 @@ def check_morse_heat_hw_oracle(tol_overrides: Optional[dict] = None) -> Identity
 def check_specfun_oracle(tol_overrides: Optional[dict] = None,
                          integer_k_only: bool = False) -> IdentityReport:
     """Committed arbitrary-precision reference values reproduced in-package."""
-    from importlib import resources
-
     name = "specfun_oracle_k_int" if integer_k_only else "specfun_oracle"
     t0 = time.perf_counter()
     tol = _tol(name, tol_overrides)
     worst = _Worst()
-    ref = resources.files("hypermorse").joinpath("data/specfun_oracle.csv")
-    with ref.open() as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
+    for row in _oracle_rows():
         is_k_int = row["tol_class"] == "k_int"
         if is_k_int != integer_k_only:
             continue
-        params = [eval(p, {"__builtins__": {}}) for p in row["params"].split(";")]
+        params = _parse_params(row["params"])
         expect = complex(float(row["ref_real"]), float(row["ref_imag"]))
         point = {"function": row["function"], "params": row["params"]}
         try:
@@ -479,6 +479,18 @@ def check_specfun_oracle(tol_overrides: Optional[dict] = None,
         except HypermorseError as exc:
             worst.error(point, exc)
     return _report(name, f"committed reference table ({worst.n_points} rows)", worst, tol, t0)
+
+
+def _oracle_rows() -> list:
+    """Rows of the committed reference table data/specfun_oracle.csv."""
+    ref = resources.files("hypermorse").joinpath("data/specfun_oracle.csv")
+    with ref.open() as fh:
+        return list(csv.DictReader(fh))
+
+
+def _parse_params(raw: str) -> list:
+    """The ';'-separated Python literals of an oracle row's params field."""
+    return [ast.literal_eval(p) for p in raw.split(";")]
 
 
 def _eval_specfun(fn: str, params: list) -> complex:

@@ -1,8 +1,15 @@
 """Kernels of the magnetic Schrodinger operator on the hyperbolic half-plane.
 
-The wave-transmutation kernel in five equivalent representations, the closed
-and integral forms of the resolvent, the disc-model resolvent, and the heat
-kernel.
+The wave-transmutation kernel, the closed and integral forms of the
+resolvent, the disc-model resolvent, and the heat kernel.
+
+Every production path evaluates the wave kernel's radial profile
+F(|k|, -|k|; 1/2; 1 - C^2), C = cosh(b/2)/cosh(rho/2), through its closed
+form cosh(2|k| arccosh C) (_wave_profile), which holds for every real k and
+reduces to the Chebyshev polynomial T_{2|k|}(C) when 2k is an integer.  The
+five named representations in WAVE_FORMS (three hypergeometric series, the
+Chebyshev polynomial and a finite sum) are kept only as independent targets
+of the hyperbolic_forms identity check.
 
 Conventions fixed by calibration (see the harness module):
 
@@ -110,13 +117,21 @@ def _cosh2_ratio(b, rho: float):
     return C, S
 
 
+def _wave_profile(ak: float, C):
+    """F(|k|, -|k|; 1/2; 1 - C^2) = cosh(2|k| arccosh C), C clipped at 1
+    against rounding at the support edge."""
+    return np.cosh(2.0 * ak * np.arccosh(np.maximum(C, 1.0)))
+
+
 def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "auto",
                        cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES):
     """Radial part of the wave kernel: the full kernel without its
     magnetic phase.  Vectorized over b (all entries must satisfy b > rho).
 
-    form "auto" selects the Chebyshev representation when 2k is an integer
-    (no hypergeometric summation) and the baseline representation otherwise.
+    form "auto" is the production closed form (_wave_profile) for every
+    real k.  The named forms "baseline", "i", "ii" (hypergeometric),
+    "iii" (Chebyshev) and "iv" (finite sum; the last two need 2k integer)
+    are independent targets of the hyperbolic_forms identity.
     """
     mk = as_magnetic(k)
     ak = mk.abs_k
@@ -128,12 +143,12 @@ def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "a
     C, S = _cosh2_ratio(b_arr, rho)
     inv_sqrt_s = 1.0 / (2.0 * math.pi * np.sqrt(S))
 
-    if form == "auto":
-        form = "iii" if mk.is_discrete else "baseline"
     if form in ("iii", "iv") and not mk.is_discrete:
         raise UnsupportedK(f"form {form} needs 2k integer, got k={mk.k}")
 
-    if form == "iii":
+    if form == "auto":
+        vals = inv_sqrt_s * _wave_profile(ak, C)
+    elif form == "iii":
         vals = inv_sqrt_s * specfun.chebyshev_t(mk.two_k_int, C)
     elif form == "iv":
         n_top = int(math.floor(ak + 1e-12))
@@ -245,6 +260,35 @@ def _check_decay(mu: complex, k: Union[float, MagneticK]):
             f"e^((|k|-1/2) b)); got mu={mu}")
 
 
+def _radial_integral(k: Union[float, MagneticK], rho: float, weight,
+                     cfg: quad.QuadConfig) -> quad.QuadratureResult:
+    """integral_rho^inf weight(b) W_rad(b, rho) db, W_rad the radial wave
+    kernel, with its inverse-square-root edge removed by b = rho + u^2.
+
+    At rho = 0 the edge factor is 1/sinh(b/2), integrable against any
+    weight vanishing like b.
+    """
+    ak = as_magnetic(k).abs_k
+    ch_r = math.cosh(rho / 2.0)
+
+    def g(b):
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        w = weight(b)
+        if not w.all():
+            # far out cosh(b/2) overflows where the weight is already 0; the
+            # profile is taken at the support edge there, so those nodes
+            # give 0 instead of inf * 0
+            b = np.where(w == 0, rho, b)
+        return w * _wave_profile(ak, np.cosh(b / 2.0) / ch_r) / (2.0 * math.pi)
+
+    def dm(u):
+        # cosh^2(b/2) - cosh^2(rho/2) = sinh((b+rho)/2) sinh((b-rho)/2), b = rho + u^2
+        u = np.asarray(u, dtype=float)
+        return np.sinh((2.0 * rho + u * u) / 2.0) * np.sinh(u * u / 2.0)
+
+    return quad.integrate_sqrt_endpoint(g, rho, cfg, dm=dm)
+
+
 def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
                        z: HalfPlanePoint, zp: HalfPlanePoint,
                        cfg: quad.QuadConfig = quad.DEFAULT_CONFIG) -> quad.QuadratureResult:
@@ -262,27 +306,7 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
     if rho < 1e-7:
         raise DiagonalSingularity("transmutation integral needs z != z'")
     phase = magnetic_phase_halfplane(k, z, zp)
-    mk = as_magnetic(k)
-    ak = mk.abs_k
-
-    ch_r2 = math.cosh(rho / 2.0) ** 2
-
-    def g(b):
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        C = np.cosh(b / 2.0) / math.cosh(rho / 2.0)
-        if mk.is_discrete:
-            fvals = specfun.chebyshev_t(mk.two_k_int, C)
-        else:
-            fvals = np.array([specfun.gauss_2f1(ak, -ak, 0.5, zz).real
-                              for zz in (1.0 - C * C)])
-        return fvals / (2.0 * math.pi) * np.exp(-1j * mu * b)
-
-    def dm(u):
-        # cosh^2(b/2) - cosh^2(rho/2) = sinh((b+rho)/2) sinh((b-rho)/2), b = rho + u^2
-        u = np.asarray(u, dtype=float)
-        return np.sinh((2.0 * rho + u * u) / 2.0) * np.sinh(u * u / 2.0)
-
-    res = quad.integrate_sqrt_endpoint(g, rho, cfg, m=lambda b: np.cosh(b / 2.0) ** 2, dm=dm)
+    res = _radial_integral(k, rho, lambda b: np.exp(-1j * mu * b), cfg)
     return quad.QuadratureResult(0.5 * phase * res.value, 0.5 * res.err_estimate,
                                  res.n_evals, res.converged)
 
@@ -290,44 +314,14 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
 def heat_kernel(t: float, k: Union[float, MagneticK], z: HalfPlanePoint, zp: HalfPlanePoint,
                 cfg: quad.QuadConfig = quad.DEFAULT_CONFIG) -> quad.QuadratureResult:
     """Heat kernel as the subordination integral
-    integral_rho^inf e^{-b^2/4t} / (4 pi t)^{3/2} * W(b, z, z') * b db."""
+    integral_rho^inf e^{-b^2/4t} / (4 pi t)^{3/2} * W(b, z, z') * b db.
+
+    Coincident points z = z' take the same path: the factor b cancels the
+    1/sinh(b/2) edge of the rho = 0 kernel."""
     if not t > 0:
         raise ValueError("heat kernel needs t > 0")
     rho = dist_halfplane(z, zp)
     phase = magnetic_phase_halfplane(k, z, zp)
-    mk = as_magnetic(k)
-    ak = mk.abs_k
     norm = (4.0 * math.pi * t) ** 1.5
-
-    def g(b):
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        C = np.cosh(b / 2.0) / math.cosh(rho / 2.0)
-        if mk.is_discrete:
-            fvals = specfun.chebyshev_t(mk.two_k_int, C)
-        else:
-            fvals = np.array([specfun.gauss_2f1(ak, -ak, 0.5, zz).real
-                              for zz in (1.0 - C * C)])
-        return np.exp(-b * b / (4.0 * t)) / norm * fvals / (2.0 * math.pi) * b
-
-    def dm(u):
-        u = np.asarray(u, dtype=float)
-        return np.sinh((2.0 * rho + u * u) / 2.0) * np.sinh(u * u / 2.0)
-
-    if rho == 0.0:
-        # coincident points: the singular factor is 1/sqrt(cosh^2(b/2)-1) = 1/sinh(b/2)
-        def g0(b):
-            b = np.atleast_1d(np.asarray(b, dtype=float))
-            C = np.cosh(b / 2.0)
-            if mk.is_discrete:
-                fvals = specfun.chebyshev_t(mk.two_k_int, C)
-            else:
-                fvals = np.array([specfun.gauss_2f1(ak, -ak, 0.5, zz).real
-                                  for zz in (1.0 - C * C)])
-            return np.exp(-b * b / (4.0 * t)) / norm * fvals / (2.0 * math.pi) * b / np.sinh(b / 2.0)
-
-        res = quad.integrate_semiinfinite(g0, 0.0, cfg)
-        return quad.QuadratureResult(phase * res.value, res.err_estimate, res.n_evals,
-                                     res.converged)
-
-    res = quad.integrate_sqrt_endpoint(g, rho, cfg, m=lambda b: np.cosh(b / 2.0) ** 2, dm=dm)
+    res = _radial_integral(k, rho, lambda b: np.exp(-b * b / (4.0 * t)) * b / norm, cfg)
     return quad.QuadratureResult(phase * res.value, res.err_estimate, res.n_evals, res.converged)

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import quad, specfun
 from .errors import (
-    ConvergenceViolated,
     DiagonalSingularity,
     GammaPole,
     OutsideConvergenceRegion,
@@ -48,7 +47,8 @@ from .errors import (
 )
 from .geometry import HalfPlanePoint, MagneticK, as_magnetic
 from .hkernels import SpectralParam, heat_kernel as _hyp_heat_kernel, \
-    _gamma_prefactor as _hyp_gamma_prefactor, _resolvent_profile as _hyp_resolvent_profile
+    _check_decay, _gamma_prefactor as _hyp_gamma_prefactor, \
+    _resolvent_profile as _hyp_resolvent_profile, _wave_profile
 
 __all__ = [
     "MorseConfig",
@@ -271,18 +271,12 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float,
     v = y + yp
     z_edge = float(wave_aux_z(cfg, b))
     ch_b2 = math.cosh(b / 2.0)
-    ak = mk.abs_k
 
     def g_of_u(u: np.ndarray) -> np.ndarray:
         # W_rad without its inverse-sqrt factor: (1/2pi) * F(rho(u)) where the
         # singular factor is handled by the caller through the substitution
         c2 = (u * u + v * v) / (4.0 * y * yp)
-        C = ch_b2 / np.sqrt(c2)
-        if mk.is_discrete:
-            fvals = specfun.chebyshev_t(mk.two_k_int, C)
-        else:
-            fvals = np.array([specfun.gauss_2f1(ak, -ak, 0.5, zz).real
-                              for zz in (1.0 - C * C)])
+        fvals = _wave_profile(mk.abs_k, ch_b2 / np.sqrt(c2))
         phase = np.exp(mk.k * (np.log(-u + 1j * v) - np.log(u + 1j * v)))
         return fvals * phase * np.exp(-1j * cfg.lam * u) / (2.0 * math.pi)
 
@@ -335,13 +329,6 @@ def resolvent_closed(cfg: MorseConfig, mu: complex,
         * specfun.whittaker("M", k, nu, 2.0 * cfg.lam * math.exp(x_lo), series_cfg)
 
 
-def _check_morse_decay(cfg: MorseConfig, mu: complex):
-    need = max(0.0, cfg.mk.abs_k - 0.5)
-    if not complex(mu).imag < -need:
-        raise ConvergenceViolated(
-            f"Morse resolvent integral needs Im mu < {-need:.3g}, got mu={mu}")
-
-
 def resolvent_integral(cfg: MorseConfig, mu: complex,
                        qcfg: quad.QuadConfig = _RES_CFG) -> quad.QuadratureResult:
     """Morse resolvent as the transmutation integral
@@ -369,7 +356,7 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
     i pi + log(-u - iv); the principal branch would be off by e^{-2 pi i k}
     beyond w = v.  The u-independent gamma prefactor is computed once.
     """
-    _check_morse_decay(cfg, mu)
+    _check_decay(mu, cfg.k)
     if cfg.rho_m < 1e-7:
         raise DiagonalSingularity("resolvent integral needs X != X'")
     s = SpectralParam(mu).s
@@ -422,13 +409,12 @@ def heat_kernel(cfg: MorseConfig, t: float,
     The wave factor uses the calibration-winning construction; the
     alternative variant's series leaves its convergence disc a fixed
     distance above the support edge, so it cannot feed a b-integral at all.
+    The inner kernel's closed-form wave profile covers every real k.
     n_evals includes the inner integrals' evaluations and converged is
     False if any inner integral did not converge.
     """
     if not t > 0:
         raise ValueError("heat kernel needs t > 0")
-    if not cfg.mk.is_discrete or cfg.mk.abs_k > 2:
-        raise UnsupportedK(f"heat kernel needs 2k integer, |k| <= 2; got k={cfg.k}")
     zp = HalfPlanePoint(0.0, cfg.yp)
     y = cfg.y
     inner_cfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-15)

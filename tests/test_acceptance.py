@@ -64,7 +64,7 @@ class TestAcceptance:
         rep, dt = _run(check_hyperbolic_heat_pde)
         _gate(4, "heat kernel satisfies its evolution equation",
               rep.passed and rep.max_rel_err < 1e-3,
-              f"max residual {rep.max_rel_err:.2e} < 1e-3 at 6 samples", dt, 60.0)
+              f"max residual {rep.max_rel_err:.2e} < 1e-3 at 7 samples", dt, 60.0)
 
     def test_c05_morse_k0_bessel_reduction(self):
         t0 = time.perf_counter()

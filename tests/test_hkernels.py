@@ -91,6 +91,12 @@ class TestWaveKernel:
         for v in vals[1:]:
             assert relerr(v, vals[0]) < 1e-10
 
+    def test_auto_generic_k_far_from_support_edge(self):
+        # at b = 6 the baseline series no longer converges; the production
+        # closed form must still match the quadratic-transformation form "i"
+        got = wave_kernel("auto", 0.3, 6.0, Z1, Z2)
+        assert relerr(got, wave_kernel("i", 0.3, 6.0, Z1, Z2)) < 1e-12
+
     def test_discrete_forms_rejected_for_generic_k(self):
         with pytest.raises(UnsupportedK):
             wave_kernel("iii", 0.3, 2.0, Z1, Z2)
@@ -307,6 +313,24 @@ class TestHeatKernel:
             x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             manual += 0.5 * (hi - lo) * np.sum(weights * rewritten(x))
         assert relerr(res.value, manual) < 1e-6
+
+    def test_coincident_points_long_time(self):
+        # z = z', k = 1, t = 10.  Reference: mpmath at 30 digits,
+        # mp.quad of e^{-b^2/4t} / (4 pi t)^{3/2} * cosh(b) / (2 pi) * b / sinh(b/2)
+        # over [0, inf) (the rho = 0 kernel, whose profile is cosh(b))
+        z = HalfPlanePoint(0.2, 1.3)
+        res = heat_kernel(10.0, 1.0, z, z)
+        assert res.converged
+        assert relerr(res.value, 0.1551053670872055124) < 1e-12
+
+    def test_far_tail_where_cosh_overflows(self):
+        # k = 2, t = 10: the sweep passes b ~ 1420, where cosh(b/2) overflows
+        # while the Gaussian weight is already 0.  Reference: mpmath at 30
+        # digits, mp.quad in b = rho + u^2 over u in [0, 14] with the T_4
+        # profile and the principal-branch phase
+        res = heat_kernel(10.0, 2.0, HalfPlanePoint(0.2, 1.3), HalfPlanePoint(0.25, 1.3))
+        assert res.converged
+        assert relerr(res.value, 223743462.3592858228 - 17242929.11725072418j) < 1e-12
 
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,9 @@ from hypermorse.errors import (
     Phi1OutsideDisc,
     UnsupportedK,
 )
+from hypermorse.geometry import HalfPlanePoint
+from hypermorse.hkernels import SpectralParam, heat_kernel as heat_kernel_h, \
+    resolvent_integral as resolvent_integral_h, wave_kernel as wave_kernel_h
 from hypermorse.mkernels import (
     MorseConfig,
     hartman_watson_heat_oracle,
@@ -329,9 +332,12 @@ class TestHeatKernel:
         got = heat_kernel(cfg, 0.8)
         assert abs(got.value.imag) < 1e-8 * abs(got.value.real)
 
-    def test_requires_discrete_k(self):
-        with pytest.raises(UnsupportedK):
-            heat_kernel(MorseConfig(1.0, 0.3, 0.0, 0.3), 0.5)
+    def test_generic_k_matches_hartman_watson(self):
+        cfg = MorseConfig(lam=1.0, k=0.3, X=0.0, Xp=math.log(1.3))
+        t = 1.0
+        oracle = hartman_watson_heat_oracle(cfg, t)
+        hk = heat_kernel(cfg, t)
+        assert relerr(oracle, hk.value) < 1e-3
 
     def test_inner_bookkeeping_propagates(self, monkeypatch):
         # an unconverged inner hyperbolic heat integral must not be dropped
@@ -406,3 +412,20 @@ class TestHartmanWatsonOracle:
         q_oracle = hartman_watson_heat_oracle(cfg, 3.0).real
         assert q_heat > 0 and q_oracle > 0
         assert q_heat < 0.01 and q_oracle < 0.01
+
+
+class TestSingleProfilePath:
+    def test_production_kernels_use_closed_form_profile(self, monkeypatch):
+        # every production integrand evaluates the radial wave profile in
+        # closed form: no hypergeometric series and no Chebyshev branch
+        def forbidden(*args, **kwargs):
+            raise AssertionError("production path left the closed-form profile")
+
+        monkeypatch.setattr(specfun, "gauss_2f1", forbidden)
+        monkeypatch.setattr(specfun, "chebyshev_t", forbidden)
+        z, zp = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.5, 2.0)
+        assert heat_kernel_h(1.0, 0.3, z, zp).converged
+        assert resolvent_integral_h(SpectralParam(-0.9j), 0.3, z, zp).converged
+        assert wave_kernel_h("auto", 0.3, 6.0, z, zp) != 0
+        assert wave_kernel_fourier(CFG_HALF, 1.0).converged
+        assert heat_kernel(MorseConfig(1.0, 0.3, 0.0, 0.3), 0.8).converged

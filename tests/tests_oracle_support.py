@@ -1,21 +1,12 @@
-"""Shared helper for reading and evaluating the special-function oracle table."""
-import csv
-from importlib import resources
+"""Shared helper for reading and evaluating the special-function oracle table.
 
-from hypermorse import specfun
+Rows are read, parsed and dispatched by the same harness routines that the
+specfun_oracle identity check uses; only the per-row tolerances live here.
+"""
+from hypermorse.harness import _eval_specfun, _oracle_rows as load_oracle_rows, _parse_params
 
 TOL_DEFAULT = 1e-11
 TOL_K_INT = 1e-8
-
-
-def load_oracle_rows():
-    ref = resources.files("hypermorse").joinpath("data/specfun_oracle.csv")
-    with ref.open() as fh:
-        return list(csv.DictReader(fh))
-
-
-def _parse_params(raw: str):
-    return [eval(p, {"__builtins__": {}}) for p in raw.split(";")]  # literals only
 
 
 def evaluate_row(row):
@@ -23,32 +14,7 @@ def evaluate_row(row):
 
     Returns (computed, reference, tolerance).
     """
-    params = _parse_params(row["params"])
+    got = _eval_specfun(row["function"], _parse_params(row["params"]))
     ref = complex(float(row["ref_real"]), float(row["ref_imag"]))
     tol = TOL_K_INT if row["tol_class"] == "k_int" else TOL_DEFAULT
-    fn = row["function"]
-    if fn == "log_gamma":
-        got = specfun.log_gamma(params[0])
-    elif fn == "pochhammer":
-        got = specfun.pochhammer(params[0], params[1])
-    elif fn == "gauss_2f1":
-        got = specfun.gauss_2f1(*params)
-    elif fn == "kummer_1f1":
-        got = specfun.kummer_1f1(*params)
-    elif fn == "humbert_phi1":
-        got = specfun.humbert_phi1(*params)
-    elif fn == "chebyshev_t":
-        got = complex(specfun.chebyshev_t(int(params[0]), params[1]))
-    elif fn == "bessel_J":
-        got = complex(specfun.bessel("J", *params))
-    elif fn == "bessel_I":
-        got = complex(specfun.bessel("I", *params))
-    elif fn == "bessel_K":
-        got = complex(specfun.bessel("K", *params))
-    elif fn == "whittaker_M":
-        got = specfun.whittaker("M", *params)
-    elif fn == "whittaker_W":
-        got = specfun.whittaker("W", *params)
-    else:
-        raise ValueError(f"unknown oracle function {fn}")
     return got, ref, tol
