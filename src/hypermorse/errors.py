@@ -63,6 +63,14 @@ class UnsupportedK(HypermorseError):
     """Magnetic/coupling constant outside the implemented range."""
 
 
+class CancellationLimit(HypermorseError):
+    """A cancelling integral's round-off floor exceeds the accuracy its caller needs."""
+
+
+class NotConverged(HypermorseError):
+    """A quadrature result came back with converged=False."""
+
+
 # harness
 
 class CalibrationAmbiguous(HypermorseError):

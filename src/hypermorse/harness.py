@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import mkernels, quad, specfun
-from .errors import CalibrationAmbiguous, HypermorseError, InvalidGrid
+from .errors import CalibrationAmbiguous, HypermorseError, InvalidGrid, NotConverged
 from .geometry import HalfPlanePoint
 from .hkernels import (
     SPECTRAL_MAPPINGS,
@@ -128,6 +128,10 @@ def _relerr(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _spread(vals: list) -> float:
+    return max(abs(v - w) for v in vals for w in vals) / max(abs(v) for v in vals)
+
+
 class _Worst:
     """Tracks the worst relative error and the parameters producing it."""
 
@@ -149,6 +153,13 @@ class _Worst:
         if not math.isinf(self.max_rel_err):
             self.max_rel_err = float("inf")
             self.worst_point = {**point, "error": f"{type(exc).__name__}: {exc}"}
+
+    def run(self, point: dict, rel_err: Callable[[], float]):
+        """Record rel_err() at point, or the HypermorseError it raises."""
+        try:
+            self.update(rel_err(), point)
+        except HypermorseError as exc:
+            self.error(point, exc)
 
 
 def _report(identity_id: str, grid_spec: str, worst: _Worst, tol: float,
@@ -195,15 +206,9 @@ def check_hyperbolic_forms(tol_overrides: Optional[dict] = None) -> IdentityRepo
         for rho in rhos:
             for f in fracs:
                 b = float(rho + 4.0 * f)
-                point = {"two_k": two_k, "rho": float(rho), "b": b}
-                try:
-                    vals = [complex(wave_kernel_radial(k, b, float(rho), form=fm))
-                            for fm in ("auto",) + WAVE_FORMS]
-                    scale = max(abs(v) for v in vals)
-                    spread = max(abs(v - w) for v in vals for w in vals) / scale
-                    worst.update(spread, point)
-                except HypermorseError as exc:
-                    worst.error(point, exc)
+                worst.run({"two_k": two_k, "rho": float(rho), "b": b},
+                          lambda: _spread([complex(wave_kernel_radial(k, b, float(rho), form=fm))
+                                           for fm in ("auto",) + WAVE_FORMS]))
     return _report("hyperbolic_forms",
                    "auto + 5 forms; 2k in 0..4; rho in [0.2,2.5] x b in (rho, rho+4], 10x10",
                    worst, tol, t0)
@@ -229,13 +234,9 @@ def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None,
     for mu, k, (p1, p2) in itertools.product(mus, ks, _RESOLVENT_PAIRS):
         z, zp = HalfPlanePoint(*p1), HalfPlanePoint(*p2)
         sp = SpectralParam(mu, mapping_id)
-        point = {"mu": str(mu), "k": k, "z": p1, "zp": p2, "mapping": mapping_id}
-        try:
-            closed = hyp_resolvent_closed(sp, k, z, zp)
-            integ = hyp_resolvent_integral(sp, k, z, zp)
-            worst.update(_relerr(closed, integ.value), point)
-        except HypermorseError as exc:
-            worst.error(point, exc)
+        worst.run({"mu": str(mu), "k": k, "z": p1, "zp": p2, "mapping": mapping_id},
+                  lambda: _relerr(hyp_resolvent_closed(sp, k, z, zp),
+                                  hyp_resolvent_integral(sp, k, z, zp).value))
     return _report("hyperbolic_resolvent",
                    f"mu in {list(map(str, mus))}, k in {list(ks)}, {len(_RESOLVENT_PAIRS)} pairs",
                    worst, tol, t0)
@@ -319,24 +320,17 @@ def check_morse_wave_bessel(path: str, tol_overrides: Optional[dict] = None) -> 
     """k = 0 reduction: each wave-kernel path matches (1/2) J0 on a 6 x 6
     (b, y') grid at lam = 1, y = 1."""
     name = f"morse_wave_bessel_{path}"
+    paths = {"phi1": wave_kernel_phi1,
+             "alternate": lambda c, b: wave_kernel_phi1_alt(c, b, normalization="k0_calibrated"),
+             "fourier": lambda c, b: wave_kernel_fourier(c, b).value}
+    if path not in paths:
+        raise ValueError(f"unknown path {path!r}")
     t0 = time.perf_counter()
     tol = _tol(name, tol_overrides)
     worst = _Worst()
     for cfg, b in _morse_wave_grid():
-        point = {"lam": cfg.lam, "yp": cfg.yp, "b": b, "path": path}
-        try:
-            truth = wave_kernel_bessel0(cfg, b)
-            if path == "phi1":
-                got = wave_kernel_phi1(cfg, b)
-            elif path == "alternate":
-                got = wave_kernel_phi1_alt(cfg, b, normalization="k0_calibrated")
-            elif path == "fourier":
-                got = wave_kernel_fourier(cfg, b).value
-            else:
-                raise ValueError(f"unknown path {path!r}")
-            worst.update(_relerr(got, truth), point)
-        except HypermorseError as exc:
-            worst.error(point, exc)
+        worst.run({"lam": cfg.lam, "yp": cfg.yp, "b": b, "path": path},
+                  lambda: _relerr(paths[path](cfg, b), wave_kernel_bessel0(cfg, b)))
     return _report(name, "6x6 grid: yp in [0.8, 1.8], b in rho+[0.2, 3.0]; lam=1, y=1",
                    worst, tol, t0)
 
@@ -352,13 +346,8 @@ def check_morse_wave_cross_half_k(tol_overrides: Optional[dict] = None) -> Ident
         bstar = 2.0 * math.acosh(2.0 / math.sqrt(3.0) * math.cosh(cfg.rho_m / 2.0))
         for f in (0.3, 0.55, 0.8):
             b = cfg.rho_m + f * (bstar - cfg.rho_m)
-            point = {"X": X, "Xp": Xp, "b": b}
-            try:
-                got = wave_kernel_phi1(cfg, b)
-                oracle = wave_kernel_fourier(cfg, b).value
-                worst.update(_relerr(got, oracle), point)
-            except HypermorseError as exc:
-                worst.error(point, exc)
+            worst.run({"X": X, "Xp": Xp, "b": b},
+                      lambda: _relerr(wave_kernel_phi1(cfg, b), wave_kernel_fourier(cfg, b).value))
     return _report("morse_wave_phi1_fourier_half_k", "3 position pairs x 3 window points, k=1/2",
                    worst, tol, t0)
 
@@ -366,44 +355,34 @@ def check_morse_wave_cross_half_k(tol_overrides: Optional[dict] = None) -> Ident
 _MORSE_PAIRS = ((0.0, 0.3), (-0.2, 0.5), (0.1, 0.6), (-0.4, 0.1))
 
 
+def _morse_closed_vs_integral(name: str, grid_spec: str, points, tol_overrides) -> IdentityReport:
+    """Closed vs integral Morse resolvent at mu = -i alpha, lam = 1, per (k, alpha, X, X')."""
+    t0 = time.perf_counter()
+    tol = _tol(name, tol_overrides)
+    worst = _Worst()
+    for k, alpha, X, Xp in points:
+        cfg = MorseConfig(lam=1.0, k=k, X=X, Xp=Xp)
+        worst.run({"k": k, "alpha": alpha, "X": X, "Xp": Xp},
+                  lambda: _relerr(morse_resolvent_closed(cfg, -1j * alpha),
+                                  morse_resolvent_integral(cfg, -1j * alpha).value))
+    return _report(name, grid_spec, worst, tol, t0)
+
+
 def check_morse_resolvent(tol_overrides: Optional[dict] = None) -> IdentityReport:
     """Whittaker closed form vs the transmutation integral,
     k in {0, 1/2}, mu = -i alpha, alpha in {0.7, 1.2}."""
-    t0 = time.perf_counter()
-    tol = _tol("morse_resolvent", tol_overrides)
-    worst = _Worst()
-    for k, alpha, (X, Xp) in itertools.product((0.0, 0.5), (0.7, 1.2), _MORSE_PAIRS):
-        cfg = MorseConfig(lam=1.0, k=k, X=X, Xp=Xp)
-        mu = -1j * alpha
-        point = {"k": k, "alpha": alpha, "X": X, "Xp": Xp}
-        try:
-            closed = morse_resolvent_closed(cfg, mu)
-            integ = morse_resolvent_integral(cfg, mu)
-            worst.update(_relerr(closed, integ.value), point)
-        except HypermorseError as exc:
-            worst.error(point, exc)
-    return _report("morse_resolvent", "k in {0, 1/2} x alpha in {0.7, 1.2} x 4 pairs",
-                   worst, tol, t0)
+    points = [(k, alpha, X, Xp) for k, alpha, (X, Xp)
+              in itertools.product((0.0, 0.5), (0.7, 1.2), _MORSE_PAIRS)]
+    return _morse_closed_vs_integral(
+        "morse_resolvent", "k in {0, 1/2} x alpha in {0.7, 1.2} x 4 pairs", points, tol_overrides)
 
 
 def check_whittaker_product(tol_overrides: Optional[dict] = None) -> IdentityReport:
     """Whittaker-product identity: gamma-weighted W x M product vs the
     exponentially weighted transmutation integral, at real spectral index."""
-    t0 = time.perf_counter()
-    tol = _tol("whittaker_product", tol_overrides)
-    worst = _Worst()
-    alpha, k = 1.2, 0.5
-    for (X, Xp) in ((0.5, 0.0), (0.3, -0.2), (0.7, 0.2)):  # X > X'
-        cfg = MorseConfig(lam=1.0, k=k, X=X, Xp=Xp)
-        point = {"alpha": alpha, "k": k, "X": X, "Xp": Xp}
-        try:
-            closed = morse_resolvent_closed(cfg, -1j * alpha)
-            integ = morse_resolvent_integral(cfg, -1j * alpha)
-            worst.update(_relerr(closed, integ.value), point)
-        except HypermorseError as exc:
-            worst.error(point, exc)
-    return _report("whittaker_product", "alpha=1.2, k=1/2, lam=1, 3 pairs with X > X'",
-                   worst, tol, t0)
+    points = [(0.5, 1.2, X, Xp) for X, Xp in ((0.5, 0.0), (0.3, -0.2), (0.7, 0.2))]  # X > X'
+    return _morse_closed_vs_integral(
+        "whittaker_product", "alpha=1.2, k=1/2, lam=1, 3 pairs with X > X'", points, tol_overrides)
 
 
 def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport:
@@ -418,14 +397,10 @@ def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport
     tol = _tol("bessel_product", tol_overrides)
     worst = _Worst()
     for alpha, (u, v) in itertools.product((0.5, 1.0), ((1.0, 2.0), (0.5, 1.5))):
-        point = {"alpha": alpha, "u": u, "v": v}
-        try:
-            lhs = specfun.bessel("I", alpha, u) * specfun.bessel("K", alpha, v)
-            cfg = MorseConfig(lam=1.0, k=0.0, X=math.log(u), Xp=math.log(v))
-            rhs = 0.5 * morse_resolvent_integral(cfg, -1j * alpha).value
-            worst.update(_relerr(lhs, rhs), point)
-        except HypermorseError as exc:
-            worst.error(point, exc)
+        cfg = MorseConfig(lam=1.0, k=0.0, X=math.log(u), Xp=math.log(v))
+        worst.run({"alpha": alpha, "u": u, "v": v},
+                  lambda: _relerr(specfun.bessel("I", alpha, u) * specfun.bessel("K", alpha, v),
+                                  0.5 * morse_resolvent_integral(cfg, -1j * alpha).value))
     return _report("bessel_product", "alpha in {0.5, 1.0} x (u,v) in {(1,2), (0.5,1.5)}",
                    worst, tol, t0)
 
@@ -448,13 +423,14 @@ def check_morse_heat_hw_oracle(tol_overrides: Optional[dict] = None) -> Identity
     worst = _Worst()
     for (t, k) in _HW_ORACLE_POINTS:
         cfg = MorseConfig(lam=1.0, k=k, X=0.0, Xp=math.log(1.3))
-        point = {"t": t, "k": k, "X": 0.0, "Xp": math.log(1.3)}
-        try:
-            hk = morse_heat_kernel(cfg, t)
-            oracle = hartman_watson_heat_oracle(cfg, t)
-            worst.update(_relerr(hk.value, oracle), point)
-        except HypermorseError as exc:
-            worst.error(point, exc)
+
+        def rel_err() -> float:
+            hk, oracle = morse_heat_kernel(cfg, t), hartman_watson_heat_oracle(cfg, t)
+            if not (hk.converged and oracle.converged):
+                raise NotConverged(f"converged={hk.converged}/{oracle.converged} (heat/oracle)")
+            return _relerr(hk.value, oracle.value)
+
+        worst.run({"t": t, "k": k, "X": 0.0, "Xp": math.log(1.3)}, rel_err)
     return _report("morse_heat_hw_oracle", "3 points: (t, k) in {(1,0), (1,1/2), (0.9,1/2)}, lam=1",
                    worst, tol, t0)
 
@@ -472,12 +448,8 @@ def check_specfun_oracle(tol_overrides: Optional[dict] = None,
             continue
         params = _parse_params(row["params"])
         expect = complex(float(row["ref_real"]), float(row["ref_imag"]))
-        point = {"function": row["function"], "params": row["params"]}
-        try:
-            got = _eval_specfun(row["function"], params)
-            worst.update(_relerr(got, expect), point)
-        except HypermorseError as exc:
-            worst.error(point, exc)
+        worst.run({"function": row["function"], "params": row["params"]},
+                  lambda: _relerr(_eval_specfun(row["function"], params), expect))
     return _report(name, f"committed reference table ({worst.n_points} rows)", worst, tol, t0)
 
 

@@ -306,9 +306,7 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
     if rho < 1e-7:
         raise DiagonalSingularity("transmutation integral needs z != z'")
     phase = magnetic_phase_halfplane(k, z, zp)
-    res = _radial_integral(k, rho, lambda b: np.exp(-1j * mu * b), cfg)
-    return quad.QuadratureResult(0.5 * phase * res.value, 0.5 * res.err_estimate,
-                                 res.n_evals, res.converged)
+    return _radial_integral(k, rho, lambda b: np.exp(-1j * mu * b), cfg).scaled(0.5 * phase)
 
 
 def heat_kernel(t: float, k: Union[float, MagneticK], z: HalfPlanePoint, zp: HalfPlanePoint,
@@ -323,5 +321,5 @@ def heat_kernel(t: float, k: Union[float, MagneticK], z: HalfPlanePoint, zp: Hal
     rho = dist_halfplane(z, zp)
     phase = magnetic_phase_halfplane(k, z, zp)
     norm = (4.0 * math.pi * t) ** 1.5
-    res = _radial_integral(k, rho, lambda b: np.exp(-b * b / (4.0 * t)) * b / norm, cfg)
-    return quad.QuadratureResult(phase * res.value, res.err_estimate, res.n_evals, res.converged)
+    return _radial_integral(k, rho, lambda b: np.exp(-b * b / (4.0 * t)) * b / norm,
+                            cfg).scaled(phase)

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import quad, specfun
 from .errors import (
+    CancellationLimit,
     DiagonalSingularity,
     GammaPole,
     OutsideConvergenceRegion,
@@ -71,6 +72,7 @@ ALT_VARIANT_K0_SCALE = -0.5
 
 _RES_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-12)
 _HEAT_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-13)
+_HW_CFG = quad.QuadConfig(rel_tol=1e-7, abs_tol=1e-14)
 
 # per-level base steps for the composed sinh-weighted derivative; deeper
 # levels differentiate noisier data and need larger steps
@@ -290,10 +292,7 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float,
     r2 = quad.integrate_finite(lambda w: h(w, -1.0), 0.0, sw, qcfg)
     # the 2 sqrt(y y') from the singular factor cancels the connection's
     # 1/(2 sqrt(y y')), leaving the bare 1/(2 pi) normalization above
-    return quad.QuadratureResult(r1.value + r2.value,
-                                 r1.err_estimate + r2.err_estimate,
-                                 r1.n_evals + r2.n_evals,
-                                 r1.converged and r2.converged)
+    return r1 + r2
 
 
 def _whittaker_order(mu: complex, index_convention: str) -> complex:
@@ -390,10 +389,7 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
 
     h = quad.integrate_finite(head, 0.0, big_u, qcfg)
     t = quad.integrate_semiinfinite(tails, 0.0, qcfg)
-    scale = 2.0 * pref / math.sqrt(y * yp)
-    return quad.QuadratureResult(scale * (h.value + t.value),
-                                 abs(scale) * (h.err_estimate + t.err_estimate),
-                                 h.n_evals + t.n_evals, h.converged and t.converged)
+    return (h + t).scaled(2.0 * pref / math.sqrt(y * yp))
 
 
 def heat_kernel(cfg: MorseConfig, t: float,
@@ -418,14 +414,12 @@ def heat_kernel(cfg: MorseConfig, t: float,
     zp = HalfPlanePoint(0.0, cfg.yp)
     y = cfg.y
     inner_cfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-15)
-    inner_evals = 0
-    inner_converged = True
+    inner = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
 
     def f(u: float) -> complex:
-        nonlocal inner_evals, inner_converged
+        nonlocal inner
         r = _hyp_heat_kernel(t, cfg.k, HalfPlanePoint(u, y), zp, inner_cfg)
-        inner_evals += r.n_evals
-        inner_converged = inner_converged and r.converged
+        inner += quad.QuadratureResult(0.0, 0.0, r.n_evals, r.converged)
         return r.value
 
     def g(u: np.ndarray) -> np.ndarray:
@@ -436,39 +430,89 @@ def heat_kernel(cfg: MorseConfig, t: float,
                 + f(-ui) * cmath.exp(1j * cfg.lam * ui)
         return out
 
-    res = quad.integrate_semiinfinite(g, 0.0, qcfg)
-    scale = 1.0 / (2.0 * math.sqrt(cfg.y * cfg.yp))
-    return quad.QuadratureResult(scale * res.value, scale * res.err_estimate,
-                                 res.n_evals + inner_evals,
-                                 res.converged and inner_converged)
+    res = quad.integrate_semiinfinite(g, 0.0, qcfg) + inner
+    return res.scaled(1.0 / (2.0 * math.sqrt(cfg.y * cfg.yp)))
+
+
+def _xi_integral(f, r: float, tau: float, qcfg: quad.QuadConfig,
+                 scale: float = 1.0) -> quad.QuadratureResult:
+    """int_0^sqrt(190 tau) (e^{-95} beyond) of a Hartman-Watson xi-integrand f
+    of size scale e^{-xi^2/(2 tau) - r cosh xi} sinh xi.  Its cancellation
+    leaves the round-off floor scale eps e^{-r} int_0^inf e^{-xi^2/(2 tau)}
+    sinh xi dxi: abs_tol is raised to that floor, err_estimate never below."""
+    floor = scale * np.finfo(float).eps * math.exp(-r) * math.sqrt(math.pi * tau / 2.0) \
+        * math.exp(tau / 2.0) * math.erf(math.sqrt(tau / 2.0))
+    res = quad.integrate_finite(f, 0.0, math.sqrt(190.0 * tau),
+                                replace(qcfg, abs_tol=max(qcfg.abs_tol, floor)))
+    res.err_estimate = max(res.err_estimate, floor)
+    return res
+
+
+def _theta_prefactor(r: float, tau: float) -> float:
+    return r / math.sqrt(2.0 * math.pi ** 3 * tau) * math.exp(math.pi ** 2 / (2.0 * tau))
 
 
 def theta_hw(r: float, tau: float,
-             qcfg: Optional[quad.QuadConfig] = None) -> float:
+             qcfg: Optional[quad.QuadConfig] = None) -> quad.QuadratureResult:
     """Hartman-Watson integrand
     theta_r(tau) = r e^{pi^2/(2 tau)} / sqrt(2 pi^3 tau)
       * int_0^inf e^{-xi^2/(2 tau)} e^{-r cosh xi} sinh(xi) sin(pi xi / tau) dxi.
 
-    The oscillatory integral cancels down to e^{-pi^2/(2 tau)} of its gross
-    scale, which is why small tau (tau <~ 0.2) cannot be resolved in double
-    precision; callers keep t/2 >= ~0.35.
+    qcfg bounds the raw xi-integral (see _xi_integral); value and
+    err_estimate are scaled to theta.  The integral cancels down to
+    e^{-pi^2/(2 tau)} of its gross scale, which is why small tau (tau <~ 0.2)
+    cannot be resolved in double precision; callers keep t/2 >= ~0.35.
     """
-    if qcfg is None:
-        qcfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-17)
-    xi_max = math.sqrt(2.0 * tau * 95.0)
-
     def f(xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
         return (np.exp(-xi * xi / (2.0 * tau) - r * np.cosh(xi))
                 * np.sinh(xi) * np.sin(math.pi * xi / tau)).astype(complex)
 
-    res = quad.integrate_finite(f, 0.0, xi_max, qcfg)
-    pref = r / math.sqrt(2.0 * math.pi ** 3 * tau) * math.exp(math.pi ** 2 / (2.0 * tau))
-    return pref * res.value.real
+    res = _xi_integral(f, r, tau, qcfg or quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-17))
+    res.value = res.value.real
+    return res.scaled(_theta_prefactor(r, tau))
+
+
+def _hw_u_sweep(cfg: MorseConfig, qcfg: quad.QuadConfig, inner) -> quad.QuadratureResult:
+    """int_0^inf weight(u) inner(u, Phi(u), abs_tol / weight(u)) du with
+    weight = e^{2ku - lam (y+y') coth u}, the outer sweep of both
+    Hartman-Watson forms: each inner integral gets the absolute error the
+    outer one can afford at its node.  n_evals and converged cover every
+    inner integral; err_estimate adds the largest weighted inner error times
+    the swept u length, and converged needs that total to meet qcfg.  A node
+    inside its own error bar counts as 0; one whose weighted error exceeds
+    max(abs_tol, rel_tol * peak weighted value so far) raises
+    CancellationLimit (inner round-off floor above the outer tolerance).
+    """
+    acc = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
+    err = peak = u_max = 0.0
+    r0 = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0)
+
+    def outer(u: np.ndarray) -> np.ndarray:
+        nonlocal acc, err, peak, u_max
+        out = np.zeros(u.shape, dtype=complex)
+        for i, ui in enumerate(u):
+            damp = -cfg.lam * (cfg.y + cfg.yp) / math.tanh(ui) if ui >= 1e-12 else -math.inf
+            if damp < -700.0:
+                continue
+            weight = math.exp(2.0 * cfg.k * ui + damp)
+            r = inner(ui, r0 / math.sinh(ui), qcfg.abs_tol / weight)
+            out[i] = weight * r.value if abs(r.value) > r.err_estimate else 0.0
+            peak = max(peak, abs(out[i]))
+            if weight * r.err_estimate > max(qcfg.abs_tol, qcfg.rel_tol * peak):
+                raise CancellationLimit(f"round-off {weight * r.err_estimate:.3g} at u={ui:.4g}"
+                                        f" tops max(abs_tol, rel_tol * peak {peak:.3g})")
+            acc += quad.QuadratureResult(0.0, 0.0, r.n_evals, r.converged)
+            err, u_max = max(err, weight * r.err_estimate), max(u_max, ui)
+        return out
+
+    res = quad.integrate_semiinfinite(outer, 0.0, qcfg) + acc
+    res.err_estimate += u_max * err
+    res.converged = res.converged and res.err_estimate <= res.tolerance_bound(qcfg)
+    return res
 
 
 def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
-                      qcfg: Optional[quad.QuadConfig] = None) -> complex:
+                               qcfg: quad.QuadConfig = _HW_CFG) -> quad.QuadratureResult:
     """Independent heat-kernel oracle through the Hartman-Watson density:
 
     q(t) = 1/(4 pi) * int_0^inf e^{2ku} / (2 sinh u)
@@ -476,40 +520,29 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
     Phi(u) = 2 lam e^{(X+X')/2} / sinh u.
 
     The t/2 argument and the 1/(4 pi) normalization are the calibrated
-    corrections to the raw double integral (at t/4 the ratio to the
-    heat kernel drifts with t; with them it is exactly 1 in t and k).
-    Accuracy degrades for small t; flagged via converged=False bookkeeping
-    upstream rather than silently (callers use t >= 0.7).
+    corrections to the raw double integral (at t/4 the ratio to the heat
+    kernel drifts with t; with them it is exactly 1 in t and k).
+
+    Tolerance split: each theta gets rel_tol 1e-9 and qcfg.abs_tol divided by
+    its outer weight e^{2ku - lam (y+y') coth u} / (2 sinh u) (and by its
+    prefactor, for the raw xi-integral).  The converged=False bookkeeping is
+    real: the result carries every inner integral (_hw_u_sweep), and where
+    theta's round-off floor is out of reach (k > 1 tails, small t) it raises
+    CancellationLimit.  Callers use t >= 0.7.
     """
     if not t > 0:
         raise ValueError("oracle needs t > 0")
-    if qcfg is None:
-        qcfg = quad.QuadConfig(rel_tol=1e-7, abs_tol=1e-14)
-    lam, y, yp = cfg.lam, cfg.y, cfg.yp
-    tau = t / 2.0
 
-    def outer(u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty(u.shape, dtype=complex)
-        for i, ui in enumerate(u):
-            if ui < 1e-12:
-                out[i] = 0.0
-                continue
-            sh = math.sinh(ui)
-            damp = -lam * (y + yp) / math.tanh(ui)
-            if damp < -700.0:
-                out[i] = 0.0
-                continue
-            phi = 2.0 * lam * math.exp((cfg.X + cfg.Xp) / 2.0) / sh
-            out[i] = math.exp(2.0 * cfg.k * ui + damp) / (2.0 * sh) * theta_hw(phi, tau)
-        return out
+    def inner(u: float, r: float, tol: float) -> quad.QuadratureResult:
+        sh2 = 2.0 * math.sinh(u)
+        xi_tol = tol * sh2 / _theta_prefactor(r, t / 2.0)
+        return theta_hw(r, t / 2.0, quad.QuadConfig(rel_tol=1e-9, abs_tol=xi_tol)).scaled(1 / sh2)
 
-    res = quad.integrate_semiinfinite(outer, 0.0, qcfg)
-    return res.value / (4.0 * math.pi)
+    return _hw_u_sweep(cfg, qcfg, inner).scaled(1.0 / (4.0 * math.pi))
 
 
 def hartman_watson_j_form(cfg: MorseConfig, t: float,
-                  qcfg: Optional[quad.QuadConfig] = None) -> complex:
+                          qcfg: quad.QuadConfig = _HW_CFG) -> quad.QuadratureResult:
     """The same oracle as one complex double integral:
 
     J = lam sqrt(y y') / sqrt(pi^3 t) * int int (sinh xi / sinh^2 u)
@@ -517,38 +550,19 @@ def hartman_watson_j_form(cfg: MorseConfig, t: float,
           dxi du,
 
     whose imaginary part, divided by 4 pi, reproduces the heat kernel.  The
-    exponent carries (pi + i xi)^2 / t; a doubled exponent
-    corresponds to the uncalibrated t/4 time argument.
+    exponent carries (pi + i xi)^2 / t; a doubled exponent corresponds to the
+    uncalibrated t/4 time argument.  Tolerances and bookkeeping as in
+    hartman_watson_heat_oracle.
     """
-    if qcfg is None:
-        qcfg = quad.QuadConfig(rel_tol=1e-7, abs_tol=1e-14)
-    lam, y, yp = cfg.lam, cfg.y, cfg.yp
-    xi_cfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-17)
-    xi_max = math.sqrt(t * 95.0)
 
-    def inner(u: float) -> complex:
-        phi = 2.0 * lam * math.exp((cfg.X + cfg.Xp) / 2.0) / math.sinh(u)
+    def inner(u: float, phi: float, tol: float) -> quad.QuadratureResult:
+        sh2 = math.sinh(u) ** 2
 
         def f(xi: np.ndarray) -> np.ndarray:
-            xi = np.asarray(xi, dtype=float)
-            expo = (-phi * np.cosh(xi) + (math.pi + 1j * xi) ** 2 / t)
-            return np.sinh(xi) * np.exp(expo)
+            return np.sinh(xi) * np.exp(-phi * np.cosh(xi) + (math.pi + 1j * xi) ** 2 / t)
 
-        return quad.integrate_finite(f, 0.0, xi_max, xi_cfg).value
+        xi_cfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=tol * sh2)
+        return _xi_integral(f, phi, t / 2.0, xi_cfg, math.exp(math.pi ** 2 / t)).scaled(1 / sh2)
 
-    def outer(u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty(u.shape, dtype=complex)
-        for i, ui in enumerate(u):
-            if ui < 1e-12:
-                out[i] = 0.0
-                continue
-            damp = -lam * (y + yp) / math.tanh(ui)
-            if damp < -700.0:
-                out[i] = 0.0
-                continue
-            out[i] = math.exp(2.0 * cfg.k * ui + damp) / math.sinh(ui) ** 2 * inner(ui)
-        return out
-
-    res = quad.integrate_semiinfinite(outer, 0.0, qcfg)
-    return lam * math.sqrt(y * yp) / math.sqrt(math.pi ** 3 * t) * res.value
+    res = _hw_u_sweep(cfg, qcfg, inner)
+    return res.scaled(cfg.lam * math.sqrt(cfg.y * cfg.yp) / math.sqrt(math.pi ** 3 * t))

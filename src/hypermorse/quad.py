@@ -124,6 +124,14 @@ class QuadratureResult:
     def tolerance_bound(self, cfg: QuadConfig) -> float:
         return max(cfg.abs_tol, cfg.rel_tol * abs(self.value))
 
+    def scaled(self, c) -> "QuadratureResult":
+        return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.n_evals,
+                                self.converged)
+
+    def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
+        return QuadratureResult(self.value + other.value, self.err_estimate + other.err_estimate,
+                                self.n_evals + other.n_evals, self.converged and other.converged)
+
 
 def _panel(f, lo: float, hi: float):
     """One GK15 evaluation: (kronrod value, error estimate, n_evals)."""

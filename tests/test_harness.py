@@ -1,6 +1,7 @@
 """Tests for calibration, identity suites, and grid evaluation."""
 import pytest
 
+from hypermorse import mkernels
 from hypermorse.errors import InvalidGrid
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.harness import (
@@ -9,6 +10,7 @@ from hypermorse.harness import (
     apply_halfplane_generator,
     calibrate_spectral_mapping,
     check_hyperbolic_heat_pde,
+    check_morse_heat_hw_oracle,
     eval_kernel,
     grid_eval,
     run_suite,
@@ -99,6 +101,21 @@ class TestReports:
                 "morse_resolvent", "morse_heat_hw_oracle", "whittaker_product",
                 "bessel_product", "specfun_oracle", "specfun_oracle_k_int"} == names
         assert all(r.passed for r in reports)
+
+    def test_unconverged_oracle_is_a_point_error(self, monkeypatch):
+        # one unconverged inner theta makes its oracle point an error, not a pass
+        real, calls = mkernels.theta_hw, []
+
+        def theta(r, tau, qcfg=None):
+            res = real(r, tau, qcfg)
+            res.converged = bool(calls)
+            calls.append(r)
+            return res
+
+        monkeypatch.setattr(mkernels, "theta_hw", theta)
+        rep = check_morse_heat_hw_oracle()
+        assert rep.n_point_errors == 1 and not rep.passed
+        assert rep.worst_point["error"].startswith("NotConverged")
 
     def test_tolerance_override_forces_failure(self):
         _, reports = run_suite("hyperbolic_forms", {"hyperbolic_forms": 1e-20})

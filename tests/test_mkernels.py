@@ -1,11 +1,13 @@
 """Tests for the Morse-potential kernel module."""
 import math
+import time
 
 import numpy as np
 import pytest
 
 from hypermorse import mkernels, quad, specfun
 from hypermorse.errors import (
+    CancellationLimit,
     ConvergenceViolated,
     OutsideSupport,
     Phi1OutsideDisc,
@@ -337,7 +339,7 @@ class TestHeatKernel:
         t = 1.0
         oracle = hartman_watson_heat_oracle(cfg, t)
         hk = heat_kernel(cfg, t)
-        assert relerr(oracle, hk.value) < 1e-3
+        assert relerr(oracle.value, hk.value) < 1e-3
 
     def test_inner_bookkeeping_propagates(self, monkeypatch):
         # an unconverged inner hyperbolic heat integral must not be dropped
@@ -357,7 +359,7 @@ class TestHeatKernel:
 class TestHartmanWatsonOracle:
     def test_theta_inner_vs_trapezoid_oracle(self):
         r, tau = 2.0, 0.5
-        got = theta_hw(r, tau)
+        got = theta_hw(r, tau).value
         # independent fine-grid trapezoid evaluation
         xi = np.linspace(0.0, math.sqrt(2 * tau * 95), 400_001)
         f = np.exp(-xi * xi / (2 * tau) - r * np.cosh(xi)) * np.sinh(xi) \
@@ -372,36 +374,34 @@ class TestHartmanWatsonOracle:
         t = 1.0
         oracle = hartman_watson_heat_oracle(cfg, t)
         hk = heat_kernel(cfg, t)
-        assert relerr(oracle, hk.value) < 1e-4
+        assert relerr(oracle.value, hk.value) < 1e-4
 
     def test_matches_heat_kernel_half_k(self):
         cfg = MorseConfig(lam=1.0, k=0.5, X=0.0, Xp=math.log(1.3))
         t = 0.9
         oracle = hartman_watson_heat_oracle(cfg, t)
         hk = heat_kernel(cfg, t)
-        assert relerr(oracle, hk.value) < 1e-3
+        assert relerr(oracle.value, hk.value) < 1e-3
 
     def test_j_form_agrees_with_theta_form(self):
         cfg = MorseConfig(lam=1.0, k=0.5, X=0.0, Xp=math.log(1.3))
         t = 1.0
         j = hartman_watson_j_form(cfg, t)
         theta_form = hartman_watson_heat_oracle(cfg, t)
-        assert relerr(j.imag / (4 * math.pi), theta_form.real) < 1e-6
+        assert relerr(j.value.imag / (4 * math.pi), theta_form.value.real) < 1e-6
 
     def test_coupling_derivative_consistency(self):
-        # finite-difference d/d lam matches the complex-step derivative:
-        # the oracle is real-analytic in the coupling
+        # the central difference d/d lam at step h matches its Richardson
+        # extrapolation from steps h and h/2: the oracle is smooth in the
+        # coupling, down to the accuracy of its nested integrals
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
         t = 1.0
         h = 1e-3
 
         def q(lam):
-            return hartman_watson_heat_oracle(MorseConfig(lam, 0.0, 0.0, 0.3), t).real
+            return hartman_watson_heat_oracle(MorseConfig(lam, 0.0, 0.0, 0.3), t).value.real
 
         fd = (q(1.0 + h) - q(1.0 - h)) / (2 * h)
-        # complex step through the J form (analytic in lam)
-        hs = 1e-20
-        # central difference at two step sizes as the independent route
         fd2 = (q(1.0 + h / 2) - q(1.0 - h / 2)) / h
         rich = (4 * fd2 - fd) / 3
         assert relerr(fd, rich) < 1e-4
@@ -409,9 +409,61 @@ class TestHartmanWatsonOracle:
     def test_long_time_same_sign_small(self):
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
         q_heat = heat_kernel(cfg, 3.0).value.real
-        q_oracle = hartman_watson_heat_oracle(cfg, 3.0).real
+        q_oracle = hartman_watson_heat_oracle(cfg, 3.0).value.real
         assert q_heat > 0 and q_oracle > 0
         assert q_heat < 0.01 and q_oracle < 0.01
+
+    # the two heat points of the benchmark's transverse workload: (lam, k, X, X'), t
+    @pytest.mark.parametrize("args, t", [((1.0, 0.0, 0.0, 0.4), 0.8),
+                                         ((1.0, 0.5, 0.0, -0.5), 1.4)])
+    def test_cost_pinned(self, args, t):
+        # every theta gets the tolerance its outer weight needs, so the whole
+        # double integral takes 54,630 and 37,980 evaluations here; the count
+        # does not depend on the machine
+        cfg = MorseConfig(*args)
+        oracle = hartman_watson_heat_oracle(cfg, t)
+        assert oracle.converged
+        assert oracle.n_evals < 100_000
+        assert relerr(oracle.value, heat_kernel(cfg, t).value) < 1e-9
+
+    def test_inner_bookkeeping_propagates(self, monkeypatch):
+        # one unconverged theta turns the oracle unconverged, and the inner
+        # evaluations are part of its n_evals
+        real, inner_evals = mkernels.theta_hw, []
+
+        def theta(r, tau, qcfg=None):
+            res = real(r, tau, qcfg)
+            res.converged = bool(inner_evals)
+            inner_evals.append(res.n_evals)
+            return res
+
+        monkeypatch.setattr(mkernels, "theta_hw", theta)
+        got = hartman_watson_heat_oracle(MorseConfig(1.0, 0.0, 0.0, 0.4), 0.8)
+        assert not got.converged
+        outer_evals = got.n_evals - sum(inner_evals)
+        assert outer_evals > 0 and outer_evals % 15 == 0
+
+    def test_j_form_bookkeeping(self):
+        j = hartman_watson_j_form(MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.4), 0.8)
+        assert j.converged and 0 < j.n_evals < 200_000
+        assert j.err_estimate <= 1e-7 * abs(j.value)
+
+    @pytest.mark.parametrize("k, t", [(1.0, 0.7), (1.7, 1.0)])
+    def test_large_k_ends_visibly(self, k, t):
+        # past k = 1 the outer weight grows faster than theta decays, so the
+        # tolerance a tail node needs falls below theta's round-off floor.
+        # The oracle must still end quickly: converged and right, or
+        # converged=False, or CancellationLimit.
+        cfg = MorseConfig(lam=1.0, k=k, X=0.0, Xp=math.log(1.3))
+        t0 = time.perf_counter()
+        try:
+            oracle = hartman_watson_heat_oracle(cfg, t)
+        except CancellationLimit as exc:
+            assert "round-off" in str(exc)
+            oracle = None
+        assert time.perf_counter() - t0 < 30.0
+        if oracle is not None and oracle.converged:
+            assert relerr(oracle.value, heat_kernel(cfg, t).value) < 1e-3
 
 
 class TestSingleProfilePath:
