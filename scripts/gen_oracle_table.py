@@ -74,6 +74,15 @@ for (a, b, c, z) in [
 ]:
     add("gauss_2f1", [complex(a), complex(b), complex(c), complex(z)], mp.hyp2f1(a, b, c, z))
 
+# gauss_2f1 at c = a + b near z = 1: the hyperbolic resolvent's
+# F(s - |k|, s + |k|; 2s; z), s = 1/2 + i mu, in its logarithmic region
+for mu, ak in [(0.4 - 0.9j, 0.0), (-0.7 - 1.2j, 0.5), (0.3 - 1.3j, 1.4)]:
+    s = 0.5 + 1j * mu
+    a, b, c = s - ak, s + ak, 2 * s
+    for z in [0.75, 0.9, 0.973, 0.99, 0.999, 0.85 + 0.1j]:
+        add("gauss_2f1", [complex(a), complex(b), complex(c), complex(z)],
+            mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpc(z)))
+
 # kummer_1f1 ---------------------------------------------------------------
 for (a, c, x) in [
     (mp.mpf(1), mp.mpf(2), mp.mpf(1)),

@@ -1,8 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the entry-point finite check."""
+import cmath
 
 
 class HypermorseError(Exception):
     """Base class for all package-specific errors."""
+
+
+class NonFiniteInput(HypermorseError, ValueError):
+    """A kernel parameter is NaN or infinite."""
+
+
+def require_finite(**named):
+    """Raise NonFiniteInput naming the first argument that is, or holds in a
+    tuple, a NaN or infinite number; strings pass."""
+    for name, value in named.items():
+        if isinstance(value, (tuple, list)):
+            ok = all(map(cmath.isfinite, value))
+        else:
+            ok = isinstance(value, str) or cmath.isfinite(value)
+        if not ok:
+            raise NonFiniteInput(f"parameter {name}={value!r} is not finite")
 
 
 # quadrature / differentiation
@@ -27,6 +44,10 @@ class ParameterPole(HypermorseError):
 
 class SeriesNonConvergence(HypermorseError):
     """Series did not converge within the configured budget or argument range."""
+
+
+class LogarithmicSingularity(HypermorseError):
+    """2F1 with c = a + b evaluated at z = 1, where it diverges like -log(1 - z)."""
 
 
 class OutsideConvergenceRegion(HypermorseError):

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import mkernels, quad, specfun
-from .errors import CalibrationAmbiguous, HypermorseError, InvalidGrid, NotConverged
+from .errors import CalibrationAmbiguous, HypermorseError, InvalidGrid, NotConverged, require_finite
 from .geometry import HalfPlanePoint
 from .hkernels import (
     SPECTRAL_MAPPINGS,
@@ -629,11 +629,13 @@ def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
     """Evaluate one kernel at one parameter point.
 
     Closed-form evaluations report a zero error estimate; quadrature-backed
-    ones propagate their own bookkeeping.
+    ones propagate their own bookkeeping.  A NaN or infinite parameter
+    raises NonFiniteInput naming it before any kernel runs.
     """
     if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}; choose from {KERNEL_IDS}")
     p = params
+    require_finite(**p)
     if kernel_id == "hres":
         sp = SpectralParam(complex(p["mu"]))
         val = hyp_resolvent_closed(sp, p["k"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))

@@ -36,6 +36,7 @@ from .errors import (
     GammaPole,
     OutsideSupport,
     UnsupportedK,
+    require_finite,
 )
 from .geometry import (
     DiscPoint,
@@ -82,6 +83,7 @@ class SpectralParam:
     mapping_id: str = CALIBRATED_MAPPING
 
     def __post_init__(self):
+        require_finite(mu=self.mu)
         if self.mapping_id not in SPECTRAL_MAPPINGS:
             raise ValueError(f"unknown mapping {self.mapping_id!r}")
 

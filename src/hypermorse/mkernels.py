@@ -45,6 +45,7 @@ from .errors import (
     OutsideSupport,
     Phi1OutsideDisc,
     UnsupportedK,
+    require_finite,
 )
 from .geometry import HalfPlanePoint, MagneticK, as_magnetic
 from .hkernels import SpectralParam, heat_kernel as _hyp_heat_kernel, \
@@ -63,7 +64,6 @@ __all__ = [
     "heat_kernel",
     "theta_hw",
     "hartman_watson_heat_oracle",
-    "hartman_watson_j_form",
     "ALT_VARIANT_K0_SCALE",
 ]
 
@@ -89,6 +89,8 @@ class MorseConfig:
     Xp: float
 
     def __post_init__(self):
+        if not math.isfinite(self.lam + self.k + self.X + self.Xp):  # a NaN or inf spoils the sum
+            require_finite(lam=self.lam, k=self.k, X=self.X, Xp=self.Xp)
         if not self.lam > 0:
             raise ValueError("Morse coupling lam must be positive")
 
@@ -434,20 +436,6 @@ def heat_kernel(cfg: MorseConfig, t: float,
     return res.scaled(1.0 / (2.0 * math.sqrt(cfg.y * cfg.yp)))
 
 
-def _xi_integral(f, r: float, tau: float, qcfg: quad.QuadConfig,
-                 scale: float = 1.0) -> quad.QuadratureResult:
-    """int_0^sqrt(190 tau) (e^{-95} beyond) of a Hartman-Watson xi-integrand f
-    of size scale e^{-xi^2/(2 tau) - r cosh xi} sinh xi.  Its cancellation
-    leaves the round-off floor scale eps e^{-r} int_0^inf e^{-xi^2/(2 tau)}
-    sinh xi dxi: abs_tol is raised to that floor, err_estimate never below."""
-    floor = scale * np.finfo(float).eps * math.exp(-r) * math.sqrt(math.pi * tau / 2.0) \
-        * math.exp(tau / 2.0) * math.erf(math.sqrt(tau / 2.0))
-    res = quad.integrate_finite(f, 0.0, math.sqrt(190.0 * tau),
-                                replace(qcfg, abs_tol=max(qcfg.abs_tol, floor)))
-    res.err_estimate = max(res.err_estimate, floor)
-    return res
-
-
 def _theta_prefactor(r: float, tau: float) -> float:
     return r / math.sqrt(2.0 * math.pi ** 3 * tau) * math.exp(math.pi ** 2 / (2.0 * tau))
 
@@ -458,57 +446,26 @@ def theta_hw(r: float, tau: float,
     theta_r(tau) = r e^{pi^2/(2 tau)} / sqrt(2 pi^3 tau)
       * int_0^inf e^{-xi^2/(2 tau)} e^{-r cosh xi} sinh(xi) sin(pi xi / tau) dxi.
 
-    qcfg bounds the raw xi-integral (see _xi_integral); value and
-    err_estimate are scaled to theta.  The integral cancels down to
-    e^{-pi^2/(2 tau)} of its gross scale, which is why small tau (tau <~ 0.2)
-    cannot be resolved in double precision; callers keep t/2 >= ~0.35.
+    qcfg bounds the raw xi-integral, taken over [0, sqrt(190 tau)] (e^{-95}
+    beyond); value and err_estimate are scaled to theta.  The integral
+    cancels down to e^{-pi^2/(2 tau)} of its gross scale, leaving the
+    round-off floor eps e^{-r} int_0^inf e^{-xi^2/(2 tau)} sinh xi dxi: abs_tol
+    is raised to that floor, err_estimate never below.  So small tau
+    (tau <~ 0.2) cannot be resolved in double precision; callers keep
+    t/2 >= ~0.35.
     """
     def f(xi: np.ndarray) -> np.ndarray:
         return (np.exp(-xi * xi / (2.0 * tau) - r * np.cosh(xi))
                 * np.sinh(xi) * np.sin(math.pi * xi / tau)).astype(complex)
 
-    res = _xi_integral(f, r, tau, qcfg or quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-17))
+    qcfg = qcfg or quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-17)
+    floor = np.finfo(float).eps * math.exp(-r) * math.sqrt(math.pi * tau / 2.0) \
+        * math.exp(tau / 2.0) * math.erf(math.sqrt(tau / 2.0))
+    res = quad.integrate_finite(f, 0.0, math.sqrt(190.0 * tau),
+                                replace(qcfg, abs_tol=max(qcfg.abs_tol, floor)))
+    res.err_estimate = max(res.err_estimate, floor)
     res.value = res.value.real
     return res.scaled(_theta_prefactor(r, tau))
-
-
-def _hw_u_sweep(cfg: MorseConfig, qcfg: quad.QuadConfig, inner) -> quad.QuadratureResult:
-    """int_0^inf weight(u) inner(u, Phi(u), abs_tol / weight(u)) du with
-    weight = e^{2ku - lam (y+y') coth u}, the outer sweep of both
-    Hartman-Watson forms: each inner integral gets the absolute error the
-    outer one can afford at its node.  n_evals and converged cover every
-    inner integral; err_estimate adds the largest weighted inner error times
-    the swept u length, and converged needs that total to meet qcfg.  A node
-    inside its own error bar counts as 0; one whose weighted error exceeds
-    max(abs_tol, rel_tol * peak weighted value so far) raises
-    CancellationLimit (inner round-off floor above the outer tolerance).
-    """
-    acc = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
-    err = peak = u_max = 0.0
-    r0 = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0)
-
-    def outer(u: np.ndarray) -> np.ndarray:
-        nonlocal acc, err, peak, u_max
-        out = np.zeros(u.shape, dtype=complex)
-        for i, ui in enumerate(u):
-            damp = -cfg.lam * (cfg.y + cfg.yp) / math.tanh(ui) if ui >= 1e-12 else -math.inf
-            if damp < -700.0:
-                continue
-            weight = math.exp(2.0 * cfg.k * ui + damp)
-            r = inner(ui, r0 / math.sinh(ui), qcfg.abs_tol / weight)
-            out[i] = weight * r.value if abs(r.value) > r.err_estimate else 0.0
-            peak = max(peak, abs(out[i]))
-            if weight * r.err_estimate > max(qcfg.abs_tol, qcfg.rel_tol * peak):
-                raise CancellationLimit(f"round-off {weight * r.err_estimate:.3g} at u={ui:.4g}"
-                                        f" tops max(abs_tol, rel_tol * peak {peak:.3g})")
-            acc += quad.QuadratureResult(0.0, 0.0, r.n_evals, r.converged)
-            err, u_max = max(err, weight * r.err_estimate), max(u_max, ui)
-        return out
-
-    res = quad.integrate_semiinfinite(outer, 0.0, qcfg) + acc
-    res.err_estimate += u_max * err
-    res.converged = res.converged and res.err_estimate <= res.tolerance_bound(qcfg)
-    return res
 
 
 def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
@@ -523,46 +480,43 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
     corrections to the raw double integral (at t/4 the ratio to the heat
     kernel drifts with t; with them it is exactly 1 in t and k).
 
-    Tolerance split: each theta gets rel_tol 1e-9 and qcfg.abs_tol divided by
-    its outer weight e^{2ku - lam (y+y') coth u} / (2 sinh u) (and by its
-    prefactor, for the raw xi-integral).  The converged=False bookkeeping is
-    real: the result carries every inner integral (_hw_u_sweep), and where
-    theta's round-off floor is out of reach (k > 1 tails, small t) it raises
-    CancellationLimit.  Callers use t >= 0.7.
+    Each theta gets rel_tol 1e-9 and the absolute error the outer integral
+    affords at its node: qcfg.abs_tol over the outer weight (and theta's
+    prefactor).  n_evals and converged cover every inner integral;
+    err_estimate adds the largest weighted inner error times the swept u
+    length, and converged needs that total to meet qcfg.  A node inside its
+    own error bar counts as 0; one whose weighted error tops
+    max(abs_tol, rel_tol * peak so far) raises CancellationLimit (theta's
+    round-off floor: k > 1 tails, small t).  Callers use t >= 0.7.
     """
     if not t > 0:
         raise ValueError("oracle needs t > 0")
+    acc = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
+    err = peak = u_max = 0.0
+    r0 = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0)
 
-    def inner(u: float, r: float, tol: float) -> quad.QuadratureResult:
-        sh2 = 2.0 * math.sinh(u)
-        xi_tol = tol * sh2 / _theta_prefactor(r, t / 2.0)
-        return theta_hw(r, t / 2.0, quad.QuadConfig(rel_tol=1e-9, abs_tol=xi_tol)).scaled(1 / sh2)
+    def outer(u: np.ndarray) -> np.ndarray:
+        nonlocal acc, err, peak, u_max
+        out = np.zeros(u.shape, dtype=complex)
+        for i, ui in enumerate(u):
+            damp = -cfg.lam * (cfg.y + cfg.yp) / math.tanh(ui) if ui >= 1e-12 else -math.inf
+            if damp < -700.0:
+                continue
+            weight = math.exp(2.0 * cfg.k * ui + damp)
+            r, sh2 = r0 / math.sinh(ui), 2.0 * math.sinh(ui)
+            xi_tol = qcfg.abs_tol / weight * sh2 / _theta_prefactor(r, t / 2.0)
+            th = theta_hw(r, t / 2.0, quad.QuadConfig(rel_tol=1e-9, abs_tol=xi_tol))
+            th = th.scaled(1 / sh2)
+            out[i] = weight * th.value if abs(th.value) > th.err_estimate else 0.0
+            peak = max(peak, abs(out[i]))
+            if weight * th.err_estimate > max(qcfg.abs_tol, qcfg.rel_tol * peak):
+                raise CancellationLimit(f"round-off {weight * th.err_estimate:.3g} at u={ui:.4g}"
+                                        f" tops max(abs_tol, rel_tol * peak {peak:.3g})")
+            acc += quad.QuadratureResult(0.0, 0.0, th.n_evals, th.converged)
+            err, u_max = max(err, weight * th.err_estimate), max(u_max, ui)
+        return out
 
-    return _hw_u_sweep(cfg, qcfg, inner).scaled(1.0 / (4.0 * math.pi))
-
-
-def hartman_watson_j_form(cfg: MorseConfig, t: float,
-                          qcfg: quad.QuadConfig = _HW_CFG) -> quad.QuadratureResult:
-    """The same oracle as one complex double integral:
-
-    J = lam sqrt(y y') / sqrt(pi^3 t) * int int (sinh xi / sinh^2 u)
-          exp(-lam (y+y') coth u - Phi(u) cosh xi + 2ku + (pi + i xi)^2 / t)
-          dxi du,
-
-    whose imaginary part, divided by 4 pi, reproduces the heat kernel.  The
-    exponent carries (pi + i xi)^2 / t; a doubled exponent corresponds to the
-    uncalibrated t/4 time argument.  Tolerances and bookkeeping as in
-    hartman_watson_heat_oracle.
-    """
-
-    def inner(u: float, phi: float, tol: float) -> quad.QuadratureResult:
-        sh2 = math.sinh(u) ** 2
-
-        def f(xi: np.ndarray) -> np.ndarray:
-            return np.sinh(xi) * np.exp(-phi * np.cosh(xi) + (math.pi + 1j * xi) ** 2 / t)
-
-        xi_cfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=tol * sh2)
-        return _xi_integral(f, phi, t / 2.0, xi_cfg, math.exp(math.pi ** 2 / t)).scaled(1 / sh2)
-
-    res = _hw_u_sweep(cfg, qcfg, inner)
-    return res.scaled(cfg.lam * math.sqrt(cfg.y * cfg.yp) / math.sqrt(math.pi ** 3 * t))
+    res = quad.integrate_semiinfinite(outer, 0.0, qcfg) + acc
+    res.err_estimate += u_max * err
+    res.converged = res.converged and res.err_estimate <= res.tolerance_bound(qcfg)
+    return res.scaled(1.0 / (4.0 * math.pi))

@@ -14,6 +14,7 @@ call from multiple threads.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -110,6 +111,8 @@ _PANEL_GROWTH = 1.6
 _MAX_PANELS = 90
 _QUIET_PANELS = 2
 _GROWTH_PANELS = 4
+# an error sum this far below the largest panel error it absorbed is rounding
+_RESUM_ULPS = 16.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -151,7 +154,8 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) ->
     The panel with the largest error estimate is bisected until the summed
     error estimate meets max(abs_tol, rel_tol * |value|).  Hitting
     max_subdivisions returns the best estimate with converged=False instead
-    of raising.
+    of raising.  A running error sum down at a few ulps of the largest panel
+    error it absorbed is re-summed exactly, so a tiny abs_tol can be met.
     """
     if not a < b:
         raise ValueError("integrate_finite requires a < b")
@@ -160,7 +164,7 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) ->
     counter = 0
     heap = [(-err, counter, a, b, val, err)]
     total_val = val
-    total_err = err
+    total_err = err_peak = err
     splits = 0
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
         if splits >= cfg.max_subdivisions or not heap:
@@ -178,11 +182,14 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) ->
         n += n1 + n2
         total_val += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
+        err_peak = max(err_peak, e1, e2)
         counter += 1
         heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
         splits += 1
+        if total_err < _RESUM_ULPS * err_peak:
+            total_err = err_peak = math.fsum(entry[5] for entry in heap)
     return QuadratureResult(total_val, total_err, n, True)
 
 

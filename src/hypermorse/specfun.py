@@ -4,6 +4,11 @@ Complex log-gamma (Lanczos), Pochhammer symbols, the Gauss and Kummer
 hypergeometric series, the two-variable confluent series Phi1, Chebyshev
 polynomials of the first kind, Bessel J/I/K, and Whittaker M/W.
 
+F(a, b; c; z) has three regions (see gauss_2f1): the direct series, the
+Pfaff transformation, and for c = a + b near z = 1, the case of the
+hyperbolic resolvent near its diagonal, the logarithmic z -> 1 - z
+connection; there z = 1 itself raises LogarithmicSingularity.
+
 Everything is evaluated at desk scale: series arguments are kept inside
 documented cutoffs (|x| <= 30 for the Bessel series, |z| <= 40 for the
 confluent series) and requests beyond them raise instead of silently
@@ -20,6 +25,7 @@ import numpy as np
 
 from .errors import (
     IntegerTwoMuUnsupported,
+    LogarithmicSingularity,
     OutsideConvergenceRegion,
     ParameterPole,
     PoleAtNonPositiveInteger,
@@ -42,6 +48,7 @@ __all__ = [
 BESSEL_X_MAX = 30.0
 KUMMER_Z_MAX = 40.0
 _INT_TOL = 1e-12
+_EULER_GAMMA = 0.57721566490153286061
 
 
 @dataclass(frozen=True)
@@ -166,15 +173,54 @@ def _hyp_series(ratio, n_terms_cap: int, cfg: SeriesConfig, terminating: Union[i
     raise SeriesNonConvergence(f"series did not converge in {n_terms_cap} terms")
 
 
+def _digamma(x: complex) -> complex:
+    """psi(x): psi(x) = psi(x + 1) - 1/x (DLMF 5.5.2) until |x| >= 10 and
+    Re x >= 0, then DLMF 5.11.2, whose first omitted term is below 5e-17."""
+    acc = 0.0 + 0.0j
+    while abs(x) < 10.0 or x.real < 0.0:
+        acc -= 1.0 / x
+        x += 1.0
+    q = 1.0 / (x * x)  # the series' coefficients are B_2j / (2j), j = 1..7
+    return acc + cmath.log(x) - 0.5 / x - q * (1 / 12 - q * (1 / 120 - q * (1 / 252 - q * (
+        1 / 240 - q * (1 / 132 - q * (691 / 32760 - q / 12))))))
+
+
+def _hyp_log_series(a: complex, b: complex, c: complex, z: complex, cfg: SeriesConfig):
+    """F(a, b; c = a + b; z) by DLMF 15.8.10 at m = 0, Gamma(c)/(Gamma(a) Gamma(b))
+    sum_n (a)_n (b)_n/(n!)^2 [2 psi(n+1) - psi(a+n) - psi(b+n) - log(1-z)] (1-z)^n,
+    psi stepped by psi(x + 1) = psi(x) + 1/x; stops as _hyp_series does."""
+    w, psi_1, psi_a, psi_b = 1.0 - z, -_EULER_GAMMA, _digamma(a), _digamma(b)
+    log_w, coeff, total, quiet = cmath.log(w), 1.0 + 0.0j, 0.0j, 0
+    for n in range(cfg.max_terms):
+        term = coeff * (2.0 * psi_1 - psi_a - psi_b - log_w)
+        total += term
+        if abs(term) < cfg.term_tol * max(1.0, abs(total)):
+            quiet += 1
+            if quiet >= 3:
+                return cmath.exp(log_gamma(c) - log_gamma(a) - log_gamma(b)) * total
+        else:
+            quiet = 0
+        coeff *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
+        psi_1 += 1.0 / (n + 1.0)
+        psi_a += 1.0 / (a + n)
+        psi_b += 1.0 / (b + n)
+    raise SeriesNonConvergence(f"logarithmic 2F1 series did not converge in {cfg.max_terms} terms")
+
+
 def gauss_2f1(a: complex, b: complex, c: complex, z: complex,
               cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
     """Gauss hypergeometric F(a, b; c; z).
 
-    Direct series inside |z| <= 0.7; outside, the Pfaff transformation
-    F(a,b,c,z) = (1-z)^(-a) F(a, c-b, c, z/(z-1)) is applied when it maps the
-    argument into the convergent region (it always does for z < 0, the case
-    the wave-kernel forms produce).  Terminating series (a or b a
-    non-positive integer) are summed exactly with no tolerance test.
+    Terminating series (a or b a non-positive integer) are summed exactly
+    with no tolerance test; otherwise, in order:
+    * c = a + b (to 4 ulps), |1 - z| < 0.3, |1 - z| |a b| < 2: the logarithmic
+      z -> 1 - z connection (DLMF 15.8.10), good to 2e-14 (past |1 - z| |a b|
+      = 2 its terms cancel); F ~ -log(1 - z), so z = 1 raises
+      LogarithmicSingularity, and on the cut z > 1 log takes its principal branch;
+    * |z| <= 0.7: the direct series;
+    * the Pfaff transformation F(a,b,c,z) = (1-z)^(-a) F(a, c-b, c, z/(z-1))
+      where it maps the argument closer to 0 and inside 0.98 (always for z < 0);
+    * the direct series for |z| < 0.98; beyond it SeriesNonConvergence.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     term_n = _terminating_index(a, b)
@@ -190,6 +236,12 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex,
 
     if term_n is not None:
         return _hyp_series(ratio, cfg.max_terms, cfg, term_n)
+    gap = abs(1.0 - z)
+    if gap < 0.3 and gap * abs(a * b) < 2.0 \
+            and abs(c - a - b) <= 9e-16 * max(abs(a), abs(b), abs(c)):
+        if z == 1:
+            raise LogarithmicSingularity(f"2F1 with c = a + b = {c} diverges at z = 1")
+        return _hyp_log_series(a, b, c, z, cfg)
     if abs(z) <= 0.7:
         return _hyp_series(ratio, cfg.max_terms, cfg, None)
     w = z / (z - 1.0)

@@ -1,8 +1,10 @@
 """Tests for calibration, identity suites, and grid evaluation."""
+import math
+
 import pytest
 
 from hypermorse import mkernels
-from hypermorse.errors import InvalidGrid
+from hypermorse.errors import InvalidGrid, NonFiniteInput
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.harness import (
     CalibrationRecord,
@@ -165,6 +167,27 @@ class TestEvalKernel:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError):
             eval_kernel("nope", {})
+
+    def test_nan_mu_rejected_on_hres(self, monkeypatch):
+        # with gauss_2f1 removed, only a check ahead of every series passes
+        monkeypatch.setattr(mkernels.specfun, "gauss_2f1", None)
+        params = {"k": 0.5, "mu": complex(math.nan, -0.9), "z": (0.0, 1.0), "zp": (0.5, 2.0)}
+        with pytest.raises(NonFiniteInput, match="mu"):
+            eval_kernel("hres", params)
+
+    def test_infinite_position_rejected_on_mres(self):
+        params = {"k": 0.5, "lam": 1.0, "mu": -0.9j, "X": math.inf, "Xp": 0.0}
+        with pytest.raises(NonFiniteInput, match="X=inf"):
+            eval_kernel("mres", params)
+
+    def test_non_finite_rejected_at_the_kernel_entry_points(self):
+        from hypermorse.hkernels import SpectralParam
+        with pytest.raises(NonFiniteInput, match="mu"):
+            SpectralParam(complex(0.3, math.inf))
+        with pytest.raises(NonFiniteInput, match="lam"):
+            mkernels.MorseConfig(lam=math.nan, k=0.0, X=0.0, Xp=0.3)
+        with pytest.raises(NonFiniteInput, match="zp"):
+            eval_kernel("hheat", {"t": 1.0, "k": 0.0, "z": (0.0, 1.0), "zp": (0.0, math.nan)})
 
 
 class TestGridEval:

@@ -19,7 +19,6 @@ from hypermorse.hkernels import SpectralParam, heat_kernel as heat_kernel_h, \
 from hypermorse.mkernels import (
     MorseConfig,
     hartman_watson_heat_oracle,
-    hartman_watson_j_form,
     heat_kernel,
     resolvent_closed,
     resolvent_integral,
@@ -383,13 +382,6 @@ class TestHartmanWatsonOracle:
         hk = heat_kernel(cfg, t)
         assert relerr(oracle.value, hk.value) < 1e-3
 
-    def test_j_form_agrees_with_theta_form(self):
-        cfg = MorseConfig(lam=1.0, k=0.5, X=0.0, Xp=math.log(1.3))
-        t = 1.0
-        j = hartman_watson_j_form(cfg, t)
-        theta_form = hartman_watson_heat_oracle(cfg, t)
-        assert relerr(j.value.imag / (4 * math.pi), theta_form.value.real) < 1e-6
-
     def test_coupling_derivative_consistency(self):
         # the central difference d/d lam at step h matches its Richardson
         # extrapolation from steps h and h/2: the oracle is smooth in the
@@ -442,11 +434,6 @@ class TestHartmanWatsonOracle:
         assert not got.converged
         outer_evals = got.n_evals - sum(inner_evals)
         assert outer_evals > 0 and outer_evals % 15 == 0
-
-    def test_j_form_bookkeeping(self):
-        j = hartman_watson_j_form(MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.4), 0.8)
-        assert j.converged and 0 < j.n_evals < 200_000
-        assert j.err_estimate <= 1e-7 * abs(j.value)
 
     @pytest.mark.parametrize("k, t", [(1.0, 0.7), (1.7, 1.0)])
     def test_large_k_ends_visibly(self, k, t):

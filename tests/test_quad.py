@@ -64,6 +64,30 @@ class TestIntegrateFinite:
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x, 1.0, 0.0)
 
+    def test_abs_tol_below_running_sum_rounding(self):
+        # a Hartman-Watson theta integrand (r = 0.5528, tau = 0.35) whose first
+        # panel error is 0.1 but whose target is 1.45e-18: a running error sum
+        # rounds at ~1e-17, so only the exact re-sum from the panels stops it
+        # inside the 4,000-split budget (120,015 evaluations)
+        r, tau = 0.5528, 0.35
+
+        def f(xi):
+            return (np.exp(-xi * xi / (2 * tau) - r * np.cosh(xi)) * np.sinh(xi)
+                    * np.sin(math.pi * xi / tau)).astype(complex)
+
+        res = integrate_finite(f, 0.0, math.sqrt(190.0 * tau),
+                               QuadConfig(rel_tol=1e-9, abs_tol=8e-20))
+        assert res.converged
+        assert res.n_evals < 2_000
+        # mpmath at 40 digits over the same float endpoints and parameters
+        ref = 1.453598923022123631288007e-9
+        # err_estimate bounds the quadrature error; the integrand's own
+        # round-off adds up to eps e^{-r} int_0^inf e^{-xi^2/(2 tau)} sinh xi
+        # dxi (the floor theta_hw keeps to), 5.0e-17 here
+        floor = np.finfo(float).eps * math.exp(-r) * math.sqrt(math.pi * tau / 2) \
+            * math.exp(tau / 2) * math.erf(math.sqrt(tau / 2))
+        assert abs(res.value - ref) <= res.err_estimate + floor
+
 
 class TestIntegrateSemiinfinite:
     def test_exponential(self):

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from hypermorse import hkernels, mkernels, specfun
+from hypermorse.geometry import HalfPlanePoint
 from hypermorse.errors import (
     IntegerTwoMuUnsupported,
+    LogarithmicSingularity,
     OutsideConvergenceRegion,
     ParameterPole,
     PoleAtNonPositiveInteger,
@@ -82,8 +85,10 @@ class TestGauss2F1:
         assert gauss_2f1(-2, 2, 0.5, 0.25) == pytest.approx(-0.5, abs=1e-14)
 
     def test_log_closed_form(self):
-        # F(1,1,2,z) = -ln(1-z)/z
-        assert gauss_2f1(1, 1, 2, 0.5) == pytest.approx(-math.log(0.5) / 0.5, rel=1e-13)
+        # F(1,1,2,z) = -ln(1-z)/z, from the direct series (z = 0.5) into the
+        # logarithmic region |1 - z| < 0.3
+        for z in (0.5, 0.75, 0.99, 0.999999, 0.9 + 0.1j):
+            assert gauss_2f1(1, 1, 2, z) == pytest.approx(-cmath.log(1 - z) / z, rel=1e-13)
 
     def test_pfaff_consistency(self):
         rng = np.random.default_rng(11)
@@ -111,6 +116,93 @@ class TestGauss2F1:
     def test_unreliable_region_raises(self):
         with pytest.raises(SeriesNonConvergence):
             gauss_2f1(0.4, 0.9, 1.7, 0.995)
+
+
+def _direct_series(a, b, c, z):
+    return specfun._hyp_series(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
+                               specfun.DEFAULT_SERIES.max_terms, specfun.DEFAULT_SERIES, None)
+
+
+def _in_log_region(a, b, c, z):
+    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    return abs(c - a - b) < 1e-12 and abs(1 - z) < 0.3 and abs(1 - z) * abs(a * b) < 2.0
+
+
+class TestGauss2F1LogRegion:
+    """c = a + b near z = 1: the logarithmic connection DLMF 15.8.10."""
+
+    def test_digamma_known_values(self):
+        euler = 0.5772156649015329
+        assert relerr(specfun._digamma(1.0), -euler) < 1e-15
+        assert relerr(specfun._digamma(0.5), -euler - 2 * math.log(2)) < 1e-15
+        assert relerr(specfun._digamma(7.0), sum(1 / j for j in range(1, 7)) - euler) < 1e-15
+        for y in (0.3, 2.0, 9.0, 25.0):
+            # Im psi(1/2 + iy) = (pi/2) tanh(pi y)  (DLMF 5.4.17)
+            expect = math.pi / 2 * math.tanh(math.pi * y)
+            assert relerr(specfun._digamma(0.5 + 1j * y).imag, expect) < 1e-14
+        # recurrence across the switch to the asymptotic series
+        for x in (-3.7 + 0.2j, 2.5 - 4j, 9.99 + 0j):
+            assert abs(specfun._digamma(x + 1) - specfun._digamma(x) - 1 / x) < 1e-14
+
+    def test_z_one_raises(self):
+        with pytest.raises(LogarithmicSingularity):
+            gauss_2f1(0.7, 1.1, 1.8, 1.0)
+        s = 0.5 + 1.3 + 0j  # resolvent parameters s -+ |k|, 2s
+        with pytest.raises(LogarithmicSingularity):
+            gauss_2f1(s - 0.5, s + 0.5, 2 * s, 1.0)
+
+    @pytest.mark.parametrize("z", [0.8 + 0.15j, 0.85 - 0.2j, 0.75 + 0.05j, 0.96 + 0.02j])
+    def test_complex_z_matches_direct_series(self, z):
+        # |z| < 0.98, so the direct series converges too
+        for a, b in ((1.3 - 0.4j, 1.3 + 0.4j), (0.8 + 0.6j, 1.8 + 0.6j), (0.9, 1.7)):
+            assert _in_log_region(a, b, a + b, z)
+            assert relerr(gauss_2f1(a, b, a + b, z), _direct_series(a, b, a + b, z)) < 1e-13
+
+    def test_ill_conditioned_parameters_keep_the_direct_series(self):
+        # past |1 - z| |a b| = 2 the logarithmic terms cancel; these calls
+        # are the direct series, bit for bit
+        a, b, z = 8 + 3j, 8 + 3j, 0.75
+        assert not _in_log_region(a, b, a + b, z)
+        assert gauss_2f1(a, b, a + b, z) == _direct_series(a, b, a + b, z)
+
+    def test_direct_series_never_entered(self, monkeypatch):
+        # _hyp_series raises whenever gauss_2f1 works on a c = a + b,
+        # |1 - z| < 0.3, |1 - z| |a b| < 2 argument; other calls run as usual
+        real_2f1, real_series, stack, hits = specfun.gauss_2f1, specfun._hyp_series, [], []
+
+        def gauss(a, b, c, z, cfg=specfun.DEFAULT_SERIES):
+            stack.append(_in_log_region(a, b, c, z))
+            hits.append(stack[-1])
+            try:
+                return real_2f1(a, b, c, z, cfg)
+            finally:
+                stack.pop()
+
+        def series(*args):
+            assert not stack[-1], "direct series entered in the logarithmic region"
+            return real_series(*args)
+
+        monkeypatch.setattr(specfun, "gauss_2f1", gauss)
+        monkeypatch.setattr(specfun, "_hyp_series", series)
+        for z in (0.71, 0.9, 0.973, 0.99, 0.999, 1.2, 0.9 + 0.1j):
+            specfun.gauss_2f1(0.8 + 0.3j, 1.8 + 0.3j, 2.6 + 0.6j, z)
+        # the closed resolvent near the diagonal and the Morse resolvent
+        # integral, whose head nodes sit near z = 1
+        hkernels.resolvent_closed(hkernels.SpectralParam(-0.9j), 0.5,
+                                  HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.0, 1.22))
+        res = mkernels.resolvent_integral(mkernels.MorseConfig(1.0, 0.5, 0.0, 0.35), -1.3j)
+        assert res.converged
+        assert sum(hits) > 20
+
+    def test_near_diagonal_resolvent_matches_integral(self):
+        # at rho = 0.199 (z = 0.99, past the direct series' 0.98) the closed
+        # resolvent agrees with the transmutation integral
+        sp = hkernels.SpectralParam(-0.9j)
+        z, zp = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.0, 1.22)
+        closed = hkernels.resolvent_closed(sp, 0.5, z, zp)
+        integral = hkernels.resolvent_integral(sp, 0.5, z, zp)
+        assert integral.converged
+        assert relerr(closed, integral.value) < 1e-6
 
 
 class TestKummer1F1:
