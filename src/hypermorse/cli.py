@@ -98,6 +98,7 @@ def _cmd_eval(args) -> int:
     print(f"value_re = {v.real:.17g}")
     print(f"value_im = {v.imag:.17g}")
     print(f"err_estimate = {res.err_estimate:.3g}")
+    print(f"n_evals = {res.n_evals}")
     print(f"converged = {res.converged}")
     return 0
 

@@ -70,6 +70,7 @@ TOLERANCES = {
     "morse_wave_phi1_fourier_half_k": 1e-5,
     "morse_resolvent": 1e-4,
     "morse_heat_hw_oracle": 1e-3,
+    "morse_heat_pde": 1e-5,
     "whittaker_product": 1e-4,
     "bessel_product": 1e-6,
     "specfun_oracle": 1e-11,
@@ -133,9 +134,11 @@ def _spread(vals: list) -> float:
 
 
 class _Worst:
-    """Tracks the worst relative error and the parameters producing it."""
+    """Tracks the worst relative error and the parameters producing it, and
+    the check's start time."""
 
     def __init__(self):
+        self.t0 = time.perf_counter()
         self.max_rel_err = 0.0
         self.worst_point: dict = {}
         self.n_points = 0
@@ -162,10 +165,11 @@ class _Worst:
             self.error(point, exc)
 
 
-def _report(identity_id: str, grid_spec: str, worst: _Worst, tol: float,
-            t0: float) -> IdentityReport:
+def _report(identity_id: str, grid_spec: str, worst: _Worst,
+            tol_overrides: Optional[dict]) -> IdentityReport:
     # numpy scalars sneak in through vectorized kernels; coerce so the
     # report serializes as plain JSON
+    tol = _tol(identity_id, tol_overrides)
     max_rel = float(worst.max_rel_err)
     point = {k: (float(v) if isinstance(v, (np.floating, np.integer)) else v)
              for k, v in worst.worst_point.items()}
@@ -176,7 +180,7 @@ def _report(identity_id: str, grid_spec: str, worst: _Worst, tol: float,
         worst_point=point,
         passed=bool(max_rel <= tol),
         tolerance=tol,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
+        runtime_ms=(time.perf_counter() - worst.t0) * 1000.0,
         n_points=worst.n_points,
         n_point_errors=worst.n_errors,
     )
@@ -196,8 +200,6 @@ def check_hyperbolic_forms(tol_overrides: Optional[dict] = None) -> IdentityRepo
     """The production profile ("auto") and all five wave-kernel
     representations agree for 2k = 0..4 on a 10 x 10 grid rho in [0.2, 2.5],
     b in (rho, rho + 4]."""
-    t0 = time.perf_counter()
-    tol = _tol("hyperbolic_forms", tol_overrides)
     worst = _Worst()
     rhos = np.linspace(0.2, 2.5, 10)
     fracs = np.linspace(0.08, 1.0, 10)
@@ -211,7 +213,7 @@ def check_hyperbolic_forms(tol_overrides: Optional[dict] = None) -> IdentityRepo
                                            for fm in ("auto",) + WAVE_FORMS]))
     return _report("hyperbolic_forms",
                    "auto + 5 forms; 2k in 0..4; rho in [0.2,2.5] x b in (rho, rho+4], 10x10",
-                   worst, tol, t0)
+                   worst, tol_overrides)
 
 
 _RESOLVENT_PAIRS = (
@@ -228,8 +230,6 @@ def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None,
                                ks: Sequence[float] = (0.0, 0.3, 0.5, 1.0),
                                mapping_id: str = "C") -> IdentityReport:
     """Closed resolvent vs transmutation integral at the calibrated mapping."""
-    t0 = time.perf_counter()
-    tol = _tol("hyperbolic_resolvent", tol_overrides)
     worst = _Worst()
     for mu, k, (p1, p2) in itertools.product(mus, ks, _RESOLVENT_PAIRS):
         z, zp = HalfPlanePoint(*p1), HalfPlanePoint(*p2)
@@ -239,7 +239,7 @@ def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None,
                                   hyp_resolvent_integral(sp, k, z, zp).value))
     return _report("hyperbolic_resolvent",
                    f"mu in {list(map(str, mus))}, k in {list(ks)}, {len(_RESOLVENT_PAIRS)} pairs",
-                   worst, tol, t0)
+                   worst, tol_overrides)
 
 
 def apply_halfplane_generator(f: Callable[[float, float], complex], z: HalfPlanePoint,
@@ -275,8 +275,6 @@ _PDE_SAMPLES = (
 
 def check_hyperbolic_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityReport:
     """d/dt of the heat kernel vs the spatial generator, five-point stencils."""
-    t0 = time.perf_counter()
-    tol = _tol("hyperbolic_heat_pde", tol_overrides)
     worst = _Worst()
     qcfg = quad.QuadConfig(rel_tol=1e-11, abs_tol=1e-16)
     ht = 0.02
@@ -298,7 +296,7 @@ def check_hyperbolic_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityR
         except HypermorseError as exc:
             worst.error(point, exc)
     return _report("hyperbolic_heat_pde", f"{len(_PDE_SAMPLES)} samples, t in [0.3, 1.2]",
-                   worst, tol, t0)
+                   worst, tol_overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +323,17 @@ def check_morse_wave_bessel(path: str, tol_overrides: Optional[dict] = None) -> 
              "fourier": lambda c, b: wave_kernel_fourier(c, b).value}
     if path not in paths:
         raise ValueError(f"unknown path {path!r}")
-    t0 = time.perf_counter()
-    tol = _tol(name, tol_overrides)
     worst = _Worst()
     for cfg, b in _morse_wave_grid():
         worst.run({"lam": cfg.lam, "yp": cfg.yp, "b": b, "path": path},
                   lambda: _relerr(paths[path](cfg, b), wave_kernel_bessel0(cfg, b)))
     return _report(name, "6x6 grid: yp in [0.8, 1.8], b in rho+[0.2, 3.0]; lam=1, y=1",
-                   worst, tol, t0)
+                   worst, tol_overrides)
 
 
 def check_morse_wave_cross_half_k(tol_overrides: Optional[dict] = None) -> IdentityReport:
     """Confluent-series path vs Fourier path at k = 1/2 inside the series
     window."""
-    t0 = time.perf_counter()
-    tol = _tol("morse_wave_phi1_fourier_half_k", tol_overrides)
     worst = _Worst()
     for (X, Xp) in [(0.0, 0.2), (0.1, 0.4), (-0.2, 0.1)]:
         cfg = MorseConfig(lam=1.0, k=0.5, X=X, Xp=Xp)
@@ -349,7 +343,7 @@ def check_morse_wave_cross_half_k(tol_overrides: Optional[dict] = None) -> Ident
             worst.run({"X": X, "Xp": Xp, "b": b},
                       lambda: _relerr(wave_kernel_phi1(cfg, b), wave_kernel_fourier(cfg, b).value))
     return _report("morse_wave_phi1_fourier_half_k", "3 position pairs x 3 window points, k=1/2",
-                   worst, tol, t0)
+                   worst, tol_overrides)
 
 
 _MORSE_PAIRS = ((0.0, 0.3), (-0.2, 0.5), (0.1, 0.6), (-0.4, 0.1))
@@ -357,15 +351,13 @@ _MORSE_PAIRS = ((0.0, 0.3), (-0.2, 0.5), (0.1, 0.6), (-0.4, 0.1))
 
 def _morse_closed_vs_integral(name: str, grid_spec: str, points, tol_overrides) -> IdentityReport:
     """Closed vs integral Morse resolvent at mu = -i alpha, lam = 1, per (k, alpha, X, X')."""
-    t0 = time.perf_counter()
-    tol = _tol(name, tol_overrides)
     worst = _Worst()
     for k, alpha, X, Xp in points:
         cfg = MorseConfig(lam=1.0, k=k, X=X, Xp=Xp)
         worst.run({"k": k, "alpha": alpha, "X": X, "Xp": Xp},
                   lambda: _relerr(morse_resolvent_closed(cfg, -1j * alpha),
                                   morse_resolvent_integral(cfg, -1j * alpha).value))
-    return _report(name, grid_spec, worst, tol, t0)
+    return _report(name, grid_spec, worst, tol_overrides)
 
 
 def check_morse_resolvent(tol_overrides: Optional[dict] = None) -> IdentityReport:
@@ -393,8 +385,6 @@ def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport
     lam = 1, X = ln u, X' = ln v, mu = -i alpha, i.e. half of
     mkernels.resolvent_integral there.
     """
-    t0 = time.perf_counter()
-    tol = _tol("bessel_product", tol_overrides)
     worst = _Worst()
     for alpha, (u, v) in itertools.product((0.5, 1.0), ((1.0, 2.0), (0.5, 1.5))):
         cfg = MorseConfig(lam=1.0, k=0.0, X=math.log(u), Xp=math.log(v))
@@ -402,7 +392,7 @@ def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport
                   lambda: _relerr(specfun.bessel("I", alpha, u) * specfun.bessel("K", alpha, v),
                                   0.5 * morse_resolvent_integral(cfg, -1j * alpha).value))
     return _report("bessel_product", "alpha in {0.5, 1.0} x (u,v) in {(1,2), (0.5,1.5)}",
-                   worst, tol, t0)
+                   worst, tol_overrides)
 
 
 _HW_ORACLE_POINTS = ((1.0, 0.0), (1.0, 0.5), (0.9, 0.5))
@@ -412,14 +402,13 @@ def check_morse_heat_hw_oracle(tol_overrides: Optional[dict] = None) -> Identity
     """Heat kernel vs the Hartman-Watson double-integral oracle.
 
     This is the loosest-conditioned identity in the suite; the oracle's
-    oscillatory cancellation limits it to t >= ~0.7 in double precision.  A
-    systematic failure here would indict the wave-kernel construction feeding
-    the heat integral; the calibration-winning construction passes, and the
-    flagged alternative already fails its own k = 0 reduction (see the
-    calibration residuals), so it never reaches the heat integrand.
+    oscillatory cancellation limits it to t >= ~0.7 in double precision.  The
+    heat kernel is the line integral of the Whittaker closed resolvent, so a
+    systematic failure here indicts that closed form (its index convention,
+    its signed-k gamma prefactor) or the line's placement right of its poles;
+    check_morse_resolvent ties the same closed form to the transmutation
+    integral.
     """
-    t0 = time.perf_counter()
-    tol = _tol("morse_heat_hw_oracle", tol_overrides)
     worst = _Worst()
     for (t, k) in _HW_ORACLE_POINTS:
         cfg = MorseConfig(lam=1.0, k=k, X=0.0, Xp=math.log(1.3))
@@ -432,15 +421,47 @@ def check_morse_heat_hw_oracle(tol_overrides: Optional[dict] = None) -> Identity
 
         worst.run({"t": t, "k": k, "X": 0.0, "Xp": math.log(1.3)}, rel_err)
     return _report("morse_heat_hw_oracle", "3 points: (t, k) in {(1,0), (1,1/2), (0.9,1/2)}, lam=1",
-                   worst, tol, t0)
+                   worst, tol_overrides)
+
+
+# (t, k, X, X') at lam = 1; the oracle raises CancellationLimit at k >= 1.5
+_MORSE_PDE_SAMPLES = ((0.8, 0.0, 0.0, 0.4), (1.0, 1.5, 0.0, 0.3), (1.2, 1.7, 0.2, -0.3),
+                      (0.7, 2.0, 0.0, 0.5), (1.0, -1.3, 0.0, 0.3), (0.9, 0.5, 0.3, -0.2))
+
+
+def check_morse_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityReport:
+    """dq/dt = (d^2/dX^2 + 2 k lam e^X - lam^2 e^{2X} + s) q, five-point
+    stencils in t and X, relative to max(|dq/dt|, |L q|).  The constant
+    spectral shift s is measured at the first sample and held for the rest;
+    each point records it.  Unlike the oracle this reaches k >= 1.5."""
+    worst, h, shift = _Worst(), 0.01, None
+    qcfg = quad.QuadConfig(rel_tol=1e-10, abs_tol=1e-16)
+    for (t, k, x, xp) in _MORSE_PDE_SAMPLES:
+        def q(tt: float, xx: float) -> float:
+            res = morse_heat_kernel(MorseConfig(1.0, k, xx, xp), tt, qcfg)
+            if not res.converged:
+                raise NotConverged(f"heat kernel unconverged at t={tt}, X={xx}")
+            return res.value
+
+        def residual() -> float:
+            nonlocal shift
+            qc = q(t, x)
+            dt = (-q(t + 2 * h, x) + 8 * q(t + h, x) - 8 * q(t - h, x) + q(t - 2 * h, x)) / (12 * h)
+            lq = (-q(t, x + 2 * h) + 16 * q(t, x + h) - 30 * qc + 16 * q(t, x - h)
+                  - q(t, x - 2 * h)) / (12 * h * h) + (2 * k * math.exp(x) - math.exp(2 * x)) * qc
+            shift = point["shift"] = (dt - lq) / qc if shift is None else shift
+            return abs(dt - lq - shift * qc) / max(abs(dt), abs(lq))
+
+        point = {"t": t, "k": k, "X": x, "Xp": xp}
+        worst.run(point, residual)
+    return _report("morse_heat_pde", f"{len(_MORSE_PDE_SAMPLES)} samples, k in [-1.3, 2], lam=1",
+                   worst, tol_overrides)
 
 
 def check_specfun_oracle(tol_overrides: Optional[dict] = None,
                          integer_k_only: bool = False) -> IdentityReport:
     """Committed arbitrary-precision reference values reproduced in-package."""
     name = "specfun_oracle_k_int" if integer_k_only else "specfun_oracle"
-    t0 = time.perf_counter()
-    tol = _tol(name, tol_overrides)
     worst = _Worst()
     for row in _oracle_rows():
         is_k_int = row["tol_class"] == "k_int"
@@ -450,7 +471,7 @@ def check_specfun_oracle(tol_overrides: Optional[dict] = None,
         expect = complex(float(row["ref_real"]), float(row["ref_imag"]))
         worst.run({"function": row["function"], "params": row["params"]},
                   lambda: _relerr(_eval_specfun(row["function"], params), expect))
-    return _report(name, f"committed reference table ({worst.n_points} rows)", worst, tol, t0)
+    return _report(name, f"committed reference table ({worst.n_points} rows)", worst, tol_overrides)
 
 
 def _oracle_rows() -> list:
@@ -591,7 +612,7 @@ SUITES = {
         check_morse_wave_cross_half_k,
     ),
     "morse_resolvent": (check_morse_resolvent,),
-    "morse_heat": (check_morse_heat_hw_oracle,),
+    "morse_heat": (check_morse_heat_hw_oracle, check_morse_heat_pde),
     "applications": (
         check_whittaker_product,
         check_bessel_product,

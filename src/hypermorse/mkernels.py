@@ -7,7 +7,9 @@ the heat kernel, and the Hartman-Watson double-integral oracle for it.
 
 The resolvent integral takes the oscillating tails of its transverse
 integrand along rays rotated into the lower half-plane, continuing the
-magnetic phase analytically there (see resolvent_integral).
+magnetic phase analytically there (see resolvent_integral).  The heat kernel
+is a trapezoid sum of the closed resolvent along one line in mu, within the
+closed form's range 2 lam e^{max(X, X')} <= 40 (see heat_kernel).
 
 Calibrated conventions (measured by the harness, not assumed):
 
@@ -47,9 +49,8 @@ from .errors import (
     UnsupportedK,
     require_finite,
 )
-from .geometry import HalfPlanePoint, MagneticK, as_magnetic
-from .hkernels import SpectralParam, heat_kernel as _hyp_heat_kernel, \
-    _check_decay, _gamma_prefactor as _hyp_gamma_prefactor, \
+from .geometry import MagneticK, as_magnetic
+from .hkernels import SpectralParam, _check_decay, _gamma_prefactor as _hyp_gamma_prefactor, \
     _resolvent_profile as _hyp_resolvent_profile, _wave_profile
 
 __all__ = [
@@ -71,12 +72,16 @@ __all__ = [
 ALT_VARIANT_K0_SCALE = -0.5
 
 _RES_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-12)
-_HEAT_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-13)
+_LINE_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-13)
 _HW_CFG = quad.QuadConfig(rel_tol=1e-7, abs_tol=1e-14)
 
 # per-level base steps for the composed sinh-weighted derivative; deeper
 # levels differentiate noisier data and need larger steps
 _DERIV_STEPS = (0.010, 0.018, 0.032, 0.060)
+
+# heat kernel's trapezoid line integral: first step and closed-resolvent budget
+_LINE_H0 = 0.5
+_LINE_MAX_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -395,45 +400,50 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
 
 
 def heat_kernel(cfg: MorseConfig, t: float,
-                qcfg: quad.QuadConfig = _HEAT_CFG) -> quad.QuadratureResult:
-    """Morse heat kernel
-    int_{|X-X'|}^inf e^{-b^2/4t} / (4 pi t)^{3/2} W(b, X, X') b db.
-
-    Evaluated transverse-first (Fubini through the Fourier connection): the
-    inner subordination integral is the hyperbolic heat kernel, so
-
-    q(t) = 1/(2 sqrt(y y')) * int e^{-i lam u} H_hyp(t; z(u), z') du.
-
-    The wave factor uses the calibration-winning construction; the
-    alternative variant's series leaves its convergence disc a fixed
-    distance above the support edge, so it cannot feed a b-integral at all.
-    The inner kernel's closed-form wave profile covers every real k.
-    n_evals includes the inner integrals' evaluations and converged is
-    False if any inner integral did not converge.
+                qcfg: quad.QuadConfig = _LINE_CFG) -> quad.QuadratureResult:
+    """Morse heat kernel int_{|X-X'|}^inf e^{-b^2/4t} / (4 pi t)^{3/2} W(b) b db
+    as q(t) = (i / 8 pi^2) int_{Im mu = -c} mu e^{-t mu^2} R(mu) dmu, R the
+    closed resolvent.  R's poles sit at nu = i mu = k - 1/2 - n (signed k); c
+    is the smallest odd multiple of 1/4 at least 3/4 right of them, so 2 nu
+    stays off the integers where W fails.  On the line the integrand is
+    analytic and Gaussian, so the trapezoid rule converges exponentially, and
+    R(-conj mu) = conj R(mu) leaves q = -(h / 4 pi^2) sum' Im f(jh), j >= 0,
+    cut where e^{-t(sigma^2 - c^2)} < eps.  h halves from _LINE_H0, reusing
+    nodes, until err_estimate = |T(h) - T(h/2)| meets qcfg or the round-off
+    floor eps kappa h sum|f| / 4 pi^2 (kappa: the cancellation of W's two M
+    terms at sigma = 0, its worst), below which it never goes; past
+    _LINE_MAX_NODES closed resolvents (n_evals) converged is False.  Large
+    k t or Morse argument 2 lam e^{max(X, X')} lifts the floor; past 40 the
+    closed resolvent raises SeriesNonConvergence.
     """
     if not t > 0:
         raise ValueError("heat kernel needs t > 0")
-    zp = HalfPlanePoint(0.0, cfg.yp)
-    y = cfg.y
-    inner_cfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-15)
-    inner = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
+    c = (math.ceil(2.0 * max(cfg.k + 0.25, 0.25) - 0.5) + 0.5) / 2.0
+    w1, w2 = specfun._whittaker_w_terms(cfg.k, c, 2.0 * cfg.lam * math.exp(max(cfg.X, cfg.Xp)))
+    eps = np.finfo(float).eps
+    noise = eps * (abs(w1) + abs(w2)) / abs(w1 + w2)
+    sig_max = math.sqrt(c * c + math.log(1.0 / eps) / t)
 
-    def f(u: float) -> complex:
-        nonlocal inner
-        r = _hyp_heat_kernel(t, cfg.k, HalfPlanePoint(u, y), zp, inner_cfg)
-        inner += quad.QuadratureResult(0.0, 0.0, r.n_evals, r.converged)
-        return r.value
+    def f(sig: float) -> float:
+        mu = complex(sig, -c)
+        return -(mu * cmath.exp(-t * mu * mu) * resolvent_closed(cfg, mu)).imag / (4 * math.pi ** 2)
 
-    def g(u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty(u.shape, dtype=complex)
-        for i, ui in enumerate(u):
-            out[i] = f(ui) * cmath.exp(-1j * cfg.lam * ui) \
-                + f(-ui) * cmath.exp(1j * cfg.lam * ui)
-        return out
-
-    res = quad.integrate_semiinfinite(g, 0.0, qcfg) + inner
-    return res.scaled(1.0 / (2.0 * math.sqrt(cfg.y * cfg.yp)))
+    total = 0.5 * f(0.0)
+    mag, n, value = abs(total), 1, math.inf
+    h, nodes = _LINE_H0, np.arange(_LINE_H0, sig_max, _LINE_H0)
+    while True:
+        vals = [f(s) for s in nodes]
+        total, mag, n = total + math.fsum(vals), mag + math.fsum(map(abs, vals)), n + len(vals)
+        prev, value = value, h * total
+        floor = noise * h * mag
+        err = max(abs(value - prev), floor)
+        bound = max(qcfg.abs_tol, qcfg.rel_tol * abs(value))
+        if err <= max(bound, floor):
+            return quad.QuadratureResult(value, err, n, err <= bound)
+        h /= 2.0
+        nodes = np.arange(h, sig_max, 2.0 * h)
+        if n + len(nodes) > _LINE_MAX_NODES:
+            return quad.QuadratureResult(value, err, n, False)
 
 
 def _theta_prefactor(r: float, tau: float) -> float:

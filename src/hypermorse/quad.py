@@ -141,8 +141,8 @@ def _panel(f, lo: float, hi: float):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     fx = np.asarray(f(mid + half * _XK), dtype=complex)
-    vk = half * np.sum(_WK * fx)
-    vg = half * np.sum(_WG * fx[1::2])
+    vk = half * np.add.reduce(_WK * fx)
+    vg = half * np.add.reduce(_WG * fx[1::2])
     diff = abs(vk - vg)
     err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
     return vk, err, 15

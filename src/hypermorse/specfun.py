@@ -439,9 +439,17 @@ def whittaker(kind: str, k: float, mu: complex, z: float,
         return pref * kummer_1f1(mu - k + 0.5, 1.0 + 2.0 * mu, z, cfg)
     if kind != "W":
         raise ValueError("kind must be 'M' or 'W'")
-    two_mu = 2.0 * mu
+    w1, w2 = _whittaker_w_terms(k, mu, z, cfg)
+    return w1 + w2
+
+
+def _whittaker_w_terms(k: float, mu: complex, z: float,
+                      cfg: SeriesConfig = DEFAULT_SERIES) -> tuple:
+    """The two gamma-weighted M_{k,+-mu}(z) terms of W_{k,mu}(z); at large z
+    they cancel, amplifying round-off by (|w1| + |w2|) / |w1 + w2|."""
+    two_mu = 2.0 * complex(mu)
     if abs(two_mu.imag) < 1e-9 and abs(two_mu.real - round(two_mu.real)) < 1e-9:
         raise IntegerTwoMuUnsupported(f"Whittaker W with 2mu={two_mu} an integer is unsupported")
     c1 = cmath.exp(log_gamma(-two_mu) - log_gamma(0.5 - mu - k))
     c2 = cmath.exp(log_gamma(two_mu) - log_gamma(0.5 + mu - k))
-    return c1 * whittaker("M", k, mu, z, cfg) + c2 * whittaker("M", k, -mu, z, cfg)
+    return c1 * whittaker("M", k, mu, z, cfg), c2 * whittaker("M", k, -mu, z, cfg)

@@ -26,6 +26,15 @@ class TestEval:
         out = capsys.readouterr().out
         assert "value_re" in out
 
+    def test_mheat_prints_bookkeeping(self, capsys):
+        rc = main(["eval", "--kernel", "mheat", "--k", "0", "--lambda", "1.0",
+                   "--X", "0", "--Xp", "0.4", "--t", "0.8"])
+        assert rc == 0
+        lines = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        direct = eval_kernel("mheat", {"k": 0.0, "lam": 1.0, "X": 0.0, "Xp": 0.4, "t": 0.8})
+        assert int(lines["n_evals"]) == direct.n_evals > 0
+        assert lines["converged"] == "True" and float(lines["err_estimate"]) >= 0
+
     def test_missing_argument_is_usage_error(self, capsys):
         rc = main(["eval", "--kernel", "hres", "--k", "0.5", "--z", "0,1",
                    "--zp", "0.5,2"])  # no --mu

@@ -13,11 +13,13 @@ from hypermorse.harness import (
     calibrate_spectral_mapping,
     check_hyperbolic_heat_pde,
     check_morse_heat_hw_oracle,
+    check_morse_heat_pde,
     eval_kernel,
     grid_eval,
     run_suite,
 )
 from hypermorse.hkernels import heat_kernel
+from hypermorse.mkernels import MorseConfig
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +102,7 @@ class TestReports:
         assert {"hyperbolic_forms", "hyperbolic_resolvent", "hyperbolic_heat_pde",
                 "morse_wave_bessel_phi1", "morse_wave_bessel_alternate",
                 "morse_wave_bessel_fourier", "morse_wave_phi1_fourier_half_k",
-                "morse_resolvent", "morse_heat_hw_oracle", "whittaker_product",
+                "morse_resolvent", "morse_heat_hw_oracle", "morse_heat_pde", "whittaker_product",
                 "bessel_product", "specfun_oracle", "specfun_oracle_k_int"} == names
         assert all(r.passed for r in reports)
 
@@ -118,6 +120,22 @@ class TestReports:
         rep = check_morse_heat_hw_oracle()
         assert rep.n_point_errors == 1 and not rep.passed
         assert rep.worst_point["error"].startswith("NotConverged")
+
+    def test_morse_heat_pde_measures_zero_shift(self):
+        # the heat kernel solves dq/dt = (d^2/dX^2 + 2 k lam e^X - lam^2 e^{2X}) q
+        # with no spectral shift, also at k >= 1.5 where the oracle gives up
+        rep = check_morse_heat_pde()
+        assert rep.passed and rep.n_points == 6 and rep.n_point_errors == 0
+        assert abs(rep.worst_point["shift"]) < 1e-5
+
+    def test_morse_heat_pde_sees_wrong_potential(self, monkeypatch):
+        # a kernel of the operator with the opposite sign of k fails the check
+        real = mkernels.heat_kernel
+        monkeypatch.setattr("hypermorse.harness.morse_heat_kernel",
+                            lambda cfg, t, qcfg: real(MorseConfig(cfg.lam, -cfg.k, cfg.X, cfg.Xp),
+                                                      t, qcfg))
+        rep = check_morse_heat_pde()
+        assert not rep.passed and rep.max_rel_err > 1e-2
 
     def test_tolerance_override_forces_failure(self):
         _, reports = run_suite("hyperbolic_forms", {"hyperbolic_forms": 1e-20})

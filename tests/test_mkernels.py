@@ -5,10 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from hypermorse import mkernels, quad, specfun
+from hypermorse import mkernels, specfun
 from hypermorse.errors import (
     CancellationLimit,
     ConvergenceViolated,
+    HypermorseError,
     OutsideSupport,
     Phi1OutsideDisc,
     UnsupportedK,
@@ -340,19 +341,47 @@ class TestHeatKernel:
         hk = heat_kernel(cfg, t)
         assert relerr(oracle.value, hk.value) < 1e-3
 
-    def test_inner_bookkeeping_propagates(self, monkeypatch):
-        # an unconverged inner hyperbolic heat integral must not be dropped
-        calls = []
+    @pytest.mark.parametrize("noise", [0.0, 1e-6])
+    def test_resolvent_bookkeeping(self, monkeypatch, noise):
+        # n_evals counts the closed resolvents on the line, and resolvents
+        # too noisy for the halving gap to settle end in converged=False
+        real, calls = mkernels.resolvent_closed, []
+        rng = np.random.default_rng(7)
 
-        def fake_inner(t, k, z, zp, cfg):
-            calls.append(z.x)
-            return quad.QuadratureResult(math.exp(-z.x * z.x), 0.0, 7, z.x != calls[0])
+        def counted(cfg, mu):
+            calls.append(mu)
+            return real(cfg, mu) * (1.0 + noise * rng.standard_normal())
 
-        monkeypatch.setattr(mkernels, "_hyp_heat_kernel", fake_inner)
+        monkeypatch.setattr(mkernels, "resolvent_closed", counted)
         got = heat_kernel(MorseConfig(1.0, 0.0, 0.0, 0.3), 0.8)
-        assert not got.converged
-        # each outer node evaluates the inner integral at +-u
-        assert got.n_evals == len(calls) // 2 + 7 * len(calls)
+        assert got.n_evals == len(calls)
+        assert got.converged == (noise == 0.0)
+
+    # a long time, a large coupling and a strongly negative k, where the
+    # oracle is good to about 1e-12
+    @pytest.mark.parametrize("args, t, tol", [((1.0, 0.0, 0.0, 0.3), 3.0, 1e-9),
+                                              ((2.0, 0.0, 0.0, 1.2), 1.0, 1e-9),
+                                              ((1.0, -3.0, 0.0, 0.3), 3.0, 1e-7)])
+    def test_matches_oracle_off_the_suite_grid(self, args, t, tol):
+        cfg = MorseConfig(*args)
+        got, oracle = heat_kernel(cfg, t), hartman_watson_heat_oracle(cfg, t)
+        assert got.converged and oracle.converged
+        assert relerr(got.value, oracle.value) < tol
+        assert abs(got.value - oracle.value) <= got.err_estimate + oracle.err_estimate
+
+    def test_large_argument_error_is_covered(self):
+        # at Morse argument 2 lam e^X' = 20 the two M terms of W cancel and
+        # amplify round-off about 1e9-fold; the error estimate must cover it
+        cfg = MorseConfig(1.0, 0.0, 0.0, math.log(10.0))
+        got, oracle = heat_kernel(cfg, 1.0), hartman_watson_heat_oracle(cfg, 1.0)
+        err = abs(got.value - oracle.value)
+        assert err <= got.err_estimate + oracle.err_estimate
+        assert not got.converged or err <= max(1e-13, 1e-8 * abs(got.value))
+
+    def test_beyond_closed_form_range_raises(self):
+        # 2 lam e^X' = 40.2 is past the closed resolvent's series cutoff
+        with pytest.raises(HypermorseError):
+            heat_kernel(MorseConfig(1.0, 0.0, 2.5, 3.0), 0.5)
 
 
 class TestHartmanWatsonOracle:
@@ -410,13 +439,14 @@ class TestHartmanWatsonOracle:
                                          ((1.0, 0.5, 0.0, -0.5), 1.4)])
     def test_cost_pinned(self, args, t):
         # every theta gets the tolerance its outer weight needs, so the whole
-        # double integral takes 54,630 and 37,980 evaluations here; the count
-        # does not depend on the machine
+        # double integral takes 54,630 and 37,980 evaluations here, and the
+        # heat kernel's line integral 27 and 21 closed resolvents; the counts
+        # do not depend on the machine
         cfg = MorseConfig(*args)
-        oracle = hartman_watson_heat_oracle(cfg, t)
-        assert oracle.converged
-        assert oracle.n_evals < 100_000
-        assert relerr(oracle.value, heat_kernel(cfg, t).value) < 1e-9
+        oracle, heat = hartman_watson_heat_oracle(cfg, t), heat_kernel(cfg, t)
+        assert oracle.converged and heat.converged
+        assert oracle.n_evals < 100_000 and heat.n_evals <= 150
+        assert relerr(oracle.value, heat.value) < 1e-11
 
     def test_inner_bookkeeping_propagates(self, monkeypatch):
         # one unconverged theta turns the oracle unconverged, and the inner
