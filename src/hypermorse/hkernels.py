@@ -161,17 +161,12 @@ def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "a
             coeff *= (-ak + n) * (0.5 - ak + n) / ((0.5 + n) * (n + 1))
         vals = math.cosh(rho / 2.0) ** (-2 * ak) * acc / (2.0 * math.pi * np.sqrt(S))
     elif form == "baseline":
-        f = np.array([specfun.gauss_2f1(ak, -ak, 0.5, zz, cfg).real
-                      for zz in (1.0 - C * C)])
-        vals = inv_sqrt_s * f
+        vals = inv_sqrt_s * specfun.gauss_2f1(ak, -ak, 0.5, 1.0 - C * C, cfg).real
     elif form == "i":
-        f = np.array([specfun.gauss_2f1(2 * ak, -2 * ak, 0.5, zz, cfg).real
-                      for zz in ((1.0 - C) / 2.0)])
-        vals = inv_sqrt_s * f
+        vals = inv_sqrt_s * specfun.gauss_2f1(2 * ak, -2 * ak, 0.5, (1.0 - C) / 2.0, cfg).real
     elif form == "ii":
-        f = np.array([specfun.gauss_2f1(-ak, 0.5 - ak, 0.5, zz, cfg).real
-                      for zz in (1.0 - 1.0 / (C * C))])
-        vals = inv_sqrt_s * C ** (2 * ak) * f
+        vals = inv_sqrt_s * C ** (2 * ak) \
+            * specfun.gauss_2f1(-ak, 0.5 - ak, 0.5, 1.0 - 1.0 / (C * C), cfg).real
     else:
         raise ValueError(f"unknown wave-kernel form {form!r}")
     return complex(vals[0]) if scalar else vals.astype(complex)
@@ -208,11 +203,10 @@ def _gamma_prefactor(s: complex, k: Union[float, MagneticK]) -> complex:
     return cmath.exp(lg) / (4.0 * math.pi)
 
 
-def _resolvent_profile(s: complex, ak: float, c2: complex,
-                       cfg: specfun.SeriesConfig) -> complex:
+def _resolvent_profile(s: complex, ak: float, c2, cfg: specfun.SeriesConfig):
     """c2^(-s) F(s-|k|, s+|k|; 2s; 1/c2): the radial resolvent without its
-    gamma prefactor.  c2 = cosh^2(rho/2) may be complex; the principal
-    branches continue it analytically off c2 in (-inf, 1]."""
+    gamma prefactor.  c2 = cosh^2(rho/2) may be complex or an ndarray; the
+    principal branches continue it analytically off c2 in (-inf, 1]."""
     return c2 ** (-s) * specfun.gauss_2f1(s - ak, s + ak, 2 * s, 1.0 / c2, cfg)
 
 

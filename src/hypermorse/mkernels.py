@@ -373,9 +373,9 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
     big_u = v
 
     def profile(u: np.ndarray) -> np.ndarray:
-        # G_hyp without its prefactor and phase, at real or complex u
-        return np.array([_hyp_resolvent_profile(s, ak, c2, specfun.DEFAULT_SERIES)
-                         for c2 in (u * u + v * v) / (4.0 * y * yp)])
+        # G_hyp without its prefactor and phase, at real or complex u (one 2F1 call)
+        return _hyp_resolvent_profile(s, ak, (u * u + v * v) / (4.0 * y * yp),
+                                      specfun.DEFAULT_SERIES)
 
     def head(u: np.ndarray) -> np.ndarray:
         # G_hyp at +-u shares its profile; the phases at +-u are reciprocal

@@ -7,7 +7,8 @@ polynomials of the first kind, Bessel J/I/K, and Whittaker M/W.
 F(a, b; c; z) has three regions (see gauss_2f1): the direct series, the
 Pfaff transformation, and for c = a + b near z = 1, the case of the
 hyperbolic resolvent near its diagonal, the logarithmic z -> 1 - z
-connection; there z = 1 itself raises LogarithmicSingularity.
+connection; there z = 1 itself raises LogarithmicSingularity.  z may be an
+ndarray: one series loop per region group, each entry stopping on its own.
 
 Everything is evaluated at desk scale: series arguments are kept inside
 documented cutoffs (|x| <= 30 for the Bessel series, |z| <= 40 for the
@@ -153,24 +154,60 @@ def _terminating_index(a: complex, b: complex = None) -> Union[int, None]:
 
 
 def _hyp_series(ratio, n_terms_cap: int, cfg: SeriesConfig, terminating: Union[int, None]):
-    """Sum 1 + sum t_n with t_{n+1} = t_n * ratio(n); 3 quiet terms to stop."""
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    quiet = 0
+    """Sum 1 + sum t_n with t_{n+1} = t_n * ratio(n); 3 quiet terms to stop.
+    Returns the sum and the number of terms t_n it holds."""
+    total, term, quiet = 1.0 + 0.0j, 1.0 + 0.0j, 0
     for n in range(n_terms_cap):
         term = term * ratio(n)
         total += term
         if terminating is not None and n + 1 >= terminating:
-            return total
+            return total, n + 1
         if abs(term) < cfg.term_tol * max(1.0, abs(total)):
             quiet += 1
             if quiet >= 3:
-                return total
+                return total, n + 1
         else:
             quiet = 0
     if terminating is not None:
-        return total
+        return total, n_terms_cap
     raise SeriesNonConvergence(f"series did not converge in {n_terms_cap} terms")
+
+
+def _table_sums(terms, head: complex, z, n: int, cap: int, exact_end: bool, cfg: SeriesConfig):
+    """head + sum_j t_j at each z, from the columns t_0 .. t_{n-1} of terms(n, z), each
+    cut where its scalar loop stops (3 quiet terms, or exact_end: the end of a
+    terminating series); columns that do not are summed again with 2n terms, to cap."""
+    t = terms(n, z)
+    mag = np.abs(t)
+    t[0] += head  # the running sums then round as the scalar loop's do
+    totals = t.cumsum(axis=0)
+    quiet = mag < cfg.term_tol * np.maximum(np.abs(totals), 1.0)
+    run = quiet[2:] & quiet[1:-1] & quiet[:-2]  # run[j]: t_j, t_{j+1}, t_{j+2} quiet
+    row = np.where(run.any(axis=0), run.argmax(axis=0) + 2, n - 1) if n > 2 else n - 1
+    out = totals[row, np.arange(z.size)]
+    stopped = run.any(axis=0) | (exact_end and n >= cap)
+    if not stopped.all():
+        if n >= cap:
+            raise SeriesNonConvergence(f"series did not converge in {cap} terms")
+        out[~stopped] = _table_sums(terms, head, z[~stopped], min(2 * n, cap), cap, exact_end, cfg)
+    return out
+
+
+def _direct_group(a: complex, b: complex, c: complex, z, term_n, cfg: SeriesConfig):
+    """F(a, b; c; z) by the direct series; an array by the loop at its largest |z|."""
+    scalar = isinstance(z, complex)
+    zh = z if scalar else complex(z[np.argmax(np.abs(z))])
+    total, n = _hyp_series(lambda j: (a + j) * (b + j) / ((c + j) * (j + 1)) * zh,
+                           cfg.max_terms, cfg, term_n)
+    if scalar or z.size == 1:
+        return total if scalar else np.array([total])
+
+    def terms(n_rows, zs):
+        j = np.arange(n_rows)
+        return np.cumprod(((a + j) * (b + j) / ((c + j) * (j + 1)))[:, None] * zs, axis=0)
+
+    cap = cfg.max_terms if term_n is None else min(cfg.max_terms, max(term_n, 1))
+    return _table_sums(terms, 1.0, z, n, cap, term_n is not None, cfg)
 
 
 def _digamma(x: complex) -> complex:
@@ -185,34 +222,73 @@ def _digamma(x: complex) -> complex:
         1 / 240 - q * (1 / 132 - q * (691 / 32760 - q / 12))))))
 
 
-def _hyp_log_series(a: complex, b: complex, c: complex, z: complex, cfg: SeriesConfig):
-    """F(a, b; c = a + b; z) by DLMF 15.8.10 at m = 0, Gamma(c)/(Gamma(a) Gamma(b))
-    sum_n (a)_n (b)_n/(n!)^2 [2 psi(n+1) - psi(a+n) - psi(b+n) - log(1-z)] (1-z)^n,
-    psi stepped by psi(x + 1) = psi(x) + 1/x; stops as _hyp_series does."""
-    w, psi_1, psi_a, psi_b = 1.0 - z, -_EULER_GAMMA, _digamma(a), _digamma(b)
+def _log_group(a: complex, b: complex, c: complex, z, term_n: None, cfg: SeriesConfig):
+    """F(a, b; c = a + b; z) by DLMF 15.8.10, m = 0: Gamma(c)/(Gamma(a) Gamma(b)) sum_n
+    (a)_n (b)_n/(n!)^2 [d_n - log(1-z)] (1-z)^n, d_n = 2 psi(n+1) - psi(a+n) - psi(b+n) by
+    psi(x + 1) = psi(x) + 1/x; looped at z or at an array's largest |1 - z|."""
+    scalar = isinstance(z, complex)
+    w = 1.0 - (z if scalar else complex(z[np.argmax(np.abs(1.0 - z))]))
+    d = d0 = -2.0 * _EULER_GAMMA - _digamma(a) - _digamma(b)
     log_w, coeff, total, quiet = cmath.log(w), 1.0 + 0.0j, 0.0j, 0
     for n in range(cfg.max_terms):
-        term = coeff * (2.0 * psi_1 - psi_a - psi_b - log_w)
+        term = coeff * (d - log_w)
         total += term
         if abs(term) < cfg.term_tol * max(1.0, abs(total)):
             quiet += 1
             if quiet >= 3:
-                return cmath.exp(log_gamma(c) - log_gamma(a) - log_gamma(b)) * total
+                break
         else:
             quiet = 0
         coeff *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
-        psi_1 += 1.0 / (n + 1.0)
-        psi_a += 1.0 / (a + n)
-        psi_b += 1.0 / (b + n)
-    raise SeriesNonConvergence(f"logarithmic 2F1 series did not converge in {cfg.max_terms} terms")
+        d += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
+    else:
+        raise SeriesNonConvergence(f"logarithmic 2F1 series did not converge in {n + 1} terms")
+    scale = cmath.exp(log_gamma(c) - log_gamma(a) - log_gamma(b))
+    if scalar or z.size == 1:
+        return scale * (total if scalar else np.array([total]))
+
+    def terms(n_rows, zs):
+        j, w = np.arange(n_rows - 1), 1.0 - zs
+        coeff = np.ones((n_rows, zs.size), dtype=complex)
+        coeff[1:] = ((a + j) * (b + j) / ((j + 1.0) * (j + 1.0)))[:, None] * w
+        d = np.concatenate([[d0], 2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j)]).cumsum()
+        return coeff.cumprod(axis=0) * (d[:, None] - np.log(w))
+
+    return scale * _table_sums(terms, 0.0, z, n + 1, cfg.max_terms, False, cfg)
 
 
-def gauss_2f1(a: complex, b: complex, c: complex, z: complex,
-              cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
-    """Gauss hypergeometric F(a, b; c; z).
+def _pfaff_group(a: complex, b: complex, c: complex, z, term_n: None, cfg: SeriesConfig):
+    """F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; z / (z - 1)), scalar or array."""
+    return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, z / (z - 1.0), cfg)
+
+
+def _region(z: complex, a: complex, b: complex, c: complex, term_n: Union[int, None]):
+    """The sum gauss_2f1 takes at z, in its docstring's order, or None at
+    z = 0 (F = 1); raises where none is reliable."""
+    if z == 0:
+        return None
+    gap = abs(1.0 - z)
+    if term_n is None and gap < 0.3 and gap * abs(a * b) < 2.0 \
+            and abs(c - a - b) <= 9e-16 * max(abs(a), abs(b), abs(c)):
+        if z == 1:
+            raise LogarithmicSingularity(f"2F1 with c = a + b = {c} diverges at z = 1")
+        return _log_group
+    if term_n is not None or abs(z) <= 0.7:
+        return _direct_group
+    if abs(z / (z - 1.0)) < min(0.98, abs(z)):
+        return _pfaff_group
+    if abs(z) < 0.98:
+        return _direct_group
+    raise SeriesNonConvergence(f"2F1 argument z={z} outside the reliable region")
+
+
+def gauss_2f1(a: complex, b: complex, c: complex, z,
+              cfg: SeriesConfig = DEFAULT_SERIES):
+    """Gauss hypergeometric F(a, b; c; z) at a scalar z (returns a complex) or
+    at each entry of an ndarray z (returns a complex ndarray of its shape).
 
     Terminating series (a or b a non-positive integer) are summed exactly
-    with no tolerance test; otherwise, in order:
+    with no tolerance test; otherwise each z takes, in order:
     * c = a + b (to 4 ulps), |1 - z| < 0.3, |1 - z| |a b| < 2: the logarithmic
       z -> 1 - z connection (DLMF 15.8.10), good to 2e-14 (past |1 - z| |a b|
       = 2 its terms cancel); F ~ -log(1 - z), so z = 1 raises
@@ -221,36 +297,25 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex,
     * the Pfaff transformation F(a,b,c,z) = (1-z)^(-a) F(a, c-b, c, z/(z-1))
       where it maps the argument closer to 0 and inside 0.98 (always for z < 0);
     * the direct series for |z| < 0.98; beyond it SeriesNonConvergence.
+    An array raises where an entry would; each region group runs the loop once,
+    at its slowest entry (largest |z| or, log region, |1 - z|), and the other
+    entries in NumPy, each stopping by its own three-quiet-terms rule.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    a, b, c = complex(a), complex(b), complex(c)
     term_n = _terminating_index(a, b)
-    if _nonpositive_int(c):
-        c_pole = int(round(-c.real))
-        if term_n is None or term_n > c_pole:
-            raise ParameterPole(f"2F1 lower parameter c={c} at a non-positive integer")
-    if z == 0:
-        return 1.0 + 0.0j
-
-    def ratio(n):
-        return (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-
-    if term_n is not None:
-        return _hyp_series(ratio, cfg.max_terms, cfg, term_n)
-    gap = abs(1.0 - z)
-    if gap < 0.3 and gap * abs(a * b) < 2.0 \
-            and abs(c - a - b) <= 9e-16 * max(abs(a), abs(b), abs(c)):
-        if z == 1:
-            raise LogarithmicSingularity(f"2F1 with c = a + b = {c} diverges at z = 1")
-        return _hyp_log_series(a, b, c, z, cfg)
-    if abs(z) <= 0.7:
-        return _hyp_series(ratio, cfg.max_terms, cfg, None)
-    w = z / (z - 1.0)
-    if abs(w) < min(0.98, abs(z)):
-        pref = (1.0 - z) ** (-a)
-        return pref * gauss_2f1(a, c - b, c, w, cfg)
-    if abs(z) < 0.98:
-        return _hyp_series(ratio, cfg.max_terms, cfg, None)
-    raise SeriesNonConvergence(f"2F1 argument z={z} outside the reliable region")
+    if _nonpositive_int(c) and (term_n is None or term_n > int(round(-c.real))):
+        raise ParameterPole(f"2F1 lower parameter c={c} at a non-positive integer")
+    if not (isinstance(z, np.ndarray) and z.ndim):
+        z = complex(z)
+        group = _region(z, a, b, c, term_n)
+        return 1.0 + 0.0j if group is None else group(a, b, c, z, term_n, cfg)
+    zs = z.astype(complex).ravel()
+    groups = [_region(x, a, b, c, term_n) for x in zs.tolist()]
+    out = np.ones(zs.shape, dtype=complex)
+    for group in filter(None, dict.fromkeys(groups)):  # None: z = 0, F = 1
+        sel = np.array([g is group for g in groups])
+        out[sel] = group(a, b, c, zs[sel], term_n, cfg)
+    return out.reshape(z.shape)
 
 
 def kummer_1f1(a: complex, c: complex, x: complex,
@@ -271,7 +336,7 @@ def kummer_1f1(a: complex, c: complex, x: complex,
     def ratio(n):
         return (a + n) / ((c + n) * (n + 1)) * x
 
-    return _hyp_series(ratio, cfg.max_terms, cfg, term_n)
+    return _hyp_series(ratio, cfg.max_terms, cfg, term_n)[0]
 
 
 def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex,

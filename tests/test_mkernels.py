@@ -288,6 +288,25 @@ class TestResolventIntegral:
         assert got.converged
         assert relerr(got.value, resolvent_closed(cfg, -1.05j)) < 1e-10
 
+    # two of the slower resolvent points of the benchmark's transverse workload
+    @pytest.mark.parametrize("args, mu, n_evals", [((1.0, 0.0, 0.0, 0.35), -0.84j, 180),
+                                                   ((1.0, 0.5, 0.0, -0.5), -0.95j, 225)])
+    def test_cost_pinned(self, monkeypatch, args, mu, n_evals):
+        # the integrand makes one 2F1 call per head panel and one per tail ray
+        # and panel, not one per node; the counts do not depend on the machine
+        real_2f1, calls = specfun.gauss_2f1, []
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return real_2f1(*a, **kw)
+
+        monkeypatch.setattr(specfun, "gauss_2f1", counted)
+        cfg = MorseConfig(*args)
+        res = resolvent_integral(cfg, mu)
+        assert res.converged and res.n_evals == n_evals
+        assert len(calls) <= 2 * n_evals // 15
+        assert relerr(res.value, resolvent_closed(cfg, mu)) < 1e-10
+
     def test_support_lower_limit_irrelevant(self):
         # partial transmutation integrals from 0 and from |X-X'| coincide:
         # the wave kernel vanishes identically below its support radius

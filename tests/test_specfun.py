@@ -119,13 +119,16 @@ class TestGauss2F1:
 
 
 def _direct_series(a, b, c, z):
-    return specfun._hyp_series(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
-                               specfun.DEFAULT_SERIES.max_terms, specfun.DEFAULT_SERIES, None)
+    return specfun._direct_group(complex(a), complex(b), complex(c), complex(z), None,
+                                 specfun.DEFAULT_SERIES)
 
 
 def _in_log_region(a, b, c, z):
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    return abs(c - a - b) < 1e-12 and abs(1 - z) < 0.3 and abs(1 - z) * abs(a * b) < 2.0
+    """gauss_2f1's logarithmic-region test, at a scalar z or elementwise."""
+    a, b, c = complex(a), complex(b), complex(c)
+    gap = np.abs(1 - np.asarray(z, dtype=complex))
+    return (abs(c - a - b) <= 9e-16 * max(abs(a), abs(b), abs(c))) & (gap < 0.3) \
+        & (gap * abs(a * b) < 2.0)
 
 
 class TestGauss2F1LogRegion:
@@ -166,26 +169,28 @@ class TestGauss2F1LogRegion:
         assert gauss_2f1(a, b, a + b, z) == _direct_series(a, b, a + b, z)
 
     def test_direct_series_never_entered(self, monkeypatch):
-        # _hyp_series raises whenever gauss_2f1 works on a c = a + b,
-        # |1 - z| < 0.3, |1 - z| |a b| < 2 argument; other calls run as usual
-        real_2f1, real_series, stack, hits = specfun.gauss_2f1, specfun._hyp_series, [], []
+        # the direct series raises whenever it is handed a c = a + b,
+        # |1 - z| < 0.3, |1 - z| |a b| < 2 argument, at a scalar or in an
+        # array; the logarithmic sum counts the arguments it takes
+        real_direct, real_log, hits = specfun._direct_group, specfun._log_group, []
 
-        def gauss(a, b, c, z, cfg=specfun.DEFAULT_SERIES):
-            stack.append(_in_log_region(a, b, c, z))
-            hits.append(stack[-1])
-            try:
-                return real_2f1(a, b, c, z, cfg)
-            finally:
-                stack.pop()
+        def direct(a, b, c, z, *args):
+            assert not np.any(_in_log_region(a, b, c, z)), \
+                "direct series entered in the logarithmic region"
+            return real_direct(a, b, c, z, *args)
 
-        def series(*args):
-            assert not stack[-1], "direct series entered in the logarithmic region"
-            return real_series(*args)
+        def log(a, b, c, z, *args):
+            assert np.all(_in_log_region(a, b, c, z))
+            hits.append(np.size(z))
+            return real_log(a, b, c, z, *args)
 
-        monkeypatch.setattr(specfun, "gauss_2f1", gauss)
-        monkeypatch.setattr(specfun, "_hyp_series", series)
-        for z in (0.71, 0.9, 0.973, 0.99, 0.999, 1.2, 0.9 + 0.1j):
+        monkeypatch.setattr(specfun, "_direct_group", direct)
+        monkeypatch.setattr(specfun, "_log_group", log)
+        zs = (0.71, 0.9, 0.973, 0.99, 0.999, 1.2, 0.9 + 0.1j)
+        for z in zs:
             specfun.gauss_2f1(0.8 + 0.3j, 1.8 + 0.3j, 2.6 + 0.6j, z)
+        specfun.gauss_2f1(0.8 + 0.3j, 1.8 + 0.3j, 2.6 + 0.6j, np.array(zs + (0.3, -0.9)))
+        assert hits == [1] * 7 + [7]
         # the closed resolvent near the diagonal and the Morse resolvent
         # integral, whose head nodes sit near z = 1
         hkernels.resolvent_closed(hkernels.SpectralParam(-0.9j), 0.5,
@@ -203,6 +208,90 @@ class TestGauss2F1LogRegion:
         integral = hkernels.resolvent_integral(sp, 0.5, z, zp)
         assert integral.converged
         assert relerr(closed, integral.value) < 1e-6
+
+
+_S = 0.5 + 1j * (0.4 - 0.9j)  # a resolvent exponent s = 1/2 + i mu
+
+
+def _regions(a, b, c, zs):
+    """The set of gauss_2f1 sums (None for z = 0) that the arguments zs take."""
+    a, b, c = complex(a), complex(b), complex(c)
+    term_n = specfun._terminating_index(a, b)
+    return {specfun._region(complex(z), a, b, c, term_n) for z in zs}
+
+
+class TestGauss2F1Array:
+    """An ndarray z: one series loop per region group, NumPy for the rest."""
+
+    @pytest.mark.parametrize("abc, zs, regions", [
+        ((0.4, 0.9, 1.7), (0.1, -0.5, 0.6j, 0.69, 0.95, 0.8 + 0.3j), {specfun._direct_group}),
+        ((1.4, 3.4, 2.8), (-15.0, -3.0, -0.9, -24.0, -0.8 + 0.5j), {specfun._pfaff_group}),
+        ((_S, _S, 2 * _S), (0.75, 0.9, 0.973, 0.99, 0.999, 0.85 + 0.1j, 1.2), {specfun._log_group}),
+        ((-3, 2.5, 1.2), (0.8, 0.3, -2.0, 5.0, 1.0), {specfun._direct_group}),  # terminating
+        # every region in one array: zero, direct, past the switch, log, Pfaff
+        ((_S - 0.5, _S + 0.5, 2 * _S), (0.0, 0.3, 0.6j, 0.75 + 0.3j, 0.9, 0.99, 0.85 + 0.1j,
+                                        -0.9, -3.0, 0.95j),
+         {None, specfun._direct_group, specfun._log_group, specfun._pfaff_group}),
+    ])
+    def test_matches_scalar_calls(self, abc, zs, regions):
+        assert _regions(*abc, zs) == regions
+        got = gauss_2f1(*abc, np.array(zs))
+        for value, z in zip(got, zs):
+            assert relerr(value, gauss_2f1(*abc, z)) < 1e-15
+
+    def test_zero_entries(self):
+        got = gauss_2f1(0.3, 1.7, 2.2, np.array([0.0, 0.5, 0.0]))
+        assert got[0] == 1.0 and got[2] == 1.0
+        assert relerr(got[1], gauss_2f1(0.3, 1.7, 2.2, 0.5)) < 1e-15
+        assert np.all(gauss_2f1(0.3, 1.7, 2.2, np.zeros(4)) == 1.0)
+
+    def test_scalar_in_complex_out_array_in_array_out(self):
+        assert type(gauss_2f1(0.3, 1.7, 2.2, 0.5)) is complex
+        assert type(gauss_2f1(0.3, 1.7, 2.2, np.float64(0.5))) is complex
+        got = gauss_2f1(0.3, 1.7, 2.2, np.linspace(-0.5, 0.5, 6).reshape(2, 3))
+        assert isinstance(got, np.ndarray) and got.dtype == complex and got.shape == (2, 3)
+
+    def test_raises_as_the_scalar_calls_do(self):
+        a, b, c = _S - 0.5, _S + 0.5, 2 * _S
+        with pytest.raises(LogarithmicSingularity):
+            gauss_2f1(a, b, c, np.array([0.5, 1.0, 0.9]))
+        with pytest.raises(SeriesNonConvergence):
+            gauss_2f1(0.4, 0.9, 1.7, np.array([0.3, 0.995, -0.5]))
+
+    def test_each_entry_meets_its_own_stop_rule(self):
+        # equal |z|, |F| 56 and 3.6e-5: the large entry's loop goes quiet
+        # (relative to 56) 13 terms before the small entry's terms do; cut
+        # there, the small entry would be 1.2e-9 off.  A coarse term_tol makes
+        # the truncation visible above round-off.
+        a, b, c, z = 1.5, 2.0, 0.7147, np.array([0.7, -0.7])
+        cfg = specfun.SeriesConfig(term_tol=1e-10)
+        scalar = np.array([gauss_2f1(a, b, c, x, cfg) for x in z])
+        assert abs(scalar[0]) > 50 and abs(scalar[1]) < 1e-4
+        assert np.all(np.abs(gauss_2f1(a, b, c, z, cfg) - scalar) < 1e-13)
+        # the small entry needs 91 terms, the large 78: a cap between them
+        # fails the array as it fails the small entry's scalar call
+        short = specfun.SeriesConfig(max_terms=85, term_tol=1e-10)
+        gauss_2f1(a, b, c, 0.7, short)
+        for arg in (-0.7, z):
+            with pytest.raises(SeriesNonConvergence):
+                gauss_2f1(a, b, c, arg, short)
+
+    def test_resolvent_oracle_rows_as_arrays(self):
+        # the c = a + b rows of the mpmath table, one array per (a, b, c):
+        # the 18 resolvent rows F(s - |k|, s + |k|; 2s; z) and F(1, 1; 2; 1/2)
+        from tests_oracle_support import _parse_params, evaluate_row, load_oracle_rows
+        groups = {}
+        for row in load_oracle_rows():
+            if row["function"] == "gauss_2f1":
+                a, b, c, z = _parse_params(row["params"])
+                if abs(c - a - b) <= 9e-16 * max(abs(a), abs(b), abs(c)):
+                    _, ref, tol = evaluate_row(row)
+                    groups.setdefault((a, b, c), []).append((z, ref, tol))
+        assert len(groups) == 4 and sum(len(g) for g in groups.values()) == 19
+        for (a, b, c), rows in groups.items():
+            zs, refs, tols = zip(*rows)
+            for got, ref, tol in zip(gauss_2f1(a, b, c, np.array(zs)), refs, tols):
+                assert relerr(got, ref) < tol
 
 
 class TestKummer1F1:
