@@ -190,15 +190,9 @@ def _cmd_grid(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args)
-    if args.command == "grid":
-        return _cmd_grid(args)
-    return 2
+    commands = {"eval": _cmd_eval, "verify": _cmd_verify, "calibrate": _cmd_calibrate,
+                "grid": _cmd_grid}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

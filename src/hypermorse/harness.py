@@ -129,8 +129,8 @@ def _relerr(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _spread(vals: list) -> float:
-    return max(abs(v - w) for v in vals for w in vals) / max(abs(v) for v in vals)
+def _spread(vals: np.ndarray) -> np.ndarray:  # per column, over the rows
+    return np.abs(vals[:, None] - vals[None]).max(axis=(0, 1)) / np.abs(vals).max(axis=0)
 
 
 class _Worst:
@@ -201,16 +201,18 @@ def check_hyperbolic_forms(tol_overrides: Optional[dict] = None) -> IdentityRepo
     representations agree for 2k = 0..4 on a 10 x 10 grid rho in [0.2, 2.5],
     b in (rho, rho + 4]."""
     worst = _Worst()
-    rhos = np.linspace(0.2, 2.5, 10)
-    fracs = np.linspace(0.08, 1.0, 10)
-    for two_k in range(5):
-        k = two_k / 2.0
-        for rho in rhos:
-            for f in fracs:
-                b = float(rho + 4.0 * f)
-                worst.run({"two_k": two_k, "rho": float(rho), "b": b},
-                          lambda: _spread([complex(wave_kernel_radial(k, b, float(rho), form=fm))
-                                           for fm in ("auto",) + WAVE_FORMS]))
+    for two_k, rho in itertools.product(range(5), np.linspace(0.2, 2.5, 10).tolist()):
+        bs = rho + 4.0 * np.linspace(0.08, 1.0, 10)  # one array call per form
+        points = [{"two_k": two_k, "rho": rho, "b": b} for b in bs.tolist()]
+        try:
+            vals = np.array([wave_kernel_radial(two_k / 2.0, bs, rho, form=fm)
+                             for fm in ("auto",) + WAVE_FORMS])
+        except HypermorseError as exc:
+            for point in points:
+                worst.error(point, exc)
+            continue
+        for point, rel in zip(points, _spread(vals).tolist()):
+            worst.update(rel, point)
     return _report("hyperbolic_forms",
                    "auto + 5 forms; 2k in 0..4; rho in [0.2,2.5] x b in (rho, rho+4], 10x10",
                    worst, tol_overrides)

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,18 +53,9 @@ from .hkernels import SpectralParam, _check_decay, _gamma_prefactor as _hyp_gamm
     _resolvent_profile as _hyp_resolvent_profile, _wave_profile
 
 __all__ = [
-    "MorseConfig",
-    "wave_aux_z",
-    "wave_kernel_bessel0",
-    "wave_kernel_phi1",
-    "wave_kernel_phi1_alt",
-    "wave_kernel_fourier",
-    "resolvent_closed",
-    "resolvent_integral",
-    "heat_kernel",
-    "theta_hw",
-    "hartman_watson_heat_oracle",
-    "ALT_VARIANT_K0_SCALE",
+    "MorseConfig", "wave_aux_z", "wave_kernel_bessel0", "wave_kernel_phi1", "wave_kernel_phi1_alt",
+    "wave_kernel_fourier", "resolvent_closed", "resolvent_integral", "heat_kernel", "theta_hw",
+    "hartman_watson_heat_oracle", "ALT_VARIANT_K0_SCALE",
 ]
 
 # measured k = 0 ratio of the true kernel to the alternative-variant formula
@@ -78,10 +68,6 @@ _HW_CFG = quad.QuadConfig(rel_tol=1e-7, abs_tol=1e-14)
 # per-level base steps for the composed sinh-weighted derivative; deeper
 # levels differentiate noisier data and need larger steps
 _DERIV_STEPS = (0.010, 0.018, 0.032, 0.060)
-
-# heat kernel's trapezoid line integral: first step and closed-resolvent budget
-_LINE_H0 = 0.5
-_LINE_MAX_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -408,13 +394,12 @@ def heat_kernel(cfg: MorseConfig, t: float,
     stays off the integers where W fails.  On the line the integrand is
     analytic and Gaussian, so the trapezoid rule converges exponentially, and
     R(-conj mu) = conj R(mu) leaves q = -(h / 4 pi^2) sum' Im f(jh), j >= 0,
-    cut where e^{-t(sigma^2 - c^2)} < eps.  h halves from _LINE_H0, reusing
-    nodes, until err_estimate = |T(h) - T(h/2)| meets qcfg or the round-off
-    floor eps kappa h sum|f| / 4 pi^2 (kappa: the cancellation of W's two M
-    terms at sigma = 0, its worst), below which it never goes; past
-    _LINE_MAX_NODES closed resolvents (n_evals) converged is False.  Large
-    k t or Morse argument 2 lam e^{max(X, X')} lifts the floor; past 40 the
-    closed resolvent raises SeriesNonConvergence.
+    cut where e^{-t(sigma^2 - c^2)} < eps (quad.trapezoid_even, tolerance
+    qcfg).  Its round-off floor is eps kappa h sum|f| / 4 pi^2, kappa the
+    cancellation of W's two M terms at sigma = 0 (its worst), and n_evals
+    counts closed resolvents.  Large k t or Morse argument 2 lam
+    e^{max(X, X')} lifts the floor; past 40 the closed resolvent raises
+    SeriesNonConvergence.
     """
     if not t > 0:
         raise ValueError("heat kernel needs t > 0")
@@ -428,54 +413,37 @@ def heat_kernel(cfg: MorseConfig, t: float,
         mu = complex(sig, -c)
         return -(mu * cmath.exp(-t * mu * mu) * resolvent_closed(cfg, mu)).imag / (4 * math.pi ** 2)
 
-    total = 0.5 * f(0.0)
-    mag, n, value = abs(total), 1, math.inf
-    h, nodes = _LINE_H0, np.arange(_LINE_H0, sig_max, _LINE_H0)
-    while True:
-        vals = [f(s) for s in nodes]
-        total, mag, n = total + math.fsum(vals), mag + math.fsum(map(abs, vals)), n + len(vals)
-        prev, value = value, h * total
-        floor = noise * h * mag
-        err = max(abs(value - prev), floor)
-        bound = max(qcfg.abs_tol, qcfg.rel_tol * abs(value))
-        if err <= max(bound, floor):
-            return quad.QuadratureResult(value, err, n, err <= bound)
-        h /= 2.0
-        nodes = np.arange(h, sig_max, 2.0 * h)
-        if n + len(nodes) > _LINE_MAX_NODES:
-            return quad.QuadratureResult(value, err, n, False)
+    res = quad.trapezoid_even(lambda x, _: np.array([[f(s) for s in x]]), sig_max,
+                              qcfg.abs_tol, qcfg.rel_tol, noise)
+    return quad.QuadratureResult(res.value[0], res.err_estimate[0], res.n_evals, res.converged)
 
 
-def _theta_prefactor(r: float, tau: float) -> float:
-    return r / math.sqrt(2.0 * math.pi ** 3 * tau) * math.exp(math.pi ** 2 / (2.0 * tau))
-
-
-def theta_hw(r: float, tau: float,
-             qcfg: Optional[quad.QuadConfig] = None) -> quad.QuadratureResult:
-    """Hartman-Watson integrand
+def theta_hw(r, tau: float, abs_tol) -> quad.QuadratureResult:
+    """Hartman-Watson integrand at every entry of the array r:
     theta_r(tau) = r e^{pi^2/(2 tau)} / sqrt(2 pi^3 tau)
       * int_0^inf e^{-xi^2/(2 tau)} e^{-r cosh xi} sinh(xi) sin(pi xi / tau) dxi.
 
-    qcfg bounds the raw xi-integral, taken over [0, sqrt(190 tau)] (e^{-95}
-    beyond); value and err_estimate are scaled to theta.  The integral
-    cancels down to e^{-pi^2/(2 tau)} of its gross scale, leaving the
-    round-off floor eps e^{-r} int_0^inf e^{-xi^2/(2 tau)} sinh xi dxi: abs_tol
-    is raised to that floor, err_estimate never below.  So small tau
-    (tau <~ 0.2) cannot be resolved in double precision; callers keep
-    t/2 >= ~0.35.
+    The xi-integrand is even and entire with Gaussian decay, so all rows are
+    one trapezoid array (quad.trapezoid_even) over [0, sqrt(190 tau)] (e^{-95}
+    beyond), each theta bounded by rel_tol 1e-9 and its abs_tol (one per r,
+    or one for all).  The integral cancels down to e^{-pi^2/(2 tau)} of its
+    gross scale, leaving the round-off floor eps e^{-r} int_0^inf
+    e^{-xi^2/(2 tau)} sinh xi dxi: the tolerance is raised to that floor,
+    err_estimate never below.  So small tau (tau <~ 0.2) cannot be resolved
+    in double precision; callers keep t/2 >= ~0.35.
     """
-    def f(xi: np.ndarray) -> np.ndarray:
-        return (np.exp(-xi * xi / (2.0 * tau) - r * np.cosh(xi))
-                * np.sinh(xi) * np.sin(math.pi * xi / tau)).astype(complex)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    pref = r / math.sqrt(2.0 * math.pi ** 3 * tau) * math.exp(math.pi ** 2 / (2.0 * tau))
 
-    qcfg = qcfg or quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-17)
-    floor = np.finfo(float).eps * math.exp(-r) * math.sqrt(math.pi * tau / 2.0) \
+    def f(xi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        common = np.exp(-xi * xi / (2.0 * tau)) * np.sinh(xi) * np.sin(math.pi * xi / tau)
+        return np.exp(-r[rows, None] * np.cosh(xi)) * common
+
+    floor = np.finfo(float).eps * np.exp(-r) * math.sqrt(math.pi * tau / 2.0) \
         * math.exp(tau / 2.0) * math.erf(math.sqrt(tau / 2.0))
-    res = quad.integrate_finite(f, 0.0, math.sqrt(190.0 * tau),
-                                replace(qcfg, abs_tol=max(qcfg.abs_tol, floor)))
-    res.err_estimate = max(res.err_estimate, floor)
-    res.value = res.value.real
-    return res.scaled(_theta_prefactor(r, tau))
+    res = quad.trapezoid_even(f, math.sqrt(190.0 * tau), np.maximum(abs_tol / pref, floor), 1e-9)
+    res.err_estimate = np.maximum(res.err_estimate, floor)
+    return res.scaled(pref)
 
 
 def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
@@ -490,40 +458,41 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
     corrections to the raw double integral (at t/4 the ratio to the heat
     kernel drifts with t; with them it is exactly 1 in t and k).
 
+    The outer integral is a GK15 sweep in u; each panel's nodes with
+    lam (y+y') coth u <= 700 go to one theta_hw call, one trapezoid array.
     Each theta gets rel_tol 1e-9 and the absolute error the outer integral
-    affords at its node: qcfg.abs_tol over the outer weight (and theta's
-    prefactor).  n_evals and converged cover every inner integral;
-    err_estimate adds the largest weighted inner error times the swept u
-    length, and converged needs that total to meet qcfg.  A node inside its
-    own error bar counts as 0; one whose weighted error tops
-    max(abs_tol, rel_tol * peak so far) raises CancellationLimit (theta's
-    round-off floor: k > 1 tails, small t).  Callers use t >= 0.7.
+    affords at its node: qcfg.abs_tol over the outer weight.  n_evals and
+    converged cover every inner integral; err_estimate adds the largest
+    weighted inner error times the swept u length, and converged needs that
+    total to meet qcfg.  A node inside its own error bar counts as 0; the
+    first, in node order, whose weighted error tops max(abs_tol, rel_tol *
+    peak so far) raises CancellationLimit (theta's round-off floor: k > 1
+    tails, small t).  Callers use t >= 0.7.
     """
     if not t > 0:
         raise ValueError("oracle needs t > 0")
     acc = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
     err = peak = u_max = 0.0
-    r0 = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0)
+    r0, tau = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0), t / 2.0
 
     def outer(u: np.ndarray) -> np.ndarray:
         nonlocal acc, err, peak, u_max
         out = np.zeros(u.shape, dtype=complex)
-        for i, ui in enumerate(u):
-            damp = -cfg.lam * (cfg.y + cfg.yp) / math.tanh(ui) if ui >= 1e-12 else -math.inf
-            if damp < -700.0:
-                continue
-            weight = math.exp(2.0 * cfg.k * ui + damp)
-            r, sh2 = r0 / math.sinh(ui), 2.0 * math.sinh(ui)
-            xi_tol = qcfg.abs_tol / weight * sh2 / _theta_prefactor(r, t / 2.0)
-            th = theta_hw(r, t / 2.0, quad.QuadConfig(rel_tol=1e-9, abs_tol=xi_tol))
-            th = th.scaled(1 / sh2)
-            out[i] = weight * th.value if abs(th.value) > th.err_estimate else 0.0
-            peak = max(peak, abs(out[i]))
-            if weight * th.err_estimate > max(qcfg.abs_tol, qcfg.rel_tol * peak):
-                raise CancellationLimit(f"round-off {weight * th.err_estimate:.3g} at u={ui:.4g}"
-                                        f" tops max(abs_tol, rel_tol * peak {peak:.3g})")
-            acc += quad.QuadratureResult(0.0, 0.0, th.n_evals, th.converged)
-            err, u_max = max(err, weight * th.err_estimate), max(u_max, ui)
+        damp = -cfg.lam * (cfg.y + cfg.yp) / np.tanh(np.maximum(u, 1e-12))
+        live = damp >= -700.0
+        u, weight, sh2 = u[live], np.exp(2.0 * cfg.k * u[live] + damp[live]), 2.0 * np.sinh(u[live])
+        th = theta_hw(r0 * 2.0 / sh2, tau, qcfg.abs_tol / weight * sh2)
+        vals = np.where(np.abs(th.value) > th.err_estimate, weight * th.value / sh2, 0.0)
+        werr = weight * th.err_estimate / sh2
+        running = np.maximum.accumulate(np.maximum(np.abs(vals), peak))
+        over = np.flatnonzero(werr > np.maximum(qcfg.abs_tol, qcfg.rel_tol * running))
+        if over.size:
+            i = over[0]
+            raise CancellationLimit(f"round-off {werr[i]:.3g} at u={u[i]:.4g}"
+                                    f" tops max(abs_tol, rel_tol * peak {running[i]:.3g})")
+        out[live], peak = vals, running.max(initial=peak)
+        acc += quad.QuadratureResult(0.0, 0.0, th.n_evals, th.converged)
+        err, u_max = werr.max(initial=err), u.max(initial=u_max)
         return out
 
     res = quad.integrate_semiinfinite(outer, 0.0, qcfg) + acc

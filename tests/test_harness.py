@@ -107,11 +107,11 @@ class TestReports:
         assert all(r.passed for r in reports)
 
     def test_unconverged_oracle_is_a_point_error(self, monkeypatch):
-        # one unconverged inner theta makes its oracle point an error, not a pass
+        # one unconverged inner theta array makes its oracle point an error, not a pass
         real, calls = mkernels.theta_hw, []
 
-        def theta(r, tau, qcfg=None):
-            res = real(r, tau, qcfg)
+        def theta(r, tau, abs_tol):
+            res = real(r, tau, abs_tol)
             res.converged = bool(calls)
             calls.append(r)
             return res

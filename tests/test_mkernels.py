@@ -404,17 +404,21 @@ class TestHeatKernel:
 
 
 class TestHartmanWatsonOracle:
-    def test_theta_inner_vs_trapezoid_oracle(self):
-        r, tau = 2.0, 0.5
-        got = theta_hw(r, tau).value
-        # independent fine-grid trapezoid evaluation
-        xi = np.linspace(0.0, math.sqrt(2 * tau * 95), 400_001)
-        f = np.exp(-xi * xi / (2 * tau) - r * np.cosh(xi)) * np.sinh(xi) \
-            * np.sin(math.pi * xi / tau)
-        integral = np.trapezoid(f, xi)
-        expect = r / math.sqrt(2 * math.pi ** 3 * tau) \
-            * math.exp(math.pi ** 2 / (2 * tau)) * integral
-        assert relerr(got, expect) < 1e-7
+    # the raw xi-integral over [0, sqrt(190 tau)] by mpmath at 40 digits, the
+    # same float endpoints and parameters:
+    #   mp.quad(lambda x: mp.exp(-x*x/(2*tau) - r*mp.cosh(x)) * mp.sinh(x)
+    #           * mp.sin(mp.pi*x/tau), mp.linspace(0, math.sqrt(190*tau), 40))
+    @pytest.mark.parametrize("r, tau, ref", [(0.5528, 0.35, 1.453598923022123631288007e-9),
+                                             (2.0, 0.5, 5.825509850300051170652472e-4)])
+    def test_theta_inner_vs_mpmath(self, r, tau, ref):
+        pref = r / math.sqrt(2 * math.pi ** 3 * tau) * math.exp(math.pi ** 2 / (2 * tau))
+        got = theta_hw(np.array([r]), tau, 1e-17 * pref)
+        # the integrand's own round-off adds up to eps e^{-r} int_0^inf
+        # e^{-xi^2/(2 tau)} sinh xi dxi, the floor theta_hw keeps to
+        floor = np.finfo(float).eps * math.exp(-r) * math.sqrt(math.pi * tau / 2) \
+            * math.exp(tau / 2) * math.erf(math.sqrt(tau / 2))
+        assert got.converged
+        assert abs(got.value[0] / pref - ref) <= got.err_estimate[0] / pref + floor
 
     def test_matches_heat_kernel_k0(self):
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(1.3))
@@ -454,26 +458,35 @@ class TestHartmanWatsonOracle:
         assert q_heat < 0.01 and q_oracle < 0.01
 
     # the two heat points of the benchmark's transverse workload: (lam, k, X, X'), t
-    @pytest.mark.parametrize("args, t", [((1.0, 0.0, 0.0, 0.4), 0.8),
-                                         ((1.0, 0.5, 0.0, -0.5), 1.4)])
-    def test_cost_pinned(self, args, t):
-        # every theta gets the tolerance its outer weight needs, so the whole
-        # double integral takes 54,630 and 37,980 evaluations here, and the
-        # heat kernel's line integral 27 and 21 closed resolvents; the counts
-        # do not depend on the machine
+    @pytest.mark.parametrize("args, t, heat_evals", [((1.0, 0.0, 0.0, 0.4), 0.8, 27),
+                                                     ((1.0, 0.5, 0.0, -0.5), 1.4, 21)])
+    def test_cost_pinned(self, monkeypatch, args, t, heat_evals):
+        # each outer GK15 panel's theta integrals are one trapezoid array, so
+        # one theta_hw call per panel: the double integral takes 16,890 and
+        # 14,588 evaluations here, and the heat kernel's line integral 27 and
+        # 21 closed resolvents; the counts do not depend on the machine
+        real, inner_evals = mkernels.theta_hw, []
+
+        def theta(r, tau, abs_tol):
+            res = real(r, tau, abs_tol)
+            inner_evals.append(res.n_evals)
+            return res
+
+        monkeypatch.setattr(mkernels, "theta_hw", theta)
         cfg = MorseConfig(*args)
         oracle, heat = hartman_watson_heat_oracle(cfg, t), heat_kernel(cfg, t)
         assert oracle.converged and heat.converged
-        assert oracle.n_evals < 100_000 and heat.n_evals <= 150
-        assert relerr(oracle.value, heat.value) < 1e-11
+        assert oracle.n_evals < 25_000 and heat.n_evals == heat_evals
+        assert len(inner_evals) <= (oracle.n_evals - sum(inner_evals)) // 15
+        assert relerr(oracle.value, heat.value) < 1e-12
 
     def test_inner_bookkeeping_propagates(self, monkeypatch):
-        # one unconverged theta turns the oracle unconverged, and the inner
-        # evaluations are part of its n_evals
+        # one unconverged theta array turns the oracle unconverged, and the
+        # inner evaluations are part of its n_evals
         real, inner_evals = mkernels.theta_hw, []
 
-        def theta(r, tau, qcfg=None):
-            res = real(r, tau, qcfg)
+        def theta(r, tau, abs_tol):
+            res = real(r, tau, abs_tol)
             res.converged = bool(inner_evals)
             inner_evals.append(res.n_evals)
             return res
@@ -483,6 +496,19 @@ class TestHartmanWatsonOracle:
         assert not got.converged
         outer_evals = got.n_evals - sum(inner_evals)
         assert outer_evals > 0 and outer_evals % 15 == 0
+
+    def test_large_argument_converges(self):
+        # Morse argument 2 lam e^X' = 20, where the heat kernel's W loses
+        # digits; the oracle's weights do not.  Reference: mpmath at 40 digits,
+        # q = (i / 8 pi^2) mp.quad(f, mp.linspace(-12, 12, 25)) with
+        # f(s) = mu e^{-t mu^2} R(mu), mu = s - i c, R the closed resolvent
+        # from mp.gamma, mp.whitw and mp.whitm; c = 1/4 and c = 3/4 agree to
+        # 35 digits
+        cfg = MorseConfig(1.0, 0.0, 0.0, math.log(10.0))
+        ref = 5.24097725174855876792657460957e-7
+        got = hartman_watson_heat_oracle(cfg, 1.0)
+        assert got.converged
+        assert abs(got.value - ref) <= got.err_estimate
 
     @pytest.mark.parametrize("k, t", [(1.0, 0.7), (1.7, 1.0)])
     def test_large_k_ends_visibly(self, k, t):

@@ -12,6 +12,7 @@ from hypermorse.quad import (
     integrate_semiinfinite,
     integrate_sqrt_endpoint,
     nth_derivative,
+    trapezoid_even,
 )
 
 CFG = QuadConfig()
@@ -145,6 +146,69 @@ class TestIntegrateSqrtEndpoint:
         r1 = integrate_sqrt_endpoint(g, rho, m=m)
         r2 = integrate_sqrt_endpoint(g, rho, dm=dm)
         assert abs(r1.value - r2.value) / abs(r2.value) < 1e-9
+
+
+def _even_rows(*fns):
+    """trapezoid_even integrand of one row per function of x."""
+    return lambda x, rows: np.array([fns[i](x) for i in rows])
+
+
+# Integrals with known values through each integrator: |true - value| must lie
+# within err_estimate wherever converged=True.  Algebraic tails are left out:
+# integrate_semiinfinite's tail allowance is the last panel's magnitude, no
+# bound for them until it comes from the observed panel decay ratio.
+class TestKnownIntegrals:
+    @pytest.mark.parametrize("f, a, b, true", [
+        (lambda x: np.exp(-x * x), 0.0, 3.0, math.sqrt(math.pi) / 2 * math.erf(3.0)),
+        (lambda x: x * np.sin(20.0 * x), 0.0, math.pi, -math.pi / 20.0),
+        (lambda x: np.cos(50.0 * x), 0.0, 1.0, math.sin(50.0) / 50.0),
+        (lambda x: np.exp(x) * np.cos(7.3 * x), 0.0, 2.0,
+         ((np.exp(2.0 * (1 + 7.3j)) - 1.0) / (1 + 7.3j)).real),
+    ])
+    def test_finite(self, f, a, b, true):
+        res = integrate_finite(lambda x: f(x) + 0j, a, b)
+        assert res.converged and abs(res.value - true) <= res.err_estimate
+
+    @pytest.mark.parametrize("f, a, true", [
+        (lambda x: np.exp(-x * x), 0.0, math.sqrt(math.pi) / 2),
+        (lambda x: np.exp(-x * x), 1.5, math.sqrt(math.pi) / 2 * math.erfc(1.5)),
+        (lambda x: np.exp(-x), 0.0, 1.0),
+        (lambda x: x * np.exp(-2.0 * x), 0.0, 0.25),
+        (lambda x: np.exp(-x) * np.sin(3.0 * x), 0.0, 0.3),
+    ])
+    def test_semiinfinite(self, f, a, true):
+        res = integrate_semiinfinite(lambda x: f(x) + 0j, a)
+        assert res.converged and abs(res.value - true) <= res.err_estimate
+
+    @pytest.mark.parametrize("g, a, true", [
+        # int_a^inf g(b) (b - a)^{-1/2} db
+        (lambda b: np.exp(-b), 1.0, math.sqrt(math.pi) / math.e),
+        (lambda b: np.exp(-2.0 * b) * np.cos(3.0 * b), 0.0,
+         (math.sqrt(math.pi) / np.sqrt(2.0 - 3.0j)).real),
+        (lambda b: np.exp(-b * b), 0.0, math.gamma(0.25) / 2.0),
+    ])
+    def test_sqrt_endpoint(self, g, a, true):
+        res = integrate_sqrt_endpoint(lambda b: g(b) + 0j, a)
+        assert res.converged and abs(res.value - true) <= res.err_estimate
+
+    def test_trapezoid_rows(self):
+        # int_0^inf of a Gaussian, a Gaussian-damped cosine and sech x (an
+        # exponential tail), one trapezoid array; noise is the integrands'
+        # relative round-off, one ulp
+        rows = _even_rows(lambda x: np.exp(-x * x), lambda x: np.exp(-x * x) * np.cos(5.0 * x),
+                          lambda x: 1.0 / np.cosh(x))
+        true = [math.sqrt(math.pi) / 2, math.sqrt(math.pi) / 2 * math.exp(-6.25), math.pi / 2]
+        res = trapezoid_even(rows, 40.0, [1e-14] * 3, 1e-10, np.finfo(float).eps)
+        assert res.converged and res.n_evals < 3 * 1000
+        assert np.all(np.abs(res.value - true) <= res.err_estimate)
+
+    def test_trapezoid_unresolved_row(self):
+        # a row too narrow for the node budget leaves the result unconverged
+        # while the other row keeps its own value
+        rows = _even_rows(lambda x: np.exp(-x * x), lambda x: np.exp(-1e6 * x * x))
+        res = trapezoid_even(rows, 6.0, [1e-14, 1e-14], 1e-12, np.finfo(float).eps)
+        assert not res.converged
+        assert abs(res.value[0] - math.sqrt(math.pi) / 2) <= res.err_estimate[0]
 
 
 class TestProperties:
