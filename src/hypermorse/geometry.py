@@ -1,11 +1,10 @@
-"""Hyperbolic geometry of the half-plane and disc models.
+"""Hyperbolic geometry of the upper half-plane.
 
-Distances in both models, the Cayley transform between them, and the
-unit-modulus magnetic phase factors that twist every kernel.  Complex powers
-use the principal branch throughout; the phase bases provably avoid the
-negative real axis (both numerator and denominator of the half-plane ratio
-carry imaginary part y + y' > 0), so the principal branch is continuous in
-the pair of points.
+The hyperbolic distance and the unit-modulus magnetic phase factor that
+twists every kernel.  Complex powers use the principal branch; the phase
+bases provably avoid the negative real axis (numerator and denominator of
+the ratio both carry imaginary part y + y' > 0), so the principal branch is
+continuous in the pair of points.
 """
 from __future__ import annotations
 
@@ -16,17 +15,11 @@ from typing import Union
 
 __all__ = [
     "HalfPlanePoint",
-    "DiscPoint",
     "MagneticK",
     "as_magnetic",
     "cosh2_half_dist",
     "dist_halfplane",
-    "dist_disc",
-    "cayley",
-    "inverse_cayley",
     "magnetic_phase_halfplane",
-    "magnetic_phase_disc",
-    "cayley_gauge_phase",
 ]
 
 _TWO_K_TOL = 1e-12
@@ -42,21 +35,6 @@ class HalfPlanePoint:
     def __post_init__(self):
         if not self.y > 0:
             raise ValueError(f"half-plane point needs y > 0, got y={self.y}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-
-@dataclass(frozen=True)
-class DiscPoint:
-    """Point w of the hyperbolic unit disc (|w| < 1)."""
-
-    w: complex
-
-    def __post_init__(self):
-        if not abs(self.w) < 1:
-            raise ValueError(f"disc point needs |w| < 1, got |w|={abs(self.w)}")
 
 
 @dataclass(frozen=True)
@@ -101,32 +79,9 @@ def cosh2_half_dist(z: HalfPlanePoint, zp: HalfPlanePoint) -> float:
     return ((z.x - zp.x) ** 2 + (z.y + zp.y) ** 2) / (4.0 * z.y * zp.y)
 
 
-def _acosh_of_sqrt(c2: float) -> float:
-    # round-off can push cosh^2 slightly below 1 for coincident points
-    return 2.0 * math.acosh(math.sqrt(max(c2, 1.0)))
-
-
 def dist_halfplane(z: HalfPlanePoint, zp: HalfPlanePoint) -> float:
-    return _acosh_of_sqrt(cosh2_half_dist(z, zp))
-
-
-def dist_disc(w: DiscPoint, wp: DiscPoint) -> float:
-    """cosh^2(d/2) = |1 - w conj(w')|^2 / ((1 - |w|^2)(1 - |w'|^2))."""
-    c2 = abs(1.0 - w.w * wp.w.conjugate()) ** 2 / \
-        ((1.0 - abs(w.w) ** 2) * (1.0 - abs(wp.w) ** 2))
-    return _acosh_of_sqrt(c2)
-
-
-def cayley(z: HalfPlanePoint) -> DiscPoint:
-    """w = (z - i) / (z + i)."""
-    zc = z.z
-    return DiscPoint((zc - 1j) / (zc + 1j))
-
-
-def inverse_cayley(w: DiscPoint) -> HalfPlanePoint:
-    """z = -i (w + 1) / (w - 1)."""
-    zc = -1j * (w.w + 1.0) / (w.w - 1.0)
-    return HalfPlanePoint(zc.real, zc.imag)
+    # round-off can push cosh^2 slightly below 1 for coincident points
+    return 2.0 * math.acosh(math.sqrt(max(cosh2_half_dist(z, zp), 1.0)))
 
 
 def magnetic_phase_halfplane(k: Union[float, MagneticK], z: HalfPlanePoint,
@@ -136,18 +91,3 @@ def magnetic_phase_halfplane(k: Union[float, MagneticK], z: HalfPlanePoint,
     num = complex(zp.x - z.x, z.y + zp.y)
     den = complex(z.x - zp.x, z.y + zp.y)
     return cmath.exp(kk * (cmath.log(num) - cmath.log(den)))
-
-
-def magnetic_phase_disc(k: Union[float, MagneticK], w: DiscPoint, wp: DiscPoint) -> complex:
-    """((1 - w conj w') / (1 - conj(w) w'))^k, principal branch, unit modulus."""
-    kk = as_magnetic(k).k
-    num = 1.0 - w.w * wp.w.conjugate()
-    den = 1.0 - w.w.conjugate() * wp.w
-    return cmath.exp(kk * (cmath.log(num) - cmath.log(den)))
-
-
-def cayley_gauge_phase(k: Union[float, MagneticK], z: HalfPlanePoint) -> complex:
-    """((i - conj z) / (z + i))^k, the gauge factor the Cayley transport uses."""
-    kk = as_magnetic(k).k
-    zc = z.z
-    return cmath.exp(kk * (cmath.log(1j - zc.conjugate()) - cmath.log(zc + 1j)))

@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -227,16 +227,14 @@ _RESOLVENT_PAIRS = (
 )
 
 
-def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None,
-                               mus: Sequence[complex] = (-0.8j, -1.5j, -2.5j),
-                               ks: Sequence[float] = (0.0, 0.3, 0.5, 1.0),
-                               mapping_id: str = "C") -> IdentityReport:
+def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None) -> IdentityReport:
     """Closed resolvent vs transmutation integral at the calibrated mapping."""
+    mus, ks = (-0.8j, -1.5j, -2.5j), (0.0, 0.3, 0.5, 1.0)
     worst = _Worst()
     for mu, k, (p1, p2) in itertools.product(mus, ks, _RESOLVENT_PAIRS):
         z, zp = HalfPlanePoint(*p1), HalfPlanePoint(*p2)
-        sp = SpectralParam(mu, mapping_id)
-        worst.run({"mu": str(mu), "k": k, "z": p1, "zp": p2, "mapping": mapping_id},
+        sp = SpectralParam(mu)
+        worst.run({"mu": str(mu), "k": k, "z": p1, "zp": p2, "mapping": sp.mapping_id},
                   lambda: _relerr(hyp_resolvent_closed(sp, k, z, zp),
                                   hyp_resolvent_integral(sp, k, z, zp).value))
     return _report("hyperbolic_resolvent",

@@ -1,7 +1,7 @@
 """Kernels of the magnetic Schrodinger operator on the hyperbolic half-plane.
 
 The wave-transmutation kernel, the closed and integral forms of the
-resolvent, the disc-model resolvent, and the heat kernel.
+resolvent, and the heat kernel.
 
 Every production path evaluates the wave kernel's radial profile
 F(|k|, -|k|; 1/2; 1 - C^2), C = cosh(b/2)/cosh(rho/2), through its closed
@@ -39,14 +39,11 @@ from .errors import (
     require_finite,
 )
 from .geometry import (
-    DiscPoint,
     HalfPlanePoint,
     MagneticK,
     as_magnetic,
     cosh2_half_dist,
-    dist_disc,
     dist_halfplane,
-    magnetic_phase_disc,
     magnetic_phase_halfplane,
 )
 
@@ -58,7 +55,6 @@ __all__ = [
     "wave_kernel",
     "wave_kernel_radial",
     "resolvent_closed",
-    "resolvent_disc_closed",
     "resolvent_integral",
     "heat_kernel",
 ]
@@ -125,8 +121,7 @@ def _wave_profile(ak: float, C):
     return np.cosh(2.0 * ak * np.arccosh(np.maximum(C, 1.0)))
 
 
-def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "auto",
-                       cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES):
+def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "auto"):
     """Radial part of the wave kernel: the full kernel without its
     magnetic phase.  Vectorized over b (all entries must satisfy b > rho).
 
@@ -161,20 +156,19 @@ def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "a
             coeff *= (-ak + n) * (0.5 - ak + n) / ((0.5 + n) * (n + 1))
         vals = math.cosh(rho / 2.0) ** (-2 * ak) * acc / (2.0 * math.pi * np.sqrt(S))
     elif form == "baseline":
-        vals = inv_sqrt_s * specfun.gauss_2f1(ak, -ak, 0.5, 1.0 - C * C, cfg).real
+        vals = inv_sqrt_s * specfun.gauss_2f1(ak, -ak, 0.5, 1.0 - C * C).real
     elif form == "i":
-        vals = inv_sqrt_s * specfun.gauss_2f1(2 * ak, -2 * ak, 0.5, (1.0 - C) / 2.0, cfg).real
+        vals = inv_sqrt_s * specfun.gauss_2f1(2 * ak, -2 * ak, 0.5, (1.0 - C) / 2.0).real
     elif form == "ii":
         vals = inv_sqrt_s * C ** (2 * ak) \
-            * specfun.gauss_2f1(-ak, 0.5 - ak, 0.5, 1.0 - 1.0 / (C * C), cfg).real
+            * specfun.gauss_2f1(-ak, 0.5 - ak, 0.5, 1.0 - 1.0 / (C * C)).real
     else:
         raise ValueError(f"unknown wave-kernel form {form!r}")
     return complex(vals[0]) if scalar else vals.astype(complex)
 
 
 def wave_kernel(form: str, k: Union[float, MagneticK], b: float,
-                z: HalfPlanePoint, zp: HalfPlanePoint,
-                cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES) -> complex:
+                z: HalfPlanePoint, zp: HalfPlanePoint) -> complex:
     """Wave-transmutation kernel at time-like variable b, support b > rho.
 
     Returns a hard zero for b < rho; exactly at b = rho the kernel carries
@@ -186,7 +180,7 @@ def wave_kernel(form: str, k: Union[float, MagneticK], b: float,
     if b == rho:
         raise OutsideSupport(f"wave kernel singular at b = rho = {rho}")
     phase = magnetic_phase_halfplane(k, z, zp)
-    return phase * wave_kernel_radial(k, b, rho, form=form, cfg=cfg)
+    return phase * wave_kernel_radial(k, b, rho, form=form)
 
 
 def _gamma_prefactor(s: complex, k: Union[float, MagneticK]) -> complex:
@@ -203,21 +197,15 @@ def _gamma_prefactor(s: complex, k: Union[float, MagneticK]) -> complex:
     return cmath.exp(lg) / (4.0 * math.pi)
 
 
-def _resolvent_profile(s: complex, ak: float, c2, cfg: specfun.SeriesConfig):
+def _resolvent_profile(s: complex, ak: float, c2):
     """c2^(-s) F(s-|k|, s+|k|; 2s; 1/c2): the radial resolvent without its
     gamma prefactor.  c2 = cosh^2(rho/2) may be complex or an ndarray; the
     principal branches continue it analytically off c2 in (-inf, 1]."""
-    return c2 ** (-s) * specfun.gauss_2f1(s - ak, s + ak, 2 * s, 1.0 / c2, cfg)
-
-
-def _resolvent_radial(s: complex, k: Union[float, MagneticK], c2: float,
-                      cfg: specfun.SeriesConfig) -> complex:
-    return _gamma_prefactor(s, k) * _resolvent_profile(s, as_magnetic(k).abs_k, c2, cfg)
+    return c2 ** (-s) * specfun.gauss_2f1(s - ak, s + ak, 2 * s, 1.0 / c2)
 
 
 def resolvent_closed(sp: SpectralParam, k: Union[float, MagneticK],
-                     z: HalfPlanePoint, zp: HalfPlanePoint,
-                     cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES) -> complex:
+                     z: HalfPlanePoint, zp: HalfPlanePoint) -> complex:
     """Closed-form resolvent kernel on the half-plane.
 
     Gamma(s-k)Gamma(s+k)/(4 pi Gamma(2s)) * phase^k * cosh^(-2s)(rho/2)
@@ -227,25 +215,7 @@ def resolvent_closed(sp: SpectralParam, k: Union[float, MagneticK],
     if c2 - 1.0 < _DIAG_TOL:
         raise DiagonalSingularity("resolvent kernel diverges on the diagonal z = z'")
     phase = magnetic_phase_halfplane(k, z, zp)
-    return phase * _resolvent_radial(sp.s, k, c2, cfg)
-
-
-def resolvent_disc_closed(sp: SpectralParam, k: Union[float, MagneticK],
-                          w: DiscPoint, wp: DiscPoint,
-                          cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES) -> complex:
-    """Disc-model resolvent, disc phase oriented as (1 - w conj w')^k over
-    (1 - conj(w) w')^k.
-
-    The Cayley transport back to the half-plane kernel needs, besides the two
-    gauge factors, the square of the half-plane phase: this disc phase
-    winds opposite to the half-plane one (see the harness transport check).
-    """
-    d = dist_disc(w, wp)
-    c2 = math.cosh(d / 2.0) ** 2
-    if c2 - 1.0 < _DIAG_TOL:
-        raise DiagonalSingularity("resolvent kernel diverges on the diagonal w = w'")
-    phase = magnetic_phase_disc(k, w, wp)
-    return phase * _resolvent_radial(sp.s, k, c2, cfg)
+    return phase * (_gamma_prefactor(sp.s, k) * _resolvent_profile(sp.s, as_magnetic(k).abs_k, c2))
 
 
 def _check_decay(mu: complex, k: Union[float, MagneticK]):

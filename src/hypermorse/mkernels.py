@@ -152,8 +152,7 @@ def _sinh_weighted_derivative(f, b: float, order: int, edge: float) -> complex:
     return g(b)
 
 
-def wave_kernel_phi1(cfg: MorseConfig, b: float,
-                     series_cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES) -> complex:
+def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     """Wave kernel through the two-variable confluent series.
 
     C_k (4 y y')^{-|k|} (d/(sinh(b/2) db))^{2|k|} [ (2Z)^{4|k|}/(Z+Y)^{2|k|}
@@ -181,7 +180,7 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float,
         zeta = 2.0 * z / (z + yv)
         try:
             ph1 = specfun.humbert_phi1(2 * ak + 0.5, 2 * ak, 4 * ak + 1.0,
-                                       2j * lam_eff * z, zeta, series_cfg)
+                                       2j * lam_eff * z, zeta)
         except OutsideConvergenceRegion as exc:
             raise Phi1OutsideDisc(
                 f"second argument |zeta|={abs(zeta):.4f} outside the unit disc at b={bb}") from exc
@@ -195,9 +194,7 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float,
     return c_k * (4.0 * y * yp) ** (-ak) * deriv
 
 
-def wave_kernel_phi1_alt(cfg: MorseConfig, b: float,
-                      series_cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES,
-                      normalization: str = "raw") -> complex:
+def wave_kernel_phi1_alt(cfg: MorseConfig, b: float, normalization: str = "raw") -> complex:
     """The alternative wave-kernel construction, kept as a comparison path.
 
     In raw form it evaluates
@@ -227,7 +224,7 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float,
         z5 = 2.0 * root / (root + 1j * mk.sign * ch)
         try:
             ph1 = specfun.humbert_phi1(2 * ak + 0.5, 2 * ak, 4 * ak + 1.0,
-                                       -2j * cfg.lam * y5, z5, series_cfg)
+                                       -2j * cfg.lam * y5, z5)
         except OutsideConvergenceRegion as exc:
             raise Phi1OutsideDisc(
                 f"second argument |Z5|={abs(z5):.4f} outside the unit disc at b={bb}") from exc
@@ -296,9 +293,7 @@ def _whittaker_order(mu: complex, index_convention: str) -> complex:
     raise ValueError(f"unknown index convention {index_convention!r}")
 
 
-def resolvent_closed(cfg: MorseConfig, mu: complex,
-                     index_convention: str = "order_imu",
-                     series_cfg: specfun.SeriesConfig = specfun.DEFAULT_SERIES) -> complex:
+def resolvent_closed(cfg: MorseConfig, mu: complex, index_convention: str = "order_imu") -> complex:
     """Whittaker-product closed form of the Morse resolvent.
 
     Gamma(nu-k+1/2)/(lam Gamma(1+2nu)) e^{-(X+X')/2}
@@ -317,8 +312,8 @@ def resolvent_closed(cfg: MorseConfig, mu: complex,
     x_lo, x_hi = min(cfg.X, cfg.Xp), max(cfg.X, cfg.Xp)
     pref = cmath.exp(specfun.log_gamma(pole_arg) - specfun.log_gamma(1.0 + 2.0 * nu)) / cfg.lam
     return pref * math.exp(-(cfg.X + cfg.Xp) / 2.0) \
-        * specfun.whittaker("W", k, nu, 2.0 * cfg.lam * math.exp(x_hi), series_cfg) \
-        * specfun.whittaker("M", k, nu, 2.0 * cfg.lam * math.exp(x_lo), series_cfg)
+        * specfun.whittaker("W", k, nu, 2.0 * cfg.lam * math.exp(x_hi)) \
+        * specfun.whittaker("M", k, nu, 2.0 * cfg.lam * math.exp(x_lo))
 
 
 def resolvent_integral(cfg: MorseConfig, mu: complex,
@@ -360,8 +355,7 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
 
     def profile(u: np.ndarray) -> np.ndarray:
         # G_hyp without its prefactor and phase, at real or complex u (one 2F1 call)
-        return _hyp_resolvent_profile(s, ak, (u * u + v * v) / (4.0 * y * yp),
-                                      specfun.DEFAULT_SERIES)
+        return _hyp_resolvent_profile(s, ak, (u * u + v * v) / (4.0 * y * yp))
 
     def head(u: np.ndarray) -> np.ndarray:
         # G_hyp at +-u shares its profile; the phases at +-u are reciprocal

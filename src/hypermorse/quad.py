@@ -75,30 +75,25 @@ _WG = np.array([
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budgets for the adaptive integrators.
-
-    tail_truncation_factor scales the stopping test of semi-infinite sweeps:
-    the sweep stops once consecutive panel contributions fall below a quarter
-    of tail_truncation_factor * max(abs_tol, rel_tol * |running value|), and
+    """Tolerances of the adaptive integrators: each meets
+    max(abs_tol, rel_tol * |value|).  A semi-infinite sweep stops once two
+    consecutive panel contributions fall below a quarter of that bound, and
     the last panel magnitude is folded into the error estimate as the
     truncated-tail allowance.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_subdivisions: int = 4000
-    tail_truncation_factor: float = 1.0
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.tail_truncation_factor <= 0:
-            raise ValueError("tail_truncation_factor must be positive")
 
 
 DEFAULT_CONFIG = QuadConfig()
+
+# integrate_finite: bisections before it returns converged=False
+_MAX_SUBDIVISIONS = 4000
 
 # geometric sweep parameters for semi-infinite integrals
 _PANEL_WIDTH0 = 1.0
@@ -107,7 +102,8 @@ _MAX_PANELS = 90
 _QUIET_PANELS = 2
 _GROWTH_PANELS = 4
 # an error sum this far below the largest panel error it absorbed is rounding
-_RESUM_ULPS = 16.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_RESUM_ULPS = 16.0 * _EPS
 # trapezoid_even: first step and node budget per row
 _TRAP_H0 = 0.5
 _TRAP_MAX_NODES = 1000
@@ -151,7 +147,7 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) ->
 
     The panel with the largest error estimate is bisected until the summed
     error estimate meets max(abs_tol, rel_tol * |value|).  Hitting
-    max_subdivisions returns the best estimate with converged=False instead
+    _MAX_SUBDIVISIONS returns the best estimate with converged=False instead
     of raising.  A running error sum down at a few ulps of the largest panel
     error it absorbed is re-summed exactly, so a tiny abs_tol can be met.
     """
@@ -165,7 +161,7 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) ->
     total_err = err_peak = err
     splits = 0
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-        if splits >= cfg.max_subdivisions or not heap:
+        if splits >= _MAX_SUBDIVISIONS or not heap:
             return QuadratureResult(total_val, total_err, n, False)
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -223,7 +219,7 @@ def integrate_semiinfinite(f, a: float, cfg: QuadConfig = DEFAULT_CONFIG) -> Qua
         bound = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         # quiet threshold sits well inside the bound so that the omitted-tail
         # allowance keeps the converged/err invariant of QuadratureResult
-        if mag < 0.25 * cfg.tail_truncation_factor * bound:
+        if mag < 0.25 * bound:
             quiet += 1
             if quiet >= _QUIET_PANELS:
                 err += mag  # allowance for the truncated tail
@@ -283,10 +279,11 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
     len(x)); abs_tol, one per row or a scalar for one row, sets the rows.  h
     halves from _TRAP_H0, reusing nodes and summing each level exactly; a row
     stops once err = |T(h) - T(h/2)| meets max(abs_tol, rel_tol |T|), or the
-    floor noise h sum|f| (noise: f's relative round-off; err never below it,
-    converged False).  Rows open past _TRAP_MAX_NODES nodes make converged
-    False.  value and err_estimate hold one entry per row; n_evals counts
-    every row's nodes.
+    floor max(noise h sum|f|, eps |T|) (noise: f's relative round-off; err
+    never below the floor; a floor above the tolerance makes converged
+    False).  Rows open past _TRAP_MAX_NODES nodes make converged False.
+    value and err_estimate hold one entry per row; n_evals counts every
+    row's nodes.
     """
     tol = np.atleast_1d(np.asarray(abs_tol, dtype=float))
     rows = np.arange(tol.size)  # the open rows; total, mag, prev and tol hold only those
@@ -299,7 +296,7 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
         total = total + [math.fsum(row) for row in vals.tolist()]
         mag = mag + [math.fsum(row) for row in np.abs(vals).tolist()] if noise else mag
         n, n_nodes, v = n + vals.size, n_nodes + len(nodes), h * total
-        floor = noise * h * mag
+        floor = np.maximum(noise * h * mag, _EPS * np.abs(v))
         value[rows], err[rows] = v, np.maximum(np.abs(v - prev), floor)
         bound = np.maximum(tol, rel_tol * np.abs(v))
         more = err[rows] > np.maximum(bound, floor)
@@ -325,7 +322,7 @@ _DEFAULT_STEP = {1: 1e-3, 2: 2e-3, 3: 8e-3, 4: 2e-2}
 
 
 def nth_derivative(f: Callable[[float], complex], x: float, n: int,
-                   cfg: QuadConfig = DEFAULT_CONFIG, h: Optional[float] = None) -> complex:
+                   h: Optional[float] = None) -> complex:
     """n-th derivative of f at x (n <= 4) by Richardson-extrapolated central
     differences over the step sequence h, h/2, h/4."""
     if n not in _STENCILS:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -34,7 +33,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SeriesConfig",
     "log_gamma",
     "gamma",
     "pochhammer",
@@ -50,19 +48,11 @@ BESSEL_X_MAX = 30.0
 KUMMER_Z_MAX = 40.0
 _INT_TOL = 1e-12
 _EULER_GAMMA = 0.57721566490153286061
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    max_terms: int = 5000
-    term_tol: float = 1e-16
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_SERIES = SeriesConfig()
+# every series: at most _MAX_TERMS terms, stopping on three consecutive terms
+# below _TERM_TOL * max(1, |sum|), a Bessel series' leading term standing in
+# for the 1; read at call time
+_MAX_TERMS = 5000
+_TERM_TOL = 1e-16
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -153,27 +143,28 @@ def _terminating_index(a: complex, b: complex = None) -> Union[int, None]:
     return best
 
 
-def _hyp_series(ratio, n_terms_cap: int, cfg: SeriesConfig, terminating: Union[int, None]):
-    """Sum 1 + sum t_n with t_{n+1} = t_n * ratio(n); 3 quiet terms to stop.
-    Returns the sum and the number of terms t_n it holds."""
-    total, term, quiet = 1.0 + 0.0j, 1.0 + 0.0j, 0
-    for n in range(n_terms_cap):
+def _hyp_series(ratio, terminating: Union[int, None], head=1.0 + 0.0j):
+    """Sum head + sum t_n with t_{n+1} = t_n * ratio(n), t_0 = head; stops on 3
+    terms below _TERM_TOL * max(|head|, |sum|).  Returns the sum and the
+    number of terms t_n it holds."""
+    total, term, quiet, scale, tol = head, head, 0, abs(head), _TERM_TOL
+    for n in range(_MAX_TERMS):
         term = term * ratio(n)
         total += term
         if terminating is not None and n + 1 >= terminating:
             return total, n + 1
-        if abs(term) < cfg.term_tol * max(1.0, abs(total)):
+        if abs(term) < tol * max(scale, abs(total)):
             quiet += 1
             if quiet >= 3:
                 return total, n + 1
         else:
             quiet = 0
     if terminating is not None:
-        return total, n_terms_cap
-    raise SeriesNonConvergence(f"series did not converge in {n_terms_cap} terms")
+        return total, _MAX_TERMS
+    raise SeriesNonConvergence(f"series did not converge in {_MAX_TERMS} terms")
 
 
-def _table_sums(terms, head: complex, z, n: int, cap: int, exact_end: bool, cfg: SeriesConfig):
+def _table_sums(terms, head: complex, z, n: int, cap: int, exact_end: bool):
     """head + sum_j t_j at each z, from the columns t_0 .. t_{n-1} of terms(n, z), each
     cut where its scalar loop stops (3 quiet terms, or exact_end: the end of a
     terminating series); columns that do not are summed again with 2n terms, to cap."""
@@ -181,7 +172,7 @@ def _table_sums(terms, head: complex, z, n: int, cap: int, exact_end: bool, cfg:
     mag = np.abs(t)
     t[0] += head  # the running sums then round as the scalar loop's do
     totals = t.cumsum(axis=0)
-    quiet = mag < cfg.term_tol * np.maximum(np.abs(totals), 1.0)
+    quiet = mag < _TERM_TOL * np.maximum(np.abs(totals), 1.0)
     run = quiet[2:] & quiet[1:-1] & quiet[:-2]  # run[j]: t_j, t_{j+1}, t_{j+2} quiet
     row = np.where(run.any(axis=0), run.argmax(axis=0) + 2, n - 1) if n > 2 else n - 1
     out = totals[row, np.arange(z.size)]
@@ -189,16 +180,15 @@ def _table_sums(terms, head: complex, z, n: int, cap: int, exact_end: bool, cfg:
     if not stopped.all():
         if n >= cap:
             raise SeriesNonConvergence(f"series did not converge in {cap} terms")
-        out[~stopped] = _table_sums(terms, head, z[~stopped], min(2 * n, cap), cap, exact_end, cfg)
+        out[~stopped] = _table_sums(terms, head, z[~stopped], min(2 * n, cap), cap, exact_end)
     return out
 
 
-def _direct_group(a: complex, b: complex, c: complex, z, term_n, cfg: SeriesConfig):
+def _direct_group(a: complex, b: complex, c: complex, z, term_n):
     """F(a, b; c; z) by the direct series; an array by the loop at its largest |z|."""
     scalar = isinstance(z, complex)
     zh = z if scalar else complex(z[np.argmax(np.abs(z))])
-    total, n = _hyp_series(lambda j: (a + j) * (b + j) / ((c + j) * (j + 1)) * zh,
-                           cfg.max_terms, cfg, term_n)
+    total, n = _hyp_series(lambda j: (a + j) * (b + j) / ((c + j) * (j + 1)) * zh, term_n)
     if scalar or z.size == 1:
         return total if scalar else np.array([total])
 
@@ -206,8 +196,8 @@ def _direct_group(a: complex, b: complex, c: complex, z, term_n, cfg: SeriesConf
         j = np.arange(n_rows)
         return np.cumprod(((a + j) * (b + j) / ((c + j) * (j + 1)))[:, None] * zs, axis=0)
 
-    cap = cfg.max_terms if term_n is None else min(cfg.max_terms, max(term_n, 1))
-    return _table_sums(terms, 1.0, z, n, cap, term_n is not None, cfg)
+    cap = _MAX_TERMS if term_n is None else min(_MAX_TERMS, max(term_n, 1))
+    return _table_sums(terms, 1.0, z, n, cap, term_n is not None)
 
 
 def _digamma(x: complex) -> complex:
@@ -222,7 +212,7 @@ def _digamma(x: complex) -> complex:
         1 / 240 - q * (1 / 132 - q * (691 / 32760 - q / 12))))))
 
 
-def _log_group(a: complex, b: complex, c: complex, z, term_n: None, cfg: SeriesConfig):
+def _log_group(a: complex, b: complex, c: complex, z, term_n: None):
     """F(a, b; c = a + b; z) by DLMF 15.8.10, m = 0: Gamma(c)/(Gamma(a) Gamma(b)) sum_n
     (a)_n (b)_n/(n!)^2 [d_n - log(1-z)] (1-z)^n, d_n = 2 psi(n+1) - psi(a+n) - psi(b+n) by
     psi(x + 1) = psi(x) + 1/x; looped at z or at an array's largest |1 - z|."""
@@ -230,10 +220,10 @@ def _log_group(a: complex, b: complex, c: complex, z, term_n: None, cfg: SeriesC
     w = 1.0 - (z if scalar else complex(z[np.argmax(np.abs(1.0 - z))]))
     d = d0 = -2.0 * _EULER_GAMMA - _digamma(a) - _digamma(b)
     log_w, coeff, total, quiet = cmath.log(w), 1.0 + 0.0j, 0.0j, 0
-    for n in range(cfg.max_terms):
+    for n in range(_MAX_TERMS):
         term = coeff * (d - log_w)
         total += term
-        if abs(term) < cfg.term_tol * max(1.0, abs(total)):
+        if abs(term) < _TERM_TOL * max(1.0, abs(total)):
             quiet += 1
             if quiet >= 3:
                 break
@@ -254,12 +244,12 @@ def _log_group(a: complex, b: complex, c: complex, z, term_n: None, cfg: SeriesC
         d = np.concatenate([[d0], 2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j)]).cumsum()
         return coeff.cumprod(axis=0) * (d[:, None] - np.log(w))
 
-    return scale * _table_sums(terms, 0.0, z, n + 1, cfg.max_terms, False, cfg)
+    return scale * _table_sums(terms, 0.0, z, n + 1, _MAX_TERMS, False)
 
 
-def _pfaff_group(a: complex, b: complex, c: complex, z, term_n: None, cfg: SeriesConfig):
+def _pfaff_group(a: complex, b: complex, c: complex, z, term_n: None):
     """F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; z / (z - 1)), scalar or array."""
-    return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, z / (z - 1.0), cfg)
+    return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, z / (z - 1.0))
 
 
 def _region(z: complex, a: complex, b: complex, c: complex, term_n: Union[int, None]):
@@ -282,8 +272,7 @@ def _region(z: complex, a: complex, b: complex, c: complex, term_n: Union[int, N
     raise SeriesNonConvergence(f"2F1 argument z={z} outside the reliable region")
 
 
-def gauss_2f1(a: complex, b: complex, c: complex, z,
-              cfg: SeriesConfig = DEFAULT_SERIES):
+def gauss_2f1(a: complex, b: complex, c: complex, z):
     """Gauss hypergeometric F(a, b; c; z) at a scalar z (returns a complex) or
     at each entry of an ndarray z (returns a complex ndarray of its shape).
 
@@ -308,18 +297,17 @@ def gauss_2f1(a: complex, b: complex, c: complex, z,
     if not (isinstance(z, np.ndarray) and z.ndim):
         z = complex(z)
         group = _region(z, a, b, c, term_n)
-        return 1.0 + 0.0j if group is None else group(a, b, c, z, term_n, cfg)
+        return 1.0 + 0.0j if group is None else group(a, b, c, z, term_n)
     zs = z.astype(complex).ravel()
     groups = [_region(x, a, b, c, term_n) for x in zs.tolist()]
     out = np.ones(zs.shape, dtype=complex)
     for group in filter(None, dict.fromkeys(groups)):  # None: z = 0, F = 1
         sel = np.array([g is group for g in groups])
-        out[sel] = group(a, b, c, zs[sel], term_n, cfg)
+        out[sel] = group(a, b, c, zs[sel], term_n)
     return out.reshape(z.shape)
 
 
-def kummer_1f1(a: complex, c: complex, x: complex,
-               cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def kummer_1f1(a: complex, c: complex, x: complex) -> complex:
     """Confluent hypergeometric 1F1(a; c; x) by direct series, |x| <= 40."""
     a, c, x = complex(a), complex(c), complex(x)
     term_n = _terminating_index(a)
@@ -336,11 +324,10 @@ def kummer_1f1(a: complex, c: complex, x: complex,
     def ratio(n):
         return (a + n) / ((c + n) * (n + 1)) * x
 
-    return _hyp_series(ratio, cfg.max_terms, cfg, term_n)[0]
+    return _hyp_series(ratio, term_n)[0]
 
 
-def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex,
-                 cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex) -> complex:
     """Two-variable confluent series
     Phi1(a,b,c,x,y) = sum_{m,n} (a)_{m+n} (b)_n / ((c)_{m+n} m! n!) x^m y^n.
 
@@ -362,12 +349,12 @@ def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex,
     total = 0.0 + 0.0j
     coeff = 1.0 + 0.0j
     quiet = 0
-    for n in range(cfg.max_terms):
-        term = coeff * kummer_1f1(a + n, c + n, x, cfg)
+    for n in range(_MAX_TERMS):
+        term = coeff * kummer_1f1(a + n, c + n, x)
         total += term
         if n_max is not None and n >= n_max:
             return total
-        if abs(term) < cfg.term_tol * max(1.0, abs(total)):
+        if abs(term) < _TERM_TOL * max(1.0, abs(total)):
             quiet += 1
             if quiet >= 3:
                 return total
@@ -421,31 +408,23 @@ def _sin_pi(x: float) -> float:
     return -s if (m % 2) else s
 
 
-def _bessel_i_series(nu: float, x: float, cfg: SeriesConfig, signed: bool = False) -> float:
+def _bessel_i_series(nu: float, x: float, signed: bool = False) -> float:
     """Ascending series for J (signed=True) or I (signed=False), order nu.
 
     Handles negative non-integer nu through the reciprocal-gamma factor in
     the leading term; the series itself never crosses a pole for non-integer
-    nu.
+    nu.  Summed from that leading term, so every term carries its scale.
     """
     lead = (x / 2.0) ** nu * _recip_gamma_real(nu + 1.0)
     q = -(x * x / 4.0) if signed else (x * x / 4.0)
-    total = lead
-    term = lead
-    for m in range(1, cfg.max_terms):
-        term *= q / (m * (m + nu))
-        total += term
-        if abs(term) < cfg.term_tol * max(abs(total), abs(lead)):
-            return total
-    raise SeriesNonConvergence("Bessel series did not converge")
+    return _hyp_series(lambda n: q / ((n + 1) * (n + 1 + nu)), None, lead)[0]
 
 
-def _bessel_k_noninteger(nu: float, x: float, cfg: SeriesConfig) -> float:
-    return (math.pi / 2.0) * (_bessel_i_series(-nu, x, cfg) - _bessel_i_series(nu, x, cfg)) \
-        / _sin_pi(nu)
+def _bessel_k_noninteger(nu: float, x: float) -> float:
+    return (math.pi / 2.0) * (_bessel_i_series(-nu, x) - _bessel_i_series(nu, x)) / _sin_pi(nu)
 
 
-def bessel(kind: str, nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+def bessel(kind: str, nu: float, x: float) -> float:
     """Bessel functions J_nu, I_nu, K_nu for x in (0, 30], nu >= 0.
 
     J and I use the ascending series; full precision holds for x up to ~8,
@@ -465,29 +444,27 @@ def bessel(kind: str, nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -
     if nu < 0:
         raise ValueError("bessel requires nu >= 0 (reflection handled internally)")
     if kind == "J":
-        return _bessel_i_series(nu, x, cfg, signed=True)
+        return _bessel_i_series(nu, x, signed=True)
     if kind == "I":
-        return _bessel_i_series(nu, x, cfg, signed=False)
+        return _bessel_i_series(nu, x)
     if kind != "K":
         raise ValueError("kind must be one of 'J', 'I', 'K'")
     n_int = _as_int_if_close(nu)
     if n_int is None:
-        return _bessel_k_noninteger(nu, x, cfg)
+        return _bessel_k_noninteger(nu, x)
     eps = 2.0 ** -20  # binary-exact, so n +- eps and the series pole gaps are exact
     if n_int == 0:
         # K is even in its order, so K_eps itself has only eps^2 error terms
-        a1 = _bessel_k_noninteger(eps, x, cfg)
-        a2 = _bessel_k_noninteger(eps / 2.0, x, cfg)
+        a1 = _bessel_k_noninteger(eps, x)
+        a2 = _bessel_k_noninteger(eps / 2.0, x)
     else:
-        a1 = 0.5 * (_bessel_k_noninteger(n_int - eps, x, cfg)
-                    + _bessel_k_noninteger(n_int + eps, x, cfg))
-        a2 = 0.5 * (_bessel_k_noninteger(n_int - eps / 2.0, x, cfg)
-                    + _bessel_k_noninteger(n_int + eps / 2.0, x, cfg))
+        a1 = 0.5 * (_bessel_k_noninteger(n_int - eps, x) + _bessel_k_noninteger(n_int + eps, x))
+        a2 = 0.5 * (_bessel_k_noninteger(n_int - eps / 2.0, x)
+                    + _bessel_k_noninteger(n_int + eps / 2.0, x))
     return (4.0 * a2 - a1) / 3.0
 
 
-def whittaker(kind: str, k: float, mu: complex, z: float,
-              cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def whittaker(kind: str, k: float, mu: complex, z: float) -> complex:
     """Whittaker functions M_{k,mu}(z) and W_{k,mu}(z) for real z > 0.
 
     M_{k,mu}(z) = z^(mu+1/2) e^(-z/2) 1F1(mu - k + 1/2, 1 + 2 mu, z).
@@ -501,15 +478,14 @@ def whittaker(kind: str, k: float, mu: complex, z: float,
         if _nonpositive_int(1.0 + 2.0 * mu):
             raise ParameterPole(f"Whittaker M parameter 1+2mu={1 + 2 * mu} non-positive integer")
         pref = cmath.exp((mu + 0.5) * math.log(z) - z / 2.0)
-        return pref * kummer_1f1(mu - k + 0.5, 1.0 + 2.0 * mu, z, cfg)
+        return pref * kummer_1f1(mu - k + 0.5, 1.0 + 2.0 * mu, z)
     if kind != "W":
         raise ValueError("kind must be 'M' or 'W'")
-    w1, w2 = _whittaker_w_terms(k, mu, z, cfg)
+    w1, w2 = _whittaker_w_terms(k, mu, z)
     return w1 + w2
 
 
-def _whittaker_w_terms(k: float, mu: complex, z: float,
-                      cfg: SeriesConfig = DEFAULT_SERIES) -> tuple:
+def _whittaker_w_terms(k: float, mu: complex, z: float) -> tuple:
     """The two gamma-weighted M_{k,+-mu}(z) terms of W_{k,mu}(z); at large z
     they cancel, amplifying round-off by (|w1| + |w2|) / |w1 + w2|."""
     two_mu = 2.0 * complex(mu)
@@ -517,4 +493,4 @@ def _whittaker_w_terms(k: float, mu: complex, z: float,
         raise IntegerTwoMuUnsupported(f"Whittaker W with 2mu={two_mu} an integer is unsupported")
     c1 = cmath.exp(log_gamma(-two_mu) - log_gamma(0.5 - mu - k))
     c2 = cmath.exp(log_gamma(two_mu) - log_gamma(0.5 + mu - k))
-    return c1 * whittaker("M", k, mu, z, cfg), c2 * whittaker("M", k, -mu, z, cfg)
+    return c1 * whittaker("M", k, mu, z), c2 * whittaker("M", k, -mu, z)

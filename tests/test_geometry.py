@@ -5,16 +5,10 @@ import numpy as np
 import pytest
 
 from hypermorse.geometry import (
-    DiscPoint,
     HalfPlanePoint,
     MagneticK,
-    cayley,
-    cayley_gauge_phase,
     cosh2_half_dist,
-    dist_disc,
     dist_halfplane,
-    inverse_cayley,
-    magnetic_phase_disc,
     magnetic_phase_halfplane,
 )
 
@@ -27,10 +21,6 @@ class TestPoints:
     def test_halfplane_validation(self):
         with pytest.raises(ValueError):
             HalfPlanePoint(0.0, -1.0)
-
-    def test_disc_validation(self):
-        with pytest.raises(ValueError):
-            DiscPoint(1.2 + 0j)
 
     def test_magnetic_k_discreteness(self):
         assert MagneticK(0.5).is_discrete
@@ -46,25 +36,33 @@ class TestDistances:
         assert dist_halfplane(z, z) == 0.0
 
     def test_vertical_pair(self):
-        # z=(0,1), z'=(0,2): cosh^2(rho/2) = 9/8
-        z, zp = HalfPlanePoint(0, 1), HalfPlanePoint(0, 2)
-        assert cosh2_half_dist(z, zp) == pytest.approx(9 / 8)
-        assert dist_halfplane(z, zp) == pytest.approx(2 * math.acosh(3 / (2 * math.sqrt(2))))
+        # z = i against z' = 2i (same vertical) and z' = 1 + i (off it):
+        # cosh^2(rho/2) = ((x - x')^2 + (y + y')^2) / (4 y y') = 9/8 and 5/4
+        z = HalfPlanePoint(0, 1)
+        for zp, c2 in ((HalfPlanePoint(0, 2), 9 / 8), (HalfPlanePoint(1, 1), 5 / 4)):
+            assert cosh2_half_dist(z, zp) == pytest.approx(c2)
+            assert dist_halfplane(z, zp) == pytest.approx(2 * math.acosh(math.sqrt(c2)))
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for z, zp in zip(random_points(rng, 8), random_points(rng, 8)):
             assert dist_halfplane(z, zp) == pytest.approx(dist_halfplane(zp, z), rel=1e-14)
 
-    def test_disc_origin_pair(self):
-        # w=0, w'=0.5: cosh^2(d/2) = 4/3
-        d = dist_disc(DiscPoint(0j), DiscPoint(0.5 + 0j))
-        assert math.cosh(d / 2) ** 2 == pytest.approx(4 / 3, rel=1e-13)
-
     def test_cosh2_at_least_one(self):
         rng = np.random.default_rng(6)
         for z, zp in zip(random_points(rng, 10), random_points(rng, 10)):
             assert cosh2_half_dist(z, zp) >= 1.0 - 1e-14
+
+    def test_mobius_invariance(self):
+        # z -> (a z + b) / (c z + d), ad - bc = 1, is an isometry of the half-plane
+        rng = np.random.default_rng(9)
+        for z, zp in zip(random_points(rng, 10), random_points(rng, 10)):
+            a, b, c = rng.uniform(0.5, 2.0), *rng.uniform(-1.5, 1.5, 2)
+            d = (1.0 + b * c) / a
+            def g(p):
+                w = (a * complex(p.x, p.y) + b) / (c * complex(p.x, p.y) + d)
+                return HalfPlanePoint(w.real, w.imag)
+            assert dist_halfplane(g(z), g(zp)) == pytest.approx(dist_halfplane(z, zp), rel=1e-10)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(7)
@@ -73,44 +71,41 @@ class TestDistances:
             assert dist_halfplane(a, c) <= dist_halfplane(a, b) + dist_halfplane(b, c) + 1e-12
 
 
-class TestCayley:
-    def test_i_maps_to_origin(self):
-        w = cayley(HalfPlanePoint(0, 1))
-        assert abs(w.w) < 1e-15
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        for z in random_points(rng, 10):
-            back = inverse_cayley(cayley(z))
-            assert back.x == pytest.approx(z.x, abs=1e-13)
-            assert back.y == pytest.approx(z.y, abs=1e-13)
-
-    def test_explicit_point(self):
-        # z = 1 + i: w = (1+i-i)/(1+i+i) = 1/(1+2i)
-        w = cayley(HalfPlanePoint(1, 1))
-        assert w.w == pytest.approx(1 / (1 + 2j), abs=1e-15)
-
-    def test_isometry(self):
-        rng = np.random.default_rng(9)
-        for z, zp in zip(random_points(rng, 10), random_points(rng, 10)):
-            d1 = dist_halfplane(z, zp)
-            d2 = dist_disc(cayley(z), cayley(zp))
-            assert d2 == pytest.approx(d1, abs=1e-12)
-
-
 class TestPhases:
     def test_coincident_is_one(self):
         z = HalfPlanePoint(0.3, 0.9)
         assert magnetic_phase_halfplane(1.0, z, z) == pytest.approx(1.0 + 0j)
-        w = DiscPoint(0.2 + 0.1j)
-        assert magnetic_phase_disc(0.5, w, w) == pytest.approx(1.0 + 0j)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(10)
         for z, zp in zip(random_points(rng, 10), random_points(rng, 10)):
             for k in [0.5, 1.0, -1.5, 0.37]:
                 assert abs(abs(magnetic_phase_halfplane(k, z, zp)) - 1) < 1e-13
-                assert abs(abs(magnetic_phase_disc(k, cayley(z), cayley(zp))) - 1) < 1e-13
+
+    def test_explicit_point(self):
+        # z = i, z' = 1 + i: (z' - conj z) / (z - conj z') = (1 + 2i) / (-1 + 2i)
+        # = (3 - 4i) / 5, whose principal square root is (2 - i) / sqrt 5
+        z, zp = HalfPlanePoint(0, 1), HalfPlanePoint(1, 1)
+        assert magnetic_phase_halfplane(1.0, z, zp) == pytest.approx((3 - 4j) / 5, abs=1e-15)
+        assert magnetic_phase_halfplane(0.5, z, zp) == pytest.approx((2 - 1j) / math.sqrt(5),
+                                                                     abs=1e-15)
+
+    def test_swap_conjugates(self):
+        rng = np.random.default_rng(12)
+        for z, zp in zip(random_points(rng, 10), random_points(rng, 10)):
+            for k in [0.5, 1.0, -1.5, 0.37]:
+                p = magnetic_phase_halfplane(k, z, zp)
+                assert magnetic_phase_halfplane(k, zp, z) == pytest.approx(p.conjugate(), abs=1e-13)
+
+    def test_invariant_under_real_affine_maps(self):
+        # z -> lam z + t (lam > 0) scales both bases alike
+        rng = np.random.default_rng(13)
+        for z, zp in zip(random_points(rng, 10), random_points(rng, 10)):
+            lam, t = rng.uniform(0.3, 3.0), rng.uniform(-2, 2)
+            g = lambda p: HalfPlanePoint(lam * p.x + t, lam * p.y)
+            for k in [0.5, -1.0, 0.37]:
+                assert magnetic_phase_halfplane(k, g(z), g(zp)) == \
+                    pytest.approx(magnetic_phase_halfplane(k, z, zp), abs=1e-13)
 
     def test_sign_flip_conjugates(self):
         rng = np.random.default_rng(11)
@@ -119,8 +114,3 @@ class TestPhases:
                 p = magnetic_phase_halfplane(k, z, zp)
                 m = magnetic_phase_halfplane(-k, z, zp)
                 assert m == pytest.approx(p.conjugate(), abs=1e-13)
-
-    def test_gauge_phase_unit_modulus(self):
-        rng = np.random.default_rng(12)
-        for z in random_points(rng, 6):
-            assert abs(abs(cayley_gauge_phase(0.5, z)) - 1) < 1e-13

@@ -13,14 +13,12 @@ from hypermorse.errors import (
     OutsideSupport,
     UnsupportedK,
 )
-from hypermorse.geometry import DiscPoint, HalfPlanePoint, cayley, cayley_gauge_phase, \
-    dist_halfplane, magnetic_phase_halfplane
+from hypermorse.geometry import HalfPlanePoint, dist_halfplane
 from hypermorse.hkernels import (
     SpectralParam,
     WAVE_FORMS,
     heat_kernel,
     resolvent_closed,
-    resolvent_disc_closed,
     resolvent_integral,
     wave_kernel,
     wave_kernel_radial,
@@ -148,38 +146,6 @@ class TestResolventClosed:
         a = resolvent_closed(sp, 0.75, Z1, Z2)
         b = resolvent_closed(sp, -0.75, Z1, Z2)
         assert relerr(a, b.conjugate()) < 1e-12
-
-
-class TestResolventDisc:
-    def test_k0_matches_halfplane_at_mapped_points(self):
-        sp = SpectralParam.from_s(1.25)
-        a = resolvent_disc_closed(sp, 0.0, cayley(Z1), cayley(Z2))
-        b = resolvent_closed(sp, 0.0, Z1, Z2)
-        assert relerr(a, b) < 1e-12
-
-    def test_direct_formula_at_origin(self):
-        # w' = 0: phase collapses to 1 and the formula is pure arithmetic
-        sp = SpectralParam.from_s(1.2)
-        w = DiscPoint(0.35 + 0.1j)
-        wp = DiscPoint(0j)
-        got = resolvent_disc_closed(sp, 0.5, w, wp)
-        c2 = 1.0 / (1.0 - abs(w.w) ** 2)
-        s = 1.2
-        pref = cmath.exp(specfun.log_gamma(s - 0.5) + specfun.log_gamma(s + 0.5)
-                         - specfun.log_gamma(2 * s)) / (4 * math.pi)
-        expect = pref * c2 ** (-s) * specfun.gauss_2f1(s - 0.5, s + 0.5, 2 * s, 1 / c2)
-        assert relerr(got, expect) < 1e-13
-
-    def test_cayley_transport(self):
-        # half-plane kernel = disc kernel * phase_half^{2k} * gauge(z')/gauge(z)
-        for k in [0.5, 1.0, -1.0]:
-            for s in [1.35, 1.8]:
-                sp = SpectralParam.from_s(s)
-                gh = resolvent_closed(sp, k, Z1, Z2)
-                gd = resolvent_disc_closed(sp, k, cayley(Z1), cayley(Z2))
-                transport = magnetic_phase_halfplane(2 * k, Z1, Z2) \
-                    * cayley_gauge_phase(k, Z2) / cayley_gauge_phase(k, Z1)
-                assert relerr(gh, gd * transport) < 1e-12
 
 
 class TestResolventIntegral:

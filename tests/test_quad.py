@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hypermorse import quad
 from hypermorse.errors import TailDivergence
 from hypermorse.quad import (
     QuadConfig,
@@ -54,8 +55,9 @@ class TestIntegrateFinite:
         exact = composite_gauss(f, 0.0, 2.0, 64)
         assert abs(res.value - exact) <= max(10 * res.err_estimate, 1e-13)
 
-    def test_nonconvergence_flag(self):
-        cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
+    def test_nonconvergence_flag(self, monkeypatch):
+        monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 3)
+        cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-300)
         f = lambda x: np.cos(40.0 * x) / np.sqrt(np.abs(x) + 1e-12) + 0j
         res = integrate_finite(f, 0.0, 1.0, cfg)
         assert not res.converged
@@ -193,20 +195,29 @@ class TestKnownIntegrals:
 
     def test_trapezoid_rows(self):
         # int_0^inf of a Gaussian, a Gaussian-damped cosine and sech x (an
-        # exponential tail), one trapezoid array; noise is the integrands'
-        # relative round-off, one ulp
+        # exponential tail), one trapezoid array; the Gaussian's levels agree
+        # to the bit one rounding off sqrt(pi)/2, so its err_estimate must not
+        # fall to 0
         rows = _even_rows(lambda x: np.exp(-x * x), lambda x: np.exp(-x * x) * np.cos(5.0 * x),
                           lambda x: 1.0 / np.cosh(x))
         true = [math.sqrt(math.pi) / 2, math.sqrt(math.pi) / 2 * math.exp(-6.25), math.pi / 2]
-        res = trapezoid_even(rows, 40.0, [1e-14] * 3, 1e-10, np.finfo(float).eps)
+        res = trapezoid_even(rows, 40.0, [1e-14] * 3, 1e-10)
         assert res.converged and res.n_evals < 3 * 1000
         assert np.all(np.abs(res.value - true) <= res.err_estimate)
+        assert abs(res.value[0] - true[0]) > 0
+
+    def test_trapezoid_err_floor_at_zero_noise(self):
+        # noise = 0 leaves only the eps |T| floor: still a bound, and no wider
+        # than a few roundings
+        res = trapezoid_even(_even_rows(lambda x: np.exp(-x * x)), 40.0, [1e-14], 1e-10, 0.0)
+        err = abs(res.value[0] - math.sqrt(math.pi) / 2)
+        assert res.converged and 0 < err <= res.err_estimate[0] <= 4 * np.finfo(float).eps
 
     def test_trapezoid_unresolved_row(self):
         # a row too narrow for the node budget leaves the result unconverged
         # while the other row keeps its own value
         rows = _even_rows(lambda x: np.exp(-x * x), lambda x: np.exp(-1e6 * x * x))
-        res = trapezoid_even(rows, 6.0, [1e-14, 1e-14], 1e-12, np.finfo(float).eps)
+        res = trapezoid_even(rows, 6.0, [1e-14, 1e-14], 1e-12)
         assert not res.converged
         assert abs(res.value[0] - math.sqrt(math.pi) / 2) <= res.err_estimate[0]
 
@@ -282,8 +293,6 @@ class TestQuadConfig:
             QuadConfig(rel_tol=-1)
         with pytest.raises(ValueError):
             QuadConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadConfig(max_subdivisions=0)
 
     def test_result_dataclass(self):
         r = QuadratureResult(1 + 2j, 1e-12, 30, True)

@@ -119,8 +119,7 @@ class TestGauss2F1:
 
 
 def _direct_series(a, b, c, z):
-    return specfun._direct_group(complex(a), complex(b), complex(c), complex(z), None,
-                                 specfun.DEFAULT_SERIES)
+    return specfun._direct_group(complex(a), complex(b), complex(c), complex(z), None)
 
 
 def _in_log_region(a, b, c, z):
@@ -258,23 +257,23 @@ class TestGauss2F1Array:
         with pytest.raises(SeriesNonConvergence):
             gauss_2f1(0.4, 0.9, 1.7, np.array([0.3, 0.995, -0.5]))
 
-    def test_each_entry_meets_its_own_stop_rule(self):
+    def test_each_entry_meets_its_own_stop_rule(self, monkeypatch):
         # equal |z|, |F| 56 and 3.6e-5: the large entry's loop goes quiet
         # (relative to 56) 13 terms before the small entry's terms do; cut
-        # there, the small entry would be 1.2e-9 off.  A coarse term_tol makes
-        # the truncation visible above round-off.
+        # there, the small entry would be 1.2e-9 off.  A coarse term tolerance
+        # makes the truncation visible above round-off.
         a, b, c, z = 1.5, 2.0, 0.7147, np.array([0.7, -0.7])
-        cfg = specfun.SeriesConfig(term_tol=1e-10)
-        scalar = np.array([gauss_2f1(a, b, c, x, cfg) for x in z])
+        monkeypatch.setattr(specfun, "_TERM_TOL", 1e-10)
+        scalar = np.array([gauss_2f1(a, b, c, x) for x in z])
         assert abs(scalar[0]) > 50 and abs(scalar[1]) < 1e-4
-        assert np.all(np.abs(gauss_2f1(a, b, c, z, cfg) - scalar) < 1e-13)
+        assert np.all(np.abs(gauss_2f1(a, b, c, z) - scalar) < 1e-13)
         # the small entry needs 91 terms, the large 78: a cap between them
         # fails the array as it fails the small entry's scalar call
-        short = specfun.SeriesConfig(max_terms=85, term_tol=1e-10)
-        gauss_2f1(a, b, c, 0.7, short)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 85)
+        gauss_2f1(a, b, c, 0.7)
         for arg in (-0.7, z):
             with pytest.raises(SeriesNonConvergence):
-                gauss_2f1(a, b, c, arg, short)
+                gauss_2f1(a, b, c, arg)
 
     def test_resolvent_oracle_rows_as_arrays(self):
         # the c = a + b rows of the mpmath table, one array per (a, b, c):
@@ -292,6 +291,27 @@ class TestGauss2F1Array:
             zs, refs, tols = zip(*rows)
             for got, ref, tol in zip(gauss_2f1(a, b, c, np.array(zs)), refs, tols):
                 assert relerr(got, ref) < tol
+
+
+# one series policy for the module, read at call time: a cap of 4 terms
+# reaches every series, each raising rather than returning a truncated sum
+class TestSeriesPolicy:
+    @pytest.mark.parametrize("call", [
+        lambda: gauss_2f1(0.3, 0.7, 1.6, 0.5),          # direct series
+        lambda: gauss_2f1(0.5, 0.5, 1.0, 0.9),          # logarithmic connection
+        lambda: gauss_2f1(0.3, 0.7, 1.6, -3.0),         # Pfaff transformation
+        lambda: gauss_2f1(0.3, 0.7, 1.6, np.array([0.2, 0.5])),
+        lambda: kummer_1f1(0.4, 1.3, 2.0),
+        lambda: humbert_phi1(0.4, 0.6, 1.3, 0.0, 0.5),
+        lambda: bessel("J", 0.3, 2.0),
+        lambda: bessel("K", 1, 2.0),
+        lambda: whittaker("M", 0.2, 0.3, 1.5),
+    ])
+    def test_term_cap_reaches_every_series(self, monkeypatch, call):
+        call()
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 4)
+        with pytest.raises(SeriesNonConvergence):
+            call()
 
 
 class TestKummer1F1:
@@ -389,6 +409,18 @@ class TestBessel:
         x = 1.3
         expect = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
         assert bessel("K", 0.5, x) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, nu, closed", [
+        ("J", 0.5, lambda x: math.sin(x)),
+        ("I", 0.5, lambda x: math.sinh(x)),
+        ("J", 1.5, lambda x: math.sin(x) / x - math.cos(x)),
+        ("I", 1.5, lambda x: math.cosh(x) - math.sinh(x) / x),
+    ])
+    def test_half_order_closed_forms(self, kind, nu, closed):
+        # spherical Bessel forms, sqrt(2 / (pi x)) times an elementary function
+        for x in [0.4, 2.7, 6.5]:
+            expect = math.sqrt(2 / (math.pi * x)) * closed(x)
+            assert bessel(kind, nu, x) == pytest.approx(expect, rel=1e-13)
 
     def test_i_k_wronskian(self):
         # I_nu(x) K_{nu+1}(x) + I_{nu+1}(x) K_nu(x) = 1/x
