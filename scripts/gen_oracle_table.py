@@ -10,7 +10,9 @@ series implementations.  Run from the repository root:
 The output lands in src/hypermorse/data/specfun_oracle.csv; the test suite
 reads it from the installed package data.
 """
+import cmath
 import csv
+import math
 import pathlib
 
 import mpmath as mp
@@ -20,7 +22,7 @@ mp.mp.dps = 40
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "hypermorse" / "data" / "specfun_oracle.csv"
 
 
-def phi1(a, b, c, x, y, nmax=400):
+def phi1(a, b, c, x, y, nmax=4000):
     total = mp.mpc(0)
     coeff = mp.mpc(1)
     quiet = 0
@@ -104,6 +106,24 @@ for (a, b, c, x, y) in [
 ]:
     add("humbert_phi1", [complex(a), complex(b), complex(c), complex(x), complex(y)],
         phi1(a, b, c, x, y))
+
+# humbert_phi1 at complex x and complex y near |y| = 1: the Morse wave kernel's
+# Cauchy-circle node of largest |y| (16 nodes, radius half the distance to the
+# window end) at 0.9 of the series window, lam = 1, X = 0, X' = 0.2, 2k = 1, 3, 4
+yy, rho = math.exp(0.2), 0.2
+w_rho = math.cosh(rho / 2)
+b_star = 2 * math.acosh(2 / math.sqrt(3) * w_rho)
+b_node = rho + 0.9 * (b_star - rho)
+d0 = 2 * math.sinh((b_node + rho) / 4) * math.sinh((b_node - rho) / 4)
+r = 0.5 * min(d0, (2 / math.sqrt(3) - 1) * w_rho - d0)
+zs = [2 * math.sqrt(yy) * cmath.sqrt(d * (d + 2 * w_rho))
+      for d in (d0 + r * cmath.exp(2j * math.pi * j / 16) for j in range(16))]
+z = max(zs, key=lambda z: abs(2 * z / (z + 1j * (1 + yy))))
+for two_k in (1, 3, 4):
+    a, b, c = two_k + 0.5, two_k, 2 * two_k + 1.0
+    x, y = 2j * z, 2 * z / (z + 1j * (1 + yy))
+    add("humbert_phi1", [complex(a), complex(b), complex(c), x, y],
+        phi1(mp.mpf(a), mp.mpf(b), mp.mpf(c), mp.mpc(x), mp.mpc(y)))
 
 # chebyshev_t --------------------------------------------------------------
 for (n, x) in [(2, mp.mpf("0.5")), (3, mp.mpf(2)), (7, mp.mpf("0.3")), (5, mp.mpf("1.7"))]:

@@ -22,14 +22,10 @@ def require_finite(**named):
             raise NonFiniteInput(f"parameter {name}={value!r} is not finite")
 
 
-# quadrature / differentiation
+# quadrature
 
 class TailDivergence(HypermorseError):
     """Semi-infinite integral keeps growing; the integrand does not decay."""
-
-
-class StepUnderflow(HypermorseError):
-    """Finite-difference step too small for stable differencing."""
 
 
 # special functions

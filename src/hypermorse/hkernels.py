@@ -92,19 +92,6 @@ class SpectralParam:
             return 0.5 - 1j * mu
         return 0.5 + 1j * mu
 
-    @classmethod
-    def from_s(cls, s: complex, mapping_id: str = CALIBRATED_MAPPING) -> "SpectralParam":
-        s = complex(s)
-        if mapping_id == "A":
-            mu = (1.0 - 2.0 * s) / 1j
-        elif mapping_id == "B":
-            mu = (0.5 - s) / 1j
-        elif mapping_id == "C":
-            mu = (s - 0.5) / 1j
-        else:
-            raise ValueError(f"unknown mapping {mapping_id!r}")
-        return cls(mu, mapping_id)
-
 
 def _cosh2_ratio(b, rho: float):
     """C = cosh(b/2)/cosh(rho/2) and S = cosh^2(b/2) - cosh^2(rho/2), the

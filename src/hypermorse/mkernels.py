@@ -65,9 +65,8 @@ _RES_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-12)
 _LINE_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-13)
 _HW_CFG = quad.QuadConfig(rel_tol=1e-7, abs_tol=1e-14)
 
-# per-level base steps for the composed sinh-weighted derivative; deeper
-# levels differentiate noisier data and need larger steps
-_DERIV_STEPS = (0.010, 0.018, 0.032, 0.060)
+# trapezoid nodes on the Cauchy circle of the wave kernel's derivatives, every order
+_CIRCLE_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -133,23 +132,28 @@ def wave_kernel_bessel0(cfg: MorseConfig, b: float) -> float:
     return 0.5 * specfun.bessel("J", 0.0, abs(cfg.lam) * z)
 
 
-def _sinh_weighted_derivative(f, b: float, order: int, edge: float) -> complex:
-    """(d / (sinh(b/2) db))^order f, one numerical derivative per level.
+def _window_derivative(content, b: float, order: int, rho: float) -> complex:
+    """(d / (sinh(b/2) db))^order of content, a function of the complex offset
+    d = w - w_rho, w = cosh(b/2), w_rho = cosh(rho/2) the support edge.
 
-    Step sizes grow with depth and are capped so every stencil point stays
-    above the support edge.
+    In w the operator is (1/2 d/dw)^order, and content is analytic in w inside
+    the series window w < w* = (2/sqrt 3) w_rho, where the second Phi1 argument
+    reaches the unit circle.  So the Cauchy integral on |w - w0| = r, summed by
+    the trapezoid rule, gives it with exponential accuracy:
+    order!/(2r)^order * mean_j content(d0 + r e^{i theta_j}) e^{-i order theta_j},
+    r = min(w0 - w_rho, w* - w0)/2.  Order 0 is content at d0 alone; order >= 1
+    at w0 >= w* raises Phi1OutsideDisc.
     """
+    d0 = 2.0 * math.sinh((b + rho) / 4.0) * math.sinh((b - rho) / 4.0)  # w0 - w_rho
     if order == 0:
-        return f(b)
-
-    def level(g, step):
-        return lambda bb: quad.nth_derivative(g, bb, 1, h=step) / math.sinh(bb / 2.0)
-
-    g = f
-    for lvl in range(order):
-        step = min(_DERIV_STEPS[lvl] * max(1.0, abs(b)), (b - edge) / 8.0)
-        g = level(g, step)
-    return g(b)
+        return content(d0)
+    gap = (2.0 / math.sqrt(3.0) - 1.0) * math.cosh(rho / 2.0) - d0  # w* - w0
+    if gap <= 0.0:
+        raise Phi1OutsideDisc(f"b={b} at or past the end of the series window, w* - w = {gap:.3g}")
+    r = 0.5 * min(d0, gap)
+    turns = [cmath.exp(2j * math.pi * j / _CIRCLE_NODES) for j in range(_CIRCLE_NODES)]
+    total = sum(content(d0 + r * e) * e ** -order for e in turns)
+    return math.factorial(order) / (2.0 * r) ** order * total / _CIRCLE_NODES
 
 
 def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
@@ -160,8 +164,13 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     C_k = e^{i pi k} Gamma(2|k|+1/2) / (2 Gamma(4|k|+1) sqrt(pi)).
 
     Needs 2k integer with |k| <= 2 and the second series argument inside the
-    unit disc, which confines b to a window above the support radius.  For
-    k < 0 the kernel is evaluated through the exact reflection
+    unit disc, which confines b to the window rho < b < b*, cosh(b*/2) =
+    (2/sqrt 3) cosh(rho/2); for k != 0, b >= b* raises Phi1OutsideDisc.  With
+    w = cosh(b/2) the derivatives are (1/2 d/dw)^{2|k|}, every order from one
+    16-node trapezoid sum of the Cauchy integral on the circle about w whose
+    radius is half the distance to the nearer of the support edge
+    cosh(rho/2) and the window end (see _window_derivative).  For k < 0 the
+    kernel is evaluated through the exact reflection
     W at (-|k|, lam) = W at (+|k|, -lam): the Fourier transport conjugates
     the magnetic phase, which is the same as flipping the frequency.
     """
@@ -173,9 +182,10 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     ak = mk.abs_k
     sign = 1.0  # sign(k) after reflection to k = |k|; +1 at k = 0 by convention
     y, yp = cfg.y, cfg.yp
+    two_edge, z_scale = 2.0 * math.cosh(cfg.rho_m / 2.0), 2.0 * math.sqrt(y * yp)
 
-    def content(bb: float) -> complex:
-        z = float(wave_aux_z(cfg, bb))
+    def content(d: complex) -> complex:
+        z = z_scale * cmath.sqrt(d * (d + two_edge))
         yv = 1j * sign * (y + yp)
         zeta = 2.0 * z / (z + yv)
         try:
@@ -183,14 +193,14 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
                                        2j * lam_eff * z, zeta)
         except OutsideConvergenceRegion as exc:
             raise Phi1OutsideDisc(
-                f"second argument |zeta|={abs(zeta):.4f} outside the unit disc at b={bb}") from exc
+                f"second argument |zeta|={abs(zeta):.4f} outside the unit disc at w - w_rho={d}") from exc
         return (2.0 * z) ** (4 * ak) / (z + yv) ** (2 * ak) \
             * cmath.exp(-1j * lam_eff * z) * ph1
 
     c_k = cmath.exp(1j * math.pi * ak) * math.exp(
         specfun.log_gamma(2 * ak + 0.5).real - specfun.log_gamma(4 * ak + 1.0).real) \
         / (2.0 * math.sqrt(math.pi))
-    deriv = _sinh_weighted_derivative(content, b, mk.two_k_int, cfg.rho_m)
+    deriv = _window_derivative(content, b, mk.two_k_int, cfg.rho_m)
     return c_k * (4.0 * y * yp) ** (-ak) * deriv
 
 
@@ -217,9 +227,8 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float, normalization: str = "raw")
     n = mk.two_k_int
     ch = math.cosh((cfg.X - cfg.Xp) / 2.0)
 
-    def content(bb: float) -> complex:
-        root_sq = math.cosh(bb / 2.0) ** 2 - ch * ch
-        root = math.sqrt(max(root_sq, 0.0))
+    def content(d: complex) -> complex:
+        root = cmath.sqrt(d * (d + 2.0 * ch))
         y5 = 2.0 * math.exp((cfg.X + cfg.Xp) / 2.0) * root
         z5 = 2.0 * root / (root + 1j * mk.sign * ch)
         try:
@@ -227,7 +236,7 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float, normalization: str = "raw")
                                        -2j * cfg.lam * y5, z5)
         except OutsideConvergenceRegion as exc:
             raise Phi1OutsideDisc(
-                f"second argument |Z5|={abs(z5):.4f} outside the unit disc at b={bb}") from exc
+                f"second argument |Z5|={abs(z5):.4f} outside the unit disc at w - w_rho={d}") from exc
         if ak == 0:
             pow_part = 1.0 + 0.0j
         else:
@@ -240,7 +249,7 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float, normalization: str = "raw")
     c1 = sign * math.exp(specfun.log_gamma(2 * ak + 0.5).real
                          - specfun.log_gamma(4 * ak + 1.0).real) \
         / (2.0 ** ak * math.sqrt(math.pi))
-    val = c1 * _sinh_weighted_derivative(content, b, n, cfg.rho_m)
+    val = c1 * _window_derivative(content, b, n, cfg.rho_m)
     if normalization == "raw":
         return val
     if normalization == "k0_calibrated":

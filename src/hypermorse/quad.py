@@ -1,11 +1,10 @@
-"""Adaptive quadrature and numerical differentiation.
+"""Adaptive quadrature.
 
 Every kernel integral in the package funnels through this module: finite
 intervals (adaptive Gauss-Kronrod 7/15), semi-infinite intervals swept with
 geometrically growing panels, inverse-square-root endpoint singularities
-removed by the substitution b = a + u^2, halving trapezoid sums of even
-analytic integrands, and Richardson-extrapolated central differences for
-derivatives up to fourth order.
+removed by the substitution b = a + u^2, and halving trapezoid sums of even
+analytic integrands.
 
 Integrands are callables mapping a float ndarray of abscissae to a complex
 ndarray of values.  All routines are pure functions of their inputs and
@@ -21,10 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import StepUnderflow, TailDivergence
+from .errors import TailDivergence
 
 __all__ = ["QuadConfig", "QuadratureResult", "integrate_finite", "integrate_semiinfinite",
-           "integrate_sqrt_endpoint", "trapezoid_even", "nth_derivative"]
+           "integrate_sqrt_endpoint", "trapezoid_even"]
 
 # Gauss-Kronrod 7/15 nodes on [-1, 1] and weights.  Odd-indexed nodes carry
 # the embedded 7-point Gauss rule.
@@ -306,40 +305,3 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
         rows, total, mag, prev, tol = rows[more], total[more], mag[more], v[more], tol[more]
         h, nodes = h / 2.0, np.arange(h / 2.0, x_max, h)
     return QuadratureResult(value, err, n, False)
-
-
-# central-difference stencils of second-order accuracy; offsets in units of h
-_STENCILS = {
-    1: ((-1, 1), (-0.5, 0.5), 1),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0), 2),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5), 3),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0), 4),
-}
-
-# Default steps balance h^6 Richardson truncation against eps/h^n round-off;
-# a single 1e-3 step drowns n = 3, 4 in round-off noise.
-_DEFAULT_STEP = {1: 1e-3, 2: 2e-3, 3: 8e-3, 4: 2e-2}
-
-
-def nth_derivative(f: Callable[[float], complex], x: float, n: int,
-                   h: Optional[float] = None) -> complex:
-    """n-th derivative of f at x (n <= 4) by Richardson-extrapolated central
-    differences over the step sequence h, h/2, h/4."""
-    if n not in _STENCILS:
-        raise ValueError("nth_derivative supports 1 <= n <= 4")
-    if h is None:
-        h = _DEFAULT_STEP[n] * max(1.0, abs(x))
-    if h < 64.0 * np.finfo(float).eps * max(1.0, abs(x)):
-        raise StepUnderflow(f"step {h:g} too small at x={x:g}")
-    offsets, coeffs, hpow = _STENCILS[n]
-
-    def stencil(step: float) -> complex:
-        acc = 0.0 + 0.0j
-        for o, c in zip(offsets, coeffs):
-            acc += c * f(x + o * step)
-        return acc / step ** hpow
-
-    t0, t1, t2 = stencil(h), stencil(h / 2), stencil(h / 4)
-    r01 = (4.0 * t1 - t0) / 3.0
-    r12 = (4.0 * t2 - t1) / 3.0
-    return (16.0 * r12 - r01) / 15.0

@@ -160,7 +160,8 @@ def _hyp_series(ratio, terminating: Union[int, None], head=1.0 + 0.0j):
         else:
             quiet = 0
     if terminating is not None:
-        return total, _MAX_TERMS
+        raise SeriesNonConvergence(
+            f"terminating series of degree {terminating} cut at the {_MAX_TERMS}-term cap")
     raise SeriesNonConvergence(f"series did not converge in {_MAX_TERMS} terms")
 
 
@@ -276,8 +277,10 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
     """Gauss hypergeometric F(a, b; c; z) at a scalar z (returns a complex) or
     at each entry of an ndarray z (returns a complex ndarray of its shape).
 
-    Terminating series (a or b a non-positive integer) are summed exactly
-    with no tolerance test; otherwise each z takes, in order:
+    A terminating series (a or b a non-positive integer) is summed to its
+    last term or to three quiet terms, whichever comes first, and raises
+    SeriesNonConvergence where the term cap would cut it short; otherwise
+    each z takes, in order:
     * c = a + b (to 4 ulps), |1 - z| < 0.3, |1 - z| |a b| < 2: the logarithmic
       z -> 1 - z connection (DLMF 15.8.10), good to 2e-14 (past |1 - z| |a b|
       = 2 its terms cancel); F ~ -log(1 - z), so z = 1 raises

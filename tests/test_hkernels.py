@@ -40,11 +40,6 @@ class TestSpectralParam:
         assert SpectralParam(mu, "B").s == pytest.approx(0.5 - 1j * mu)
         assert SpectralParam(mu, "C").s == pytest.approx(0.5 + 1j * mu)
 
-    def test_from_s_round_trip(self):
-        for mapping in ("A", "B", "C"):
-            sp = SpectralParam.from_s(1.3 + 0.2j, mapping)
-            assert sp.s == pytest.approx(1.3 + 0.2j)
-
     def test_unknown_mapping(self):
         with pytest.raises(ValueError):
             SpectralParam(-1j, "D")
@@ -116,7 +111,7 @@ class TestWaveKernel:
 class TestResolventClosed:
     def test_k0_free_kernel_self_consistency(self):
         # k -> 0 reduces to the free kernel formula evaluated directly
-        sp = SpectralParam.from_s(1.3)
+        sp = SpectralParam(-1j * (1.3 - 0.5))
         z, zp = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(1.0, 2.0)
         got = resolvent_closed(sp, 0.0, z, zp)
         c2 = ((0 - 1) ** 2 + (1 + 2) ** 2) / (4 * 1 * 2)
@@ -126,23 +121,23 @@ class TestResolventClosed:
         assert relerr(got, expect) < 1e-13
 
     def test_hermitian_symmetry_real_s(self):
-        sp = SpectralParam.from_s(1.4)
+        sp = SpectralParam(-1j * (1.4 - 0.5))
         a = resolvent_closed(sp, 1.0, Z1, Z2)
         b = resolvent_closed(sp, 1.0, Z2, Z1)
         assert relerr(a, b.conjugate()) < 1e-12
 
     def test_diagonal_raises(self):
         with pytest.raises(DiagonalSingularity):
-            resolvent_closed(SpectralParam.from_s(1.2), 0.5, Z1, Z1)
+            resolvent_closed(SpectralParam(-1j * (1.2 - 0.5)), 0.5, Z1, Z1)
 
     def test_gamma_pole_raises(self):
         # s - k = 0 is a Landau-level pole
-        sp = SpectralParam.from_s(1.0)
+        sp = SpectralParam(-1j * (1.0 - 0.5))
         with pytest.raises(GammaPole):
             resolvent_closed(sp, 1.0, Z1, Z2)
 
     def test_gamma_prefactor_even_in_k(self):
-        sp = SpectralParam.from_s(1.45)
+        sp = SpectralParam(-1j * (1.45 - 0.5))
         a = resolvent_closed(sp, 0.75, Z1, Z2)
         b = resolvent_closed(sp, -0.75, Z1, Z2)
         assert relerr(a, b.conjugate()) < 1e-12

@@ -136,25 +136,121 @@ class TestPhi1Path:
         assert abs(got.imag) < 1e-9
 
     def test_deep_derivative_orders_match_fourier(self):
-        # three and four nested sinh-weighted derivatives (k = 3/2, 2)
-        for k, tol in ((1.5, 1e-8), (2.0, 1e-8)):
-            cfg = MorseConfig(lam=1.0, k=k, X=0.0, Xp=0.2)
+        # 2|k| = 1-4 sinh-weighted derivatives from one Cauchy circle, across the window
+        for two_k in (1, 2, 3, 4):
+            cfg = MorseConfig(lam=1.0, k=two_k / 2.0, X=0.0, Xp=0.2)
             bstar = 2.0 * math.acosh(2.0 / math.sqrt(3.0) * math.cosh(cfg.rho_m / 2.0))
-            b = cfg.rho_m + 0.55 * (bstar - cfg.rho_m)
-            got = wave_kernel_phi1(cfg, b)
-            oracle = wave_kernel_fourier(cfg, b).value
-            assert relerr(got, oracle) < tol
+            for frac in (0.1, 0.55, 0.9):
+                b = cfg.rho_m + frac * (bstar - cfg.rho_m)
+                got, oracle = wave_kernel_phi1(cfg, b), wave_kernel_fourier(cfg, b).value
+                assert relerr(got, oracle) < 1e-9, (two_k, frac)
 
     def test_outside_disc_raises(self):
         cfg = MorseConfig(lam=1.0, k=0.5, X=0.0, Xp=0.0)
         with pytest.raises(Phi1OutsideDisc):
             wave_kernel_phi1(cfg, 3.0)  # window ends at b* = ln 3 for X = X'
+        cfg = MorseConfig(lam=1.0, k=2.0, X=0.0, Xp=0.2)
+        bstar = 2.0 * math.acosh(2.0 / math.sqrt(3.0) * math.cosh(cfg.rho_m / 2.0))
+        with pytest.raises(Phi1OutsideDisc):
+            wave_kernel_phi1(cfg, 1.001 * bstar)
 
     def test_unsupported_k(self):
         with pytest.raises(UnsupportedK):
             wave_kernel_phi1(MorseConfig(1.0, 0.3, 0.0, 0.2), 1.0)
         with pytest.raises(UnsupportedK):
             wave_kernel_phi1(MorseConfig(1.0, 2.5, 0.0, 0.2), 1.0)
+
+
+def _window_end(rho):
+    # b* with cosh(b*/2) = (2/sqrt 3) cosh(rho/2), where the Phi1 series window ends
+    return 2.0 * math.acosh(2.0 / math.sqrt(3.0) * math.cosh(rho / 2.0))
+
+
+class TestWindowDerivative:
+    """(d / (sinh(b/2) db))^n = (1/2 d/dw)^n on content(d), d = cosh(b/2) - cosh(rho/2)."""
+
+    RHO = 4.0
+
+    def _mid(self, frac=0.5):
+        return self.RHO + frac * (_window_end(self.RHO) - self.RHO)
+
+    def test_order_zero_evaluates_once_at_offset(self):
+        calls = []
+
+        def content(d):
+            calls.append(d)
+            return 3.0 * d
+
+        b = self._mid()
+        got = mkernels._window_derivative(content, b, 0, self.RHO)
+        d0 = math.cosh(b / 2.0) - math.cosh(self.RHO / 2.0)
+        assert len(calls) == 1
+        assert got == pytest.approx(3.0 * d0, rel=1e-14)
+        # next to the edge the offset is formed without cancellation
+        # (cosh(b/2) - cosh(rho/2) subtracted directly is off by about 1e-7 here)
+        b = self.RHO * (1.0 + 1e-10)
+        near = mkernels._window_derivative(lambda d: d, b, 0, self.RHO)
+        assert near == pytest.approx(math.sinh(self.RHO / 2.0) * (b - self.RHO) / 2.0, rel=1e-9)
+
+    def test_cubic_every_order(self):
+        b = self._mid()
+        d0 = math.cosh(b / 2.0) - math.cosh(self.RHO / 2.0)
+        expect = (1.5 * d0 ** 2, 1.5 * d0, 0.75, 0.0)
+        for n, e in zip((1, 2, 3, 4), expect):
+            got = mkernels._window_derivative(lambda d: d ** 3, b, n, self.RHO)
+            assert abs(got - e) < 1e-12 * max(1.0, abs(e)), n
+
+    def test_exponential_every_order(self):
+        # exact up to rounding: the n!/(2r)^n weight amplifies eps * max|content|
+        a = 2.0 + 1.0j
+        d_end = (2.0 / math.sqrt(3.0) - 1.0) * math.cosh(self.RHO / 2.0)
+        for frac in (0.1, 0.55, 0.9):
+            b = self._mid(frac)
+            d0 = math.cosh(b / 2.0) - math.cosh(self.RHO / 2.0)
+            r = 0.5 * min(d0, d_end - d0)
+            for n in (1, 2, 3, 4):
+                got = mkernels._window_derivative(lambda d: np.exp(a * d), b, n, self.RHO)
+                rounding = 2.2e-16 * math.factorial(n) / (2.0 * r) ** n * abs(np.exp(a * (d0 + r)))
+                assert abs(got - (a / 2.0) ** n * np.exp(a * d0)) < 8.0 * rounding, (frac, n)
+
+    def test_is_the_sinh_weighted_operator_in_b(self):
+        # content = cosh^2(b/2) - cosh^2(rho/2): one sinh-weighted b-derivative
+        # gives cosh(b/2), two give 1/2
+        w_rho = math.cosh(self.RHO / 2.0)
+        b = self._mid(0.3)
+        first = mkernels._window_derivative(lambda d: d * (d + 2.0 * w_rho), b, 1, self.RHO)
+        second = mkernels._window_derivative(lambda d: d * (d + 2.0 * w_rho), b, 2, self.RHO)
+        assert relerr(first, math.cosh(b / 2.0)) < 1e-13
+        assert relerr(second, 0.5) < 1e-13
+
+    def test_one_circle_inside_window_for_every_order(self):
+        w_rho = math.cosh(self.RHO / 2.0)
+        d_end = (2.0 / math.sqrt(3.0) - 1.0) * w_rho
+        for frac in (0.05, 0.5, 0.95):
+            b = self._mid(frac)
+            d0 = math.cosh(b / 2.0) - w_rho
+            sizes = set()
+            for n in (1, 2, 3, 4):
+                nodes = []
+                mkernels._window_derivative(lambda d: nodes.append(d) or 1.0, b, n, self.RHO)
+                sizes.add(len(nodes))
+                r = abs(nodes[0] - d0)
+                assert all(abs(abs(d - d0) - r) < 1e-12 for d in nodes)
+                # the circle keeps its own radius from the support edge and the window end
+                assert min(abs(d) for d in nodes) >= r * (1.0 - 1e-9)
+                assert min(abs(d - d_end) for d in nodes) >= r * (1.0 - 1e-9)
+            assert len(sizes) == 1, frac
+
+    def test_past_window_raises_before_evaluating(self):
+        calls = []
+        bstar = _window_end(self.RHO)
+        for b in (1.001 * bstar, 1.1 * bstar):
+            for n in (1, 2, 3, 4):
+                with pytest.raises(Phi1OutsideDisc):
+                    mkernels._window_derivative(lambda d: calls.append(d) or 1.0, b, n, self.RHO)
+        assert calls == []
+        # order 0 is the content itself and has no window to leave
+        assert mkernels._window_derivative(lambda d: 2.0, 1.1 * bstar, 0, self.RHO) == 2.0
 
 
 class TestAlternateVariantPath:

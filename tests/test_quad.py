@@ -1,4 +1,4 @@
-"""Tests for the adaptive quadrature and differentiation module."""
+"""Tests for the adaptive quadrature module."""
 import math
 
 import numpy as np
@@ -12,7 +12,6 @@ from hypermorse.quad import (
     integrate_finite,
     integrate_semiinfinite,
     integrate_sqrt_endpoint,
-    nth_derivative,
     trapezoid_even,
 )
 
@@ -260,31 +259,6 @@ class TestProperties:
         assert res.err_estimate > res.tolerance_bound(CFG)
         # the value itself is still good to the reported estimate
         assert abs(res.value - exact) < 2 * res.err_estimate
-
-
-class TestNthDerivative:
-    def test_cubic_second_derivative(self):
-        assert nth_derivative(lambda x: x ** 3, 2.0, 2) == pytest.approx(12.0, rel=1e-8)
-
-    def test_exp_fourth_derivative(self):
-        assert nth_derivative(lambda x: math.exp(x), 0.0, 4) == pytest.approx(1.0, abs=1e-6)
-
-    def test_sin_first_derivative(self):
-        assert nth_derivative(lambda x: math.sin(x), math.pi / 3, 1) == pytest.approx(0.5, rel=1e-10)
-
-    def test_complex_valued(self):
-        d = nth_derivative(lambda x: complex(math.cos(x), math.sin(x)), 0.3, 1)
-        expect = complex(-math.sin(0.3), math.cos(0.3))
-        assert abs(d - expect) < 1e-10
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            nth_derivative(lambda x: x, 0.0, 5)
-
-    def test_step_underflow(self):
-        from hypermorse.errors import StepUnderflow
-        with pytest.raises(StepUnderflow):
-            nth_derivative(lambda x: x, 1.0, 1, h=1e-16)
 
 
 class TestQuadConfig:

@@ -313,6 +313,16 @@ class TestSeriesPolicy:
         with pytest.raises(SeriesNonConvergence):
             call()
 
+    def test_terminating_series_past_the_cap_raises(self, monkeypatch):
+        # degree 6 under a 4-term cap: a truncated sum (0.1875, not 0.5^6) must not come back
+        assert gauss_2f1(-6, 1, 1, 0.5) == pytest.approx(0.5 ** 6, rel=1e-15)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 4)
+        for call in (lambda: gauss_2f1(-6, 1, 1, 0.5),
+                     lambda: gauss_2f1(-6, 1, 1, np.array([0.5, 0.3])),
+                     lambda: kummer_1f1(-6, 1, 0.5)):
+            with pytest.raises(SeriesNonConvergence, match="degree 6"):
+                call()
+
 
 class TestKummer1F1:
     def test_at_zero(self):
@@ -488,12 +498,15 @@ class TestWhittaker:
             whittaker("W", 0.3, 1.0, 2.0)
 
     def test_wronskian_against_gamma_expression(self):
-        # d/dz的 numeric Wronskian W{W, M} = Gamma(1+2mu)/Gamma(1/2+mu-k)
-        from hypermorse.quad import nth_derivative
+        # numeric Wronskian W{W, M} = Gamma(1+2mu)/Gamma(1/2+mu-k), d/dz by
+        # central differences (step 1e-5: h^2 truncation and eps/h round-off ~1e-11)
+        def d_dz(f, z, h=1e-5):
+            return (f(z + h) - f(z - h)) / (2.0 * h)
+
         for (k, mu, z) in [(0.5, 0.7, 1.4), (0.0, 0.3, 2.0)]:
             m = lambda zz: whittaker("M", k, mu, zz)
             w = lambda zz: whittaker("W", k, mu, zz)
-            wr = w(z) * nth_derivative(m, z, 1) - nth_derivative(w, z, 1) * m(z)
+            wr = w(z) * d_dz(m, z) - d_dz(w, z) * m(z)
             expect = cmath.exp(log_gamma(1 + 2 * mu) - log_gamma(0.5 + mu - k))
             assert relerr(wr, expect) < 1e-8
 
