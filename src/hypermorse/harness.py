@@ -126,7 +126,10 @@ class CalibrationRecord:
 
 
 def _relerr(a: complex, b: complex) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    """|a - b| over the larger magnitude; inf where that is not finite, since a
+    NaN compares False and would pass both max() and a tolerance."""
+    rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
+    return rel if math.isfinite(rel) else math.inf
 
 
 def _spread(vals: np.ndarray) -> np.ndarray:  # per column, over the rows
@@ -146,6 +149,9 @@ class _Worst:
 
     def update(self, rel: float, point: dict):
         self.n_points += 1
+        if not math.isfinite(rel):  # a NaN compares False: count it as a failed point
+            self.n_errors += 1
+            rel, point = math.inf, {**point, "error": f"non-finite residual {rel}"}
         if rel > self.max_rel_err:
             self.max_rel_err = rel
             self.worst_point = point
@@ -521,19 +527,24 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
     residuals: dict = {}
 
     # spectral mapping: closed vs integral at k = 0, two spectral points,
-    # three point pairs
-    pairs = _RESOLVENT_PAIRS[:3]
-    mus = (-0.8j, -1.5j)
+    # three point pairs; the integral reads only mu, never the mapping, so it
+    # is computed once per (mu, pair)
+    points = [(mu, HalfPlanePoint(*p1), HalfPlanePoint(*p2))
+              for mu, (p1, p2) in itertools.product((-0.8j, -1.5j), _RESOLVENT_PAIRS[:3])]
+    integrals = []
+    for mu, z, zp in points:
+        try:
+            integrals.append(hyp_resolvent_integral(SpectralParam(mu), 0.0, z, zp).value)
+        except HypermorseError:
+            integrals.append(math.nan)  # every mapping's residual is inf there
     for mapping in SPECTRAL_MAPPINGS:
         worst = 0.0
-        for mu, (p1, p2) in itertools.product(mus, pairs):
-            z, zp = HalfPlanePoint(*p1), HalfPlanePoint(*p2)
+        for (mu, z, zp), integ in zip(points, integrals):
             try:
                 closed = hyp_resolvent_closed(SpectralParam(mu, mapping), 0.0, z, zp)
-                integ = hyp_resolvent_integral(SpectralParam(mu, mapping), 0.0, z, zp)
-                worst = max(worst, _relerr(closed, integ.value))
+                worst = max(worst, _relerr(closed, integ))
             except HypermorseError:
-                worst = float("inf")
+                worst = math.inf
         residuals[f"mapping_{mapping}"] = worst
     mapping_id = _unique_winner({m: residuals[f"mapping_{m}"] for m in SPECTRAL_MAPPINGS}, tol,
                                 "spectral mapping")

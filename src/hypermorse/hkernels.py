@@ -6,10 +6,12 @@ resolvent, and the heat kernel.
 Every production path evaluates the wave kernel's radial profile
 F(|k|, -|k|; 1/2; 1 - C^2), C = cosh(b/2)/cosh(rho/2), through its closed
 form cosh(2|k| arccosh C) (_wave_profile), which holds for every real k and
-reduces to the Chebyshev polynomial T_{2|k|}(C) when 2k is an integer.  The
-five named representations in WAVE_FORMS (three hypergeometric series, the
-Chebyshev polynomial and a finite sum) are kept only as independent targets
-of the hyperbolic_forms identity check.
+reduces to the Chebyshev polynomial T_{2|k|}(C) when 2k is an integer;
+resolvent_integral takes it as the two exponentials e^{+-2|k| arccosh C},
+so that its large-b nodes do not overflow.  The five named representations
+in WAVE_FORMS (three hypergeometric series, the Chebyshev polynomial and a
+finite sum) are kept only as independent targets of the hyperbolic_forms
+identity check.
 
 Conventions fixed by calibration (see the harness module):
 
@@ -252,6 +254,18 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
     the closed form at s = 1/2 + i mu; a spectral-parameter-dependent
     prefactor is ruled out by the same calibration.  Requires strict decay:
     Im mu < -max(0, |k| - 1/2).
+
+    With b = rho + u^2 the inverse-square-root edge is gone and, as rho > 0,
+    the u-integrand is even and analytic, decaying like e^{-r u^2},
+    r = -Im mu - |k| + 1/2.  So it is one trapezoid sum (quad.trapezoid_even,
+    a row each for the real and imaginary parts) in x, u = g sinh(x / 4g),
+    cut at u = sqrt(40/r).  g = sqrt(2 rho) moves the edge factor's branch
+    points u = +-i g to x = +-2 pi i g: near the diagonal the nodes crowd
+    towards u = 0 instead of growing in number, and elsewhere u ~ x/4, a
+    first step of 1/8 in u.  The profile cosh(2|k| a), a = arccosh(cosh(b/2)
+    / cosh(rho/2)), enters as its two exponentials e^{+-2|k| a}, each joined
+    in one exponent to e^{-i mu b} and the edge factor's e^{-b/2}, so that no
+    factor overflows out to the cut.
     """
     mu = complex(sp.mu)
     _check_decay(mu, k)
@@ -259,7 +273,26 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
     if rho < 1e-7:
         raise DiagonalSingularity("transmutation integral needs z != z'")
     phase = magnetic_phase_halfplane(k, z, zp)
-    return _radial_integral(k, rho, lambda b: np.exp(-1j * mu * b), cfg).scaled(0.5 * phase)
+    ak, ch_r, g = as_magnetic(k).abs_k, math.cosh(rho / 2.0), math.sqrt(2.0 * rho)
+
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        xg = x / (4.0 * g)
+        u2 = np.maximum((g * np.sinh(xg)) ** 2, 1e-300)  # (1 - e^{-u^2}) / u^2 is 1 at u = 0
+        b = rho + u2
+        e = np.exp(-b)
+        c = (1.0 + e) / (2.0 * ch_r)
+        a = b / 2.0 + np.log(c + np.sqrt(np.maximum(c * c - e, 0.0)))  # arccosh(cosh(b/2) / ch_r)
+        # du/dx times 2u / sqrt(cosh^2(b/2) - cosh^2(rho/2)) / 2 pi, less its e^{-b/2}
+        jac = np.cosh(xg) / (4.0 * math.pi * np.sqrt(-np.expm1(-(b + rho)) * -np.expm1(-u2) / u2))
+        decay = (-0.5 - 1j * mu) * b
+        vals = jac * (np.exp(decay + 2.0 * ak * a) + np.exp(decay - 2.0 * ak * a))
+        return np.stack([vals.real, vals.imag])[rows]
+
+    r = -mu.imag - ak + 0.5
+    res = quad.trapezoid_even(f, 4.0 * g * math.asinh(math.sqrt(40.0 / r) / g),
+                              cfg.abs_tol * np.ones(2), cfg.rel_tol)
+    return quad.QuadratureResult(0.5 * phase * complex(*res.value),
+                                 0.5 * math.hypot(*res.err_estimate), res.n_evals, res.converged)
 
 
 def heat_kernel(t: float, k: Union[float, MagneticK], z: HalfPlanePoint, zp: HalfPlanePoint,

@@ -7,7 +7,8 @@ the heat kernel, and the Hartman-Watson double-integral oracle for it.
 
 The resolvent integral takes the oscillating tails of its transverse
 integrand along rays rotated into the lower half-plane, continuing the
-magnetic phase analytically there (see resolvent_integral).  The heat kernel
+magnetic phase analytically there, as one double-exponential trapezoid sum
+(see resolvent_integral).  The heat kernel
 is a trapezoid sum of the closed resolvent along one line in mu, within the
 closed form's range 2 lam e^{max(X, X')} <= 40 (see heat_kernel).
 
@@ -343,14 +344,25 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
     magnitude past the reliable series range before the tail closes.
 
     The integrand decays only like |u|^(-2 Re s) while it oscillates, so only
-    the head |u| < U = y + y' stays on the real axis.  The tails are rotated
-    onto u = +-U - i w, where e^{-i lam u} decays like e^{-lam w}; G_hyp is
-    analytic there (its branch points +-i|y - y'|, +-i(y + y') lie on the
-    imaginary axis) and |cosh^2(rho/2)| >= 2 keeps its 2F1 argument in
-    |z| <= 1/2.  On the left ray u + iv (v = y + y') crosses the negative real
-    axis at w = v, so the phase ((-u + iv)/(u + iv))^k continues that log as
-    i pi + log(-u - iv); the principal branch would be off by e^{-2 pi i k}
-    beyond w = v.  The u-independent gamma prefactor is computed once.
+    the head |u| < U = y + y' stays on the real axis.  It is integrated by
+    GK15 in x = asinh(u/d), d = |y - y'|, which moves G_hyp's branch points
+    u = +-i d to x = +-i pi/2, so the panels do not crowd towards u = 0.  The
+    tails are rotated onto u = +-U - i w, where e^{-i lam u} decays like
+    e^{-lam w}; G_hyp is analytic there (its branch points +-i d, +-i(y + y')
+    lie on the imaginary axis) and |cosh^2(rho/2)| >= 2 keeps its 2F1
+    argument in |z| <= 1/2.  Both rays are one trapezoid sum
+    (quad.trapezoid_even, a row each for the real and imaginary parts) in
+    t = x/4 under the double-exponential map w = exp(t - e^{-t}) (Takahasi
+    & Mori 1974), whose integrand decays double-exponentially at both ends:
+    as e^{-lam w} for t > 0 and as dw/dt ~ exp(-e^{-t}) for t < 0.  It is cut
+    at |t| = max(3.8, log(40/lam) + 0.2): the first bound keeps the t < 0 side
+    below e^{-44} (a cut at the second alone misses 1e-5 at lam = 5), the
+    second keeps e^{-lam w} below e^{-47}.  Each trapezoid level evaluates x
+    and -x and both rays in one 2F1 call.  On the left ray u + iv (v = y + y') crosses the negative
+    real axis at w = v, so the phase ((-u + iv)/(u + iv))^k continues that
+    log as i pi + log(-u - iv); the principal branch would be off by
+    e^{-2 pi i k} beyond w = v.  The u-independent gamma prefactor is
+    computed once.
     """
     _check_decay(mu, cfg.k)
     if cfg.rho_m < 1e-7:
@@ -359,32 +371,40 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
     k, ak, lam = cfg.k, cfg.mk.abs_k, cfg.lam
     pref = _hyp_gamma_prefactor(s, k)
     y, yp = cfg.y, cfg.yp
-    v = y + yp
+    v, d = y + yp, abs(y - yp)
     big_u = v
 
     def profile(u: np.ndarray) -> np.ndarray:
         # G_hyp without its prefactor and phase, at real or complex u (one 2F1 call)
         return _hyp_resolvent_profile(s, ak, (u * u + v * v) / (4.0 * y * yp))
 
-    def head(u: np.ndarray) -> np.ndarray:
+    def head(x: np.ndarray) -> np.ndarray:
         # G_hyp at +-u shares its profile; the phases at +-u are reciprocal
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = d * np.sinh(x)
         osc = np.exp(k * (np.log(-u + 1j * v) - np.log(u + 1j * v)) - 1j * lam * u)
-        return profile(u) * (osc + 1.0 / osc)
+        return profile(u) * (osc + 1.0 / osc) * d * np.cosh(x)
 
     # du = -i dw on both rays; the left tail int_-inf^-U runs up its ray, hence +i
     rot_r = -1j * cmath.exp(-1j * lam * big_u)
     rot_l = 1j * cmath.exp(1j * lam * big_u)
 
-    def tails(w: np.ndarray) -> np.ndarray:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
+    def tails(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        t = np.concatenate([x, -x]) / 4.0
+        w = np.exp(t - np.exp(-t))
         ur, ul = big_u - 1j * w, -big_u - 1j * w
+        g = profile(np.concatenate([ur, ul]))
         phase_r = np.exp(k * (np.log(-ur + 1j * v) - np.log(ur + 1j * v)))
         phase_l = np.exp(k * (np.log(-ul + 1j * v) - 1j * math.pi - np.log(-ul - 1j * v)))
-        return np.exp(-lam * w) * (rot_r * phase_r * profile(ur) + rot_l * phase_l * profile(ul))
+        vals = np.exp(-lam * w) * (rot_r * phase_r * g[:w.size] + rot_l * phase_l * g[w.size:]) \
+            * w * (1.0 + np.exp(-t)) / 4.0
+        even = vals[:x.size] + vals[x.size:]
+        return np.stack([even.real, even.imag])[rows]
 
-    h = quad.integrate_finite(head, 0.0, big_u, qcfg)
-    t = quad.integrate_semiinfinite(tails, 0.0, qcfg)
+    h = quad.integrate_finite(head, 0.0, math.asinh(big_u / d), qcfg)
+    t_cut = max(3.8, math.log(40.0 / lam) + 0.2)
+    rows = quad.trapezoid_even(tails, 4.0 * t_cut, qcfg.abs_tol * np.ones(2), qcfg.rel_tol)
+    t = quad.QuadratureResult(complex(*rows.value), math.hypot(*rows.err_estimate),
+                              rows.n_evals, rows.converged)
     return (h + t).scaled(2.0 * pref / math.sqrt(y * yp))
 
 

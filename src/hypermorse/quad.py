@@ -7,9 +7,12 @@ removed by the substitution b = a + u^2, and halving trapezoid sums of even
 analytic integrands.
 
 Integrands are callables mapping a float ndarray of abscissae to a complex
-ndarray of values.  All routines are pure functions of their inputs and
-evaluate nodes in a fixed order, so results are deterministic and safe to
-call from multiple threads.
+ndarray of values.  Each step is one call: a bisection evaluates both halves'
+30 nodes together and a trapezoid level all its new nodes, so an integrand
+with a fixed cost per call (one special-function table, say) pays it once
+per step.  All routines are pure functions of their inputs and evaluate
+nodes in a fixed order, so results are deterministic and safe to call from
+multiple threads.
 """
 from __future__ import annotations
 
@@ -129,30 +132,35 @@ class QuadratureResult:
                                 self.n_evals + other.n_evals, self.converged and other.converged)
 
 
-def _panel(f, lo: float, hi: float):
-    """One GK15 evaluation: (kronrod value, error estimate, n_evals)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    fx = np.asarray(f(mid + half * _XK), dtype=complex)
-    vk = half * np.add.reduce(_WK * fx)
-    vg = half * np.add.reduce(_WG * fx[1::2])
-    diff = abs(vk - vg)
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
-    return vk, err, 15
+def _panels(f, edges):
+    """GK15 on each panel between consecutive edges, all nodes in one call of
+    f: [(kronrod value, error estimate)] per panel."""
+    spans = [(0.5 * (hi - lo), 0.5 * (hi + lo)) for lo, hi in zip(edges[:-1], edges[1:])]
+    fx = np.asarray(f(np.concatenate([mid + half * _XK for half, mid in spans])), dtype=complex)
+    out = []
+    for i, (half, _) in enumerate(spans):
+        fp = fx[15 * i:15 * (i + 1)]
+        vk = half * np.add.reduce(_WK * fp)
+        vg = half * np.add.reduce(_WG * fp[1::2])
+        diff = abs(vk - vg)
+        out.append((vk, min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0))
+    return out
 
 
 def integrate_finite(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Integrate f over [a, b] by globally adaptive Gauss-Kronrod 7/15.
 
     The panel with the largest error estimate is bisected until the summed
-    error estimate meets max(abs_tol, rel_tol * |value|).  Hitting
+    error estimate meets max(abs_tol, rel_tol * |value|); both halves of a
+    bisection are one call of f on their 30 nodes.  Hitting
     _MAX_SUBDIVISIONS returns the best estimate with converged=False instead
     of raising.  A running error sum down at a few ulps of the largest panel
     error it absorbed is re-summed exactly, so a tiny abs_tol can be met.
     """
     if not a < b:
         raise ValueError("integrate_finite requires a < b")
-    val, err, n = _panel(f, a, b)
+    (val, err), = _panels(f, (a, b))
+    n = 15
     # heap entries: (-err, insertion order, lo, hi, value, err)
     counter = 0
     heap = [(-err, counter, a, b, val, err)]
@@ -170,9 +178,8 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) ->
             heapq.heappush(heap, (0.0, counter, lo, hi, v_old, 0.0))
             total_err -= e_old
             continue
-        v1, e1, n1 = _panel(f, lo, mid)
-        v2, e2, n2 = _panel(f, mid, hi)
-        n += n1 + n2
+        (v1, e1), (v2, e2) = _panels(f, (lo, mid, hi))
+        n += 30
         total_val += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
         err_peak = max(err_peak, e1, e2)
@@ -276,25 +283,29 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
 
     f(x, rows) gives the rows (an index array) at nodes x, shape (len(rows),
     len(x)); abs_tol, one per row or a scalar for one row, sets the rows.  h
-    halves from _TRAP_H0, reusing nodes and summing each level exactly; a row
-    stops once err = |T(h) - T(h/2)| meets max(abs_tol, rel_tol |T|), or the
-    floor max(noise h sum|f|, eps |T|) (noise: f's relative round-off; err
-    never below the floor; a floor above the tolerance makes converged
-    False).  Rows open past _TRAP_MAX_NODES nodes make converged False.
+    halves from _TRAP_H0, one call of f per level (the first holds x = 0),
+    reusing nodes and summing each level exactly; a row stops once
+    err = |T(h) - T(h/2)| meets max(abs_tol, rel_tol |T|), or the floor
+    max(noise h sum|f|, eps |T|) (noise: f's relative round-off; err never
+    below the floor; a floor above the tolerance makes converged False).
+    Rows open past _TRAP_MAX_NODES nodes make converged False.
     value and err_estimate hold one entry per row; n_evals counts every
     row's nodes.
     """
     tol = np.atleast_1d(np.asarray(abs_tol, dtype=float))
     rows = np.arange(tol.size)  # the open rows; total, mag, prev and tol hold only those
     value, err = np.full((2, tol.size), math.inf)
-    total = 0.5 * f(np.zeros(1), rows)[:, 0]
-    mag, prev, n, n_nodes, converged = np.abs(total), value[rows], tol.size, 1, True
-    h, nodes = _TRAP_H0, np.arange(_TRAP_H0, x_max, _TRAP_H0)
+    prev, n, n_nodes, converged = value[rows], 0, 0, True
+    h, nodes = _TRAP_H0, np.arange(0.0, x_max, _TRAP_H0)  # the first level holds x = 0
     while n_nodes + len(nodes) <= _TRAP_MAX_NODES:
         vals = f(nodes, rows)
+        n, n_nodes = n + vals.size, n_nodes + len(nodes)
+        if h == _TRAP_H0:  # f(0) at half weight, outside the fsum of the other nodes
+            total, vals = 0.5 * vals[:, 0], vals[:, 1:]
+            mag = np.abs(total)
         total = total + [math.fsum(row) for row in vals.tolist()]
         mag = mag + [math.fsum(row) for row in np.abs(vals).tolist()] if noise else mag
-        n, n_nodes, v = n + vals.size, n_nodes + len(nodes), h * total
+        v = h * total
         floor = np.maximum(noise * h * mag, _EPS * np.abs(v))
         value[rows], err[rows] = v, np.maximum(np.abs(v - prev), floor)
         bound = np.maximum(tol, rel_tol * np.abs(v))

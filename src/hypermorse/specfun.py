@@ -1,14 +1,15 @@
 """Self-contained special functions used by the kernel formulas.
 
-Complex log-gamma (Lanczos), Pochhammer symbols, the Gauss and Kummer
-hypergeometric series, the two-variable confluent series Phi1, Chebyshev
-polynomials of the first kind, Bessel J/I/K, and Whittaker M/W.
+Complex log-gamma (Lanczos; the C library's lgamma on the positive real
+axis), Pochhammer symbols, the Gauss and Kummer hypergeometric series, the
+two-variable confluent series Phi1, Chebyshev polynomials of the first kind,
+Bessel J/I/K, and Whittaker M/W.
 
 F(a, b; c; z) has three regions (see gauss_2f1): the direct series, the
 Pfaff transformation, and for c = a + b near z = 1, the case of the
 hyperbolic resolvent near its diagonal, the logarithmic z -> 1 - z
 connection; there z = 1 itself raises LogarithmicSingularity.  z may be an
-ndarray: one series loop per region group, each entry stopping on its own.
+ndarray: one table of series terms per region, each entry stopping on its own.
 
 Everything is evaluated at desk scale: series arguments are kept inside
 documented cutoffs (|x| <= 30 for the Bessel series, |z| <= 40 for the
@@ -101,9 +102,12 @@ def log_gamma(z: complex) -> complex:
     """Log-gamma on the standard analytic branch (real on the positive axis,
     continuous off the negative real axis).
 
-    Lanczos sum for Re z >= 0.5, branch-tracked reflection otherwise.
+    The C library's lgamma on the positive real axis, the Lanczos sum for
+    other Re z >= 0.5, branch-tracked reflection otherwise.
     """
     z = complex(z)
+    if z.imag == 0.0 and z.real > 0.0:
+        return complex(math.lgamma(z.real))
     if _nonpositive_int(z):
         raise PoleAtNonPositiveInteger(f"log_gamma pole at z={z}")
     if z.real < 0.5:
@@ -143,6 +147,13 @@ def _terminating_index(a: complex, b: complex = None) -> Union[int, None]:
     return best
 
 
+def _cap_error(terminating: Union[int, None]) -> SeriesNonConvergence:
+    if terminating is not None:
+        return SeriesNonConvergence(
+            f"terminating series of degree {terminating} cut at the {_MAX_TERMS}-term cap")
+    return SeriesNonConvergence(f"series did not converge in {_MAX_TERMS} terms")
+
+
 def _hyp_series(ratio, terminating: Union[int, None], head=1.0 + 0.0j):
     """Sum head + sum t_n with t_{n+1} = t_n * ratio(n), t_0 = head; stops on 3
     terms below _TERM_TOL * max(|head|, |sum|).  Returns the sum and the
@@ -159,16 +170,22 @@ def _hyp_series(ratio, terminating: Union[int, None], head=1.0 + 0.0j):
                 return total, n + 1
         else:
             quiet = 0
-    if terminating is not None:
-        raise SeriesNonConvergence(
-            f"terminating series of degree {terminating} cut at the {_MAX_TERMS}-term cap")
-    raise SeriesNonConvergence(f"series did not converge in {_MAX_TERMS} terms")
+    raise _cap_error(terminating)
 
 
-def _table_sums(terms, head: complex, z, n: int, cap: int, exact_end: bool):
+def _table_rows(x_max: float) -> int:
+    """Rows a series in powers of x needs, |x| <= x_max, for three terms below
+    _TERM_TOL: the first guess of a table, before its doubling fallback."""
+    return 3 + math.ceil(math.log(_TERM_TOL) / math.log(x_max)) if x_max < 1.0 else _MAX_TERMS
+
+
+def _table_sums(terms, head: complex, z, n: int, terminating: Union[int, None] = None):
     """head + sum_j t_j at each z, from the columns t_0 .. t_{n-1} of terms(n, z), each
-    cut where its scalar loop stops (3 quiet terms, or exact_end: the end of a
-    terminating series); columns that do not are summed again with 2n terms, to cap."""
+    cut where its scalar loop stops: 3 quiet terms, or the end of a series of
+    `terminating` terms.  Columns that do not are summed again with 2n terms, up to
+    that end or _MAX_TERMS, past which they raise as the scalar loop does."""
+    cap = _MAX_TERMS if terminating is None else min(_MAX_TERMS, max(terminating, 1))
+    n = min(n, cap)
     t = terms(n, z)
     mag = np.abs(t)
     t[0] += head  # the running sums then round as the scalar loop's do
@@ -177,28 +194,28 @@ def _table_sums(terms, head: complex, z, n: int, cap: int, exact_end: bool):
     run = quiet[2:] & quiet[1:-1] & quiet[:-2]  # run[j]: t_j, t_{j+1}, t_{j+2} quiet
     row = np.where(run.any(axis=0), run.argmax(axis=0) + 2, n - 1) if n > 2 else n - 1
     out = totals[row, np.arange(z.size)]
-    stopped = run.any(axis=0) | (exact_end and n >= cap)
+    stopped = run.any(axis=0) | (terminating is not None and n >= max(terminating, 1))
     if not stopped.all():
         if n >= cap:
-            raise SeriesNonConvergence(f"series did not converge in {cap} terms")
-        out[~stopped] = _table_sums(terms, head, z[~stopped], min(2 * n, cap), cap, exact_end)
+            raise _cap_error(terminating)
+        out[~stopped] = _table_sums(terms, head, z[~stopped], 2 * n, terminating)
     return out
 
 
 def _direct_group(a: complex, b: complex, c: complex, z, term_n):
-    """F(a, b; c; z) by the direct series; an array by the loop at its largest |z|."""
+    """F(a, b; c; z) by the direct series: a loop at a scalar z or a one-entry
+    array, one table over a longer array."""
     scalar = isinstance(z, complex)
-    zh = z if scalar else complex(z[np.argmax(np.abs(z))])
-    total, n = _hyp_series(lambda j: (a + j) * (b + j) / ((c + j) * (j + 1)) * zh, term_n)
     if scalar or z.size == 1:
+        zh = z if scalar else complex(z[0])
+        total = _hyp_series(lambda j: (a + j) * (b + j) / ((c + j) * (j + 1)) * zh, term_n)[0]
         return total if scalar else np.array([total])
 
     def terms(n_rows, zs):
         j = np.arange(n_rows)
         return np.cumprod(((a + j) * (b + j) / ((c + j) * (j + 1)))[:, None] * zs, axis=0)
 
-    cap = _MAX_TERMS if term_n is None else min(_MAX_TERMS, max(term_n, 1))
-    return _table_sums(terms, 1.0, z, n, cap, term_n is not None)
+    return _table_sums(terms, 1.0, z, _table_rows(np.abs(z).max()), term_n)
 
 
 def _digamma(x: complex) -> complex:
@@ -216,27 +233,26 @@ def _digamma(x: complex) -> complex:
 def _log_group(a: complex, b: complex, c: complex, z, term_n: None):
     """F(a, b; c = a + b; z) by DLMF 15.8.10, m = 0: Gamma(c)/(Gamma(a) Gamma(b)) sum_n
     (a)_n (b)_n/(n!)^2 [d_n - log(1-z)] (1-z)^n, d_n = 2 psi(n+1) - psi(a+n) - psi(b+n) by
-    psi(x + 1) = psi(x) + 1/x; looped at z or at an array's largest |1 - z|."""
-    scalar = isinstance(z, complex)
-    w = 1.0 - (z if scalar else complex(z[np.argmax(np.abs(1.0 - z))]))
-    d = d0 = -2.0 * _EULER_GAMMA - _digamma(a) - _digamma(b)
-    log_w, coeff, total, quiet = cmath.log(w), 1.0 + 0.0j, 0.0j, 0
-    for n in range(_MAX_TERMS):
-        term = coeff * (d - log_w)
-        total += term
-        if abs(term) < _TERM_TOL * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-        coeff *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
-        d += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
-    else:
-        raise SeriesNonConvergence(f"logarithmic 2F1 series did not converge in {n + 1} terms")
+    psi(x + 1) = psi(x) + 1/x; a loop at a scalar z or a one-entry array, one table
+    over a longer array."""
+    d0 = -2.0 * _EULER_GAMMA - _digamma(a) - _digamma(b)
     scale = cmath.exp(log_gamma(c) - log_gamma(a) - log_gamma(b))
+    scalar = isinstance(z, complex)
     if scalar or z.size == 1:
-        return scale * (total if scalar else np.array([total]))
+        w, d = 1.0 - (z if scalar else complex(z[0])), d0
+        log_w, coeff, total, quiet = cmath.log(w), 1.0 + 0.0j, 0.0j, 0
+        for n in range(_MAX_TERMS):
+            term = coeff * (d - log_w)
+            total += term
+            if abs(term) < _TERM_TOL * max(1.0, abs(total)):
+                quiet += 1
+                if quiet >= 3:
+                    return scale * (total if scalar else np.array([total]))
+            else:
+                quiet = 0
+            coeff *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
+            d += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
+        raise SeriesNonConvergence(f"logarithmic 2F1 series did not converge in {n + 1} terms")
 
     def terms(n_rows, zs):
         j, w = np.arange(n_rows - 1), 1.0 - zs
@@ -245,7 +261,7 @@ def _log_group(a: complex, b: complex, c: complex, z, term_n: None):
         d = np.concatenate([[d0], 2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j)]).cumsum()
         return coeff.cumprod(axis=0) * (d[:, None] - np.log(w))
 
-    return scale * _table_sums(terms, 0.0, z, n + 1, _MAX_TERMS, False)
+    return scale * _table_sums(terms, 0.0, z, _table_rows(np.abs(1.0 - z).max()))
 
 
 def _pfaff_group(a: complex, b: complex, c: complex, z, term_n: None):
@@ -273,6 +289,33 @@ def _region(z: complex, a: complex, b: complex, c: complex, term_n: Union[int, N
     raise SeriesNonConvergence(f"2F1 argument z={z} outside the reliable region")
 
 
+def _region_masks(zs, a: complex, b: complex, c: complex, term_n: Union[int, None]):
+    """_region over the array zs as [(sum, mask of its entries)]; zeros are in no
+    mask.  Raises as _region does, at the first entry where no sum is reliable."""
+    nonzero = zs != 0
+    if term_n is not None:
+        return [(_direct_group, nonzero)]
+    size = np.abs(zs)
+    log = np.zeros(zs.shape, dtype=bool)
+    if abs(c - a - b) <= 9e-16 * max(abs(a), abs(b), abs(c)):
+        gap = np.abs(1.0 - zs)
+        log = nonzero & (gap < 0.3) & (gap * abs(a * b) < 2.0)
+    direct = nonzero & ~log & (size <= 0.7)
+    rest = nonzero & ~log & ~direct
+    pfaff, bad = np.zeros(zs.shape, dtype=bool), log & (zs == 1)
+    if rest.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pfaff = rest & (np.abs(zs / (zs - 1.0)) < np.minimum(0.98, size))
+        direct |= rest & ~pfaff & (size < 0.98)
+        bad |= rest & ~direct & ~pfaff
+    if bad.any():
+        i = bad.argmax()
+        if log[i]:
+            raise LogarithmicSingularity(f"2F1 with c = a + b = {c} diverges at z = 1")
+        raise SeriesNonConvergence(f"2F1 argument z={complex(zs[i])} outside the reliable region")
+    return [(_log_group, log), (_direct_group, direct), (_pfaff_group, pfaff)]
+
+
 def gauss_2f1(a: complex, b: complex, c: complex, z):
     """Gauss hypergeometric F(a, b; c; z) at a scalar z (returns a complex) or
     at each entry of an ndarray z (returns a complex ndarray of its shape).
@@ -289,9 +332,11 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
     * the Pfaff transformation F(a,b,c,z) = (1-z)^(-a) F(a, c-b, c, z/(z-1))
       where it maps the argument closer to 0 and inside 0.98 (always for z < 0);
     * the direct series for |z| < 0.98; beyond it SeriesNonConvergence.
-    An array raises where an entry would; each region group runs the loop once,
-    at its slowest entry (largest |z| or, log region, |1 - z|), and the other
-    entries in NumPy, each stopping by its own three-quiet-terms rule.
+    An array raises where an entry would.  NumPy masks sort its entries into
+    the regions, and each region of two or more entries is one table of
+    terms, with as many rows as its largest |z| (log region: |1 - z|) needs,
+    doubled for the entries that need more; each entry stops by its own
+    three-quiet-terms rule.
     """
     a, b, c = complex(a), complex(b), complex(c)
     term_n = _terminating_index(a, b)
@@ -302,11 +347,10 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
         group = _region(z, a, b, c, term_n)
         return 1.0 + 0.0j if group is None else group(a, b, c, z, term_n)
     zs = z.astype(complex).ravel()
-    groups = [_region(x, a, b, c, term_n) for x in zs.tolist()]
     out = np.ones(zs.shape, dtype=complex)
-    for group in filter(None, dict.fromkeys(groups)):  # None: z = 0, F = 1
-        sel = np.array([g is group for g in groups])
-        out[sel] = group(a, b, c, zs[sel], term_n)
+    for group, sel in _region_masks(zs, a, b, c, term_n):
+        if sel.any():
+            out[sel] = group(a, b, c, zs[sel], term_n)
     return out.reshape(z.shape)
 
 

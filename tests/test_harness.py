@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from hypermorse import mkernels
-from hypermorse.errors import InvalidGrid, NonFiniteInput
+from hypermorse import harness, mkernels, specfun
+from hypermorse.errors import CalibrationAmbiguous, InvalidGrid, NonFiniteInput
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.harness import (
     CalibrationRecord,
@@ -12,6 +12,7 @@ from hypermorse.harness import (
     apply_halfplane_generator,
     calibrate_spectral_mapping,
     check_hyperbolic_heat_pde,
+    check_hyperbolic_resolvent,
     check_morse_heat_hw_oracle,
     check_morse_heat_pde,
     eval_kernel,
@@ -20,11 +21,25 @@ from hypermorse.harness import (
 )
 from hypermorse.hkernels import heat_kernel
 from hypermorse.mkernels import MorseConfig
+from hypermorse.quad import QuadratureResult
 
 
 @pytest.fixture(scope="module")
 def record():
     return calibrate_spectral_mapping()
+
+
+def _nan_at_pair(monkeypatch, zp):
+    """Make the hyperbolic transmutation integral return a converged NaN at
+    every point whose second point is zp."""
+    real = harness.hyp_resolvent_integral
+
+    def integral(sp, k, z, zp_, *args):
+        if (zp_.x, zp_.y) == zp:
+            return QuadratureResult(complex(math.nan, 0.0), 0.0, 1, True)
+        return real(sp, k, z, zp_, *args)
+
+    monkeypatch.setattr(harness, "hyp_resolvent_integral", integral)
 
 
 class TestCalibration:
@@ -55,6 +70,33 @@ class TestCalibration:
         assert second.whittaker_index_convention == record.whittaker_index_convention
         assert second.morse_wave_variant == record.morse_wave_variant
         assert second.residuals == record.residuals
+
+    def test_cost_pinned(self, monkeypatch):
+        # the hyperbolic integral reads only mu, so it runs once per (mu, pair),
+        # not once per mapping as well; the Morse integral once per mu, in 3-4
+        # 2F1 calls.  Counts, so they do not depend on the machine.
+        counts = dict.fromkeys(("hyp", "morse", "2f1"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "hyp_resolvent_integral",
+                            counted("hyp", harness.hyp_resolvent_integral))
+        monkeypatch.setattr(harness, "morse_resolvent_integral",
+                            counted("morse", harness.morse_resolvent_integral))
+        monkeypatch.setattr(specfun, "gauss_2f1", counted("2f1", specfun.gauss_2f1))
+        assert calibrate_spectral_mapping().mapping_id == "C"
+        assert counts["hyp"] == 6 and counts["morse"] == 2 and counts["2f1"] <= 25
+
+    def test_nan_integral_fails(self, monkeypatch):
+        # max(worst, nan) keeps the old worst: a NaN at one point must count
+        # as an infinite residual, not let the mapping through
+        _nan_at_pair(monkeypatch, (0.5, 2.0))
+        with pytest.raises(CalibrationAmbiguous, match="mapping"):
+            calibrate_spectral_mapping()
 
     def test_json_round_trip(self, record, tmp_path):
         path = tmp_path / "calibration.json"
@@ -120,6 +162,16 @@ class TestReports:
         rep = check_morse_heat_hw_oracle()
         assert rep.n_point_errors == 1 and not rep.passed
         assert rep.worst_point["error"].startswith("NotConverged")
+
+    def test_nan_residual_is_a_point_error(self, monkeypatch):
+        # nan > worst is False, so a NaN residual must be recorded explicitly:
+        # a failed point that names itself
+        _nan_at_pair(monkeypatch, (0.5, 2.0))
+        rep = check_hyperbolic_resolvent()
+        assert not rep.passed and math.isinf(rep.max_rel_err)
+        assert rep.n_point_errors == 12  # 3 mu x 4 k at that pair
+        assert rep.worst_point["zp"] == (0.5, 2.0)
+        assert rep.worst_point["error"].startswith("non-finite residual")
 
     def test_morse_heat_pde_measures_zero_shift(self):
         # the heat kernel solves dq/dt = (d^2/dX^2 + 2 k lam e^X - lam^2 e^{2X}) q

@@ -157,6 +157,32 @@ class TestResolventIntegral:
         expect = resolvent_closed(sp, 1.0, Z1, Z2)
         assert relerr(got.value, expect) < 1e-6
 
+    @pytest.mark.parametrize("k, mu", [(1.0, -0.7j), (1.5, -1.2j), (2.0, -1.8j),
+                                       (1.5, 0.14 - 1.44j)])
+    def test_no_overflow_out_to_the_cut(self, k, mu):
+        # slowly decaying integrands, r = -Im mu - |k| + 1/2 from 0.2 to 0.44:
+        # the sum runs out to b ~ 200 and must come back finite and converged
+        z, zp = HalfPlanePoint(-0.52, 1.22), HalfPlanePoint(0.73, 1.13)
+        got = resolvent_integral(SpectralParam(mu), k, z, zp)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(SpectralParam(mu), k, z, zp)) < 1e-10
+
+    def test_slow_decay_large_k(self):
+        # r = -Im mu - |k| + 1/2 = 0.05: the cut sits at b ~ 800, where the
+        # profile cosh(2|k| arccosh C) ~ e^{|k| b} alone overflows
+        z, zp = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.1, 1.05)
+        got = resolvent_integral(SpectralParam(-1.55j), 2.0, z, zp)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(SpectralParam(-1.55j), 2.0, z, zp)) < 1e-10
+
+    def test_near_the_diagonal(self):
+        # rho = 1e-3: the edge factor's branch points sit at u = +-0.045 i, and
+        # the sum in x, u = g sinh(x / 4g), still takes few nodes
+        z, zp = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.0, 1.001)
+        got = resolvent_integral(SpectralParam(-0.9j), 0.0, z, zp)
+        assert got.converged and got.n_evals < 200
+        assert relerr(got.value, resolvent_closed(SpectralParam(-0.9j), 0.0, z, zp)) < 1e-10
+
     def test_decay_precondition_enforced(self):
         with pytest.raises(ConvergenceViolated):
             resolvent_integral(SpectralParam(-0.3j), 1.0, Z1, Z2)  # needs Im mu < -0.5

@@ -385,11 +385,13 @@ class TestResolventIntegral:
         assert relerr(got.value, resolvent_closed(cfg, -1.05j)) < 1e-10
 
     # two of the slower resolvent points of the benchmark's transverse workload
-    @pytest.mark.parametrize("args, mu, n_evals", [((1.0, 0.0, 0.0, 0.35), -0.84j, 180),
-                                                   ((1.0, 0.5, 0.0, -0.5), -0.95j, 225)])
-    def test_cost_pinned(self, monkeypatch, args, mu, n_evals):
-        # the integrand makes one 2F1 call per head panel and one per tail ray
-        # and panel, not one per node; the counts do not depend on the machine
+    @pytest.mark.parametrize("args, mu, n_evals, n_2f1", [((1.0, 0.0, 0.0, 0.35), -0.84j, 171, 4),
+                                                          ((1.0, 0.5, 0.0, -0.5), -0.95j, 141, 3)])
+    def test_cost_pinned(self, monkeypatch, args, mu, n_evals, n_2f1):
+        # the head's GK15 panels in asinh(u/d) take one 2F1 call each (the
+        # first panel, then both halves of a bisection); each trapezoid level
+        # of the tails takes one for both rays; the counts do not depend on
+        # the machine
         real_2f1, calls = specfun.gauss_2f1, []
 
         def counted(*a, **kw):
@@ -400,8 +402,53 @@ class TestResolventIntegral:
         cfg = MorseConfig(*args)
         res = resolvent_integral(cfg, mu)
         assert res.converged and res.n_evals == n_evals
-        assert len(calls) <= 2 * n_evals // 15
+        assert len(calls) == n_2f1
         assert relerr(res.value, resolvent_closed(cfg, mu)) < 1e-10
+
+    @pytest.mark.parametrize("lam", [0.1, 5.0])
+    def test_coupling_extremes(self, lam):
+        # the tail's cut is max(3.8, log(40/lam) + 0.2) in t: at lam = 5 the
+        # second bound alone cuts the t < 0 side where w is still 1e-5
+        cfg = MorseConfig(lam=lam, k=0.0, X=0.0, Xp=0.3)
+        got = resolvent_integral(cfg, -0.9j)
+        assert got.converged
+        if lam == 5.0:
+            # 2 K_nu(lam e^X') I_nu(lam), nu = 0.9, by mpmath at 60 digits; the
+            # closed form's W = M + M cancellation at 2 lam e^X' = 13.5 leaves
+            # it 1.9e-9 off here, the integral 5e-15
+            assert relerr(got.value, 0.02921443113951495857829) < 1e-13
+        else:
+            assert relerr(got.value, resolvent_closed(cfg, -0.9j)) < 1e-14
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0])
+    def test_near_decay_bound(self, k):
+        # alpha = 0.55: for k = 1 that is 0.05 above the bound Im mu < -(|k| - 1/2)
+        cfg = MorseConfig(lam=1.0, k=k, X=0.0, Xp=0.3)
+        got = resolvent_integral(cfg, -0.55j)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(cfg, -0.55j)) < 1e-13
+
+    def test_small_coupling_large_k(self):
+        cfg = MorseConfig(lam=0.2, k=2.0, X=0.0, Xp=0.5)
+        got = resolvent_integral(cfg, -1.8j)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(cfg, -1.8j)) < 1e-13
+
+    def test_alpha_0735_probe_point(self):
+        # the benchmark's mres_integral.alpha0.735 probe point, near the decay
+        # bound at k = 0
+        cfg = MorseConfig(lam=1.0077535156730204, k=0.0, X=0.1905807548607078,
+                          Xp=0.5581692726900779)
+        got = resolvent_integral(cfg, -0.735j)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(cfg, -0.735j)) < 1e-13
+
+    def test_nearly_coincident_points(self):
+        # d = |y - y'| = 1e-3: the head runs to asinh(U/d) = 8.3 in x
+        cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.001)
+        got = resolvent_integral(cfg, -0.9j)
+        assert got.converged
+        assert relerr(got.value, resolvent_closed(cfg, -0.9j)) < 1e-13
 
     def test_support_lower_limit_irrelevant(self):
         # partial transmutation integrals from 0 and from |X-X'| coincide:

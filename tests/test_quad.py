@@ -66,6 +66,22 @@ class TestIntegrateFinite:
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x, 1.0, 0.0)
 
+    def test_one_integrand_call_per_bisection(self):
+        # the first panel's 15 nodes, then both halves of each bisection in one
+        # call of 30; the panels and their sums do not change
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.cos(7.3 * x) * np.exp(x) + 0j
+
+        res = integrate_finite(f, 0.0, 2.0)
+        assert res.converged and len(sizes) > 2
+        assert sizes == [15] + [30] * (len(sizes) - 1)
+        assert res.n_evals == sum(sizes)
+        exact = composite_gauss(f, 0.0, 2.0, 64)
+        assert abs(res.value - exact) <= max(10 * res.err_estimate, 1e-13)
+
     def test_abs_tol_below_running_sum_rounding(self):
         # a Hartman-Watson theta integrand (r = 0.5528, tau = 0.35) whose first
         # panel error is 0.1 but whose target is 1.45e-18: a running error sum
@@ -219,6 +235,22 @@ class TestKnownIntegrals:
         res = trapezoid_even(rows, 6.0, [1e-14, 1e-14], 1e-12)
         assert not res.converged
         assert abs(res.value[0] - math.sqrt(math.pi) / 2) <= res.err_estimate[0]
+
+    def test_trapezoid_one_call_per_level(self):
+        # x = 0 rides in the first level's call; each later level is one call
+        # on the new midpoints only
+        calls = []
+
+        def f(x, rows):
+            calls.append(x.copy())
+            return np.exp(-x * x)[None, :]
+
+        res = trapezoid_even(f, 6.0, 1e-14, 1e-12)
+        assert res.converged and len(calls) >= 2
+        assert calls[0][0] == 0.0 and np.all(np.diff(calls[0]) == 0.5)
+        for level, x in enumerate(calls[1:], start=1):
+            assert np.all(np.abs(x / 0.5 * 2 ** level % 2 - 1) == 0)  # odd multiples of h
+        assert res.n_evals == sum(x.size for x in calls)
 
 
 class TestProperties:
