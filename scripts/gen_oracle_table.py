@@ -96,6 +96,16 @@ for (a, c, x) in [
 ]:
     add("kummer_1f1", [complex(a), complex(c), complex(x)], mp.hyp1f1(a, c, x))
 
+# kummer_1f1 at Re x < 0, summed through Kummer's transformation: the direct
+# series cancels there (its relative error is 5.6 at x = -39)
+for (a, c, x) in [
+    (mp.mpf("1.3"), mp.mpf("2.2"), mp.mpf(-39)),
+    (mp.mpf("2.9"), mp.mpf("3.1"), mp.mpf("-14.6")),
+    (mp.mpf("0.5"), mp.mpf("1.5"), mp.mpf(-30)),
+    (mp.mpc("0.7", "0.2"), mp.mpf("1.9"), mp.mpc(-12, 5)),
+]:
+    add("kummer_1f1", [complex(a), complex(c), complex(x)], mp.hyp1f1(a, c, x))
+
 # humbert_phi1 -------------------------------------------------------------
 for (a, b, c, x, y) in [
     (mp.mpf("1.2"), mp.mpf("0.7"), mp.mpf("2.3"), mp.mpf("0.5"), mp.mpf("0.4")),

@@ -5,12 +5,12 @@ Bessel reduction at k = 0, Fourier transport of the hyperbolic wave kernel),
 the Whittaker closed resolvent and its transmutation-integral counterpart,
 the heat kernel, and the Hartman-Watson double-integral oracle for it.
 
-The resolvent integral takes the oscillating tails of its transverse
-integrand along rays rotated into the lower half-plane, continuing the
-magnetic phase analytically there, as one double-exponential trapezoid sum
-(see resolvent_integral).  The heat kernel
-is a trapezoid sum of the closed resolvent along one line in mu, within the
-closed form's range 2 lam e^{max(X, X')} <= 40 (see heat_kernel).
+The resolvent integral moves its oscillating transverse integrand onto a
+hyperbola in the lower half-plane, where it decays double-exponentially,
+continuing the magnetic phase analytically there, and sums it as one
+trapezoid sum (see resolvent_integral).  The heat kernel is a trapezoid sum
+of the closed resolvent along one line in mu, within the closed form's range
+2 lam e^{max(X, X')} <= 40 (see heat_kernel).
 
 Calibrated conventions (measured by the harness, not assumed):
 
@@ -343,26 +343,21 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
     b-first sweep would drive the k = 0 Bessel factor four orders of
     magnitude past the reliable series range before the tail closes.
 
-    The integrand decays only like |u|^(-2 Re s) while it oscillates, so only
-    the head |u| < U = y + y' stays on the real axis.  It is integrated by
-    GK15 in x = asinh(u/d), d = |y - y'|, which moves G_hyp's branch points
-    u = +-i d to x = +-i pi/2, so the panels do not crowd towards u = 0.  The
-    tails are rotated onto u = +-U - i w, where e^{-i lam u} decays like
-    e^{-lam w}; G_hyp is analytic there (its branch points +-i d, +-i(y + y')
-    lie on the imaginary axis) and |cosh^2(rho/2)| >= 2 keeps its 2F1
-    argument in |z| <= 1/2.  Both rays are one trapezoid sum
-    (quad.trapezoid_even, a row each for the real and imaginary parts) in
-    t = x/4 under the double-exponential map w = exp(t - e^{-t}) (Takahasi
-    & Mori 1974), whose integrand decays double-exponentially at both ends:
-    as e^{-lam w} for t > 0 and as dw/dt ~ exp(-e^{-t}) for t < 0.  It is cut
-    at |t| = max(3.8, log(40/lam) + 0.2): the first bound keeps the t < 0 side
-    below e^{-44} (a cut at the second alone misses 1e-5 at lam = 5), the
-    second keeps e^{-lam w} below e^{-47}.  Each trapezoid level evaluates x
-    and -x and both rays in one 2F1 call.  On the left ray u + iv (v = y + y') crosses the negative
-    real axis at w = v, so the phase ((-u + iv)/(u + iv))^k continues that
-    log as i pi + log(-u - iv); the principal branch would be off by
-    e^{-2 pi i k} beyond w = v.  The u-independent gamma prefactor is
-    computed once.
+    On the real axis the integrand decays only like |u|^(-2 Re s) while it
+    oscillates, so the line moves onto the hyperbola u(x) = d sinh x -
+    i c (cosh x - 1), d = |y - y'|, c = d/2, where |e^{-i lam u}| =
+    e^{-lam c (cosh x - 1)} decays double-exponentially (Takahasi & Mori 1974).
+    The contour meets G_hyp's cuts +-i[d, inf) only at u = 0, Re u^2 >= 0 keeps
+    the 2F1 argument in the real axis's disc |z| <= sech^2(rho/2), and the
+    branch points u = i d, -i d sit at x = 0.93i, +-0.80 - 1.11i whatever d.
+    So the integral is one trapezoid sum (quad.trapezoid_even, Trefethen &
+    Weideman 2014) in 2x, cut where lam c (cosh x - 1) = 45, each call one 2F1
+    call.  It folds x and -x: at real s (mu on the negative imaginary axis)
+    f(-x) = conj f(x), so the fold is 2 Re f(x), one row and one 2F1 entry per
+    node; otherwise a row each for the real and imaginary parts.  Where
+    Re u < 0, u + iv (v = y + y') can cross the negative real axis, so the
+    phase ((-u + iv)/(u + iv))^k takes log(u + iv) as i pi + log(-u - iv); the
+    principal branch would be off by e^{-2 pi i k} there.
     """
     _check_decay(mu, cfg.k)
     if cfg.rho_m < 1e-7:
@@ -372,40 +367,28 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
     pref = _hyp_gamma_prefactor(s, k)
     y, yp = cfg.y, cfg.yp
     v, d = y + yp, abs(y - yp)
-    big_u = v
 
-    def profile(u: np.ndarray) -> np.ndarray:
-        # G_hyp without its prefactor and phase, at real or complex u (one 2F1 call)
-        return _hyp_resolvent_profile(s, ak, (u * u + v * v) / (4.0 * y * yp))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        # e^{-i lam u} G_hyp(u) du/dx, less G's prefactor, at u(x) (one 2F1 call)
+        sh = np.sinh(x)
+        u = d * (sh - 1j * np.sinh(x / 2.0) ** 2)  # c (cosh x - 1) = d sinh^2(x/2)
+        log_uv = np.where(u.real < 0.0, 1j * math.pi + np.log(-u - 1j * v), np.log(u + 1j * v))
+        return _hyp_resolvent_profile(s, ak, (u * u + v * v) / (4.0 * y * yp)) \
+            * np.exp(k * (np.log(-u + 1j * v) - log_uv) - 1j * lam * u) * d * (np.cosh(x) - 0.5j * sh)
 
-    def head(x: np.ndarray) -> np.ndarray:
-        # G_hyp at +-u shares its profile; the phases at +-u are reciprocal
-        u = d * np.sinh(x)
-        osc = np.exp(k * (np.log(-u + 1j * v) - np.log(u + 1j * v)) - 1j * lam * u)
-        return profile(u) * (osc + 1.0 / osc) * d * np.cosh(x)
-
-    # du = -i dw on both rays; the left tail int_-inf^-U runs up its ray, hence +i
-    rot_r = -1j * cmath.exp(-1j * lam * big_u)
-    rot_l = 1j * cmath.exp(1j * lam * big_u)
-
-    def tails(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        t = np.concatenate([x, -x]) / 4.0
-        w = np.exp(t - np.exp(-t))
-        ur, ul = big_u - 1j * w, -big_u - 1j * w
-        g = profile(np.concatenate([ur, ul]))
-        phase_r = np.exp(k * (np.log(-ur + 1j * v) - np.log(ur + 1j * v)))
-        phase_l = np.exp(k * (np.log(-ul + 1j * v) - 1j * math.pi - np.log(-ul - 1j * v)))
-        vals = np.exp(-lam * w) * (rot_r * phase_r * g[:w.size] + rot_l * phase_l * g[w.size:]) \
-            * w * (1.0 + np.exp(-t)) / 4.0
-        even = vals[:x.size] + vals[x.size:]
+    def fold(xi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # (f(x) + f(-x)) / 2 at x = xi/2, so that the sum over xi is int_-inf^inf f dx
+        x = xi / 2.0
+        if s.imag == 0.0:
+            return integrand(x).real[None, :]
+        f = integrand(np.concatenate([x, -x]))
+        even = 0.5 * (f[:x.size] + f[x.size:])
         return np.stack([even.real, even.imag])[rows]
 
-    h = quad.integrate_finite(head, 0.0, math.asinh(big_u / d), qcfg)
-    t_cut = max(3.8, math.log(40.0 / lam) + 0.2)
-    rows = quad.trapezoid_even(tails, 4.0 * t_cut, qcfg.abs_tol * np.ones(2), qcfg.rel_tol)
-    t = quad.QuadratureResult(complex(*rows.value), math.hypot(*rows.err_estimate),
-                              rows.n_evals, rows.converged)
-    return (h + t).scaled(2.0 * pref / math.sqrt(y * yp))
+    res = quad.trapezoid_even(fold, 2.0 * math.acosh(1.0 + 90.0 / (lam * d)),
+                              np.full(1 if s.imag == 0.0 else 2, qcfg.abs_tol), qcfg.rel_tol)
+    return quad.QuadratureResult(complex(*res.value), math.hypot(*res.err_estimate), res.n_evals,
+                                 res.converged).scaled(2.0 * pref / math.sqrt(y * yp))
 
 
 def heat_kernel(cfg: MorseConfig, t: float,

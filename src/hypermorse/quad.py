@@ -8,11 +8,11 @@ analytic integrands.
 
 Integrands are callables mapping a float ndarray of abscissae to a complex
 ndarray of values.  Each step is one call: a bisection evaluates both halves'
-30 nodes together and a trapezoid level all its new nodes, so an integrand
-with a fixed cost per call (one special-function table, say) pays it once
-per step.  All routines are pure functions of their inputs and evaluate
-nodes in a fixed order, so results are deterministic and safe to call from
-multiple threads.
+30 nodes together and a trapezoid level all its new nodes (the first call
+its first two levels), so an integrand with a fixed cost per call (one
+special-function table, say) pays it once per step.  All routines are pure
+functions of their inputs and evaluate nodes in a fixed order, so results
+are deterministic and safe to call from multiple threads.
 """
 from __future__ import annotations
 
@@ -276,6 +276,11 @@ def integrate_sqrt_endpoint(g, a: float, cfg: QuadConfig = DEFAULT_CONFIG, *,
     return integrate_semiinfinite(fu, 0.0, cfg)
 
 
+def _add_level(total, mag, vals, noise):  # plus each row's exact sum of vals (of |vals| if noise)
+    total = total + [math.fsum(row) for row in vals.tolist()]
+    return total, (mag + [math.fsum(row) for row in np.abs(vals).tolist()] if noise else mag)
+
+
 def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0) -> QuadratureResult:
     """Rows of int_0^inf of real even integrands, analytic near the real axis
     and negligible past x_max, as T(h) = h (f(0)/2 + sum_{0 < jh < x_max}
@@ -283,28 +288,29 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
 
     f(x, rows) gives the rows (an index array) at nodes x, shape (len(rows),
     len(x)); abs_tol, one per row or a scalar for one row, sets the rows.  h
-    halves from _TRAP_H0, one call of f per level (the first holds x = 0),
-    reusing nodes and summing each level exactly; a row stops once
-    err = |T(h) - T(h/2)| meets max(abs_tol, rel_tol |T|), or the floor
-    max(noise h sum|f|, eps |T|) (noise: f's relative round-off; err never
-    below the floor; a floor above the tolerance makes converged False).
-    Rows open past _TRAP_MAX_NODES nodes make converged False.
-    value and err_estimate hold one entry per row; n_evals counts every
-    row's nodes.
+    halves from _TRAP_H0, one call of f per level but the first, which holds
+    levels _TRAP_H0 and _TRAP_H0/2 (no row stops sooner), reusing nodes and
+    summing each level exactly; a row stops once err = |T(h) - T(h/2)| meets
+    max(abs_tol, rel_tol |T|), or the floor max(noise h sum|f|, eps |T|)
+    (noise: f's relative round-off; err never below the floor; a floor above
+    the tolerance makes converged False).  Rows open past _TRAP_MAX_NODES
+    nodes, the first call's included, make converged False.  value and
+    err_estimate hold one entry per row; n_evals counts every row's nodes.
     """
     tol = np.atleast_1d(np.asarray(abs_tol, dtype=float))
     rows = np.arange(tol.size)  # the open rows; total, mag, prev and tol hold only those
     value, err = np.full((2, tol.size), math.inf)
-    prev, n, n_nodes, converged = value[rows], 0, 0, True
-    h, nodes = _TRAP_H0, np.arange(0.0, x_max, _TRAP_H0)  # the first level holds x = 0
+    prev, n, n_nodes, converged = None, 0, 0, True
+    h, nodes = _TRAP_H0 / 2.0, np.arange(0.0, x_max, _TRAP_H0)
+    first, nodes = len(nodes), np.concatenate([nodes, np.arange(h, x_max, _TRAP_H0)])
     while n_nodes + len(nodes) <= _TRAP_MAX_NODES:
         vals = f(nodes, rows)
         n, n_nodes = n + vals.size, n_nodes + len(nodes)
-        if h == _TRAP_H0:  # f(0) at half weight, outside the fsum of the other nodes
-            total, vals = 0.5 * vals[:, 0], vals[:, 1:]
-            mag = np.abs(total)
-        total = total + [math.fsum(row) for row in vals.tolist()]
-        mag = mag + [math.fsum(row) for row in np.abs(vals).tolist()] if noise else mag
+        if prev is None:  # level _TRAP_H0 (f(0) at half weight, outside the fsum), then its midpoints
+            total = 0.5 * vals[:, 0]
+            total, mag = _add_level(total, np.abs(total), vals[:, 1:first], noise)
+            prev, vals = 2.0 * h * total, vals[:, first:]
+        total, mag = _add_level(total, mag, vals, noise)
         v = h * total
         floor = np.maximum(noise * h * mag, _EPS * np.abs(v))
         value[rows], err[rows] = v, np.maximum(np.abs(v - prev), floor)

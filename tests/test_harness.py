@@ -73,7 +73,7 @@ class TestCalibration:
 
     def test_cost_pinned(self, monkeypatch):
         # the hyperbolic integral reads only mu, so it runs once per (mu, pair),
-        # not once per mapping as well; the Morse integral once per mu, in 3-4
+        # not once per mapping as well; the Morse integral once per mu, in 1-2
         # 2F1 calls.  Counts, so they do not depend on the machine.
         counts = dict.fromkeys(("hyp", "morse", "2f1"), 0)
 
@@ -89,7 +89,7 @@ class TestCalibration:
                             counted("morse", harness.morse_resolvent_integral))
         monkeypatch.setattr(specfun, "gauss_2f1", counted("2f1", specfun.gauss_2f1))
         assert calibrate_spectral_mapping().mapping_id == "C"
-        assert counts["hyp"] == 6 and counts["morse"] == 2 and counts["2f1"] <= 25
+        assert counts["hyp"] == 6 and counts["morse"] == 2 and counts["2f1"] <= 18
 
     def test_nan_integral_fails(self, monkeypatch):
         # max(worst, nan) keeps the old worst: a NaN at one point must count

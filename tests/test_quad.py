@@ -237,20 +237,38 @@ class TestKnownIntegrals:
         assert abs(res.value[0] - math.sqrt(math.pi) / 2) <= res.err_estimate[0]
 
     def test_trapezoid_one_call_per_level(self):
-        # x = 0 rides in the first level's call; each later level is one call
-        # on the new midpoints only
+        # the first call holds levels h0 and h0/2: x = 0 and the multiples of
+        # h0, then the odd multiples of h0/2; each later level is one call on
+        # its new midpoints only
         calls = []
 
         def f(x, rows):
             calls.append(x.copy())
-            return np.exp(-x * x)[None, :]
+            return np.exp(-9.0 * x * x)[None, :]
 
         res = trapezoid_even(f, 6.0, 1e-14, 1e-12)
         assert res.converged and len(calls) >= 2
-        assert calls[0][0] == 0.0 and np.all(np.diff(calls[0]) == 0.5)
-        for level, x in enumerate(calls[1:], start=1):
+        np.testing.assert_array_equal(calls[0], np.concatenate([np.arange(12) * 0.5,
+                                                                np.arange(12) * 0.5 + 0.25]))
+        for level, x in enumerate(calls[1:], start=2):
             assert np.all(np.abs(x / 0.5 * 2 ** level % 2 - 1) == 0)  # odd multiples of h
         assert res.n_evals == sum(x.size for x in calls)
+
+    def test_trapezoid_budget_counts_the_first_call(self, monkeypatch):
+        # the first call's two levels hold 8 nodes on [0, 2): a budget of 8
+        # admits it, one of 7 makes no call and leaves the result unconverged
+        calls = []
+
+        def f(x, rows):
+            calls.append(x.size)
+            return np.exp(-x * x)[None, :]
+
+        monkeypatch.setattr(quad, "_TRAP_MAX_NODES", 8)
+        res = trapezoid_even(f, 2.0, 1e-14, 1e-12)
+        assert calls == [8] and res.n_evals == 8
+        monkeypatch.setattr(quad, "_TRAP_MAX_NODES", 7)
+        res = trapezoid_even(f, 2.0, 1e-14, 1e-12)
+        assert calls == [8] and res.n_evals == 0 and not res.converged
 
 
 class TestProperties:
