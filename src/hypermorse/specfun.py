@@ -54,7 +54,6 @@ _EULER_GAMMA = 0.57721566490153286061
 # for the 1; read at call time
 _MAX_TERMS = 5000
 _TERM_TOL = 1e-16
-_BAND_ELEMENTS = 4096  # entries a table's cheap columns must fill to be a table of their own
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -174,24 +173,18 @@ def _hyp_series(ratio, terminating: Union[int, None], head=1.0 + 0.0j):
     raise _cap_error(terminating)
 
 
-def _table_sums(terms, head: complex, z, x_abs, terminating: Union[int, None] = None, n: int = 0):
+def _table_rows(x_max: float, growth: float = 1.0) -> int:
+    """Rows a series in powers of x needs, |x| <= x_max, for three terms below
+    _TERM_TOL, with `growth` times the powers of x_max for the coefficients:
+    the first guess of a table, before its doubling fallback."""
+    return 3 + math.ceil(growth * math.log(_TERM_TOL) / math.log(x_max)) if x_max < 1.0 else _MAX_TERMS
+
+
+def _table_sums(terms, head: complex, z, n: int, terminating: Union[int, None] = None):
     """head + sum_j t_j at each z, from the columns t_0 .. t_{n-1} of terms(n, z), each
     cut where its scalar loop stops: 3 quiet terms, or the end of a series of
     `terminating` terms.  Columns that do not are summed again with 2n terms, up to
-    that end or _MAX_TERMS, past which they raise as the scalar loop does.  n = 0 takes
-    the rows for three terms below _TERM_TOL at the largest |x| = x_abs, and a quarter
-    more for coefficient growth; the entries with |x| <= max^4 (a quarter of those
-    rows or fewer) are then a table of their own once they would fill _BAND_ELEMENTS
-    of it.  Each entry stops by its own rule, so no band changes its value."""
-    if not n:
-        x_max = x_abs.max()
-        n = 3 + math.ceil(1.25 * math.log(_TERM_TOL) / math.log(x_max)) if x_max < 1.0 else _MAX_TERMS
-        cheap = x_abs <= x_max ** 4
-        if not cheap.all() and n * np.count_nonzero(cheap) >= _BAND_ELEMENTS:
-            out = np.empty(z.shape, dtype=complex)
-            out[cheap] = _table_sums(terms, head, z[cheap], x_abs[cheap], terminating)
-            out[~cheap] = _table_sums(terms, head, z[~cheap], x_abs[~cheap], terminating, n)
-            return out
+    that end or _MAX_TERMS, past which they raise as the scalar loop does."""
     cap = _MAX_TERMS if terminating is None else min(_MAX_TERMS, max(terminating, 1))
     n = min(n, cap)
     t = terms(n, z)
@@ -206,7 +199,7 @@ def _table_sums(terms, head: complex, z, x_abs, terminating: Union[int, None] = 
     if not stopped.all():
         if n >= cap:
             raise _cap_error(terminating)
-        out[~stopped] = _table_sums(terms, head, z[~stopped], x_abs[~stopped], terminating, 2 * n)
+        out[~stopped] = _table_sums(terms, head, z[~stopped], 2 * n, terminating)
     return out
 
 
@@ -223,7 +216,7 @@ def _direct_group(a: complex, b: complex, c: complex, z, term_n):
         j = np.arange(n_rows)
         return np.cumprod(((a + j) * (b + j) / ((c + j) * (j + 1)))[:, None] * zs, axis=0)
 
-    return _table_sums(terms, 1.0, z, np.abs(z), term_n)
+    return _table_sums(terms, 1.0, z, _table_rows(np.abs(z).max()), term_n)
 
 
 def _digamma(x: complex) -> complex:
@@ -269,7 +262,7 @@ def _log_group(a: complex, b: complex, c: complex, z, term_n: None):
         d = np.concatenate([[d0], 2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j)]).cumsum()
         return coeff.cumprod(axis=0) * (d[:, None] - np.log(w))
 
-    return scale * _table_sums(terms, 0.0, z, np.abs(1.0 - z))
+    return scale * _table_sums(terms, 0.0, z, _table_rows(np.abs(1.0 - z).max(), 1.25))
 
 
 def _pfaff_group(a: complex, b: complex, c: complex, z, term_n: None):
@@ -341,10 +334,10 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
       where it maps the argument closer to 0 and inside 0.98 (always for z < 0);
     * the direct series for |z| < 0.98; beyond it SeriesNonConvergence.
     An array raises where an entry would.  NumPy masks sort its entries into
-    the regions, and each region of two or more entries is a table of terms
-    (banded by |z|, log region |1 - z|, once it is large), as many rows as
-    its largest |z| needs, doubled for the entries that need more; each entry
-    stops by its own three-quiet-terms rule.
+    the regions, and each region of two or more entries is one table of
+    terms, with as many rows as its largest |z| (log region: |1 - z|) needs,
+    doubled for the entries that need more; each entry stops by its own
+    three-quiet-terms rule.
     """
     a, b, c = complex(a), complex(b), complex(c)
     term_n = _terminating_index(a, b)

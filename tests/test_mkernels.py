@@ -452,24 +452,36 @@ class TestResolventIntegral:
     def test_cost_over_the_transverse_strata(self, monkeypatch):
         # the 20 resolvent points of the benchmark's transverse round at
         # (2k, alpha, |X - X'|), X = 0 and X' on alternate sides: 23 2F1
-        # calls on 1,129 entries in all, at most 2 calls a point; counts, so
-        # they do not depend on the machine
+        # calls on 1,129 entries in all, at most 2 calls a point, and 46
+        # tables of 100,559 cells, each summed once on its first guess of
+        # rows (the log region's guess needs its margin for coefficient
+        # growth, the direct tables none); counts, so they do not depend on
+        # the machine
         strata = ((0, 0.84, 0.35), (1, 0.95, 0.5), (2, 1.05, 0.4), (0, 1.2, 0.33),
                   (1, 1.25, 0.45)) + tuple(
             (i % 3, 1.3 + 0.0125 * i, 0.35 + 0.1 * (i % 3 + i // 3 % 2) / 2) for i in range(15))
         real_2f1, entries = specfun.gauss_2f1, []
+        real_sums, tables = specfun._table_sums, []
 
         def counted(a, b, c, z):
             entries.append(np.size(z))
             return real_2f1(a, b, c, z)
 
+        def table(terms, head, z, n, terminating=None):
+            # a second pass over a table's short entries gets the same terms
+            tables.append((terms, n * z.size))
+            return real_sums(terms, head, z, n, terminating)
+
         monkeypatch.setattr(specfun, "gauss_2f1", counted)
+        monkeypatch.setattr(specfun, "_table_sums", table)
         for i, (two_k, alpha, dist) in enumerate(strata):
             cfg, calls = MorseConfig(1.0, two_k / 2.0, 0.0, (-1.0) ** i * dist), len(entries)
             got = resolvent_integral(cfg, -1j * alpha)
             assert got.converged and len(entries) - calls <= 2
             assert relerr(got.value, resolvent_closed(cfg, -1j * alpha)) < 5e-14
         assert len(entries) <= 23 and sum(entries) <= 1129
+        assert len({id(terms) for terms, _ in tables}) == len(tables)
+        assert sum(cells for _, cells in tables) <= 100559
 
     @pytest.mark.parametrize("lam", [0.1, 5.0])
     def test_coupling_extremes(self, lam):
