@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Per-point cost of the four point kinds of a `transverse` benchmark round.
+
+For the calibration, the Morse resolvent integral (the round's 20 strata),
+the Morse heat kernel and its Hartman-Watson oracle (the round's two heat
+points, all read from perfbench/workloads.py) it prints, as one JSON object,
+the best-of-N in-process wall time of each point in ms and its n_evals, the
+machine-independent count.  The calibration's n_evals is the sum over the
+transmutation integrals it computes.
+Run from the repository root:
+
+    python3 scripts/bench_points.py
+
+Wall times depend on the machine and its load; compare runs taken on the
+same machine, one after the other.
+"""
+import json
+import math
+import pathlib
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from hypermorse import harness, mkernels  # noqa: E402
+from hypermorse.mkernels import MorseConfig  # noqa: E402
+from workloads import HEAT_STRATA, RES_STRATA  # noqa: E402  the transverse round's points
+
+REPEATS = 5  # calls per point; the best counts
+
+
+def best_of(fn):
+    """(best wall time in ms, last result) over REPEATS calls of fn."""
+    best, out = math.inf, None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best, out
+
+
+def calibration_evals() -> int:
+    """n_evals summed over the calibration's transmutation integrals."""
+    total = 0
+    real = {name: getattr(harness, name) for name in ("hyp_resolvent_integral", "morse_resolvent_integral")}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal total
+            res = fn(*args, **kwargs)
+            total += res.n_evals
+            return res
+        return wrapper
+
+    try:
+        for name, fn in real.items():
+            setattr(harness, name, counted(fn))
+        harness.calibrate_spectral_mapping()
+    finally:
+        for name, fn in real.items():
+            setattr(harness, name, fn)
+    return total
+
+
+def main() -> int:
+    ms, _ = best_of(harness.calibrate_spectral_mapping)
+    out = {"repeats": REPEATS, "calibrate": {"best_ms": round(ms, 3), "n_evals": calibration_evals()}}
+
+    kinds = {"mres_integral": [], "mheat": [], "hw_oracle": []}
+    for i, (two_k, alpha, dist) in enumerate(RES_STRATA):
+        cfg = MorseConfig(1.0, two_k / 2.0, 0.0, (-1.0) ** i * dist)
+        kinds["mres_integral"].append(best_of(lambda: mkernels.resolvent_integral(cfg, -1j * alpha)))
+    for i, (two_k, t, dist) in enumerate(HEAT_STRATA):
+        cfg = MorseConfig(1.0, two_k / 2.0, 0.0, (-1.0) ** i * dist)
+        kinds["mheat"].append(best_of(lambda: mkernels.heat_kernel(cfg, t)))
+        kinds["hw_oracle"].append(best_of(lambda: mkernels.hartman_watson_heat_oracle(cfg, t)))
+    for kind, runs in kinds.items():
+        out[kind] = {"best_ms": [round(ms, 3) for ms, _ in runs],
+                     "n_evals": [res.n_evals for _, res in runs],
+                     "sum_best_ms": round(sum(ms for ms, _ in runs), 3)}
+    print(json.dumps(out, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -430,7 +430,8 @@ def check_morse_heat_hw_oracle(tol_overrides: Optional[dict] = None) -> Identity
                    worst, tol_overrides)
 
 
-# (t, k, X, X') at lam = 1; the oracle raises CancellationLimit at k >= 1.5
+# (t, k, X, X') at lam = 1; past k = 1.5 the oracle's round-off floor ends it (converged=False at
+# the k = 1.7 sample, CancellationLimit at k = 2)
 _MORSE_PDE_SAMPLES = ((0.8, 0.0, 0.0, 0.4), (1.0, 1.5, 0.0, 0.3), (1.2, 1.7, 0.2, -0.3),
                       (0.7, 2.0, 0.0, 0.5), (1.0, -1.3, 0.0, 0.3), (0.9, 0.5, 0.3, -0.2))
 
@@ -439,7 +440,7 @@ def check_morse_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityReport
     """dq/dt = (d^2/dX^2 + 2 k lam e^X - lam^2 e^{2X} + s) q, five-point
     stencils in t and X, relative to max(|dq/dt|, |L q|).  The constant
     spectral shift s is measured at the first sample and held for the rest;
-    each point records it.  Unlike the oracle this reaches k >= 1.5."""
+    each point records it.  Unlike the oracle this reaches k = 2."""
     worst, h, shift = _Worst(), 0.01, None
     qcfg = quad.QuadConfig(rel_tol=1e-10, abs_tol=1e-16)
     for (t, k, x, xp) in _MORSE_PDE_SAMPLES:

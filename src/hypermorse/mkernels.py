@@ -10,7 +10,11 @@ hyperbola in the lower half-plane, where it decays double-exponentially,
 continuing the magnetic phase analytically there, and sums it as one
 trapezoid sum (see resolvent_integral).  The heat kernel is a trapezoid sum
 of the closed resolvent along one line in mu, within the closed form's range
-2 lam e^{max(X, X')} <= 40 (see heat_kernel).
+2 lam e^{max(X, X')} <= 40, each trapezoid call one resolvent_closed call on
+the array of its nodes (see heat_kernel).  The Hartman-Watson oracle's outer
+integral is a trapezoid sum in log u, each call one theta_hw array over its
+nodes (see hartman_watson_heat_oracle).  No routine here runs GK panels but
+wave_kernel_fourier.
 
 Calibrated conventions (measured by the harness, not assumed):
 
@@ -295,15 +299,16 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float,
     return r1 + r2
 
 
-def _whittaker_order(mu: complex, index_convention: str) -> complex:
+def _whittaker_order(mu, index_convention: str):
+    mu = mu.astype(complex) if specfun._is_array(mu) else complex(mu)
     if index_convention == "order_imu":
-        return 1j * complex(mu)
+        return 1j * mu
     if index_convention == "order_mu":
-        return complex(mu)
+        return mu
     raise ValueError(f"unknown index convention {index_convention!r}")
 
 
-def resolvent_closed(cfg: MorseConfig, mu: complex, index_convention: str = "order_imu") -> complex:
+def resolvent_closed(cfg: MorseConfig, mu, index_convention: str = "order_imu"):
     """Whittaker-product closed form of the Morse resolvent.
 
     Gamma(nu-k+1/2)/(lam Gamma(1+2nu)) e^{-(X+X')/2}
@@ -311,16 +316,23 @@ def resolvent_closed(cfg: MorseConfig, mu: complex, index_convention: str = "ord
 
     nu = i mu under the calibrated index convention, with the signed k as the
     Whittaker index.  The formula pairs M with the smaller and W with the
-    larger coordinate, making it a function of the unordered pair.
+    larger coordinate, making it a function of the unordered pair.  mu may be
+    an ndarray: every special function then takes the array of orders (one
+    1F1 table per Whittaker M), and the first bad entry raises as a scalar
+    call would.
     """
     k = cfg.k
     nu = _whittaker_order(mu, index_convention)
     pole_arg = nu - k + 0.5
-    if abs(complex(pole_arg).imag) < 1e-10 and complex(pole_arg).real < 0.5 \
-            and abs(complex(pole_arg).real - round(complex(pole_arg).real)) < 1e-10:
-        raise GammaPole(f"bound-state pole: nu - k + 1/2 = {pole_arg}")
+    i = specfun._first(specfun._near_int(pole_arg, 1e-10) & (pole_arg.real < 0.5))
+    if i is not None:
+        raise GammaPole(f"bound-state pole: nu - k + 1/2 = {np.ravel(pole_arg)[i]}")
     x_lo, x_hi = min(cfg.X, cfg.Xp), max(cfg.X, cfg.Xp)
-    pref = cmath.exp(specfun.log_gamma(pole_arg) - specfun.log_gamma(1.0 + 2.0 * nu)) / cfg.lam
+    if specfun._is_array(mu):
+        lg = specfun.log_gamma(np.stack([pole_arg, 1.0 + 2.0 * nu]))
+        pref = np.exp(lg[0] - lg[1]) / cfg.lam
+    else:
+        pref = cmath.exp(specfun.log_gamma(pole_arg) - specfun.log_gamma(1.0 + 2.0 * nu)) / cfg.lam
     return pref * math.exp(-(cfg.X + cfg.Xp) / 2.0) \
         * specfun.whittaker("W", k, nu, 2.0 * cfg.lam * math.exp(x_hi)) \
         * specfun.whittaker("M", k, nu, 2.0 * cfg.lam * math.exp(x_lo))
@@ -401,10 +413,14 @@ def heat_kernel(cfg: MorseConfig, t: float,
     analytic and Gaussian, so the trapezoid rule converges exponentially, and
     R(-conj mu) = conj R(mu) leaves q = -(h / 4 pi^2) sum' Im f(jh), j >= 0,
     cut where e^{-t(sigma^2 - c^2)} < eps (quad.trapezoid_even, tolerance
-    qcfg).  Its round-off floor is eps kappa h sum|f| / 4 pi^2, kappa the
-    cancellation of W's two M terms at sigma = 0 (its worst), and n_evals
-    counts closed resolvents.  Large k t or Morse argument 2 lam
-    e^{max(X, X')} lifts the floor; past 40 the closed resolvent raises
+    qcfg).  Each trapezoid call is one resolvent_closed call on the array of
+    its nodes' mu (its first call two levels: 27 and 21 nodes at the
+    benchmark's two heat points), and n_evals counts closed resolvents.  Its
+    round-off floor is 4 eps kappa h sum|f| / 4 pi^2, kappa the cancellation
+    of W's two M terms at sigma = 0 (its worst): each term carries a few ulps
+    of its own, from two log-gamma values, a power and a series (up to about
+    4 eps kappa measured in W at one node).  Large k t or Morse argument
+    2 lam e^{max(X, X')} lifts the floor; past 40 the closed resolvent raises
     SeriesNonConvergence.
     """
     if not t > 0:
@@ -412,15 +428,14 @@ def heat_kernel(cfg: MorseConfig, t: float,
     c = (math.ceil(2.0 * max(cfg.k + 0.25, 0.25) - 0.5) + 0.5) / 2.0
     w1, w2 = specfun._whittaker_w_terms(cfg.k, c, 2.0 * cfg.lam * math.exp(max(cfg.X, cfg.Xp)))
     eps = np.finfo(float).eps
-    noise = eps * (abs(w1) + abs(w2)) / abs(w1 + w2)
+    noise = 4.0 * eps * (abs(w1) + abs(w2)) / abs(w1 + w2)
     sig_max = math.sqrt(c * c + math.log(1.0 / eps) / t)
 
-    def f(sig: float) -> float:
-        mu = complex(sig, -c)
-        return -(mu * cmath.exp(-t * mu * mu) * resolvent_closed(cfg, mu)).imag / (4 * math.pi ** 2)
+    def f(sig: np.ndarray, _) -> np.ndarray:
+        mu = sig - 1j * c
+        return -(mu * np.exp(-t * mu * mu) * resolvent_closed(cfg, mu)).imag[None, :] / (4 * math.pi ** 2)
 
-    res = quad.trapezoid_even(lambda x, _: np.array([[f(s) for s in x]]), sig_max,
-                              qcfg.abs_tol, qcfg.rel_tol, noise)
+    res = quad.trapezoid_even(f, sig_max, qcfg.abs_tol, qcfg.rel_tol, noise)
     return quad.QuadratureResult(res.value[0], res.err_estimate[0], res.n_evals, res.converged)
 
 
@@ -464,44 +479,59 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
     corrections to the raw double integral (at t/4 the ratio to the heat
     kernel drifts with t; with them it is exactly 1 in t and k).
 
-    The outer integral is a GK15 sweep in u; each panel's nodes with
-    lam (y+y') coth u <= 700 go to one theta_hw call, one trapezoid array.
-    Each theta gets rel_tol 1e-9 and the absolute error the outer integral
-    affords at its node: qcfg.abs_tol over the outer weight.  n_evals and
-    converged cover every inner integral; err_estimate adds the largest
-    weighted inner error times the swept u length, and converged needs that
-    total to meet qcfg.  A node inside its own error bar counts as 0; the
-    first, in node order, whose weighted error tops max(abs_tol, rel_tol *
-    peak so far) raises CancellationLimit (theta's round-off floor: k > 1
-    tails, small t).  Callers use t >= 0.7.
+    The outer integral is one trapezoid sum (quad.trapezoid_even, Trefethen &
+    Weideman 2014) in x = log u, folded about x0 = log(lam (y+y')): u -> 0
+    decays double-exponentially through e^{-lam (y+y') coth u}, and u -> inf
+    like a Gaussian, theta_r falling like e^{-(log r)^2/(2 tau)} at small r.
+    The cut |x - x0| = xi_max reaches e^{-45} of the damping on the left and,
+    on the right, the u where that Gaussian, against e^{(2k-1)u}, is e^{-45}
+    down, short of where e^{2ku} or sinh u overflow; nodes past either cut
+    count as 0.  The other nodes of one trapezoid call go to one theta_hw
+    call, one trapezoid array (two calls, 31 outer nodes at the benchmark's
+    heat points); each theta gets rel_tol 1e-9 and the absolute error the
+    outer sum affords at its node: qcfg.abs_tol over the outer weight (du =
+    u dx included).  A node inside its own error bar counts as 0.  In each
+    call, the first node in node order whose weighted error tops
+    max(abs_tol, rel_tol * peak), peak the largest weighted |value| of every
+    node so far, this call's included, raises CancellationLimit (theta's
+    round-off floor: tails at k well past 1, small t).
+    n_evals and converged cover every inner integral; err_estimate adds the
+    largest weighted inner error times the swept length 2 xi_max, and
+    converged needs that total to meet qcfg.  Callers use t >= 0.7.
     """
     if not t > 0:
         raise ValueError("oracle needs t > 0")
     acc = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
-    err = peak = u_max = 0.0
-    r0, tau = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0), t / 2.0
+    err = peak = 0.0
+    r0, tau, damp0 = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0), t / 2.0, cfg.lam * (cfg.y + cfg.yp)
+    x0, slope = math.log(damp0), 2.0 * cfg.k - 1.0
+    # the right cut: w^2 / (2 tau) - (2k - 1) u = 45 at r = 2 e^{-w}, u = w + log r0 once u >~ 2
+    w = tau * slope + math.sqrt(max(0.0, (tau * slope) ** 2 + 2.0 * tau * (45.0 + slope * math.log(r0))))
+    u_max = min(math.asinh(r0 * math.exp(w) / 2.0), 700.0 / (2.0 * abs(cfg.k) + 1.0))
 
-    def outer(u: np.ndarray) -> np.ndarray:
-        nonlocal acc, err, peak, u_max
-        out = np.zeros(u.shape, dtype=complex)
-        damp = -cfg.lam * (cfg.y + cfg.yp) / np.tanh(np.maximum(u, 1e-12))
-        live = damp >= -700.0
-        u, weight, sh2 = u[live], np.exp(2.0 * cfg.k * u[live] + damp[live]), 2.0 * np.sinh(u[live])
+    def outer(xi: np.ndarray, _) -> np.ndarray:
+        nonlocal acc, err, peak
+        x = x0 + np.concatenate([xi, -xi])
+        u, out = np.exp(x), np.zeros(2 * xi.size)
+        log_weight = x + 2.0 * cfg.k * u - damp0 / np.tanh(u)  # du = u dx
+        live = (u <= u_max) & (log_weight >= -700.0)
+        u, weight, sh2 = u[live], np.exp(log_weight[live]), 2.0 * np.sinh(u[live])
         th = theta_hw(r0 * 2.0 / sh2, tau, qcfg.abs_tol / weight * sh2)
         vals = np.where(np.abs(th.value) > th.err_estimate, weight * th.value / sh2, 0.0)
         werr = weight * th.err_estimate / sh2
-        running = np.maximum.accumulate(np.maximum(np.abs(vals), peak))
-        over = np.flatnonzero(werr > np.maximum(qcfg.abs_tol, qcfg.rel_tol * running))
+        peak = np.abs(vals).max(initial=peak)
+        over = np.flatnonzero(werr > max(qcfg.abs_tol, qcfg.rel_tol * peak))
         if over.size:
-            i = over[0]
-            raise CancellationLimit(f"round-off {werr[i]:.3g} at u={u[i]:.4g}"
-                                    f" tops max(abs_tol, rel_tol * peak {running[i]:.3g})")
-        out[live], peak = vals, running.max(initial=peak)
+            raise CancellationLimit(f"round-off {werr[over[0]]:.3g} at u={u[over[0]]:.4g}"
+                                    f" tops max(abs_tol, rel_tol * peak {peak:.3g})")
+        out[live] = vals
         acc += quad.QuadratureResult(0.0, 0.0, th.n_evals, th.converged)
-        err, u_max = werr.max(initial=err), u.max(initial=u_max)
-        return out
+        err = werr.max(initial=err)
+        return (out[:xi.size] + out[xi.size:])[None, :]
 
-    res = quad.integrate_semiinfinite(outer, 0.0, qcfg) + acc
-    res.err_estimate += u_max * err
+    xi_max = math.log(max(45.0, u_max / damp0))  # damping e^{-45} on the left, u_max on the right
+    res = quad.trapezoid_even(outer, xi_max, qcfg.abs_tol, qcfg.rel_tol)
+    res = quad.QuadratureResult(res.value[0], res.err_estimate[0], res.n_evals, res.converged) + acc
+    res.err_estimate += 2.0 * xi_max * err
     res.converged = res.converged and res.err_estimate <= res.tolerance_bound(qcfg)
     return res.scaled(1.0 / (4.0 * math.pi))

@@ -312,13 +312,17 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
             prev, vals = 2.0 * h * total, vals[:, first:]
         total, mag = _add_level(total, mag, vals, noise)
         v = h * total
-        floor = np.maximum(noise * h * mag, _EPS * np.abs(v))
-        value[rows], err[rows] = v, np.maximum(np.abs(v - prev), floor)
-        bound = np.maximum(tol, rel_tol * np.abs(v))
-        more = err[rows] > np.maximum(bound, floor)
-        converged = converged and not np.any(err[rows][~more] > bound[~more])
-        if not more.any():
+        size = np.abs(v)
+        floor = np.maximum(noise * h * mag, _EPS * size)
+        e = np.maximum(np.abs(v - prev), floor)
+        value[rows], err[rows] = v, e
+        bound = np.maximum(tol, rel_tol * size)
+        more = e > np.maximum(bound, floor)
+        converged = converged and not np.count_nonzero((e > bound) & ~more)  # count_nonzero: a fast any
+        n_open = np.count_nonzero(more)
+        if not n_open:
             return QuadratureResult(value, err, n, converged)
-        rows, total, mag, prev, tol = rows[more], total[more], mag[more], v[more], tol[more]
-        h, nodes = h / 2.0, np.arange(h / 2.0, x_max, h)
+        if n_open < more.size:
+            rows, total, mag, v, tol = rows[more], total[more], mag[more], v[more], tol[more]
+        prev, h, nodes = v, h / 2.0, np.arange(h / 2.0, x_max, h)
     return QuadratureResult(value, err, n, False)

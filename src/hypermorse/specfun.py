@@ -8,8 +8,15 @@ Bessel J/I/K, and Whittaker M/W.
 F(a, b; c; z) has three regions (see gauss_2f1): the direct series, the
 Pfaff transformation, and for c = a + b near z = 1, the case of the
 hyperbolic resolvent near its diagonal, the logarithmic z -> 1 - z
-connection; there z = 1 itself raises LogarithmicSingularity.  z may be an
-ndarray: one table of series terms per region, each entry stopping on its own.
+connection; there z = 1 itself raises LogarithmicSingularity.
+
+Four entry points also take ndarrays, through the same call: gauss_2f1 an
+array of z (one table of series terms per region), kummer_1f1 arrays of its
+parameters (a, c) at one x (one table, a column per parameter pair), and
+log_gamma and whittaker an array of arguments or orders.  A table's every
+column stops where its scalar loop would, and an array raises where an entry
+would, at the first such entry.  humbert_phi1 sums its outer series over one
+kummer_1f1 table.  Scalars take the scalar loops.
 
 Everything is evaluated at desk scale: series arguments are kept inside
 documented cutoffs (|x| <= 30 for the Bessel series, |z| <= 40 for the
@@ -19,6 +26,7 @@ degrading.  Asymptotic expansions for large arguments are out of scope.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Union
 
@@ -75,12 +83,35 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 _LOG_SQRT_2PI = 0.91893853320467274178
+_LANCZOS_TAIL = np.array(_LANCZOS_C[1:])[:, None]  # c_i over i = 1..14, a column for arrays
+_LANCZOS_SHIFT = np.arange(1.0, len(_LANCZOS_C))[:, None]
 
 
-def _nonpositive_int(z: complex) -> bool:
+def _near_int(z, tol: float):
+    """Whether complex z lies within tol of an integer; at an ndarray, the mask."""
+    if isinstance(z, np.ndarray):
+        return (np.abs(z.imag) < tol) & (np.abs(z.real - np.round(z.real)) < tol)
+    return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
+
+
+def _nonpositive_int(z):
+    """Whether z is a non-positive integer to _INT_TOL; at an ndarray, the mask."""
+    if isinstance(z, np.ndarray):
+        return _near_int(z, _INT_TOL) & (z.real < 0.5)
     z = complex(z)
     return (abs(z.imag) < _INT_TOL and z.real < 0.5
             and abs(z.real - round(z.real)) < _INT_TOL)
+
+
+def _first(mask):
+    """Index of the first True entry of the mask (0 for a True scalar), or None."""
+    if isinstance(mask, np.ndarray):
+        return int(mask.argmax()) if np.count_nonzero(mask) else None  # a faster any() on small masks
+    return 0 if mask else None
+
+
+def _is_array(x) -> bool:
+    return isinstance(x, np.ndarray) and x.ndim > 0
 
 
 def _as_int_if_close(x: float) -> Union[int, None]:
@@ -98,13 +129,45 @@ def _log_sin_pi(z: complex) -> complex:
             + cmath.log(1.0 - cmath.exp(2j * math.pi * z)))
 
 
-def log_gamma(z: complex) -> complex:
+def _log_gamma_array(z: np.ndarray) -> np.ndarray:
+    """log_gamma at each entry of the complex 1-D array z, the scalar's steps as
+    NumPy expressions: lgamma on the positive axis, Lanczos, reflection."""
+    i = _first(_nonpositive_int(z))
+    if i is not None:
+        raise PoleAtNonPositiveInteger(f"log_gamma pole at z={z[i]}")
+    left = (z.real < 0.5) & ((z.imag != 0.0) | (z.real <= 0.0))  # the positive axis takes lgamma
+    w = np.where(left, 1.0 - z, z)  # log_gamma(w) by lgamma on the positive axis, else Lanczos
+    lg = np.empty(z.shape, dtype=complex)
+    axis = w.imag == 0.0
+    lg[axis] = [math.lgamma(x) for x in w.real[axis].tolist()]
+    zz = w[~axis] - 1.0
+    acc = np.empty((len(_LANCZOS_C), zz.size), dtype=complex)  # summed in the scalar loop's order
+    acc[0] = _LANCZOS_C[0]
+    np.divide(_LANCZOS_TAIL, zz + _LANCZOS_SHIFT, out=acc[1:])
+    acc = acc.sum(axis=0)
+    t = zz + _LANCZOS_G + 0.5
+    lg[~axis] = (zz + 0.5) * np.log(t) - t + _LOG_SQRT_2PI + np.log(acc)
+    if not np.count_nonzero(left):
+        return lg
+    # Gamma(z) Gamma(1-z) = pi / sin(pi z); log sin(pi z) as _log_sin_pi takes it,
+    # in the upper half-plane, conjugated back below
+    zl, down = z[left], z.imag[left] < 0
+    v = np.where(down, zl.conj(), zl)
+    log_sin = -1j * math.pi * v + (1j * math.pi / 2 - math.log(2.0)) + np.log(1.0 - np.exp(2j * math.pi * v))
+    lg[left] = math.log(math.pi) - np.where(down, log_sin.conj(), log_sin) - lg[left]
+    return lg
+
+
+def log_gamma(z):
     """Log-gamma on the standard analytic branch (real on the positive axis,
-    continuous off the negative real axis).
+    continuous off the negative real axis), at a scalar z or at each entry of
+    an ndarray z (a pole anywhere in it raises).
 
     The C library's lgamma on the positive real axis, the Lanczos sum for
     other Re z >= 0.5, branch-tracked reflection otherwise.
     """
+    if isinstance(z, np.ndarray) and z.ndim:
+        return _log_gamma_array(z.astype(complex).ravel()).reshape(z.shape)
     z = complex(z)
     if z.imag == 0.0 and z.real > 0.0:
         return complex(math.lgamma(z.real))
@@ -196,7 +259,7 @@ def _table_sums(terms, head: complex, z, n: int, terminating: Union[int, None] =
     row = np.where(run.any(axis=0), run.argmax(axis=0) + 2, n - 1) if n > 2 else n - 1
     out = totals[row, np.arange(z.size)]
     stopped = run.any(axis=0) | (terminating is not None and n >= max(terminating, 1))
-    if not stopped.all():
+    if np.count_nonzero(stopped) < stopped.size:
         if n >= cap:
             raise _cap_error(terminating)
         out[~stopped] = _table_sums(terms, head, z[~stopped], 2 * n, terminating)
@@ -304,12 +367,12 @@ def _region_masks(zs, a: complex, b: complex, c: complex, term_n: Union[int, Non
     direct = nonzero & ~log & (size <= 0.7)
     rest = nonzero & ~log & ~direct
     pfaff, bad = np.zeros(zs.shape, dtype=bool), log & (zs == 1)
-    if rest.any():
+    if np.count_nonzero(rest):
         with np.errstate(divide="ignore", invalid="ignore"):
             pfaff = rest & (np.abs(zs / (zs - 1.0)) < np.minimum(0.98, size))
         direct |= rest & ~pfaff & (size < 0.98)
         bad |= rest & ~direct & ~pfaff
-    if bad.any():
+    if np.count_nonzero(bad):
         i = bad.argmax()
         if log[i]:
             raise LogarithmicSingularity(f"2F1 with c = a + b = {c} diverges at z = 1")
@@ -350,14 +413,67 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
     zs = z.astype(complex).ravel()
     out = np.ones(zs.shape, dtype=complex)
     for group, sel in _region_masks(zs, a, b, c, term_n):
-        if sel.any():
+        if np.count_nonzero(sel):
             out[sel] = group(a, b, c, zs[sel], term_n)
     return out.reshape(z.shape)
 
 
-def kummer_1f1(a: complex, c: complex, x: complex) -> complex:
+@functools.lru_cache(maxsize=256)
+def _kummer_rows(r: float) -> int:
+    """Rows the 1F1 series at |x| = r needs for three terms r^n / n! below
+    _TERM_TOL: the first guess of its table, before the doubling fallback."""
+    n, log_term = 0, 0.0
+    while n < r or log_term > math.log(_TERM_TOL):
+        n += 1
+        log_term += math.log(r / n)
+    return n + 3
+
+
+def _kummer_columns(a: np.ndarray, c: np.ndarray, x: complex) -> np.ndarray:
+    """1F1(a_j; c_j; x) over the 1-D parameter arrays a, c at one x, by the
+    scalar rules: one table whose column j holds the series of (a_j, c_j),
+    its terms past a terminating a_j zero, each column cut by _table_sums."""
+    ints = _nonpositive_int(a)
+    term_n = np.where(ints, np.round(-a.real), np.inf)  # the scalar's terminating index
+    pole = _nonpositive_int(c) & (term_n > np.round(-c.real))
+    i = _first(pole | (abs(x) > KUMMER_Z_MAX))
+    if i is not None:
+        if pole[i]:
+            raise ParameterPole(f"1F1 lower parameter c={c[i]} at a non-positive integer")
+        raise SeriesNonConvergence(
+            f"1F1 argument |x|={abs(x):.3g} beyond the desk-scale cutoff {KUMMER_Z_MAX}")
+    if x == 0:
+        return np.ones(a.shape, dtype=complex)
+    out = np.empty(a.shape, dtype=complex)
+    flip = ~ints if x.real < 0 else np.zeros(a.shape, dtype=bool)
+    if np.count_nonzero(flip):
+        out[flip] = cmath.exp(x) * _kummer_columns(c[flip] - a[flip], c[flip], -x)
+    keep = np.flatnonzero(~flip)
+
+    def terms(n_rows, cols):
+        j = np.arange(n_rows)[:, None]  # row j holds t_{j+1}
+        with np.errstate(divide="ignore", invalid="ignore"):  # a c pole past a terminating a
+            t = np.cumprod((a[cols] + j) / ((c[cols] + j) * (j + 1)) * x, axis=0)
+        t[j >= term_n[cols]] = 0.0
+        return t
+
+    if keep.size:
+        out[keep] = _table_sums(terms, 1.0, keep, _kummer_rows(abs(x)))
+    return out
+
+
+def kummer_1f1(a, c, x: complex):
     """Confluent hypergeometric 1F1(a; c; x) by direct series, |x| <= 40; at Re x < 0,
-    where it cancels unless it terminates, as e^x 1F1(c - a; c; -x) (DLMF 13.2.39)."""
+    where it cancels unless it terminates, as e^x 1F1(c - a; c; -x) (DLMF 13.2.39).
+
+    a and c may be ndarrays (broadcast together, one x): the series of every
+    (a_j, c_j) is then one table of terms, a column each, with as many rows as
+    |x| needs, doubled for the columns that need more, each column cut where
+    its scalar loop stops.  An array raises where an entry would, at the first.
+    """
+    if _is_array(a) or _is_array(c):
+        a, c = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(c, dtype=complex))
+        return _kummer_columns(a.ravel(), c.ravel(), complex(x)).reshape(a.shape)
     a, c, x = complex(a), complex(c), complex(x)
     term_n = _terminating_index(a)
     if _nonpositive_int(c):
@@ -385,7 +501,11 @@ def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex) -> 
     Convergent for |y| < 1 (any x inside the confluent cutoff); the analytic
     continuation past |y| = 1 is not implemented and such calls raise, except
     when b is a non-positive integer, which terminates the y-series exactly.
-    Summed as sum_n [(a)_n (b)_n / ((c)_n n!)] y^n * 1F1(a+n, c+n, x).
+    Summed as sum_n [(a)_n (b)_n / ((c)_n n!)] y^n * 1F1(a+n, c+n, x): the
+    1F1 values of a block of n are one kummer_1f1 table over the parameters
+    (a + n, c + n), as many as the powers of |y| need (see _table_rows),
+    doubled while the outer terms are not quiet; a one-term series (n_max = 0)
+    is one scalar 1F1.
     """
     a, b, c, x, y = complex(a), complex(b), complex(c), complex(x), complex(y)
     n_max = _terminating_index(b)
@@ -396,23 +516,16 @@ def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex) -> 
     if n_max is None and abs(y) >= 1.0:
         raise OutsideConvergenceRegion(
             f"Phi1 second argument |y|={abs(y):.6g} >= 1; continuation not implemented")
+    if n_max == 0:
+        return kummer_1f1(a, c, x)
 
-    total = 0.0 + 0.0j
-    coeff = 1.0 + 0.0j
-    quiet = 0
-    for n in range(_MAX_TERMS):
-        term = coeff * kummer_1f1(a + n, c + n, x)
-        total += term
-        if n_max is not None and n >= n_max:
-            return total
-        if abs(term) < _TERM_TOL * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-        coeff *= (a + n) * (b + n) / ((c + n) * (n + 1)) * y
-    raise SeriesNonConvergence("Phi1 outer series did not converge")
+    def terms(n_rows, _):
+        n = np.arange(n_rows)
+        coeff = np.cumprod(np.concatenate([[1.0], ((a + n) * (b + n) / ((c + n) * (n + 1)) * y)[:-1]]))
+        return (coeff * kummer_1f1(a + n, c + n, x))[:, None]
+
+    rows = _table_rows(abs(y)) if y else 4
+    return complex(_table_sums(terms, 0.0, np.zeros(1), rows, None if n_max is None else n_max + 1)[0])
 
 
 def chebyshev_t(n: int, x):
@@ -515,20 +628,24 @@ def bessel(kind: str, nu: float, x: float) -> float:
     return (4.0 * a2 - a1) / 3.0
 
 
-def whittaker(kind: str, k: float, mu: complex, z: float) -> complex:
+def whittaker(kind: str, k: float, mu, z: float):
     """Whittaker functions M_{k,mu}(z) and W_{k,mu}(z) for real z > 0.
 
     M_{k,mu}(z) = z^(mu+1/2) e^(-z/2) 1F1(mu - k + 1/2, 1 + 2 mu, z).
     W is the standard gamma-weighted combination of M_{k,+-mu}, valid only
-    for non-integer 2 mu; integer 2 mu raises.
+    for non-integer 2 mu; integer 2 mu raises.  mu may be an ndarray of
+    orders: M is then one kummer_1f1 table, W one table over the orders
+    +-mu and one log_gamma array.
     """
     if z <= 0:
         raise ValueError("whittaker requires z > 0")
-    mu = complex(mu)
+    array = _is_array(mu)
+    mu, exp = (mu.astype(complex), np.exp) if array else (complex(mu), cmath.exp)
     if kind == "M":
-        if _nonpositive_int(1.0 + 2.0 * mu):
-            raise ParameterPole(f"Whittaker M parameter 1+2mu={1 + 2 * mu} non-positive integer")
-        pref = cmath.exp((mu + 0.5) * math.log(z) - z / 2.0)
+        i = _first(_nonpositive_int(1.0 + 2.0 * mu))
+        if i is not None:
+            raise ParameterPole(f"Whittaker M parameter 1+2mu={np.ravel(1 + 2 * mu)[i]} non-positive integer")
+        pref = exp((mu + 0.5) * math.log(z) - z / 2.0)
         return pref * kummer_1f1(mu - k + 0.5, 1.0 + 2.0 * mu, z)
     if kind != "W":
         raise ValueError("kind must be 'M' or 'W'")
@@ -536,12 +653,20 @@ def whittaker(kind: str, k: float, mu: complex, z: float) -> complex:
     return w1 + w2
 
 
-def _whittaker_w_terms(k: float, mu: complex, z: float) -> tuple:
-    """The two gamma-weighted M_{k,+-mu}(z) terms of W_{k,mu}(z); at large z
-    they cancel, amplifying round-off by (|w1| + |w2|) / |w1 + w2|."""
-    two_mu = 2.0 * complex(mu)
-    if abs(two_mu.imag) < 1e-9 and abs(two_mu.real - round(two_mu.real)) < 1e-9:
-        raise IntegerTwoMuUnsupported(f"Whittaker W with 2mu={two_mu} an integer is unsupported")
+def _whittaker_w_terms(k: float, mu, z: float) -> tuple:
+    """The two gamma-weighted M_{k,+-mu}(z) terms of W_{k,mu}(z), at a scalar mu
+    or each entry of an ndarray mu; at large z they cancel, amplifying
+    round-off by (|w1| + |w2|) / |w1 + w2|."""
+    array = _is_array(mu)
+    mu = mu.astype(complex) if array else complex(mu)
+    two_mu = 2.0 * mu
+    i = _first(_near_int(two_mu, 1e-9))
+    if i is not None:
+        raise IntegerTwoMuUnsupported(f"Whittaker W with 2mu={np.ravel(two_mu)[i]} an integer is unsupported")
+    if array:  # one log_gamma array and one 1F1 table for both terms
+        lg = log_gamma(np.stack([-two_mu, 0.5 - mu - k, two_mu, 0.5 + mu - k]))
+        m = whittaker("M", k, np.stack([mu, -mu]), z)
+        return np.exp(lg[0] - lg[1]) * m[0], np.exp(lg[2] - lg[3]) * m[1]
     c1 = cmath.exp(log_gamma(-two_mu) - log_gamma(0.5 - mu - k))
     c2 = cmath.exp(log_gamma(two_mu) - log_gamma(0.5 + mu - k))
     return c1 * whittaker("M", k, mu, z), c2 * whittaker("M", k, -mu, z)

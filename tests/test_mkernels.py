@@ -9,6 +9,7 @@ from hypermorse import mkernels, specfun
 from hypermorse.errors import (
     CancellationLimit,
     ConvergenceViolated,
+    GammaPole,
     HypermorseError,
     OutsideSupport,
     Phi1OutsideDisc,
@@ -337,6 +338,28 @@ class TestResolventClosed:
         assert relerr(resolvent_closed(cfg, mu), integ.value) < 1e-10
 
 
+class TestResolventClosedArray:
+    # the heat line of the benchmark's k = 1/2 heat point, and at k = 1 a line
+    # and points off it; W's two M terms cancel little at both (kappa < 5)
+    @pytest.mark.parametrize("args, mu", [
+        ((1.0, 0.5, 0.0, -0.5), np.arange(0.0, 7.0, 0.25) - 0.75j),
+        ((1.0, 1.0, 0.0, 0.3), np.concatenate([np.arange(0.0, 7.0, 0.25) - 1.25j,
+                                               [0.3 - 0.9j, -2.0 + 0.4j, 1.5 - 2.2j]])),
+    ])
+    def test_matches_scalar_loop(self, args, mu):
+        cfg = MorseConfig(*args)
+        got = resolvent_closed(cfg, mu)
+        assert got.shape == mu.shape
+        for value, m in zip(got, mu):
+            assert relerr(value, resolvent_closed(cfg, m)) <= 1e-14
+
+    def test_bound_state_inside_array_raises(self):
+        # k = 1: the first pole nu = i mu = k - 1/2 sits at mu = -i/2
+        cfg = MorseConfig(1.0, 1.0, 0.0, 0.3)
+        with pytest.raises(GammaPole):
+            resolvent_closed(cfg, np.array([0.3 - 0.9j, -0.5j, 1.0 - 1.25j]))
+
+
 class TestResolventIntegral:
     def test_k0_matches_closed(self):
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
@@ -583,14 +606,15 @@ class TestHeatKernel:
 
     @pytest.mark.parametrize("noise", [0.0, 1e-6])
     def test_resolvent_bookkeeping(self, monkeypatch, noise):
-        # n_evals counts the closed resolvents on the line, and resolvents
-        # too noisy for the halving gap to settle end in converged=False
+        # n_evals counts the closed resolvents on the line, one array call per
+        # trapezoid call, and resolvents too noisy for the halving gap to
+        # settle end in converged=False; the noise is drawn in node order
         real, calls = mkernels.resolvent_closed, []
         rng = np.random.default_rng(7)
 
         def counted(cfg, mu):
-            calls.append(mu)
-            return real(cfg, mu) * (1.0 + noise * rng.standard_normal())
+            calls.extend(mu)
+            return real(cfg, mu) * (1.0 + noise * rng.standard_normal(mu.size))
 
         monkeypatch.setattr(mkernels, "resolvent_closed", counted)
         got = heat_kernel(MorseConfig(1.0, 0.0, 0.0, 0.3), 0.8)
@@ -679,13 +703,14 @@ class TestHartmanWatsonOracle:
         assert q_heat < 0.01 and q_oracle < 0.01
 
     # the two heat points of the benchmark's transverse workload: (lam, k, X, X'), t
-    @pytest.mark.parametrize("args, t, heat_evals", [((1.0, 0.0, 0.0, 0.4), 0.8, 27),
-                                                     ((1.0, 0.5, 0.0, -0.5), 1.4, 21)])
-    def test_cost_pinned(self, monkeypatch, args, t, heat_evals):
-        # each outer GK15 panel's theta integrals are one trapezoid array, so
-        # one theta_hw call per panel: the double integral takes 16,890 and
-        # 14,588 evaluations here, and the heat kernel's line integral 27 and
-        # 21 closed resolvents; the counts do not depend on the machine
+    @pytest.mark.parametrize("args, t, heat_evals, oracle_evals", [((1.0, 0.0, 0.0, 0.4), 0.8, 27, 3601),
+                                                                   ((1.0, 0.5, 0.0, -0.5), 1.4, 21, 3894)])
+    def test_cost_pinned(self, monkeypatch, args, t, heat_evals, oracle_evals):
+        # the outer trapezoid sum makes one theta_hw call per trapezoid call
+        # (two levels in the first, one in each later call): here two calls
+        # on 31 outer nodes, and the double integral takes 3,601 and 3,894
+        # evaluations; the heat kernel's line integral 27 and 21 closed
+        # resolvents; the counts do not depend on the machine
         real, inner_evals = mkernels.theta_hw, []
 
         def theta(r, tau, abs_tol):
@@ -697,13 +722,17 @@ class TestHartmanWatsonOracle:
         cfg = MorseConfig(*args)
         oracle, heat = hartman_watson_heat_oracle(cfg, t), heat_kernel(cfg, t)
         assert oracle.converged and heat.converged
-        assert oracle.n_evals < 25_000 and heat.n_evals == heat_evals
-        assert len(inner_evals) <= (oracle.n_evals - sum(inner_evals)) // 15
-        assert relerr(oracle.value, heat.value) < 1e-12
+        assert oracle.n_evals == oracle_evals and heat.n_evals == heat_evals
+        # xi in [0, log 45): 16 nodes at h = 1/4, then 15 midpoints at h = 1/8
+        assert len(inner_evals) == 2 and oracle.n_evals - sum(inner_evals) == 16 + 15
+        assert relerr(oracle.value, heat.value) < 1e-13
 
     def test_inner_bookkeeping_propagates(self, monkeypatch):
         # one unconverged theta array turns the oracle unconverged, and the
-        # inner evaluations are part of its n_evals
+        # inner evaluations are part of its n_evals; the outer nodes are the
+        # trapezoid levels' in xi = log u - x0 over [0, log 45) (the left cut,
+        # damping e^{-45}, sets the half-width here): h = 1/2 and 1/4 in the
+        # first call, then one level of midpoints per call
         real, inner_evals = mkernels.theta_hw, []
 
         def theta(r, tau, abs_tol):
@@ -715,8 +744,41 @@ class TestHartmanWatsonOracle:
         monkeypatch.setattr(mkernels, "theta_hw", theta)
         got = hartman_watson_heat_oracle(MorseConfig(1.0, 0.0, 0.0, 0.4), 0.8)
         assert not got.converged
-        outer_evals = got.n_evals - sum(inner_evals)
-        assert outer_evals > 0 and outer_evals % 15 == 0
+        xi_max = math.log(45.0)
+        levels = [len(np.arange(0.0, xi_max, 0.25))] + [
+            len(np.arange(h / 2.0, xi_max, h)) for h in 0.25 / 2.0 ** np.arange(len(inner_evals) - 1)]
+        assert got.n_evals - sum(inner_evals) == sum(levels)
+
+    def test_pair_at_unit_k(self):
+        # k = 1, where the outer weight's growth e^{(2k-1)u} meets theta's decay
+        cfg = MorseConfig(1.0, 1.0, 0.0, math.log(1.3))
+        oracle, heat = hartman_watson_heat_oracle(cfg, 1.2), heat_kernel(cfg, 1.2)
+        assert oracle.converged and heat.converged
+        assert relerr(oracle.value, heat.value) <= 1e-12
+
+    def test_right_cut_stays_finite(self):
+        # lam (y + y') = 8.6 puts 45 lam (y + y') = 388 past where e^{2ku}
+        # overflows at k = 1; the right cut follows the integrand's decay
+        cfg = MorseConfig(2.0, 1.0, 0.0, 1.2)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            oracle = hartman_watson_heat_oracle(cfg, 1.0)
+        assert oracle.converged
+        assert relerr(oracle.value, heat_kernel(cfg, 1.0).value) < 1e-10
+
+    def test_small_coupling(self):
+        # lam = 1e-3: r = 2 lam e^{(X+X')/2} / sinh u is small already at
+        # u ~ 1, where sinh u is not yet e^u / 2; the right cut must not fall
+        # short of the integrand there
+        cfg = MorseConfig(1e-3, 0.0, 0.0, 0.3)
+        oracle, heat = hartman_watson_heat_oracle(cfg, 1.0), heat_kernel(cfg, 1.0)
+        assert oracle.converged and heat.converged
+        assert relerr(oracle.value, heat.value) < 1e-12
+
+    def test_round_off_tail_raises(self):
+        # k = 2, t = 0.7: theta's round-off floor times the outer weight tops
+        # the outer tolerance in the tail, which must raise, not be summed
+        with pytest.raises(CancellationLimit, match="round-off"):
+            hartman_watson_heat_oracle(MorseConfig(1.0, 2.0, 0.0, 0.5), 0.7)
 
     def test_large_argument_converges(self):
         # Morse argument 2 lam e^X' = 20, where the heat kernel's W loses

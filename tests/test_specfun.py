@@ -65,6 +65,31 @@ class TestLogGamma:
         assert relerr(prod, math.pi / cmath.sin(math.pi * z)) < 1e-12
 
 
+class TestLogGammaArray:
+    """An ndarray z: the scalar's lgamma, Lanczos and reflection as NumPy expressions."""
+
+    def test_matches_scalar_in_all_quadrants(self):
+        rng = np.random.default_rng(11)
+        re = np.concatenate([rng.uniform(-9.0, 0.5, 200), rng.uniform(0.5, 9.0, 200)])
+        z = re + 1j * rng.uniform(-9.0, 9.0, 400) * rng.choice([1e-3, 1.0], 400)
+        z = np.concatenate([z, rng.uniform(0.01, 9.0, 20), rng.uniform(-9.0, 0.5, 20) + 0.5])
+        got = log_gamma(z)
+        want = np.array([log_gamma(complex(v)) for v in z])
+        assert got.shape == z.shape and got.dtype == complex
+        assert {(v.real < 0.5, v.real < 0, v.imag < 0) for v in z} >= {
+            (a, b, c) for a, b in ((True, True), (True, False), (False, False)) for c in (True, False)}
+        # a few ulps of the value or of 1, whichever is larger
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * np.maximum(np.abs(want), 1.0))
+
+    def test_positive_axis_is_the_c_library_lgamma(self):
+        x = np.array([0.25, 1.0, 3.5, 170.5])
+        assert np.array_equal(log_gamma(x), [math.lgamma(v) for v in x])
+
+    def test_pole_inside_array_raises(self):
+        with pytest.raises(PoleAtNonPositiveInteger, match="-2"):
+            log_gamma(np.array([1.5, 0.3 + 1j, -2.0, -3.0]))
+
+
 class TestPochhammer:
     def test_basic(self):
         assert pochhammer(1.6, 5) == pytest.approx(1.6 * 2.6 * 3.6 * 4.6 * 5.6)
@@ -362,6 +387,57 @@ class TestKummer1F1:
         assert kummer_1f1(-2, 1.5, -3.0) == pytest.approx(7.4, rel=1e-15)
 
 
+class TestKummer1F1Array:
+    """Arrays of (a, c) at one x: one table whose columns are the parameters."""
+
+    @pytest.mark.parametrize("x", [2.0, 2.98, 1.2 + 0.7j, 12.0, 39.0, -3.5, -39.0, -2.0 + 1.0j])
+    def test_matches_scalar_calls(self, x):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+        c = rng.uniform(0.5, 4, 40) + 1j * rng.uniform(-3, 3, 40)
+        a[:3] = (-3.0, -2.0 + 1e-13, 0.0)  # terminating, one within _INT_TOL of an integer
+        got = kummer_1f1(a, c, x)
+        for value, p, q in zip(got, a, c):
+            assert relerr(value, kummer_1f1(p, q, x)) < 1e-14
+
+    def test_negative_argument_by_kummer_transformation(self):
+        # the mpmath values of TestKummer1F1 at x = -39, where the direct series cancels
+        got = kummer_1f1(np.array([1.3, 0.5, -2.0]), np.array([2.2, 1.5, 1.5]), -39.0)
+        assert relerr(got[0], 0.008838692062563738859118067) < 1e-14
+        assert relerr(got[1], kummer_1f1(0.5, 1.5, -39.0)) < 1e-14
+        assert got[2] == pytest.approx(1 + 2 * 39 / 1.5 + 39 ** 2 / (1.5 * 2.5), rel=1e-15)
+
+    def test_broadcast_shape(self):
+        got = kummer_1f1(np.array([[0.5, 1.0], [1.5, 2.0]]), 2.5, 1.3)
+        assert got.shape == (2, 2) and got.dtype == complex
+        assert relerr(got[1, 0], kummer_1f1(1.5, 2.5, 1.3)) < 1e-15
+
+    def test_raises_as_the_scalar_calls_do(self):
+        with pytest.raises(SeriesNonConvergence):
+            kummer_1f1(np.array([0.5, 1.0]), np.array([1.5, 2.0]), 40.5)
+        with pytest.raises(SeriesNonConvergence):
+            kummer_1f1(np.array([0.5, 1.0]), np.array([1.5, 2.0]), -30.0 + 30.0j)
+        with pytest.raises(ParameterPole, match="-1"):
+            kummer_1f1(np.array([0.5, 0.4, 0.3]), np.array([1.5, -1.0, -2.0]), 0.3)
+        # a terminating a before the pole keeps it finite, as in the scalar call
+        assert np.isfinite(kummer_1f1(np.array([-1.0]), np.array([-2.0]), 0.3)).all()
+
+
+class TestWhittakerArray:
+    @pytest.mark.parametrize("kind", ["M", "W"])
+    def test_matches_scalar_calls(self, kind):
+        mu = np.concatenate([0.25 + 1j * np.linspace(0.0, 6.0, 13), [0.7 - 0.3j, -0.3 + 2.0j]])
+        got = whittaker(kind, 0.5, mu, 2.3)
+        for value, m in zip(got, mu):
+            assert relerr(value, whittaker(kind, 0.5, m, 2.3)) < 1e-14
+
+    def test_integer_two_mu_inside_array_raises(self):
+        with pytest.raises(IntegerTwoMuUnsupported):
+            whittaker("W", 0.5, np.array([0.25 + 1j, 1.5, 0.3]), 2.0)
+        with pytest.raises(ParameterPole):
+            whittaker("M", 0.5, np.array([0.25 + 1j, -1.0]), 2.0)
+
+
 class TestHumbertPhi1:
     def test_at_origin(self):
         assert humbert_phi1(1.2, 0.4, 2.0, 0.0, 0.0) == 1.0
@@ -396,6 +472,29 @@ class TestHumbertPhi1:
     def test_complex_arguments(self):
         v = humbert_phi1(2.5, 1.0, 5.0, 2j, 0.3 + 0.2j)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+    def test_outer_series_is_one_1f1_table(self, monkeypatch):
+        # the outer terms' 1F1 values come from one kummer_1f1 array call
+        # (doubled while the terms are not quiet), and match the term by term
+        # sum of scalar 1F1 series
+        a, b, c, x, y = 2.5, 2.0, 5.0, 1.5 - 2.0j, 0.45 + 0.2j
+        terms, coeff, n = [], 1.0, 0
+        while len(terms) < 3 or any(abs(t) >= 1e-16 * abs(sum(terms)) for t in terms[-3:]):
+            terms.append(coeff * kummer_1f1(a + n, c + n, x))
+            coeff *= (a + n) * (b + n) / ((c + n) * (n + 1)) * y
+            n += 1
+        calls = []
+        real = specfun.kummer_1f1
+        monkeypatch.setattr(specfun, "kummer_1f1", lambda p, q, z: calls.append(np.size(p)) or real(p, q, z))
+        assert relerr(humbert_phi1(a, b, c, x, y), sum(terms)) < 1e-14
+        assert len(calls) == 1 and calls[0] >= n
+
+    def test_one_term_series_is_one_scalar_1f1(self, monkeypatch):
+        calls = []
+        real = specfun.kummer_1f1
+        monkeypatch.setattr(specfun, "kummer_1f1", lambda *args: calls.append(args) or real(*args))
+        assert humbert_phi1(0.5, 0.0, 1.0, 2.1j, 0.7) == real(0.5, 1.0, 2.1j)
+        assert calls == [(0.5 + 0j, 1.0 + 0j, 2.1j)]
 
 
 class TestChebyshev:
