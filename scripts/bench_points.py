@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Per-point cost of the four point kinds of a `transverse` benchmark round.
+"""Per-point cost of the point kinds of the `transverse` and `grid_sweep`
+benchmark rounds.
 
-For the calibration, the Morse resolvent integral (the round's 20 strata),
-the Morse heat kernel and its Hartman-Watson oracle (the round's two heat
-points, all read from perfbench/workloads.py) it prints, as one JSON object,
-the best-of-N in-process wall time of each point in ms and its n_evals, the
-machine-independent count.  The calibration's n_evals is the sum over the
-transmutation integrals it computes.
+For the calibration, the Morse resolvent integral (the `transverse` round's
+20 strata), the Morse heat kernel and its Hartman-Watson oracle (its two heat
+points), and for every node of the `hheat` and `mwave` grids of the first
+`grid_sweep` round at seeds 1 and 2 (all read from perfbench/workloads.py) it
+prints, as one JSON object, the best-of-N in-process wall time of each point
+in ms and its n_evals, the machine-independent count.  The calibration's
+n_evals is the sum over the transmutation integrals it computes.
 Run from the repository root:
 
     python3 scripts/bench_points.py
@@ -25,9 +27,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from hypermorse import harness, mkernels  # noqa: E402
 from hypermorse.mkernels import MorseConfig  # noqa: E402
-from workloads import HEAT_STRATA, RES_STRATA  # noqa: E402  the transverse round's points
+from workloads import HEAT_STRATA, RES_STRATA, grid_nodes, rounds  # noqa: E402  the rounds' points
 
 REPEATS = 5  # calls per point; the best counts
+GRID_SEEDS = (1, 2)  # grid_sweep rounds: the first of each seed
 
 
 def best_of(fn):
@@ -75,6 +78,13 @@ def main() -> int:
         cfg = MorseConfig(1.0, two_k / 2.0, 0.0, (-1.0) ** i * dist)
         kinds["mheat"].append(best_of(lambda: mkernels.heat_kernel(cfg, t)))
         kinds["hw_oracle"].append(best_of(lambda: mkernels.hartman_watson_heat_oracle(cfg, t)))
+    for seed in GRID_SEEDS:
+        for point in next(rounds("grid_sweep", seed)):
+            kernel, params, grid = point.args
+            if kernel in ("hheat", "mwave"):
+                kinds.setdefault(kernel, [])
+                for node in grid_nodes(params, grid):
+                    kinds[kernel].append(best_of(lambda: harness.eval_kernel(kernel, node)))
     for kind, runs in kinds.items():
         out[kind] = {"best_ms": [round(ms, 3) for ms, _ in runs],
                      "n_evals": [res.n_evals for _, res in runs],

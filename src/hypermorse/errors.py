@@ -22,12 +22,6 @@ def require_finite(**named):
             raise NonFiniteInput(f"parameter {name}={value!r} is not finite")
 
 
-# quadrature
-
-class TailDivergence(HypermorseError):
-    """Semi-infinite integral keeps growing; the integrand does not decay."""
-
-
 # special functions
 
 class PoleAtNonPositiveInteger(HypermorseError):
@@ -85,7 +79,7 @@ class CancellationLimit(HypermorseError):
 
 
 class NotConverged(HypermorseError):
-    """A quadrature result came back with converged=False."""
+    """A quadrature came back with converged=False, or could not start within its node budget."""
 
 
 # harness

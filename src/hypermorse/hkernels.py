@@ -36,6 +36,7 @@ from .errors import (
     ConvergenceViolated,
     DiagonalSingularity,
     GammaPole,
+    NotConverged,
     OutsideSupport,
     UnsupportedK,
     require_finite,
@@ -207,41 +208,21 @@ def resolvent_closed(sp: SpectralParam, k: Union[float, MagneticK],
     return phase * (_gamma_prefactor(sp.s, k) * _resolvent_profile(sp.s, as_magnetic(k).abs_k, c2))
 
 
+def _profile_angle(b: np.ndarray, ch_r: float) -> np.ndarray:
+    """a = arccosh(cosh(b/2) / ch_r) as b/2 + log(c + sqrt(c^2 - e^{-b})),
+    c = (1 + e^{-b}) / (2 ch_r): finite out to any b, so the profile
+    cosh(2|k| a) can enter an integrand as e^{+-2|k| a} joined to its decay."""
+    e = np.exp(-b)
+    c = (1.0 + e) / (2.0 * ch_r)
+    return b / 2.0 + np.log(c + np.sqrt(np.maximum(c * c - e, 0.0)))
+
+
 def _check_decay(mu: complex, k: Union[float, MagneticK]):
     need = max(0.0, as_magnetic(k).abs_k - 0.5)
     if not complex(mu).imag < -need:
         raise ConvergenceViolated(
             f"resolvent integral needs Im mu < {-need:.3g} (kernel grows like "
             f"e^((|k|-1/2) b)); got mu={mu}")
-
-
-def _radial_integral(k: Union[float, MagneticK], rho: float, weight,
-                     cfg: quad.QuadConfig) -> quad.QuadratureResult:
-    """integral_rho^inf weight(b) W_rad(b, rho) db, W_rad the radial wave
-    kernel, with its inverse-square-root edge removed by b = rho + u^2.
-
-    At rho = 0 the edge factor is 1/sinh(b/2), integrable against any
-    weight vanishing like b.
-    """
-    ak = as_magnetic(k).abs_k
-    ch_r = math.cosh(rho / 2.0)
-
-    def g(b):
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        w = weight(b)
-        if not w.all():
-            # far out cosh(b/2) overflows where the weight is already 0; the
-            # profile is taken at the support edge there, so those nodes
-            # give 0 instead of inf * 0
-            b = np.where(w == 0, rho, b)
-        return w * _wave_profile(ak, np.cosh(b / 2.0) / ch_r) / (2.0 * math.pi)
-
-    def dm(u):
-        # cosh^2(b/2) - cosh^2(rho/2) = sinh((b+rho)/2) sinh((b-rho)/2), b = rho + u^2
-        u = np.asarray(u, dtype=float)
-        return np.sinh((2.0 * rho + u * u) / 2.0) * np.sinh(u * u / 2.0)
-
-    return quad.integrate_sqrt_endpoint(g, rho, cfg, dm=dm)
 
 
 def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
@@ -262,10 +243,10 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
     cut at u = sqrt(40/r).  g = sqrt(2 rho) moves the edge factor's branch
     points u = +-i g to x = +-2 pi i g: near the diagonal the nodes crowd
     towards u = 0 instead of growing in number, and elsewhere u ~ x/4, a
-    first step of 1/8 in u.  The profile cosh(2|k| a), a = arccosh(cosh(b/2)
-    / cosh(rho/2)), enters as its two exponentials e^{+-2|k| a}, each joined
-    in one exponent to e^{-i mu b} and the edge factor's e^{-b/2}, so that no
-    factor overflows out to the cut.
+    first step of 1/8 in u.  The profile cosh(2|k| a) (_profile_angle) enters
+    as its two exponentials e^{+-2|k| a}, each joined in one exponent to
+    e^{-i mu b} and the edge factor's e^{-b/2}, so that no factor overflows
+    out to the cut.
     """
     mu = complex(sp.mu)
     _check_decay(mu, k)
@@ -279,9 +260,7 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
         xg = x / (4.0 * g)
         u2 = np.maximum((g * np.sinh(xg)) ** 2, 1e-300)  # (1 - e^{-u^2}) / u^2 is 1 at u = 0
         b = rho + u2
-        e = np.exp(-b)
-        c = (1.0 + e) / (2.0 * ch_r)
-        a = b / 2.0 + np.log(c + np.sqrt(np.maximum(c * c - e, 0.0)))  # arccosh(cosh(b/2) / ch_r)
+        a = _profile_angle(b, ch_r)
         # du/dx times 2u / sqrt(cosh^2(b/2) - cosh^2(rho/2)) / 2 pi, less its e^{-b/2}
         jac = np.cosh(xg) / (4.0 * math.pi * np.sqrt(-np.expm1(-(b + rho)) * -np.expm1(-u2) / u2))
         decay = (-0.5 - 1j * mu) * b
@@ -295,17 +274,52 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
                                  0.5 * math.hypot(*res.err_estimate), res.n_evals, res.converged)
 
 
+def _edge_q(x):
+    """q(x) = x e^x / sinh x = 2x / (1 - e^{-2x}), 1 at x = 0."""
+    d = -np.expm1(-2.0 * x)
+    return np.where(d > 0.0, 2.0 * x / np.where(d > 0.0, d, 1.0), 1.0)
+
+
 def heat_kernel(t: float, k: Union[float, MagneticK], z: HalfPlanePoint, zp: HalfPlanePoint,
                 cfg: quad.QuadConfig = quad.DEFAULT_CONFIG) -> quad.QuadratureResult:
     """Heat kernel as the subordination integral
     integral_rho^inf e^{-b^2/4t} / (4 pi t)^{3/2} * W(b, z, z') * b db.
 
-    Coincident points z = z' take the same path: the factor b cancels the
-    1/sinh(b/2) edge of the rho = 0 kernel."""
+    With b^2 = rho^2 + s^2, b db = s ds, and the edge factor s / sqrt(S),
+    S = cosh^2(b/2) - cosh^2(rho/2) = sinh(x) sinh(w), x = (b + rho)/2,
+    w = (b - rho)/2 = s^2 / 4x, is 2 e^{-b/2} sqrt(q(x) q(w)) (_edge_q; its
+    square tends to 4 rho / sinh rho at s = 0).  The integrand is even and
+    analytic in s for every rho >= 0, z = z' included, so it is one trapezoid
+    sum (quad.trapezoid_even, Trefethen & Weideman 2014), cut where
+    (b^2 - rho^2)/4t - (|k| - 1/2)(b - rho) = 45, the profile's exponentials
+    (_profile_angle) joined to the Gaussian and e^{-b/2}.  Where the first
+    two levels out to that cut hold more nodes than the sum's budget (t > 38
+    at |k| = 2, t > 92 at |k| = 1, t > 347 at |k| = 1/2, never at k = 0) it
+    raises NotConverged.
+    """
     if not t > 0:
         raise ValueError("heat kernel needs t > 0")
     rho = dist_halfplane(z, zp)
     phase = magnetic_phase_halfplane(k, z, zp)
-    norm = (4.0 * math.pi * t) ** 1.5
-    return _radial_integral(k, rho, lambda b: np.exp(-b * b / (4.0 * t)) * b / norm,
-                            cfg).scaled(phase)
+    ak, ch_r = as_magnetic(k).abs_k, math.cosh(rho / 2.0)
+    norm = 2.0 * math.pi * (4.0 * math.pi * t) ** 1.5
+
+    def f(s: np.ndarray, _) -> np.ndarray:
+        s2 = s * s
+        b = np.sqrt(rho * rho + s2)
+        x = (b + rho) / 2.0
+        w = s2 / np.maximum(4.0 * x, 1e-300)
+        a = _profile_angle(b, ch_r)
+        decay = -b * b / (4.0 * t) - b / 2.0
+        return (np.sqrt(_edge_q(x) * _edge_q(w))
+                * (np.exp(decay + 2.0 * ak * a) + np.exp(decay - 2.0 * ak * a)) / norm)[None, :]
+
+    slope = ak - 0.5
+    b_max = 2.0 * t * slope + math.sqrt((2.0 * t * slope - rho) ** 2 + 180.0 * t)
+    s_max = math.sqrt(b_max * b_max - rho * rho)
+    res = quad.trapezoid_even(f, s_max, cfg.abs_tol, cfg.rel_tol)
+    if not res.n_evals:  # not even the first two levels fit the node budget
+        raise NotConverged(f"heat sum out to s = {s_max:.4g} needs more trapezoid nodes than the"
+                           f" budget holds (t (|k| - 1/2) = {t * slope:.3g} too large)")
+    return quad.QuadratureResult(phase * res.value[0], res.err_estimate[0], res.n_evals,
+                                 res.converged)

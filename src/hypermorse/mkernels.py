@@ -5,16 +5,16 @@ Bessel reduction at k = 0, Fourier transport of the hyperbolic wave kernel),
 the Whittaker closed resolvent and its transmutation-integral counterpart,
 the heat kernel, and the Hartman-Watson double-integral oracle for it.
 
-The resolvent integral moves its oscillating transverse integrand onto a
-hyperbola in the lower half-plane, where it decays double-exponentially,
-continuing the magnetic phase analytically there, and sums it as one
-trapezoid sum (see resolvent_integral).  The heat kernel is a trapezoid sum
-of the closed resolvent along one line in mu, within the closed form's range
-2 lam e^{max(X, X')} <= 40, each trapezoid call one resolvent_closed call on
-the array of its nodes (see heat_kernel).  The Hartman-Watson oracle's outer
-integral is a trapezoid sum in log u, each call one theta_hw array over its
-nodes (see hartman_watson_heat_oracle).  No routine here runs GK panels but
-wave_kernel_fourier.
+The Fourier transport is one periodic trapezoid sum over the support (see
+wave_kernel_fourier).  The resolvent integral moves its oscillating
+transverse integrand onto a hyperbola in the lower half-plane, where it
+decays double-exponentially, continuing the magnetic phase analytically
+there, and sums it as one trapezoid sum (see resolvent_integral).  The heat
+kernel is a trapezoid sum of the closed resolvent along one line in mu,
+within the closed form's range 2 lam e^{max(X, X')} <= 40, each trapezoid
+call one resolvent_closed call on the array of its nodes (see heat_kernel).
+The Hartman-Watson oracle's outer integral is a trapezoid sum in log u, each
+call one theta_hw array over its nodes (see hartman_watson_heat_oracle).
 
 Calibrated conventions (measured by the harness, not assumed):
 
@@ -268,8 +268,18 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float,
 
     W(b) = 1/(2 sqrt(y y')) * int e^{-i lam u} phase(u)^k W_rad(b, rho(u)) du
 
-    restricted to the exact support interval u in (-Z, Z); the two
-    inverse-square-root endpoints are removed by u = +-(Z - w^2).
+    over the support u in (-Z, Z), Z = wave_aux_z, where W_rad's
+    inverse-square-root factor is sqrt(y y') / (pi sqrt(Z^2 - u^2)).  So with
+    u = Z cos theta, W(b) = int_0^pi g(Z cos theta) dtheta, g(u) =
+    e^{-i lam u} phase(u)^k cosh(2|k| arccosh C(u)) / (2 pi), analytic at the
+    support edge (the profile is even in sqrt(C - 1)): a periodic integrand,
+    one trapezoid sum (quad.trapezoid_periodic).  g(-u) = conj g(u) folds
+    theta with pi - theta, so W is 2 Re of the sum over [0, pi/2], exactly
+    real.  n starts at lam Z / 4 + 8 (lam Z nodes a period, the bandwidth of
+    e^{-i lam Z cos theta}) and doubles; err_estimate is the last doubling's
+    difference, never below the round-off floor eps (lam Z + 4) h sum|f| (the
+    phase lam u carries eps lam Z).  Past the sum's node budget (lam Z in the
+    thousands) it returns converged=False.
     """
     _require_support(cfg, b)
     mk = cfg.mk
@@ -278,25 +288,17 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float,
     z_edge = float(wave_aux_z(cfg, b))
     ch_b2 = math.cosh(b / 2.0)
 
-    def g_of_u(u: np.ndarray) -> np.ndarray:
-        # W_rad without its inverse-sqrt factor: (1/2pi) * F(rho(u)) where the
-        # singular factor is handled by the caller through the substitution
-        c2 = (u * u + v * v) / (4.0 * y * yp)
-        fvals = _wave_profile(mk.abs_k, ch_b2 / np.sqrt(c2))
-        phase = np.exp(mk.k * (np.log(-u + 1j * v) - np.log(u + 1j * v)))
-        return fvals * phase * np.exp(-1j * cfg.lam * u) / (2.0 * math.pi)
+    def f(theta: np.ndarray) -> np.ndarray:
+        # 2 Re g: the phase ((-u + iv)/(u + iv))^k is e^{ik(pi - 2 arg(u + iv))}
+        u = z_edge * np.cos(theta)
+        c = ch_b2 * np.sqrt(4.0 * y * yp / (u * u + v * v))
+        return _wave_profile(mk.abs_k, c) * np.cos(mk.k * (math.pi - 2.0 * np.arctan2(v, u))
+                                                   - cfg.lam * u) / math.pi
 
-    def h(w: np.ndarray, side: float) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        u = side * (z_edge - w * w)
-        return g_of_u(u) * 2.0 / np.sqrt(2.0 * z_edge - w * w)
-
-    sw = math.sqrt(z_edge)
-    r1 = quad.integrate_finite(lambda w: h(w, +1.0), 0.0, sw, qcfg)
-    r2 = quad.integrate_finite(lambda w: h(w, -1.0), 0.0, sw, qcfg)
-    # the 2 sqrt(y y') from the singular factor cancels the connection's
-    # 1/(2 sqrt(y y')), leaving the bare 1/(2 pi) normalization above
-    return r1 + r2
+    lam_z = cfg.lam * z_edge
+    res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(lam_z / 4.0) + 8, qcfg.abs_tol,
+                                  qcfg.rel_tol, np.finfo(float).eps * (lam_z + 4.0))
+    return quad.QuadratureResult(complex(res.value), res.err_estimate, res.n_evals, res.converged)
 
 
 def _whittaker_order(mu, index_convention: str):

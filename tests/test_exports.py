@@ -10,3 +10,14 @@ def test_every_listed_export_resolves():
         mod = getattr(hypermorse, mod_name)
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, f"hypermorse.{mod_name}.__all__ lists missing names {missing}"
+
+
+def test_quad_is_the_trapezoid_rule_only():
+    # every kernel integral is a trapezoid sum: the adaptive Gauss-Kronrod
+    # integrators and their TailDivergence error are gone
+    from hypermorse import errors, quad
+    assert set(quad.__all__) == {"QuadConfig", "QuadratureResult", "trapezoid_even",
+                                 "trapezoid_periodic"}
+    for name in ("integrate_finite", "integrate_semiinfinite", "integrate_sqrt_endpoint", "_panels"):
+        assert not hasattr(quad, name)
+    assert not hasattr(errors, "TailDivergence")

@@ -10,10 +10,11 @@ from hypermorse.errors import (
     ConvergenceViolated,
     DiagonalSingularity,
     GammaPole,
+    NotConverged,
     OutsideSupport,
     UnsupportedK,
 )
-from hypermorse.geometry import HalfPlanePoint, dist_halfplane
+from hypermorse.geometry import HalfPlanePoint, dist_halfplane, magnetic_phase_halfplane
 from hypermorse.hkernels import (
     SpectralParam,
     WAVE_FORMS,
@@ -191,49 +192,45 @@ class TestResolventIntegral:
 
     def test_linear_in_prefactor(self):
         # the transmutation value is linear in its constant prefactor: the
-        # same integral assembled with a quarter prefactor is half the value
-        mu = -0.9j
+        # same integral assembled with a quarter prefactor is half the value,
+        # and the calibrated 1/2 (with the phase) gives the closed form.  The
+        # integral is one trapezoid sum in u, b = rho + u^2, whose integrand
+        # 2u W_rad(b) e^{-i mu b} is even and analytic in u
+        sp, k = SpectralParam(-0.9j), 0.5
         rho = dist_halfplane(Z1, Z2)
+        ch = math.cosh(rho / 2)
+
+        def rows(u, idx):
+            w = u * u / 2
+            b = rho + u * u
+            # 2u / sqrt(sinh(rho + w) sinh(w)), sinh(w)/w -> 1 at u = 0
+            shc = np.where(w > 0, np.sinh(w) / np.where(w > 0, w, 1.0), 1.0)
+            edge = 2.0 / np.sqrt(np.sinh(rho + w) * shc / 2)
+            vals = edge * np.cosh(2 * k * np.arccosh(np.maximum(np.cosh(b / 2) / ch, 1.0))) \
+                / (2 * math.pi) * np.exp(-1j * sp.mu * b)
+            return np.stack([vals.real, vals.imag])[idx]
 
         def assemble(prefactor):
-            def g(b):
-                b = np.atleast_1d(b)
-                return wave_kernel_radial(0.5, b, rho) * np.sqrt(
-                    np.sinh((b + rho) / 2) * np.sinh((b - rho) / 2)) * np.exp(-1j * mu * b)
-
-            def dm(u):
-                return np.sinh((2 * rho + u * u) / 2) * np.sinh(u * u / 2)
-
-            res = quad.integrate_sqrt_endpoint(g, rho, dm=dm)
-            return prefactor * res.value
+            res = quad.trapezoid_even(rows, 12.0, [1e-15, 1e-15], 1e-12)
+            assert res.converged
+            return prefactor * complex(*res.value)
 
         assert relerr(assemble(0.25), 0.5 * assemble(0.5)) < 1e-13
+        closed = resolvent_closed(sp, k, Z1, Z2)
+        assert relerr(assemble(0.5) * magnetic_phase_halfplane(k, Z1, Z2), closed) < 1e-10
 
     def test_support_insensitivity(self):
         # extending the lower limit below rho adds nothing: the kernel is zero
-        # there, so integrating from rho (as the op does) matches a manual
-        # sweep that starts lower and skips the dead zone
-        sp = SpectralParam(-1.0j)
-        res = resolvent_integral(sp, 0.0, Z1, Z2)
+        # there, so the integral from rho (as the op takes it) is the one over
+        # [0, inf).  Reference: mpmath at 30 digits of
+        # (1/2) int_rho^inf e^{-b} / (2 pi sqrt(cosh^2(b/2) - cosh^2(rho/2))) db
+        # in b = rho + u^2
         rho = dist_halfplane(Z1, Z2)
-
-        def integrand(b):
-            b = np.atleast_1d(b)
-            out = np.zeros(len(b), dtype=complex)
-            alive = b > rho + 1e-12
-            if alive.any():
-                out[alive] = wave_kernel_radial(0.0, b[alive], rho) * np.exp(-1j * (-1.0j) * b[alive])
-            return out
-
-        # clipped manual value over [0, rho+10] with graded panels near rho
-        manual = 0.0 + 0.0j
-        edges = [rho + 1e-12 * 10 ** j for j in range(13)] + [rho + 1.0, rho + 14.0]
-        nodes, weights = np.polynomial.legendre.leggauss(30)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            manual += 0.5 * (hi - lo) * np.sum(weights * integrand(x))
-        manual *= 0.5  # calibrated prefactor
-        assert relerr(res.value, manual) < 1e-5
+        for b in np.linspace(0.0, rho, 6, endpoint=False):
+            assert wave_kernel("auto", 0.0, float(b), Z1, Z2) == 0.0
+        res = resolvent_integral(SpectralParam(-1.0j), 0.0, Z1, Z2)
+        assert res.converged
+        assert relerr(res.value, 0.085913818846404776697) < 1e-11
 
 
 class TestHeatKernel:
@@ -318,6 +315,46 @@ class TestHeatKernel:
         res = heat_kernel(10.0, 2.0, HalfPlanePoint(0.2, 1.3), HalfPlanePoint(0.25, 1.3))
         assert res.converged
         assert relerr(res.value, 223743462.3592858228 - 17242929.11725072418j) < 1e-12
+
+    # z = (0, 1), z' = (0, y'), t = 1.  References: mpmath at 40 digits, mp.quad
+    # in b = rho + u^2 of e^{-b^2/4} / (4 pi)^{3/2} cosh(2|k| arccosh C)
+    # b 2u / (2 pi sqrt(sinh((b + rho)/2) sinh(u^2/2))), rho = log y' exactly
+    # (the phase is 1 on a vertical line)
+    @pytest.mark.parametrize("k, yp, ref", [
+        (0.0, 1 + 1e-7, 0.01175794894478977012628),  # rho ~ 1e-7
+        (1.0, 1 + 1e-7, 0.02802032082549569175011),
+        (0.0, 1.0, 0.01175794894478980883668),  # rho = 0
+        (0.5, 1.0, 0.01460283713464530767925),
+        (1.0, 1.0, 0.0280203208254958005113),
+    ])
+    def test_near_and_on_the_diagonal(self, k, yp, ref):
+        res = heat_kernel(1.0, k, HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.0, yp))
+        assert res.converged
+        assert abs(res.value - ref) <= max(res.err_estimate, 1e-13 * abs(ref))
+        assert relerr(res.value, ref) < 1e-12
+
+    def test_diagonal_is_the_limit_of_the_same_sum(self):
+        # rho = 0 takes the sum every rho takes: the values and node counts
+        # run continuously into it
+        z = HalfPlanePoint(0.3, 1.2)
+        on = heat_kernel(0.8, 0.5, z, z)
+        for d in (1e-12, 1e-9, 1e-6):
+            near = heat_kernel(0.8, 0.5, z, HalfPlanePoint(0.3, 1.2 * (1 + d)))
+            assert near.n_evals == on.n_evals
+            assert relerr(near.value, on.value) < 1e-14 + d
+
+    def test_cost(self):
+        # one trapezoid sum of a few dozen nodes across the grid_sweep range
+        for t, k in ((0.5, 0.0), (1.0, 0.5), (2.0, 1.0)):
+            res = heat_kernel(t, k, Z1, Z2)
+            assert res.converged and res.n_evals < 100
+
+    def test_past_the_node_budget_raises(self):
+        # k = 2, t = 50: the sum reaches s ~ 327, more nodes than the
+        # trapezoid budget holds; the call names that limit instead of
+        # returning a value it could not compute
+        with pytest.raises(NotConverged, match="node|budget"):
+            heat_kernel(50.0, 2.0, Z1, HalfPlanePoint(0.3, 1.0))
 
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from hypermorse import mkernels, specfun
+from hypermorse import mkernels, quad, specfun
 from hypermorse.errors import (
     CancellationLimit,
     ConvergenceViolated,
@@ -304,6 +304,43 @@ class TestFourierPath:
         cfg = MorseConfig(lam=1.0, k=0.37, X=0.0, Xp=0.2)
         v = wave_kernel_fourier(cfg, 1.0)
         assert v.converged
+
+    # (lam, k, X, X', b): the adaptive GK15 values this path once gave, and
+    # mpmath at 30 digits of int_0^{pi/2} 2 Re g(Z cos theta) dtheta
+    @pytest.mark.parametrize("args, gk, ref", [
+        ((8.0, 1.0, 0.0, 0.5, 3.0), -5.45404902340289e-2, -0.054540490234028619901),
+        ((20.0, 1.0, 0.0, 0.5, 4.0), 2.85181878133370e-2, 0.028518187813338907463),
+    ])
+    def test_large_lam_z(self, args, gk, ref):
+        # lam Z = 43 and 186: the sum starts from lam Z / 4 intervals
+        res = wave_kernel_fourier(MorseConfig(*args[:4]), args[4])
+        assert res.converged and res.value.imag == 0.0
+        assert abs(res.value - gk) < 1e-12
+        assert abs(res.value - ref) <= res.err_estimate
+        assert res.n_evals < 250
+
+    def test_exactly_real(self):
+        # the fold theta <-> pi - theta pairs conjugate halves: Im is 0, not
+        # merely small
+        for cfg, b in [(CFG_HALF, 1.4), (MorseConfig(1.3, -1.5, 0.2, -0.3), 2.5),
+                       (MorseConfig(0.7, 0.37, -0.4, 0.3), 3.9)]:
+            assert wave_kernel_fourier(cfg, b).value.imag == 0.0
+
+    def test_past_the_node_budget(self):
+        # lam Z = 1.1e4 needs more nodes than the sum's budget holds: the
+        # call returns its last level unconverged instead of raising
+        res = wave_kernel_fourier(MorseConfig(2000.0, 1.0, 0.0, 0.5), 3.0)
+        assert res.converged is False
+        assert res.n_evals <= quad._PERIODIC_MAX_NODES
+        assert math.isfinite(res.value.real) and res.err_estimate > 0
+
+    def test_one_sum_reuses_nodes(self):
+        # n0 = ceil(lam Z / 4) + 8 endpoint nodes, then each doubling adds
+        # its midpoints only: n_evals is n + 1 at the last level n
+        cfg = MorseConfig(8.0, 1.0, 0.0, 0.5)
+        res = wave_kernel_fourier(cfg, 3.0)
+        n0 = math.ceil(8.0 * float(wave_aux_z(cfg, 3.0)) / 4.0) + 8
+        assert res.n_evals - 1 in {n0 * 2 ** j for j in range(1, 6)}
 
 
 class TestResolventClosed:
