@@ -70,19 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EVAL_REQUIRED = {
-    "hres": ("mu", "z", "zp"),
-    "hwave": ("b", "z", "zp"),
-    "hheat": ("t", "z", "zp"),
-    "mres": ("lam", "mu", "X", "Xp"),
-    "mwave": ("lam", "X", "Xp", "b"),
-    "mheat": ("lam", "X", "Xp", "t"),
-}
-
-
 def _cmd_eval(args) -> int:
     params = {"k": args.k, "form": args.form}
-    for name in _EVAL_REQUIRED[args.kernel]:
+    for name in harness.KERNEL_PARAMS[args.kernel]:
         value = getattr(args, name)
         if value is None:
             print(f"eval --kernel {args.kernel} requires --{name.replace('lam', 'lambda')}",
@@ -179,8 +169,9 @@ def _parse_grid_spec(path: str):
 def _cmd_grid(args) -> int:
     try:
         kernel_from_file, params, grid = _parse_grid_spec(args.spec)
-        kernel = args.kernel or kernel_from_file
-        n = harness.grid_eval(kernel, params, grid, args.out)
+        if kernel_from_file not in (None, args.kernel):
+            raise InvalidGrid(f"{args.spec} is a {kernel_from_file} spec, not {args.kernel}")
+        n = harness.grid_eval(args.kernel, params, grid, args.out)
     except (InvalidGrid, OSError) as exc:
         print(f"grid error: {exc}", file=sys.stderr)
         return 2

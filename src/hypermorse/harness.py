@@ -54,6 +54,7 @@ __all__ = [
     "grid_eval",
     "apply_halfplane_generator",
     "KERNEL_IDS",
+    "KERNEL_PARAMS",
     "eval_kernel",
 ]
 
@@ -74,7 +75,6 @@ TOLERANCES = {
     "whittaker_product": 1e-4,
     "bessel_product": 1e-6,
     "specfun_oracle": 1e-11,
-    "specfun_oracle_k_int": 1e-8,
     "calibration": 1e-6,
 }
 
@@ -130,6 +130,15 @@ def _relerr(a: complex, b: complex) -> float:
     NaN compares False and would pass both max() and a tolerance."""
     rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
     return rel if math.isfinite(rel) else math.inf
+
+
+def _converged(res: quad.QuadratureResult):
+    """res.value, or NotConverged where res did not converge: an integral that
+    missed its tolerance never counts toward a pass."""
+    if not res.converged:
+        raise NotConverged(f"integral unconverged: err_estimate {res.err_estimate:.3g}"
+                           f" after {res.n_evals} evaluations")
+    return res.value
 
 
 def _spread(vals: np.ndarray) -> np.ndarray:  # per column, over the rows
@@ -242,7 +251,7 @@ def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None) -> Identity
         sp = SpectralParam(mu)
         worst.run({"mu": str(mu), "k": k, "z": p1, "zp": p2, "mapping": sp.mapping_id},
                   lambda: _relerr(hyp_resolvent_closed(sp, k, z, zp),
-                                  hyp_resolvent_integral(sp, k, z, zp).value))
+                                  _converged(hyp_resolvent_integral(sp, k, z, zp))))
     return _report("hyperbolic_resolvent",
                    f"mu in {list(map(str, mus))}, k in {list(ks)}, {len(_RESOLVENT_PAIRS)} pairs",
                    worst, tol_overrides)
@@ -289,13 +298,13 @@ def check_hyperbolic_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityR
         point = {"t": t, "k": k, "z": p1, "zp": p2}
         try:
             def h_of_t(tt: float) -> complex:
-                return hyp_heat_kernel(tt, k, z, zp, qcfg).value
+                return _converged(hyp_heat_kernel(tt, k, z, zp, qcfg))
 
             dt = (-h_of_t(t + 2 * ht) + 8 * h_of_t(t + ht) - 8 * h_of_t(t - ht)
                   + h_of_t(t - 2 * ht)) / (12 * ht)
 
             def h_of_z(x: float, y: float) -> complex:
-                return hyp_heat_kernel(t, k, HalfPlanePoint(x, y), zp, qcfg).value
+                return _converged(hyp_heat_kernel(t, k, HalfPlanePoint(x, y), zp, qcfg))
 
             gen = apply_halfplane_generator(h_of_z, z, k)
             worst.update(abs(dt - gen) / max(abs(dt), abs(gen)), point)
@@ -326,7 +335,7 @@ def check_morse_wave_bessel(path: str, tol_overrides: Optional[dict] = None) -> 
     name = f"morse_wave_bessel_{path}"
     paths = {"phi1": wave_kernel_phi1,
              "alternate": lambda c, b: wave_kernel_phi1_alt(c, b, normalization="k0_calibrated"),
-             "fourier": lambda c, b: wave_kernel_fourier(c, b).value}
+             "fourier": lambda c, b: _converged(wave_kernel_fourier(c, b))}
     if path not in paths:
         raise ValueError(f"unknown path {path!r}")
     worst = _Worst()
@@ -347,7 +356,7 @@ def check_morse_wave_cross_half_k(tol_overrides: Optional[dict] = None) -> Ident
         for f in (0.3, 0.55, 0.8):
             b = cfg.rho_m + f * (bstar - cfg.rho_m)
             worst.run({"X": X, "Xp": Xp, "b": b},
-                      lambda: _relerr(wave_kernel_phi1(cfg, b), wave_kernel_fourier(cfg, b).value))
+                      lambda: _relerr(wave_kernel_phi1(cfg, b), _converged(wave_kernel_fourier(cfg, b))))
     return _report("morse_wave_phi1_fourier_half_k", "3 position pairs x 3 window points, k=1/2",
                    worst, tol_overrides)
 
@@ -362,7 +371,7 @@ def _morse_closed_vs_integral(name: str, grid_spec: str, points, tol_overrides) 
         cfg = MorseConfig(lam=1.0, k=k, X=X, Xp=Xp)
         worst.run({"k": k, "alpha": alpha, "X": X, "Xp": Xp},
                   lambda: _relerr(morse_resolvent_closed(cfg, -1j * alpha),
-                                  morse_resolvent_integral(cfg, -1j * alpha).value))
+                                  _converged(morse_resolvent_integral(cfg, -1j * alpha))))
     return _report(name, grid_spec, worst, tol_overrides)
 
 
@@ -396,7 +405,7 @@ def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport
         cfg = MorseConfig(lam=1.0, k=0.0, X=math.log(u), Xp=math.log(v))
         worst.run({"alpha": alpha, "u": u, "v": v},
                   lambda: _relerr(specfun.bessel("I", alpha, u) * specfun.bessel("K", alpha, v),
-                                  0.5 * morse_resolvent_integral(cfg, -1j * alpha).value))
+                                  0.5 * _converged(morse_resolvent_integral(cfg, -1j * alpha))))
     return _report("bessel_product", "alpha in {0.5, 1.0} x (u,v) in {(1,2), (0.5,1.5)}",
                    worst, tol_overrides)
 
@@ -419,13 +428,9 @@ def check_morse_heat_hw_oracle(tol_overrides: Optional[dict] = None) -> Identity
     for (t, k) in _HW_ORACLE_POINTS:
         cfg = MorseConfig(lam=1.0, k=k, X=0.0, Xp=math.log(1.3))
 
-        def rel_err() -> float:
-            hk, oracle = morse_heat_kernel(cfg, t), hartman_watson_heat_oracle(cfg, t)
-            if not (hk.converged and oracle.converged):
-                raise NotConverged(f"converged={hk.converged}/{oracle.converged} (heat/oracle)")
-            return _relerr(hk.value, oracle.value)
-
-        worst.run({"t": t, "k": k, "X": 0.0, "Xp": math.log(1.3)}, rel_err)
+        worst.run({"t": t, "k": k, "X": 0.0, "Xp": math.log(1.3)},
+                  lambda: _relerr(_converged(morse_heat_kernel(cfg, t)),
+                                  _converged(hartman_watson_heat_oracle(cfg, t))))
     return _report("morse_heat_hw_oracle", "3 points: (t, k) in {(1,0), (1,1/2), (0.9,1/2)}, lam=1",
                    worst, tol_overrides)
 
@@ -445,10 +450,7 @@ def check_morse_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityReport
     qcfg = quad.QuadConfig(rel_tol=1e-10, abs_tol=1e-16)
     for (t, k, x, xp) in _MORSE_PDE_SAMPLES:
         def q(tt: float, xx: float) -> float:
-            res = morse_heat_kernel(MorseConfig(1.0, k, xx, xp), tt, qcfg)
-            if not res.converged:
-                raise NotConverged(f"heat kernel unconverged at t={tt}, X={xx}")
-            return res.value
+            return _converged(morse_heat_kernel(MorseConfig(1.0, k, xx, xp), tt, qcfg))
 
         def residual() -> float:
             nonlocal shift
@@ -465,20 +467,16 @@ def check_morse_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityReport
                    worst, tol_overrides)
 
 
-def check_specfun_oracle(tol_overrides: Optional[dict] = None,
-                         integer_k_only: bool = False) -> IdentityReport:
+def check_specfun_oracle(tol_overrides: Optional[dict] = None) -> IdentityReport:
     """Committed arbitrary-precision reference values reproduced in-package."""
-    name = "specfun_oracle_k_int" if integer_k_only else "specfun_oracle"
     worst = _Worst()
     for row in _oracle_rows():
-        is_k_int = row["tol_class"] == "k_int"
-        if is_k_int != integer_k_only:
-            continue
         params = _parse_params(row["params"])
         expect = complex(float(row["ref_real"]), float(row["ref_imag"]))
         worst.run({"function": row["function"], "params": row["params"]},
                   lambda: _relerr(_eval_specfun(row["function"], params), expect))
-    return _report(name, f"committed reference table ({worst.n_points} rows)", worst, tol_overrides)
+    return _report("specfun_oracle", f"committed reference table ({worst.n_points} rows)", worst,
+                   tol_overrides)
 
 
 def _oracle_rows() -> list:
@@ -535,7 +533,7 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
     integrals = []
     for mu, z, zp in points:
         try:
-            integrals.append(hyp_resolvent_integral(SpectralParam(mu), 0.0, z, zp).value)
+            integrals.append(_converged(hyp_resolvent_integral(SpectralParam(mu), 0.0, z, zp)))
         except HypermorseError:
             integrals.append(math.nan)  # every mapping's residual is inf there
     for mapping in SPECTRAL_MAPPINGS:
@@ -557,7 +555,7 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
     worst_conv = dict.fromkeys(convs, 0.0)
     for mu in (-0.7j, -1.1j):
         try:
-            integ = morse_resolvent_integral(cfg, mu).value
+            integ = _converged(morse_resolvent_integral(cfg, mu))
         except HypermorseError:
             worst_conv = dict.fromkeys(convs, float("inf"))
             continue
@@ -629,7 +627,6 @@ SUITES = {
         check_whittaker_product,
         check_bessel_product,
         check_specfun_oracle,
-        lambda tols=None: check_specfun_oracle(tols, integer_k_only=True),
     ),
 }
 
@@ -655,7 +652,20 @@ def run_suite(suite: str, tol_overrides: Optional[dict] = None):
 # kernel evaluation dispatch and grid runner
 # ---------------------------------------------------------------------------
 
-KERNEL_IDS = ("hres", "hheat", "hwave", "mres", "mheat", "mwave")
+# the parameters each kernel reads (hwave's "form" is optional, "auto" by default)
+KERNEL_PARAMS = {
+    "hres": ("k", "mu", "z", "zp"),
+    "hheat": ("k", "t", "z", "zp"),
+    "hwave": ("k", "b", "z", "zp"),
+    "mres": ("k", "lam", "mu", "X", "Xp"),
+    "mheat": ("k", "lam", "X", "Xp", "t"),
+    "mwave": ("k", "lam", "X", "Xp", "b"),
+}
+KERNEL_IDS = tuple(KERNEL_PARAMS)
+
+
+def _complex(v) -> complex:  # a spec's pair "re,im" arrives as a tuple
+    return complex(*v) if isinstance(v, tuple) else complex(v)
 
 
 def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
@@ -670,7 +680,7 @@ def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
     p = params
     require_finite(**p)
     if kernel_id == "hres":
-        sp = SpectralParam(complex(p["mu"]))
+        sp = SpectralParam(_complex(p["mu"]))
         val = hyp_resolvent_closed(sp, p["k"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))
         return quad.QuadratureResult(val, 0.0, 0, True)
     if kernel_id == "hwave":
@@ -681,7 +691,7 @@ def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
         return hyp_heat_kernel(p["t"], p["k"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))
     cfg = MorseConfig(lam=p["lam"], k=p["k"], X=p["X"], Xp=p["Xp"])
     if kernel_id == "mres":
-        val = morse_resolvent_closed(cfg, complex(p["mu"]))
+        val = morse_resolvent_closed(cfg, _complex(p["mu"]))
         return quad.QuadratureResult(val, 0.0, 0, True)
     if kernel_id == "mwave":
         if cfg.k == 0:
@@ -707,7 +717,9 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
     """Evaluate a kernel over the cartesian product of the grid axes.
 
     grid_spec maps parameter names to (start, stop, count); an axis written
-    'zp.y' sweeps one component of a pair-valued parameter.  One CSV row per
+    'zp.y' sweeps one component of a pair-valued parameter.  params and the
+    axes together must hold every parameter KERNEL_PARAMS names for the
+    kernel, or InvalidGrid is raised before any point runs.  One CSV row per
     point: grid coordinates, Re/Im in decimal and hexadecimal, the error
     estimate, and the convergence flag.  Per-point kernel errors land in the
     row's error column and the run continues.  Returns the row count.
@@ -716,6 +728,11 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
         raise InvalidGrid(f"unknown kernel id {kernel_id!r}")
     if not grid_spec:
         raise InvalidGrid("empty grid specification")
+    given = set(params) | {name.split(".", 1)[0] for name in grid_spec}
+    missing = [name for name in KERNEL_PARAMS[kernel_id] if name not in given]
+    if missing:
+        raise InvalidGrid(f"kernel {kernel_id!r} needs {', '.join(missing)}, which neither the"
+                          f" parameters nor the axes give")
     axes = []
     for name, spec in grid_spec.items():
         try:

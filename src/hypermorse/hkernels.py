@@ -226,8 +226,7 @@ def _check_decay(mu: complex, k: Union[float, MagneticK]):
 
 
 def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
-                       z: HalfPlanePoint, zp: HalfPlanePoint,
-                       cfg: quad.QuadConfig = quad.DEFAULT_CONFIG) -> quad.QuadratureResult:
+                       z: HalfPlanePoint, zp: HalfPlanePoint) -> quad.QuadratureResult:
     """Resolvent as the transmutation integral
     (1/2) * integral_rho^inf W(b, rho) e^{-i mu b} db.
 
@@ -269,7 +268,7 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
 
     r = -mu.imag - ak + 0.5
     res = quad.trapezoid_even(f, 4.0 * g * math.asinh(math.sqrt(40.0 / r) / g),
-                              cfg.abs_tol * np.ones(2), cfg.rel_tol)
+                              np.full(2, quad.DEFAULT_CONFIG.abs_tol), quad.DEFAULT_CONFIG.rel_tol)
     return quad.QuadratureResult(0.5 * phase * complex(*res.value),
                                  0.5 * math.hypot(*res.err_estimate), res.n_evals, res.converged)
 

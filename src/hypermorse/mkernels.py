@@ -262,8 +262,7 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float, normalization: str = "raw")
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def wave_kernel_fourier(cfg: MorseConfig, b: float,
-                        qcfg: quad.QuadConfig = quad.DEFAULT_CONFIG) -> quad.QuadratureResult:
+def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     """Wave kernel as the Fourier transport of the hyperbolic wave kernel:
 
     W(b) = 1/(2 sqrt(y y')) * int e^{-i lam u} phase(u)^k W_rad(b, rho(u)) du
@@ -296,8 +295,9 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float,
                                                    - cfg.lam * u) / math.pi
 
     lam_z = cfg.lam * z_edge
-    res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(lam_z / 4.0) + 8, qcfg.abs_tol,
-                                  qcfg.rel_tol, np.finfo(float).eps * (lam_z + 4.0))
+    res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(lam_z / 4.0) + 8,
+                                  quad.DEFAULT_CONFIG.abs_tol, quad.DEFAULT_CONFIG.rel_tol,
+                                  np.finfo(float).eps * (lam_z + 4.0))
     return quad.QuadratureResult(complex(res.value), res.err_estimate, res.n_evals, res.converged)
 
 
@@ -340,8 +340,7 @@ def resolvent_closed(cfg: MorseConfig, mu, index_convention: str = "order_imu"):
         * specfun.whittaker("M", k, nu, 2.0 * cfg.lam * math.exp(x_lo))
 
 
-def resolvent_integral(cfg: MorseConfig, mu: complex,
-                       qcfg: quad.QuadConfig = _RES_CFG) -> quad.QuadratureResult:
+def resolvent_integral(cfg: MorseConfig, mu: complex) -> quad.QuadratureResult:
     """Morse resolvent as the transmutation integral
     2 * int_0^inf e^{-i mu b} W(b, y, y') db.
 
@@ -400,7 +399,7 @@ def resolvent_integral(cfg: MorseConfig, mu: complex,
         return np.stack([even.real, even.imag])[rows]
 
     res = quad.trapezoid_even(fold, 2.0 * math.acosh(1.0 + 90.0 / (lam * d)),
-                              np.full(1 if s.imag == 0.0 else 2, qcfg.abs_tol), qcfg.rel_tol)
+                              np.full(1 if s.imag == 0.0 else 2, _RES_CFG.abs_tol), _RES_CFG.rel_tol)
     return quad.QuadratureResult(complex(*res.value), math.hypot(*res.err_estimate), res.n_evals,
                                  res.converged).scaled(2.0 * pref / math.sqrt(y * yp))
 
@@ -469,8 +468,7 @@ def theta_hw(r, tau: float, abs_tol) -> quad.QuadratureResult:
     return res.scaled(pref)
 
 
-def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
-                               qcfg: quad.QuadConfig = _HW_CFG) -> quad.QuadratureResult:
+def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureResult:
     """Independent heat-kernel oracle through the Hartman-Watson density:
 
     q(t) = 1/(4 pi) * int_0^inf e^{2ku} / (2 sinh u)
@@ -491,7 +489,7 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
     count as 0.  The other nodes of one trapezoid call go to one theta_hw
     call, one trapezoid array (two calls, 31 outer nodes at the benchmark's
     heat points); each theta gets rel_tol 1e-9 and the absolute error the
-    outer sum affords at its node: qcfg.abs_tol over the outer weight (du =
+    outer sum affords at its node: abs_tol 1e-14 over the outer weight (du =
     u dx included).  A node inside its own error bar counts as 0.  In each
     call, the first node in node order whose weighted error tops
     max(abs_tol, rel_tol * peak), peak the largest weighted |value| of every
@@ -499,7 +497,8 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
     round-off floor: tails at k well past 1, small t).
     n_evals and converged cover every inner integral; err_estimate adds the
     largest weighted inner error times the swept length 2 xi_max, and
-    converged needs that total to meet qcfg.  Callers use t >= 0.7.
+    converged needs that total to meet _HW_CFG (rel_tol 1e-7, abs_tol
+    1e-14).  Callers use t >= 0.7.
     """
     if not t > 0:
         raise ValueError("oracle needs t > 0")
@@ -518,11 +517,11 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
         log_weight = x + 2.0 * cfg.k * u - damp0 / np.tanh(u)  # du = u dx
         live = (u <= u_max) & (log_weight >= -700.0)
         u, weight, sh2 = u[live], np.exp(log_weight[live]), 2.0 * np.sinh(u[live])
-        th = theta_hw(r0 * 2.0 / sh2, tau, qcfg.abs_tol / weight * sh2)
+        th = theta_hw(r0 * 2.0 / sh2, tau, _HW_CFG.abs_tol / weight * sh2)
         vals = np.where(np.abs(th.value) > th.err_estimate, weight * th.value / sh2, 0.0)
         werr = weight * th.err_estimate / sh2
         peak = np.abs(vals).max(initial=peak)
-        over = np.flatnonzero(werr > max(qcfg.abs_tol, qcfg.rel_tol * peak))
+        over = np.flatnonzero(werr > max(_HW_CFG.abs_tol, _HW_CFG.rel_tol * peak))
         if over.size:
             raise CancellationLimit(f"round-off {werr[over[0]]:.3g} at u={u[over[0]]:.4g}"
                                     f" tops max(abs_tol, rel_tol * peak {peak:.3g})")
@@ -532,8 +531,8 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float,
         return (out[:xi.size] + out[xi.size:])[None, :]
 
     xi_max = math.log(max(45.0, u_max / damp0))  # damping e^{-45} on the left, u_max on the right
-    res = quad.trapezoid_even(outer, xi_max, qcfg.abs_tol, qcfg.rel_tol)
+    res = quad.trapezoid_even(outer, xi_max, _HW_CFG.abs_tol, _HW_CFG.rel_tol)
     res = quad.QuadratureResult(res.value[0], res.err_estimate[0], res.n_evals, res.converged) + acc
     res.err_estimate += 2.0 * xi_max * err
-    res.converged = res.converged and res.err_estimate <= res.tolerance_bound(qcfg)
+    res.converged = res.converged and res.err_estimate <= res.tolerance_bound(_HW_CFG)
     return res.scaled(1.0 / (4.0 * math.pi))

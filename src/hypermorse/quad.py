@@ -70,11 +70,6 @@ class QuadratureResult:
                                 self.n_evals + other.n_evals, self.converged and other.converged)
 
 
-def _add_level(total, mag, vals, noise):  # plus each row's exact sum of vals (of |vals| if noise)
-    total = total + [math.fsum(row) for row in vals.tolist()]
-    return total, (mag + [math.fsum(row) for row in np.abs(vals).tolist()] if noise else mag)
-
-
 def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0) -> QuadratureResult:
     """Rows of int_0^inf of real even integrands, analytic near the real axis
     and negligible past x_max, as T(h) = h (f(0)/2 + sum_{0 < jh < x_max}
@@ -91,35 +86,44 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
     nodes, the first call's included, make converged False.  value and
     err_estimate hold one entry per row; n_evals counts every row's nodes.
     """
-    tol = np.atleast_1d(np.asarray(abs_tol, dtype=float))
-    rows = np.arange(tol.size)  # the open rows; total, mag, prev and tol hold only those
-    value, err = np.full((2, tol.size), math.inf)
-    prev, n, n_nodes, converged = None, 0, 0, True
+    tol = np.array(abs_tol, dtype=float, ndmin=1).tolist()
+    value, err = [math.inf] * len(tol), [math.inf] * len(tol)
+    rows, sums = list(range(len(tol))), [None] * len(tol)  # the open rows, their (total, mag, T(2h))
+    n, n_nodes, converged = 0, 0, True
     h, nodes = _TRAP_H0 / 2.0, np.arange(0.0, x_max, _TRAP_H0)
     first, nodes = len(nodes), np.concatenate([nodes, np.arange(h, x_max, _TRAP_H0)])
     while n_nodes + len(nodes) <= _TRAP_MAX_NODES:
-        vals = f(nodes, rows)
+        vals = f(nodes, np.array(rows))
         n, n_nodes = n + vals.size, n_nodes + len(nodes)
-        if prev is None:  # level _TRAP_H0 (f(0) at half weight, outside the fsum), then its midpoints
-            total = 0.5 * vals[:, 0]
-            total, mag = _add_level(total, np.abs(total), vals[:, 1:first], noise)
-            prev, vals = 2.0 * h * total, vals[:, first:]
-        total, mag = _add_level(total, mag, vals, noise)
-        v = h * total
-        size = np.abs(v)
-        floor = np.maximum(noise * h * mag, _EPS * size)
-        e = np.maximum(np.abs(v - prev), floor)
-        value[rows], err[rows] = v, e
-        bound = np.maximum(tol, rel_tol * size)
-        more = e > np.maximum(bound, floor)
-        converged = converged and not np.count_nonzero((e > bound) & ~more)  # count_nonzero: a fast any
-        n_open = np.count_nonzero(more)
-        if not n_open:
-            return QuadratureResult(value, err, n, converged)
-        if n_open < more.size:
-            rows, total, mag, v, tol = rows[more], total[more], mag[more], v[more], tol[more]
-        prev, h, nodes = v, h / 2.0, np.arange(h / 2.0, x_max, h)
-    return QuadratureResult(value, err, n, False)
+        lines = vals.tolist()  # row by row in Python floats: most sums have one or two rows
+        mags = np.abs(vals).tolist() if noise else lines  # (unread when noise is 0)
+        kept = []
+        for r, line, mag_line, row_sums in zip(rows, lines, mags, sums):
+            if row_sums is None:  # level _TRAP_H0 (f(0) at half weight, outside the fsum), then its midpoints
+                total = 0.5 * line[0]
+                mag = abs(total) + math.fsum(mag_line[1:first]) if noise else abs(total)
+                total += math.fsum(line[1:first])
+                prev, line, mag_line = 2.0 * h * total, line[first:], mag_line[first:]
+            else:
+                total, mag, prev = row_sums
+            total += math.fsum(line)
+            if noise:
+                mag += math.fsum(mag_line)
+            v = h * total
+            size = abs(v)
+            floor = max(noise * h * mag, _EPS * size)
+            e = max(abs(v - prev), floor)
+            value[r], err[r] = v, e
+            bound = max(tol[r], rel_tol * size)
+            if e > max(bound, floor):
+                kept.append((r, (total, mag, v)))
+            elif e > bound:  # stopped at a floor above the tolerance
+                converged = False
+        if not kept:
+            return QuadratureResult(np.array(value), np.array(err), n, converged)
+        rows, sums = [r for r, _ in kept], [row_sums for _, row_sums in kept]
+        h, nodes = h / 2.0, np.arange(h / 2.0, x_max, h)
+    return QuadratureResult(np.array(value), np.array(err), n, False)
 
 
 def trapezoid_periodic(f, length: float, n0: int, abs_tol: float, rel_tol: float,

@@ -107,14 +107,7 @@ class TestAcceptance:
               dt, 300.0)
 
     def test_c10_specfun_oracle_table(self):
-        t0 = time.perf_counter()
-        rep_main = check_specfun_oracle()
-        rep_kint = check_specfun_oracle(integer_k_only=True)
-        dt = time.perf_counter() - t0
-        ok = (rep_main.passed and rep_kint.passed
-              and rep_main.n_points + rep_kint.n_points >= 40)
+        rep, dt = _run(check_specfun_oracle)
         _gate(10, "arbitrary-precision reference table reproduced",
-              ok,
-              f"{rep_main.n_points} rows at {rep_main.max_rel_err:.2e} < 1e-11; "
-              f"{rep_kint.n_points} integer-order K rows at "
-              f"{rep_kint.max_rel_err:.2e} < 1e-8", dt, 5.0)
+              rep.passed and rep.n_points >= 40 and rep.max_rel_err < 1e-11,
+              f"{rep.n_points} rows at {rep.max_rel_err:.2e} < 1e-11", dt, 5.0)

@@ -114,3 +114,32 @@ class TestGrid:
         rc = main(["grid", "--kernel", "mheat", "--spec", str(spec),
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("spec_text", [
+        "kernel = mwave\nk = 0\nlambda = 1.0\nXp = 0.3\nb = 0.5:1.0:2\n",
+        "k = 0.5\nmu = 0,-0.9\nz = 0,1\nzp = 0.5,2\nzp.y = 1.5:2.5:2\n",
+    ], ids=["no_X", "hres_params"])
+    def test_incomplete_spec_is_usage_error(self, tmp_path, capsys, spec_text):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(spec_text)
+        out = tmp_path / "o.csv"
+        rc = main(["grid", "--kernel", "mwave", "--spec", str(spec), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "needs" in capsys.readouterr().err
+
+    def test_kernel_line_must_match(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("kernel = mheat\nk = 0\nlambda = 1.0\nX = 0\nXp = 0.3\nt = 0.5:1.0:2\n")
+        out = tmp_path / "o.csv"
+        rc = main(["grid", "--kernel", "mres", "--spec", str(spec), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "mheat spec, not mres" in capsys.readouterr().err
+
+    def test_hres_spec_with_complex_mu(self, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("kernel = hres\nk = 0.5\nmu = 0,-0.9\nz = 0,1\nzp = 0.5,2\nzp.y = 1.5:2.5:3\n")
+        out = tmp_path / "table.csv"
+        rc = main(["grid", "--kernel", "hres", "--spec", str(spec), "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 4 and all(row.endswith(",True,") for row in rows[1:])

@@ -11,6 +11,7 @@ from hypermorse.harness import (
     IdentityReport,
     apply_halfplane_generator,
     calibrate_spectral_mapping,
+    check_bessel_product,
     check_hyperbolic_heat_pde,
     check_hyperbolic_resolvent,
     check_morse_heat_hw_oracle,
@@ -27,6 +28,15 @@ from hypermorse.quad import QuadratureResult
 @pytest.fixture(scope="module")
 def record():
     return calibrate_spectral_mapping()
+
+
+def _unconverged(real):
+    """real, its result marked converged=False."""
+    def wrapper(*args):
+        res = real(*args)
+        res.converged = False
+        return res
+    return wrapper
 
 
 def _nan_at_pair(monkeypatch, zp):
@@ -98,6 +108,12 @@ class TestCalibration:
         with pytest.raises(CalibrationAmbiguous, match="mapping"):
             calibrate_spectral_mapping()
 
+    def test_unconverged_integral_fails(self, monkeypatch):
+        # an unconverged transmutation integral is no reference for the mapping
+        monkeypatch.setattr(harness, "hyp_resolvent_integral", _unconverged(harness.hyp_resolvent_integral))
+        with pytest.raises(CalibrationAmbiguous, match="mapping"):
+            calibrate_spectral_mapping()
+
     def test_json_round_trip(self, record, tmp_path):
         path = tmp_path / "calibration.json"
         rec2 = calibrate_spectral_mapping(str(path))
@@ -145,7 +161,7 @@ class TestReports:
                 "morse_wave_bessel_phi1", "morse_wave_bessel_alternate",
                 "morse_wave_bessel_fourier", "morse_wave_phi1_fourier_half_k",
                 "morse_resolvent", "morse_heat_hw_oracle", "morse_heat_pde", "whittaker_product",
-                "bessel_product", "specfun_oracle", "specfun_oracle_k_int"} == names
+                "bessel_product", "specfun_oracle"} == names
         assert all(r.passed for r in reports)
 
     def test_unconverged_oracle_is_a_point_error(self, monkeypatch):
@@ -161,6 +177,19 @@ class TestReports:
         monkeypatch.setattr(mkernels, "theta_hw", theta)
         rep = check_morse_heat_hw_oracle()
         assert rep.n_point_errors == 1 and not rep.passed
+        assert rep.worst_point["error"].startswith("NotConverged")
+
+    @pytest.mark.parametrize("name, check", [
+        ("morse_resolvent_integral", check_bessel_product),
+        ("hyp_resolvent_integral", check_hyperbolic_resolvent),
+        ("hyp_heat_kernel", check_hyperbolic_heat_pde),
+        ("morse_heat_kernel", check_morse_heat_pde),
+    ])
+    def test_unconverged_integral_is_a_point_error(self, monkeypatch, name, check):
+        # the same converged rule in every check that reads an integral's value
+        monkeypatch.setattr(harness, name, _unconverged(getattr(harness, name)))
+        rep = check()
+        assert not rep.passed and rep.n_point_errors == rep.n_points > 0
         assert rep.worst_point["error"].startswith("NotConverged")
 
     def test_nan_residual_is_a_point_error(self, monkeypatch):
@@ -316,6 +345,32 @@ class TestGridEval:
         elapsed = time.perf_counter() - t0
         assert n == 1000
         assert elapsed < 60.0
+
+    @pytest.mark.parametrize("kernel, params, axes, missing", [
+        ("mwave", {"k": 0.0, "lam": 1.0, "Xp": 0.3}, {"b": (0.5, 1.0, 2)}, "X"),
+        ("hres", {"k": 0.0, "lam": 1.0, "X": 0.0, "Xp": 0.3}, {"mu": (1.0, 2.0, 2)}, "z, zp"),
+        ("hheat", {"z": (0.0, 1.0), "zp": (0.0, 2.0)}, {"t": (0.5, 1.0, 2)}, "k"),
+    ])
+    def test_missing_parameter_is_invalid_before_any_point(self, tmp_path, kernel, params, axes, missing):
+        out = tmp_path / "grid.csv"
+        with pytest.raises(InvalidGrid, match=f"needs {missing},"):
+            grid_eval(kernel, params, axes, str(out))
+        assert not out.exists()
+
+    def test_component_axis_counts_as_its_parameter(self, tmp_path):
+        params = {"k": 0.0, "t": 0.5, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
+        assert grid_eval("hheat", params, {"zp.y": (1.5, 2.0, 2)}, str(tmp_path / "grid.csv")) == 2
+
+    def test_complex_pair_mu(self, tmp_path):
+        # a spec's "mu = re,im" arrives as a pair
+        out = tmp_path / "grid.csv"
+        params = {"k": 0.5, "mu": (0.0, -0.9), "z": (0.0, 1.0), "zp": (0.5, 2.0)}
+        grid_eval("hres", params, {"k": (0.5, 0.5, 1)}, str(out))
+        import csv as csvmod
+        with out.open() as fh:
+            row = list(csvmod.DictReader(fh))[0]
+        direct = eval_kernel("hres", {**params, "mu": -0.9j})
+        assert float.fromhex(row["re_hex"]) == complex(direct.value).real
 
     def test_invalid_grid(self, tmp_path):
         with pytest.raises(InvalidGrid):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from hypermorse import hkernels, mkernels, specfun
+from hypermorse import hkernels, mkernels, quad, specfun
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.errors import (
     IntegerTwoMuUnsupported,
     LogarithmicSingularity,
+    NotConverged,
     OutsideConvergenceRegion,
     ParameterPole,
     PoleAtNonPositiveInteger,
@@ -337,7 +338,6 @@ class TestSeriesPolicy:
         lambda: kummer_1f1(0.4, 1.3, 2.0),
         lambda: humbert_phi1(0.4, 0.6, 1.3, 0.0, 0.5),
         lambda: bessel("J", 0.3, 2.0),
-        lambda: bessel("K", 1, 2.0),
         lambda: whittaker("M", 0.2, 0.3, 1.5),
     ])
     def test_term_cap_reaches_every_series(self, monkeypatch, call):
@@ -558,9 +558,47 @@ class TestBessel:
                     bessel("I", nu + 1, x) * bessel("K", nu, x)
                 assert val == pytest.approx(1.0 / x, rel=1e-10)
 
+    # (nu, x, K_nu(x)) from mpmath at 40 digits, integer and non-integer orders
+    @pytest.mark.parametrize("nu, x, ref", [
+        (0.0, 0.1, 2.4270690247020166),
+        (1.0, 0.25, 3.7470259744407116),
+        (2.0, 3.5, 0.032307121699467823),
+        (3.0, 30.0, 2.4713310636589929e-14),
+        (0.0, 17.0, 1.2494664026317732e-8),
+        (0.5, 0.1, 3.5861668387972601),
+        (0.0001, 2.3, 0.079139933147589667),
+        (0.05, 29.0, 5.8952006009768706e-14),
+        (1.3, 12.5, 1.3963522342717595e-6),
+        (2.71, 0.6, 19.322902848490993),
+        (2.99, 24.0, 1.1530599287877531e-11),
+    ])
+    def test_k_against_mpmath(self, nu, x, ref):
+        assert relerr(bessel("K", nu, x), ref) < 1e-14
+
+    def test_k_is_one_trapezoid_call(self, monkeypatch):
+        real, calls = quad.trapezoid_even, []
+
+        def counted(f, x_max, abs_tol, rel_tol, noise=0.0):
+            calls.append(real(f, x_max, abs_tol, rel_tol, noise))
+            return calls[-1]
+
+        monkeypatch.setattr(quad, "trapezoid_even", counted)
+        for nu, x in ((0, 0.1), (1, 2.0), (2.5, 30.0)):
+            bessel("K", nu, x)
+        # one call each, converged at its first two levels
+        assert len(calls) == 3 and all(c.converged and c.n_evals < 120 for c in calls)
+
+    def test_k_past_the_node_budget_raises(self):
+        assert bessel("K", 3.0, 1e-50) == pytest.approx(8e150, rel=1e-14)  # Gamma(3)/2 (2/x)^3
+        for x in (1e-60, 1e-310):
+            with pytest.raises(NotConverged):
+                bessel("K", 0.5, x)
+
     def test_cutoff(self):
         with pytest.raises(SeriesNonConvergence):
             bessel("J", 0, 31.0)
+        with pytest.raises(SeriesNonConvergence):
+            bessel("K", 0, 30.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
