@@ -71,14 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    params = {"k": args.k, "form": args.form}
-    for name in harness.KERNEL_PARAMS[args.kernel]:
-        value = getattr(args, name)
-        if value is None:
-            print(f"eval --kernel {args.kernel} requires --{name.replace('lam', 'lambda')}",
-                  file=sys.stderr)
-            return 2
-        params[name] = value
+    # eval_kernel names a parameter the kernel needs and the command line left out
+    params = {name: value for name, value in vars(args).items()
+              if value is not None and name not in ("command", "kernel")}
     try:
         res = harness.eval_kernel(args.kernel, params)
     except (HypermorseError, ValueError) as exc:

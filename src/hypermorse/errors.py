@@ -90,3 +90,7 @@ class CalibrationAmbiguous(HypermorseError):
 
 class InvalidGrid(HypermorseError):
     """Malformed grid specification."""
+
+
+class MissingParameter(HypermorseError, ValueError):
+    """A kernel evaluation lacks a parameter its kernel reads."""

@@ -1,9 +1,11 @@
 """Identity-verification suites, convention calibration, and grid evaluation.
 
 Every cross-representation identity the kernel modules implement is checked
-here over parameter grids, each against its own tolerance from the TOLERANCES
-table.  Suites run every grid point even after failures and report the worst
-point with enough parameters to reproduce it from a single CLI call.
+here over parameter grids, each against its own TOLERANCES entry; run_suite
+applies any tolerance overrides once, to the finished reports.  Suites run
+every grid point even after failures and report the worst point with enough
+parameters to reproduce it from a single CLI call.  Calibration measures each
+convention candidate against one reference per point.
 """
 from __future__ import annotations
 
@@ -14,13 +16,15 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from importlib import resources
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import mkernels, quad, specfun
-from .errors import CalibrationAmbiguous, HypermorseError, InvalidGrid, NotConverged, require_finite
+from .errors import (CalibrationAmbiguous, HypermorseError, InvalidGrid, MissingParameter,
+                     NotConverged, require_finite)
 from .geometry import HalfPlanePoint
 from .hkernels import (
     SPECTRAL_MAPPINGS,
@@ -179,39 +183,24 @@ class _Worst:
         except HypermorseError as exc:
             self.error(point, exc)
 
-
-def _report(identity_id: str, grid_spec: str, worst: _Worst,
-            tol_overrides: Optional[dict]) -> IdentityReport:
-    # numpy scalars sneak in through vectorized kernels; coerce so the
-    # report serializes as plain JSON
-    tol = _tol(identity_id, tol_overrides)
-    max_rel = float(worst.max_rel_err)
-    point = {k: (float(v) if isinstance(v, (np.floating, np.integer)) else v)
-             for k, v in worst.worst_point.items()}
-    return IdentityReport(
-        identity_id=identity_id,
-        grid_spec=grid_spec,
-        max_rel_err=max_rel,
-        worst_point=point,
-        passed=bool(max_rel <= tol),
-        tolerance=tol,
-        runtime_ms=(time.perf_counter() - worst.t0) * 1000.0,
-        n_points=worst.n_points,
-        n_point_errors=worst.n_errors,
-    )
-
-
-def _tol(name: str, overrides: Optional[dict]) -> float:
-    if overrides and name in overrides:
-        return float(overrides[name])
-    return TOLERANCES[name]
+    def report(self, identity_id: str, grid_spec: str) -> IdentityReport:
+        """The check's report, judged against TOLERANCES[identity_id]."""
+        # numpy scalars sneak in through vectorized kernels; coerce so the
+        # report serializes as plain JSON
+        tol, max_rel = TOLERANCES[identity_id], float(self.max_rel_err)
+        point = {k: (float(v) if isinstance(v, (np.floating, np.integer)) else v)
+                 for k, v in self.worst_point.items()}
+        return IdentityReport(identity_id=identity_id, grid_spec=grid_spec, max_rel_err=max_rel,
+                              worst_point=point, passed=bool(max_rel <= tol), tolerance=tol,
+                              runtime_ms=(time.perf_counter() - self.t0) * 1000.0,
+                              n_points=self.n_points, n_point_errors=self.n_errors)
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic identities
 # ---------------------------------------------------------------------------
 
-def check_hyperbolic_forms(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_hyperbolic_forms() -> IdentityReport:
     """The production profile ("auto") and all five wave-kernel
     representations agree for 2k = 0..4 on a 10 x 10 grid rho in [0.2, 2.5],
     b in (rho, rho + 4]."""
@@ -228,9 +217,8 @@ def check_hyperbolic_forms(tol_overrides: Optional[dict] = None) -> IdentityRepo
             continue
         for point, rel in zip(points, _spread(vals).tolist()):
             worst.update(rel, point)
-    return _report("hyperbolic_forms",
-                   "auto + 5 forms; 2k in 0..4; rho in [0.2,2.5] x b in (rho, rho+4], 10x10",
-                   worst, tol_overrides)
+    return worst.report("hyperbolic_forms",
+                        "auto + 5 forms; 2k in 0..4; rho in [0.2,2.5] x b in (rho, rho+4], 10x10")
 
 
 _RESOLVENT_PAIRS = (
@@ -242,7 +230,7 @@ _RESOLVENT_PAIRS = (
 )
 
 
-def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_hyperbolic_resolvent() -> IdentityReport:
     """Closed resolvent vs transmutation integral at the calibrated mapping."""
     mus, ks = (-0.8j, -1.5j, -2.5j), (0.0, 0.3, 0.5, 1.0)
     worst = _Worst()
@@ -252,9 +240,8 @@ def check_hyperbolic_resolvent(tol_overrides: Optional[dict] = None) -> Identity
         worst.run({"mu": str(mu), "k": k, "z": p1, "zp": p2, "mapping": sp.mapping_id},
                   lambda: _relerr(hyp_resolvent_closed(sp, k, z, zp),
                                   _converged(hyp_resolvent_integral(sp, k, z, zp))))
-    return _report("hyperbolic_resolvent",
-                   f"mu in {list(map(str, mus))}, k in {list(ks)}, {len(_RESOLVENT_PAIRS)} pairs",
-                   worst, tol_overrides)
+    return worst.report("hyperbolic_resolvent",
+                        f"mu in {list(map(str, mus))}, k in {list(ks)}, {len(_RESOLVENT_PAIRS)} pairs")
 
 
 def apply_halfplane_generator(f: Callable[[float, float], complex], z: HalfPlanePoint,
@@ -288,30 +275,24 @@ _PDE_SAMPLES = (
 )
 
 
-def check_hyperbolic_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_hyperbolic_heat_pde() -> IdentityReport:
     """d/dt of the heat kernel vs the spatial generator, five-point stencils."""
-    worst = _Worst()
+    worst, ht = _Worst(), 0.02
     qcfg = quad.QuadConfig(rel_tol=1e-11, abs_tol=1e-16)
-    ht = 0.02
     for (t, k, p1, p2) in _PDE_SAMPLES:
         z, zp = HalfPlanePoint(*p1), HalfPlanePoint(*p2)
-        point = {"t": t, "k": k, "z": p1, "zp": p2}
-        try:
-            def h_of_t(tt: float) -> complex:
-                return _converged(hyp_heat_kernel(tt, k, z, zp, qcfg))
 
-            dt = (-h_of_t(t + 2 * ht) + 8 * h_of_t(t + ht) - 8 * h_of_t(t - ht)
-                  + h_of_t(t - 2 * ht)) / (12 * ht)
+        def h(tt: float, x: float, y: float) -> complex:
+            return _converged(hyp_heat_kernel(tt, k, HalfPlanePoint(x, y), zp, qcfg))
 
-            def h_of_z(x: float, y: float) -> complex:
-                return _converged(hyp_heat_kernel(t, k, HalfPlanePoint(x, y), zp, qcfg))
+        def residual() -> float:
+            dt = (-h(t + 2 * ht, *p1) + 8 * h(t + ht, *p1) - 8 * h(t - ht, *p1)
+                  + h(t - 2 * ht, *p1)) / (12 * ht)
+            gen = apply_halfplane_generator(partial(h, t), z, k)
+            return abs(dt - gen) / max(abs(dt), abs(gen))
 
-            gen = apply_halfplane_generator(h_of_z, z, k)
-            worst.update(abs(dt - gen) / max(abs(dt), abs(gen)), point)
-        except HypermorseError as exc:
-            worst.error(point, exc)
-    return _report("hyperbolic_heat_pde", f"{len(_PDE_SAMPLES)} samples, t in [0.3, 1.2]",
-                   worst, tol_overrides)
+        worst.run({"t": t, "k": k, "z": p1, "zp": p2}, residual)
+    return worst.report("hyperbolic_heat_pde", f"{len(_PDE_SAMPLES)} samples, t in [0.3, 1.2]")
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +300,17 @@ def check_hyperbolic_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityR
 # ---------------------------------------------------------------------------
 
 def _morse_wave_grid():
-    yps = np.linspace(0.8, 1.8, 6)
-    fracs = np.linspace(0.15, 1.0, 6)
-    for yp in yps:
-        xp = math.log(yp)
-        cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=xp)
-        for f in fracs:
-            b = cfg.rho_m + 0.2 + 2.8 * float(f)
-            yield cfg, float(b)
+    for yp, f in itertools.product(np.linspace(0.8, 1.8, 6).tolist(),
+                                   np.linspace(0.15, 1.0, 6).tolist()):
+        cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(yp))
+        yield cfg, cfg.rho_m + 0.2 + 2.8 * f
 
 
-def check_morse_wave_bessel(path: str, tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_morse_wave_bessel(path: str) -> IdentityReport:
     """k = 0 reduction: each wave-kernel path matches (1/2) J0 on a 6 x 6
     (b, y') grid at lam = 1, y = 1."""
-    name = f"morse_wave_bessel_{path}"
     paths = {"phi1": wave_kernel_phi1,
-             "alternate": lambda c, b: wave_kernel_phi1_alt(c, b, normalization="k0_calibrated"),
+             "alternate": lambda c, b: mkernels.ALT_VARIANT_K0_SCALE * wave_kernel_phi1_alt(c, b),
              "fourier": lambda c, b: _converged(wave_kernel_fourier(c, b))}
     if path not in paths:
         raise ValueError(f"unknown path {path!r}")
@@ -342,11 +318,10 @@ def check_morse_wave_bessel(path: str, tol_overrides: Optional[dict] = None) -> 
     for cfg, b in _morse_wave_grid():
         worst.run({"lam": cfg.lam, "yp": cfg.yp, "b": b, "path": path},
                   lambda: _relerr(paths[path](cfg, b), wave_kernel_bessel0(cfg, b)))
-    return _report(name, "6x6 grid: yp in [0.8, 1.8], b in rho+[0.2, 3.0]; lam=1, y=1",
-                   worst, tol_overrides)
+    return worst.report(f"morse_wave_bessel_{path}", "6x6 grid: yp in [0.8, 1.8], b in rho+[0.2, 3.0]; lam=1, y=1")
 
 
-def check_morse_wave_cross_half_k(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_morse_wave_cross_half_k() -> IdentityReport:
     """Confluent-series path vs Fourier path at k = 1/2 inside the series
     window."""
     worst = _Worst()
@@ -357,14 +332,13 @@ def check_morse_wave_cross_half_k(tol_overrides: Optional[dict] = None) -> Ident
             b = cfg.rho_m + f * (bstar - cfg.rho_m)
             worst.run({"X": X, "Xp": Xp, "b": b},
                       lambda: _relerr(wave_kernel_phi1(cfg, b), _converged(wave_kernel_fourier(cfg, b))))
-    return _report("morse_wave_phi1_fourier_half_k", "3 position pairs x 3 window points, k=1/2",
-                   worst, tol_overrides)
+    return worst.report("morse_wave_phi1_fourier_half_k", "3 position pairs x 3 window points, k=1/2")
 
 
 _MORSE_PAIRS = ((0.0, 0.3), (-0.2, 0.5), (0.1, 0.6), (-0.4, 0.1))
 
 
-def _morse_closed_vs_integral(name: str, grid_spec: str, points, tol_overrides) -> IdentityReport:
+def _morse_closed_vs_integral(name: str, grid_spec: str, points) -> IdentityReport:
     """Closed vs integral Morse resolvent at mu = -i alpha, lam = 1, per (k, alpha, X, X')."""
     worst = _Worst()
     for k, alpha, X, Xp in points:
@@ -372,27 +346,27 @@ def _morse_closed_vs_integral(name: str, grid_spec: str, points, tol_overrides) 
         worst.run({"k": k, "alpha": alpha, "X": X, "Xp": Xp},
                   lambda: _relerr(morse_resolvent_closed(cfg, -1j * alpha),
                                   _converged(morse_resolvent_integral(cfg, -1j * alpha))))
-    return _report(name, grid_spec, worst, tol_overrides)
+    return worst.report(name, grid_spec)
 
 
-def check_morse_resolvent(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_morse_resolvent() -> IdentityReport:
     """Whittaker closed form vs the transmutation integral,
     k in {0, 1/2}, mu = -i alpha, alpha in {0.7, 1.2}."""
     points = [(k, alpha, X, Xp) for k, alpha, (X, Xp)
               in itertools.product((0.0, 0.5), (0.7, 1.2), _MORSE_PAIRS)]
     return _morse_closed_vs_integral(
-        "morse_resolvent", "k in {0, 1/2} x alpha in {0.7, 1.2} x 4 pairs", points, tol_overrides)
+        "morse_resolvent", "k in {0, 1/2} x alpha in {0.7, 1.2} x 4 pairs", points)
 
 
-def check_whittaker_product(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_whittaker_product() -> IdentityReport:
     """Whittaker-product identity: gamma-weighted W x M product vs the
     exponentially weighted transmutation integral, at real spectral index."""
     points = [(0.5, 1.2, X, Xp) for X, Xp in ((0.5, 0.0), (0.3, -0.2), (0.7, 0.2))]  # X > X'
     return _morse_closed_vs_integral(
-        "whittaker_product", "alpha=1.2, k=1/2, lam=1, 3 pairs with X > X'", points, tol_overrides)
+        "whittaker_product", "alpha=1.2, k=1/2, lam=1, 3 pairs with X > X'", points)
 
 
-def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_bessel_product() -> IdentityReport:
     """Bessel-product identity: I_a(u) K_a(v) equals half the exponentially
     weighted integral of J0(sqrt(2uv cosh b - u^2 - v^2)) over the support.
 
@@ -406,14 +380,13 @@ def check_bessel_product(tol_overrides: Optional[dict] = None) -> IdentityReport
         worst.run({"alpha": alpha, "u": u, "v": v},
                   lambda: _relerr(specfun.bessel("I", alpha, u) * specfun.bessel("K", alpha, v),
                                   0.5 * _converged(morse_resolvent_integral(cfg, -1j * alpha))))
-    return _report("bessel_product", "alpha in {0.5, 1.0} x (u,v) in {(1,2), (0.5,1.5)}",
-                   worst, tol_overrides)
+    return worst.report("bessel_product", "alpha in {0.5, 1.0} x (u,v) in {(1,2), (0.5,1.5)}")
 
 
 _HW_ORACLE_POINTS = ((1.0, 0.0), (1.0, 0.5), (0.9, 0.5))
 
 
-def check_morse_heat_hw_oracle(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_morse_heat_hw_oracle() -> IdentityReport:
     """Heat kernel vs the Hartman-Watson double-integral oracle.
 
     This is the loosest-conditioned identity in the suite; the oracle's
@@ -427,12 +400,11 @@ def check_morse_heat_hw_oracle(tol_overrides: Optional[dict] = None) -> Identity
     worst = _Worst()
     for (t, k) in _HW_ORACLE_POINTS:
         cfg = MorseConfig(lam=1.0, k=k, X=0.0, Xp=math.log(1.3))
-
-        worst.run({"t": t, "k": k, "X": 0.0, "Xp": math.log(1.3)},
+        worst.run({"t": t, "k": k, "X": 0.0, "Xp": cfg.Xp},
                   lambda: _relerr(_converged(morse_heat_kernel(cfg, t)),
                                   _converged(hartman_watson_heat_oracle(cfg, t))))
-    return _report("morse_heat_hw_oracle", "3 points: (t, k) in {(1,0), (1,1/2), (0.9,1/2)}, lam=1",
-                   worst, tol_overrides)
+    return worst.report("morse_heat_hw_oracle",
+                        "3 points: (t, k) in {(1,0), (1,1/2), (0.9,1/2)}, lam=1")
 
 
 # (t, k, X, X') at lam = 1; past k = 1.5 the oracle's round-off floor ends it (converged=False at
@@ -441,7 +413,7 @@ _MORSE_PDE_SAMPLES = ((0.8, 0.0, 0.0, 0.4), (1.0, 1.5, 0.0, 0.3), (1.2, 1.7, 0.2
                       (0.7, 2.0, 0.0, 0.5), (1.0, -1.3, 0.0, 0.3), (0.9, 0.5, 0.3, -0.2))
 
 
-def check_morse_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_morse_heat_pde() -> IdentityReport:
     """dq/dt = (d^2/dX^2 + 2 k lam e^X - lam^2 e^{2X} + s) q, five-point
     stencils in t and X, relative to max(|dq/dt|, |L q|).  The constant
     spectral shift s is measured at the first sample and held for the rest;
@@ -463,11 +435,10 @@ def check_morse_heat_pde(tol_overrides: Optional[dict] = None) -> IdentityReport
 
         point = {"t": t, "k": k, "X": x, "Xp": xp}
         worst.run(point, residual)
-    return _report("morse_heat_pde", f"{len(_MORSE_PDE_SAMPLES)} samples, k in [-1.3, 2], lam=1",
-                   worst, tol_overrides)
+    return worst.report("morse_heat_pde", f"{len(_MORSE_PDE_SAMPLES)} samples, k in [-1.3, 2], lam=1")
 
 
-def check_specfun_oracle(tol_overrides: Optional[dict] = None) -> IdentityReport:
+def check_specfun_oracle() -> IdentityReport:
     """Committed arbitrary-precision reference values reproduced in-package."""
     worst = _Worst()
     for row in _oracle_rows():
@@ -475,8 +446,7 @@ def check_specfun_oracle(tol_overrides: Optional[dict] = None) -> IdentityReport
         expect = complex(float(row["ref_real"]), float(row["ref_imag"]))
         worst.run({"function": row["function"], "params": row["params"]},
                   lambda: _relerr(_eval_specfun(row["function"], params), expect))
-    return _report("specfun_oracle", f"committed reference table ({worst.n_points} rows)", worst,
-                   tol_overrides)
+    return worst.report("specfun_oracle", f"committed reference table ({worst.n_points} rows)")
 
 
 def _oracle_rows() -> list:
@@ -492,22 +462,12 @@ def _parse_params(raw: str) -> list:
 
 
 def _eval_specfun(fn: str, params: list) -> complex:
-    if fn == "log_gamma":
-        return specfun.log_gamma(params[0])
-    if fn == "pochhammer":
-        return specfun.pochhammer(params[0], params[1])
-    if fn == "gauss_2f1":
-        return specfun.gauss_2f1(*params)
-    if fn == "kummer_1f1":
-        return specfun.kummer_1f1(*params)
-    if fn == "humbert_phi1":
-        return specfun.humbert_phi1(*params)
+    if fn in ("log_gamma", "pochhammer", "gauss_2f1", "kummer_1f1", "humbert_phi1"):
+        return getattr(specfun, fn)(*params)
     if fn == "chebyshev_t":
         return complex(specfun.chebyshev_t(int(params[0]), params[1]))
-    if fn.startswith("bessel_"):
-        return complex(specfun.bessel(fn[-1], *params))
-    if fn.startswith("whittaker_"):
-        return specfun.whittaker(fn[-1], *params)
+    if fn in ("bessel_I", "bessel_J", "bessel_K", "whittaker_M", "whittaker_W"):  # kind last
+        return complex(getattr(specfun, fn[:-2])(fn[-1], *params))
     raise ValueError(f"unknown oracle function {fn}")
 
 
@@ -523,77 +483,65 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
     calibration tolerance; anything else raises CalibrationAmbiguous.
     """
     tol = TOLERANCES["calibration"]
-    residuals: dict = {}
 
     # spectral mapping: closed vs integral at k = 0, two spectral points,
-    # three point pairs; the integral reads only mu, never the mapping, so it
-    # is computed once per (mu, pair)
+    # three point pairs; the integral reads only mu, never the mapping
     points = [(mu, HalfPlanePoint(*p1), HalfPlanePoint(*p2))
               for mu, (p1, p2) in itertools.product((-0.8j, -1.5j), _RESOLVENT_PAIRS[:3])]
-    integrals = []
-    for mu, z, zp in points:
-        try:
-            integrals.append(_converged(hyp_resolvent_integral(SpectralParam(mu), 0.0, z, zp)))
-        except HypermorseError:
-            integrals.append(math.nan)  # every mapping's residual is inf there
-    for mapping in SPECTRAL_MAPPINGS:
-        worst = 0.0
-        for (mu, z, zp), integ in zip(points, integrals):
-            try:
-                closed = hyp_resolvent_closed(SpectralParam(mu, mapping), 0.0, z, zp)
-                worst = max(worst, _relerr(closed, integ))
-            except HypermorseError:
-                worst = math.inf
-        residuals[f"mapping_{mapping}"] = worst
-    mapping_id = _unique_winner({m: residuals[f"mapping_{m}"] for m in SPECTRAL_MAPPINGS}, tol,
-                                "spectral mapping")
+    mappings = _worst_residuals(
+        points, lambda mu, z, zp: _converged(hyp_resolvent_integral(SpectralParam(mu), 0.0, z, zp)),
+        {m: lambda mu, z, zp, m=m: hyp_resolvent_closed(SpectralParam(mu, m), 0.0, z, zp)
+         for m in SPECTRAL_MAPPINGS})
 
     # Whittaker index convention: Morse closed vs integral at k = 0; the
-    # integral does not depend on the convention, so it is computed once per mu
+    # integral does not depend on the convention
     cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
-    convs = ("order_mu", "order_imu")
-    worst_conv = dict.fromkeys(convs, 0.0)
-    for mu in (-0.7j, -1.1j):
-        try:
-            integ = _converged(morse_resolvent_integral(cfg, mu))
-        except HypermorseError:
-            worst_conv = dict.fromkeys(convs, float("inf"))
-            continue
-        for conv in convs:
-            try:
-                closed = morse_resolvent_closed(cfg, mu, index_convention=conv)
-                worst_conv[conv] = max(worst_conv[conv], _relerr(closed, integ))
-            except HypermorseError:
-                worst_conv[conv] = float("inf")
-    for conv in convs:
-        residuals[f"whittaker_{conv}"] = worst_conv[conv]
-    whittaker_convention = _unique_winner(worst_conv, tol, "Whittaker index convention")
+    convs = _worst_residuals(
+        [(-0.7j,), (-1.1j,)], lambda mu: _converged(morse_resolvent_integral(cfg, mu)),
+        {c: lambda mu, c=c: morse_resolvent_closed(cfg, mu, index_convention=c)
+         for c in ("order_mu", "order_imu")})
 
-    # Morse wave variant: k = 0 Bessel reduction
+    # Morse wave variant: k = 0 Bessel reduction; each point carries the raw
+    # alternate value, NaN where it raised, for the variant and its rescaling
     cfg0 = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(1.5))
-    w_pri = w_alt = w_alt_rescaled = 0.0
-    for b in (0.8, 1.5, 2.4):
-        truth = wave_kernel_bessel0(cfg0, b)
-        w_pri = max(w_pri, _relerr(wave_kernel_phi1(cfg0, b), truth))
-        raw_alt = wave_kernel_phi1_alt(cfg0, b)
-        w_alt = max(w_alt, _relerr(raw_alt, truth))
-        w_alt_rescaled = max(w_alt_rescaled,
-                             _relerr(mkernels.ALT_VARIANT_K0_SCALE * raw_alt, truth))
-    residuals["wave_primary"] = w_pri
-    residuals["wave_alternate"] = w_alt
-    residuals["wave_alternate_k0_rescaled"] = w_alt_rescaled
-    variant = _unique_winner({"primary": w_pri, "alternate": w_alt}, tol, "Morse wave variant")
+    waves = _worst_residuals(
+        [(b, _value_or_nan(wave_kernel_phi1_alt, cfg0, b)) for b in (0.8, 1.5, 2.4)],
+        lambda b, alt: wave_kernel_bessel0(cfg0, b),
+        {"primary": lambda b, alt: wave_kernel_phi1(cfg0, b), "alternate": lambda b, alt: alt,
+         "alternate_k0_rescaled": lambda b, alt: mkernels.ALT_VARIANT_K0_SCALE * alt})
 
     record = CalibrationRecord(
-        mapping_id=mapping_id,
-        whittaker_index_convention=whittaker_convention,
-        morse_wave_variant=variant,
-        residuals=residuals,
+        mapping_id=_unique_winner(mappings, tol, "spectral mapping"),
+        whittaker_index_convention=_unique_winner(convs, tol, "Whittaker index convention"),
+        morse_wave_variant=_unique_winner({v: waves[v] for v in ("primary", "alternate")}, tol,
+                                          "Morse wave variant"),
+        residuals={**{f"mapping_{m}": r for m, r in mappings.items()},
+                   **{f"whittaker_{c}": r for c, r in convs.items()},
+                   **{f"wave_{v}": r for v, r in waves.items()}},
     )
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write(record.to_json())
     return record
+
+
+def _value_or_nan(fn: Callable, *args):
+    """fn(*args), or NaN (inf under _relerr) where it raises a HypermorseError."""
+    try:
+        return fn(*args)
+    except HypermorseError:
+        return math.nan
+
+
+def _worst_residuals(points: list, reference: Callable, candidates: dict) -> dict:
+    """Each candidate's worst _relerr against reference(*p) over the points p,
+    the reference computed once per point; inf where either side raises."""
+    worst = dict.fromkeys(candidates, 0.0)
+    for p in points:
+        ref = _value_or_nan(reference, *p)
+        for name, fn in candidates.items():
+            worst[name] = max(worst[name], _relerr(_value_or_nan(fn, *p), ref))
+    return worst
 
 
 def _unique_winner(cands: dict, tol: float, what: str) -> str:
@@ -616,9 +564,9 @@ SUITES = {
     "hyperbolic_resolvent": (check_hyperbolic_resolvent,),
     "hyperbolic_heat": (check_hyperbolic_heat_pde,),
     "morse_wave": (
-        lambda tols=None: check_morse_wave_bessel("phi1", tols),
-        lambda tols=None: check_morse_wave_bessel("alternate", tols),
-        lambda tols=None: check_morse_wave_bessel("fourier", tols),
+        partial(check_morse_wave_bessel, "phi1"),
+        partial(check_morse_wave_bessel, "alternate"),
+        partial(check_morse_wave_bessel, "fourier"),
         check_morse_wave_cross_half_k,
     ),
     "morse_resolvent": (check_morse_resolvent,),
@@ -634,18 +582,30 @@ SUITES = {
 def run_suite(suite: str, tol_overrides: Optional[dict] = None):
     """Run one named suite (or 'all', which calibrates first).
 
+    tol_overrides maps identity ids (the TOLERANCES keys but "calibration",
+    which the calibration reads itself) to finite tolerances > 0; anything
+    else raises ValueError before any check runs.  Each overridden report's
+    tolerance and pass flag are set once the check has run.
     Returns (calibration_record_or_None, list of IdentityReport).
     """
-    if suite == "all":
-        record = calibrate_spectral_mapping()
-        reports = []
-        for name in SUITES:
-            for check in SUITES[name]:
-                reports.append(check(tol_overrides))
-        return record, reports
-    if suite not in SUITES:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {list(SUITES) + ['all']}")
-    return None, [check(tol_overrides) for check in SUITES[suite]]
+    overrides = {} if tol_overrides is None else tol_overrides
+    if not isinstance(overrides, dict):
+        raise ValueError(f"tolerance overrides must map identity ids to numbers, got {overrides!r}")
+    ids = sorted(set(TOLERANCES) - {"calibration"})
+    for name, tol in overrides.items():
+        if name not in ids:
+            raise ValueError(f"tolerance override for unknown identity {name!r}; choose from {ids}")
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ValueError(f"tolerance override {name}={tol!r} is not a finite number > 0")
+    record = calibrate_spectral_mapping() if suite == "all" else None
+    reports = [check() for name in (SUITES if suite == "all" else [suite]) for check in SUITES[name]]
+    for r in reports:
+        if r.identity_id in overrides:
+            r.tolerance = float(overrides[r.identity_id])
+            r.passed = r.max_rel_err <= r.tolerance
+    return record, reports
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +624,13 @@ KERNEL_PARAMS = {
 KERNEL_IDS = tuple(KERNEL_PARAMS)
 
 
+def _require_params(kernel_id: str, given, exc: type = MissingParameter, where: str = ""):
+    """Raise exc naming each parameter of KERNEL_PARAMS[kernel_id] not in given."""
+    missing = [name for name in KERNEL_PARAMS[kernel_id] if name not in given]
+    if missing:
+        raise exc(f"kernel {kernel_id!r} needs {', '.join(missing)}{where}")
+
+
 def _complex(v) -> complex:  # a spec's pair "re,im" arrives as a tuple
     return complex(*v) if isinstance(v, tuple) else complex(v)
 
@@ -672,12 +639,14 @@ def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
     """Evaluate one kernel at one parameter point.
 
     Closed-form evaluations report a zero error estimate; quadrature-backed
-    ones propagate their own bookkeeping.  A NaN or infinite parameter
-    raises NonFiniteInput naming it before any kernel runs.
+    ones propagate their own bookkeeping.  A parameter of KERNEL_PARAMS
+    missing from params raises MissingParameter, and a NaN or infinite
+    parameter NonFiniteInput, each naming it before any kernel runs.
     """
     if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}; choose from {KERNEL_IDS}")
     p = params
+    _require_params(kernel_id, p)
     require_finite(**p)
     if kernel_id == "hres":
         sp = SpectralParam(_complex(p["mu"]))
@@ -728,11 +697,8 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
         raise InvalidGrid(f"unknown kernel id {kernel_id!r}")
     if not grid_spec:
         raise InvalidGrid("empty grid specification")
-    given = set(params) | {name.split(".", 1)[0] for name in grid_spec}
-    missing = [name for name in KERNEL_PARAMS[kernel_id] if name not in given]
-    if missing:
-        raise InvalidGrid(f"kernel {kernel_id!r} needs {', '.join(missing)}, which neither the"
-                          f" parameters nor the axes give")
+    _require_params(kernel_id, set(params) | {name.split(".", 1)[0] for name in grid_spec},
+                    InvalidGrid, ", which neither the parameters nor the axes give")
     axes = []
     for name, spec in grid_spec.items():
         try:

@@ -209,10 +209,10 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     return c_k * (4.0 * y * yp) ** (-ak) * deriv
 
 
-def wave_kernel_phi1_alt(cfg: MorseConfig, b: float, normalization: str = "raw") -> complex:
+def wave_kernel_phi1_alt(cfg: MorseConfig, b: float) -> complex:
     """The alternative wave-kernel construction, kept as a comparison path.
 
-    In raw form it evaluates
+    It evaluates
     c1(k) (d/(sinh(b/2) db))^{2|k|} [ Y5^{4|k|}/Z5^{2|k|} e^{-k(X+X')}
       e^{i lam Y5} Phi1(2|k|+1/2, 2|k|, 4|k|+1, -2 i lam Y5, Z5) ],
     c1(k) = (-1)^{|k|+1} Gamma(2|k|+1/2) / (2^{|k|} Gamma(4|k|+1) sqrt(pi)),
@@ -221,8 +221,7 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float, normalization: str = "raw")
     confluent parameters are resolved to the only reading that yields a
     Bessel reduction at k = 0; even so the k = 0 value lands at -2x the true
     kernel, and for k != 0 the deviation is b-dependent.  Calibration flags
-    it; normalization="k0_calibrated" applies the measured -1/2 (meaningful
-    at k = 0 only).
+    it; ALT_VARIANT_K0_SCALE is the measured -1/2 (meaningful at k = 0 only).
     """
     mk = cfg.mk
     if not mk.is_discrete or mk.abs_k > 2:
@@ -254,12 +253,7 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float, normalization: str = "raw")
     c1 = sign * math.exp(specfun.log_gamma(2 * ak + 0.5).real
                          - specfun.log_gamma(4 * ak + 1.0).real) \
         / (2.0 ** ak * math.sqrt(math.pi))
-    val = c1 * _window_derivative(content, b, n, cfg.rho_m)
-    if normalization == "raw":
-        return val
-    if normalization == "k0_calibrated":
-        return ALT_VARIANT_K0_SCALE * val
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return c1 * _window_derivative(content, b, n, cfg.rho_m)
 
 
 def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:

@@ -39,6 +39,8 @@ class TestEval:
         rc = main(["eval", "--kernel", "hres", "--k", "0.5", "--z", "0,1",
                    "--zp", "0.5,2"])  # no --mu
         assert rc == 2
+        err = capsys.readouterr().err
+        assert "MissingParameter" in err and "needs mu" in err
 
     def test_domain_error_is_usage_error(self, capsys):
         rc = main(["eval", "--kernel", "hres", "--k", "0.5", "--mu", "0,-0.9",
@@ -72,6 +74,21 @@ class TestVerify:
                    "--tol-file", str(tmp_path / "missing.json"),
                    "--report", str(tmp_path / "r.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("tols, named", [
+        ({"hyperbolic_form": 1e-20}, "hyperbolic_form"),  # misspelt id
+        ({"calibration": 1e-3}, "calibration"),  # the calibration takes no override
+        ({"hyperbolic_forms": "1e-9"}, "hyperbolic_forms"),
+        ({"hyperbolic_forms": 0}, "hyperbolic_forms"),
+        ([1e-9], "identity ids"),
+    ])
+    def test_invalid_tol_file_is_usage_error(self, tmp_path, capsys, tols, named):
+        path, report = tmp_path / "tols.json", tmp_path / "r.json"
+        path.write_text(json.dumps(tols))
+        rc = main(["verify", "--suite", "hyperbolic_forms", "--tol-file", str(path),
+                   "--report", str(report)])
+        assert rc == 2 and not report.exists()
+        assert named in capsys.readouterr().err
 
     def test_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as exc:

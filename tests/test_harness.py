@@ -4,7 +4,7 @@ import math
 import pytest
 
 from hypermorse import harness, mkernels, specfun
-from hypermorse.errors import CalibrationAmbiguous, InvalidGrid, NonFiniteInput
+from hypermorse.errors import CalibrationAmbiguous, InvalidGrid, MissingParameter, NonFiniteInput
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.harness import (
     CalibrationRecord,
@@ -224,6 +224,53 @@ class TestReports:
         # the failure names a reproducible worst point
         assert {"two_k", "rho", "b"} <= set(reports[0].worst_point)
 
+    def test_override_touches_only_its_identity(self):
+        _, reports = run_suite("morse_wave", {"morse_wave_bessel_fourier": 1e-20})
+        for r in reports:
+            if r.identity_id == "morse_wave_bessel_fourier":
+                assert r.tolerance == 1e-20 and not r.passed
+            else:
+                assert r.tolerance == harness.TOLERANCES[r.identity_id] and r.passed
+
+    @pytest.mark.parametrize("tols", [
+        {"hyperbolic_form": 1e-3},  # misspelt: must not leave the default in force silently
+        {"calibration": 1e-3},
+        {"hyperbolic_forms": "1e-9"},
+        {"hyperbolic_forms": True},
+        {"hyperbolic_forms": -1e-9},
+        {"hyperbolic_forms": math.nan},
+        {"hyperbolic_forms": math.inf},
+        [("hyperbolic_forms", 1e-9)],
+    ])
+    def test_bad_overrides_raise_before_any_check(self, monkeypatch, tols):
+        ran = []
+        monkeypatch.setitem(harness.SUITES, "hyperbolic_forms", (lambda: ran.append(1),))
+        monkeypatch.setattr(harness, "calibrate_spectral_mapping", lambda: ran.append(1))
+        for suite in ("hyperbolic_forms", "all"):
+            with pytest.raises(ValueError):
+                run_suite(suite, tols)
+        assert not ran
+
+    def test_each_check_runs_once(self, monkeypatch):
+        calls = {}
+
+        def counted(name, check):
+            def wrapper():
+                calls[name] = calls.get(name, 0) + 1
+                return check()
+            return wrapper
+
+        for suite, checks in harness.SUITES.items():
+            monkeypatch.setitem(harness.SUITES, suite,
+                                tuple(counted((suite, i), c) for i, c in enumerate(checks)))
+        _, reports = run_suite("morse_wave")
+        assert calls == {("morse_wave", i): 1 for i in range(4)} and len(reports) == 4
+        calls.clear()
+        _, reports = run_suite("all")
+        assert calls == {(suite, i): 1 for suite, checks in harness.SUITES.items()
+                         for i in range(len(checks))}
+        assert len(reports) == len(calls) == 13
+
 
 class TestGenerator:
     def test_pde_residual_sample(self):
@@ -266,6 +313,10 @@ class TestEvalKernel:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError):
             eval_kernel("nope", {})
+
+    def test_missing_parameter_is_named(self):
+        with pytest.raises(MissingParameter, match="needs X$"):
+            eval_kernel("mwave", {"k": 0, "lam": 1, "Xp": 0.3, "b": 1})
 
     def test_nan_mu_rejected_on_hres(self, monkeypatch):
         # with gauss_2f1 removed, only a check ahead of every series passes

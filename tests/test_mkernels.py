@@ -19,6 +19,7 @@ from hypermorse.geometry import HalfPlanePoint
 from hypermorse.hkernels import SpectralParam, heat_kernel as heat_kernel_h, \
     resolvent_integral as resolvent_integral_h, wave_kernel as wave_kernel_h
 from hypermorse.mkernels import (
+    ALT_VARIANT_K0_SCALE,
     MorseConfig,
     hartman_watson_heat_oracle,
     heat_kernel,
@@ -265,7 +266,7 @@ class TestAlternateVariantPath:
     def test_k0_calibrated_matches(self):
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(1.5))
         for b in [0.8, 1.5, 2.2]:
-            cal = wave_kernel_phi1_alt(cfg, b, normalization="k0_calibrated")
+            cal = ALT_VARIANT_K0_SCALE * wave_kernel_phi1_alt(cfg, b)
             truth = wave_kernel_bessel0(cfg, b)
             assert relerr(cal, truth) < 1e-10
 

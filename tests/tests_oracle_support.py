@@ -1,11 +1,11 @@
 """Shared helper for reading and evaluating the special-function oracle table.
 
 Rows are read, parsed and dispatched by the same harness routines that the
-specfun_oracle identity check uses; only the tolerance lives here.
+specfun_oracle identity check uses, at that check's tolerance.
 """
-from hypermorse.harness import _eval_specfun, _oracle_rows as load_oracle_rows, _parse_params
+from hypermorse.harness import TOLERANCES, _eval_specfun, _oracle_rows as load_oracle_rows, _parse_params
 
-TOL_DEFAULT = 1e-11
+TOL_DEFAULT = TOLERANCES["specfun_oracle"]
 
 
 def evaluate_row(row):
