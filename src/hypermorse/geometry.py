@@ -5,21 +5,25 @@ twists every kernel.  Complex powers use the principal branch; the phase
 bases provably avoid the negative real axis (numerator and denominator of
 the ratio both carry imaginary part y + y' > 0), so the principal branch is
 continuous in the pair of points.
+
+Every kernel takes the magnetic constant k as a plain float and reads |k|
+where its formula is even in k; two_k_int names the discrete regime (2k an
+integer) of the Chebyshev and finite-sum wave forms and the Morse
+confluent-series paths.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "HalfPlanePoint",
-    "MagneticK",
-    "as_magnetic",
     "cosh2_half_dist",
     "dist_halfplane",
     "magnetic_phase_halfplane",
+    "two_k_int",
 ]
 
 _TWO_K_TOL = 1e-12
@@ -37,41 +41,9 @@ class HalfPlanePoint:
             raise ValueError(f"half-plane point needs y > 0, got y={self.y}")
 
 
-@dataclass(frozen=True)
-class MagneticK:
-    """Magnetic / coupling constant k with its discreteness bookkeeping.
-
-    is_discrete marks 2k integer (within 1e-12), the regime of the
-    Chebyshev and finite-sum wave-kernel forms and of the Morse
-    confluent-series paths.  The production kernel integrals take every
-    real k and never branch on it.  sign is +1 at k = 0;
-    every term it multiplies carries a k
-    -dependent zero prefactor there, so the choice is inert.
-    """
-
-    k: float
-    is_discrete: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "is_discrete",
-                           abs(2 * self.k - round(2 * self.k)) < _TWO_K_TOL)
-
-    @property
-    def abs_k(self) -> float:
-        return abs(self.k)
-
-    @property
-    def two_k_int(self) -> int:
-        """round(2|k|); only meaningful when is_discrete."""
-        return int(round(2 * abs(self.k)))
-
-    @property
-    def sign(self) -> float:
-        return -1.0 if self.k < 0 else 1.0
-
-
-def as_magnetic(k: Union[float, MagneticK]) -> MagneticK:
-    return k if isinstance(k, MagneticK) else MagneticK(float(k))
+def two_k_int(k: float) -> Optional[int]:
+    """round(2|k|) where 2k is an integer (to 1e-12), else None."""
+    return int(round(2 * abs(k))) if abs(2 * k - round(2 * k)) < _TWO_K_TOL else None
 
 
 def cosh2_half_dist(z: HalfPlanePoint, zp: HalfPlanePoint) -> float:
@@ -84,10 +56,8 @@ def dist_halfplane(z: HalfPlanePoint, zp: HalfPlanePoint) -> float:
     return 2.0 * math.acosh(math.sqrt(max(cosh2_half_dist(z, zp), 1.0)))
 
 
-def magnetic_phase_halfplane(k: Union[float, MagneticK], z: HalfPlanePoint,
-                             zp: HalfPlanePoint) -> complex:
+def magnetic_phase_halfplane(k: float, z: HalfPlanePoint, zp: HalfPlanePoint) -> complex:
     """((z' - conj z) / (z - conj z'))^k, principal branch, unit modulus."""
-    kk = as_magnetic(k).k
     num = complex(zp.x - z.x, z.y + zp.y)
     den = complex(z.x - zp.x, z.y + zp.y)
-    return cmath.exp(kk * (cmath.log(num) - cmath.log(den)))
+    return cmath.exp(k * (cmath.log(num) - cmath.log(den)))

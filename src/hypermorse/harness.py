@@ -5,7 +5,10 @@ here over parameter grids, each against its own TOLERANCES entry; run_suite
 applies any tolerance overrides once, to the finished reports.  Suites run
 every grid point even after failures and report the worst point with enough
 parameters to reproduce it from a single CLI call.  Calibration measures each
-convention candidate against one reference per point.
+convention candidate against one reference per point.  The rejected candidates
+live here only: the kernels ship the calibrated conventions alone, so each
+candidate is reached through the production routine at a moved argument
+(_MAPPINGS, _WHITTAKER_ORDERS).
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from .errors import (CalibrationAmbiguous, HypermorseError, InvalidGrid, Missing
                      NotConverged, require_finite)
 from .geometry import HalfPlanePoint
 from .hkernels import (
-    SPECTRAL_MAPPINGS,
     SpectralParam,
     WAVE_FORMS,
     heat_kernel as hyp_heat_kernel,
@@ -100,10 +102,6 @@ class IdentityReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "IdentityReport":
-        return cls(**d)
-
 
 @dataclass
 class CalibrationRecord:
@@ -117,16 +115,8 @@ class CalibrationRecord:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationRecord":
-        return cls(**d)
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationRecord":
-        return cls.from_dict(json.loads(text))
 
 
 def _relerr(a: complex, b: complex) -> float:
@@ -237,7 +227,7 @@ def check_hyperbolic_resolvent() -> IdentityReport:
     for mu, k, (p1, p2) in itertools.product(mus, ks, _RESOLVENT_PAIRS):
         z, zp = HalfPlanePoint(*p1), HalfPlanePoint(*p2)
         sp = SpectralParam(mu)
-        worst.run({"mu": str(mu), "k": k, "z": p1, "zp": p2, "mapping": sp.mapping_id},
+        worst.run({"mu": str(mu), "k": k, "z": p1, "zp": p2},
                   lambda: _relerr(hyp_resolvent_closed(sp, k, z, zp),
                                   _converged(hyp_resolvent_integral(sp, k, z, zp))))
     return worst.report("hyperbolic_resolvent",
@@ -475,12 +465,26 @@ def _eval_specfun(fn: str, params: list) -> complex:
 # calibration
 # ---------------------------------------------------------------------------
 
+# Spectral-mapping candidates, each as the mu' with 1/2 + i mu' equal to its s,
+# so that SpectralParam(mu').s is the candidate's exponent: A s = (1 - i mu)/2,
+# B s = 1/2 - i mu, C s = 1/2 + i mu (the shipped one).
+_MAPPINGS = {"A": lambda mu: -mu / 2, "B": lambda mu: -mu, "C": lambda mu: mu}
+# Whittaker-order candidates, each as the mu' with i mu' equal to its order nu,
+# so that mkernels.resolvent_closed at mu' has that order: nu = mu and
+# nu = i mu (the shipped one).
+_WHITTAKER_ORDERS = {"order_mu": lambda mu: -1j * mu, "order_imu": lambda mu: mu}
+
+
 def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRecord:
     """Select the spectral mapping, Whittaker index convention, and Morse
     wave-kernel variant by measuring residuals of every candidate.
 
-    The winner must have the strictly smallest residual and pass the
-    calibration tolerance; anything else raises CalibrationAmbiguous.
+    The kernels ship only the winners (SpectralParam's s = 1/2 + i mu and
+    mkernels.resolvent_closed's order nu = i mu), so a rejected mapping or
+    order is evaluated by the same closed form at the moved argument mu' of
+    _MAPPINGS or _WHITTAKER_ORDERS.  The winner must have the strictly
+    smallest residual and pass the calibration tolerance; anything else
+    raises CalibrationAmbiguous.
     """
     tol = TOLERANCES["calibration"]
 
@@ -490,16 +494,15 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
               for mu, (p1, p2) in itertools.product((-0.8j, -1.5j), _RESOLVENT_PAIRS[:3])]
     mappings = _worst_residuals(
         points, lambda mu, z, zp: _converged(hyp_resolvent_integral(SpectralParam(mu), 0.0, z, zp)),
-        {m: lambda mu, z, zp, m=m: hyp_resolvent_closed(SpectralParam(mu, m), 0.0, z, zp)
-         for m in SPECTRAL_MAPPINGS})
+        {m: lambda mu, z, zp, f=f: hyp_resolvent_closed(SpectralParam(f(mu)), 0.0, z, zp)
+         for m, f in _MAPPINGS.items()})
 
     # Whittaker index convention: Morse closed vs integral at k = 0; the
     # integral does not depend on the convention
     cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
     convs = _worst_residuals(
         [(-0.7j,), (-1.1j,)], lambda mu: _converged(morse_resolvent_integral(cfg, mu)),
-        {c: lambda mu, c=c: morse_resolvent_closed(cfg, mu, index_convention=c)
-         for c in ("order_mu", "order_imu")})
+        {c: lambda mu, f=f: morse_resolvent_closed(cfg, f(mu)) for c, f in _WHITTAKER_ORDERS.items()})
 
     # Morse wave variant: k = 0 Bessel reduction; each point carries the raw
     # alternate value, NaN where it raised, for the variant and its rescaling

@@ -13,11 +13,13 @@ in WAVE_FORMS (three hypergeometric series, the Chebyshev polynomial and a
 finite sum) are kept only as independent targets of the hyperbolic_forms
 identity check.
 
-Conventions fixed by calibration (see the harness module):
+Conventions fixed by calibration (see the harness module, which holds the
+rejected candidates; the kernels carry none):
 
-* spectral mapping: s = 1/2 + i mu ("C"); with it the closed resolvent
-  equals (1/2) * integral_rho^inf W(b) e^{-i mu b} db exactly.  The mapping
-  and the constant prefactor 1/2 are verified, not assumed.
+* spectral mapping: s = 1/2 + i mu, the only one SpectralParam knows; with
+  it the closed resolvent equals (1/2) * integral_rho^inf W(b) e^{-i mu b} db
+  exactly.  The mapping and the constant prefactor 1/2 are verified, not
+  assumed.
 * with the phase convention ((z' - conj z)/(z - conj z'))^k used here, the
   generator whose heat equation the kernel solves is
   y^2 (d_xx + d_yy) - 2 i k y d_x + 1/4.
@@ -27,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -43,18 +44,15 @@ from .errors import (
 )
 from .geometry import (
     HalfPlanePoint,
-    MagneticK,
-    as_magnetic,
     cosh2_half_dist,
     dist_halfplane,
     magnetic_phase_halfplane,
+    two_k_int,
 )
 
 __all__ = [
     "SpectralParam",
     "WAVE_FORMS",
-    "CALIBRATED_MAPPING",
-    "SPECTRAL_MAPPINGS",
     "wave_kernel",
     "wave_kernel_radial",
     "resolvent_closed",
@@ -62,8 +60,6 @@ __all__ = [
     "heat_kernel",
 ]
 
-SPECTRAL_MAPPINGS = ("A", "B", "C")
-CALIBRATED_MAPPING = "C"
 WAVE_FORMS = ("baseline", "i", "ii", "iii", "iv")
 
 _DIAG_TOL = 1e-14
@@ -71,29 +67,18 @@ _DIAG_TOL = 1e-14
 
 @dataclass(frozen=True)
 class SpectralParam:
-    """Complex spectral variable mu and the exponent s derived from it.
-
-    s is always recomputed from mu through the selected mapping; candidate
-    mappings are A: s = (1 - i mu)/2, B: s = 1/2 - i mu, C: s = 1/2 + i mu.
-    The shipped default is the calibration winner C.
-    """
+    """Complex spectral variable mu and the exponent s = 1/2 + i mu, the
+    calibrated mapping (harness.calibrate_spectral_mapping measures the
+    rejected ones)."""
 
     mu: complex
-    mapping_id: str = CALIBRATED_MAPPING
 
     def __post_init__(self):
         require_finite(mu=self.mu)
-        if self.mapping_id not in SPECTRAL_MAPPINGS:
-            raise ValueError(f"unknown mapping {self.mapping_id!r}")
 
     @property
     def s(self) -> complex:
-        mu = complex(self.mu)
-        if self.mapping_id == "A":
-            return (1.0 - 1j * mu) / 2.0
-        if self.mapping_id == "B":
-            return 0.5 - 1j * mu
-        return 0.5 + 1j * mu
+        return 0.5 + 1j * complex(self.mu)
 
 
 def _cosh2_ratio(b, rho: float):
@@ -111,7 +96,7 @@ def _wave_profile(ak: float, C):
     return np.cosh(2.0 * ak * np.arccosh(np.maximum(C, 1.0)))
 
 
-def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "auto"):
+def wave_kernel_radial(k: float, b, rho: float, form: str = "auto"):
     """Radial part of the wave kernel: the full kernel without its
     magnetic phase.  Vectorized over b (all entries must satisfy b > rho).
 
@@ -120,8 +105,7 @@ def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "a
     "iii" (Chebyshev) and "iv" (finite sum; the last two need 2k integer)
     are independent targets of the hyperbolic_forms identity.
     """
-    mk = as_magnetic(k)
-    ak = mk.abs_k
+    ak, n_int = abs(k), two_k_int(k)
     b_arr = np.asarray(b, dtype=float)
     scalar = b_arr.ndim == 0
     b_arr = np.atleast_1d(b_arr)
@@ -130,13 +114,13 @@ def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "a
     C, S = _cosh2_ratio(b_arr, rho)
     inv_sqrt_s = 1.0 / (2.0 * math.pi * np.sqrt(S))
 
-    if form in ("iii", "iv") and not mk.is_discrete:
-        raise UnsupportedK(f"form {form} needs 2k integer, got k={mk.k}")
+    if form in ("iii", "iv") and n_int is None:
+        raise UnsupportedK(f"form {form} needs 2k integer, got k={k}")
 
     if form == "auto":
         vals = inv_sqrt_s * _wave_profile(ak, C)
     elif form == "iii":
-        vals = inv_sqrt_s * specfun.chebyshev_t(mk.two_k_int, C)
+        vals = inv_sqrt_s * specfun.chebyshev_t(n_int, C)
     elif form == "iv":
         n_top = int(math.floor(ak + 1e-12))
         acc = np.zeros_like(b_arr)
@@ -157,7 +141,7 @@ def wave_kernel_radial(k: Union[float, MagneticK], b, rho: float, form: str = "a
     return complex(vals[0]) if scalar else vals.astype(complex)
 
 
-def wave_kernel(form: str, k: Union[float, MagneticK], b: float,
+def wave_kernel(form: str, k: float, b: float,
                 z: HalfPlanePoint, zp: HalfPlanePoint) -> complex:
     """Wave-transmutation kernel at time-like variable b, support b > rho.
 
@@ -173,15 +157,14 @@ def wave_kernel(form: str, k: Union[float, MagneticK], b: float,
     return phase * wave_kernel_radial(k, b, rho, form=form)
 
 
-def _gamma_prefactor(s: complex, k: Union[float, MagneticK]) -> complex:
+def _gamma_prefactor(s: complex, k: float) -> complex:
     """Gamma(s-k) Gamma(s+k) / (4 pi Gamma(2s)); even in the sign of k."""
-    mk = as_magnetic(k)
-    for arg in (s - mk.k, s + mk.k):
+    for arg in (s - k, s + k):
         if abs(complex(arg).imag) < 1e-12 and complex(arg).real < 0.5 \
                 and abs(complex(arg).real - round(complex(arg).real)) < 1e-10:
             raise GammaPole(f"resolvent pole: s -+ k = {arg} is a non-positive integer")
     try:
-        lg = specfun.log_gamma(s - mk.k) + specfun.log_gamma(s + mk.k) - specfun.log_gamma(2 * s)
+        lg = specfun.log_gamma(s - k) + specfun.log_gamma(s + k) - specfun.log_gamma(2 * s)
     except specfun.PoleAtNonPositiveInteger as exc:  # 2s pole
         raise GammaPole(str(exc)) from exc
     return cmath.exp(lg) / (4.0 * math.pi)
@@ -194,8 +177,8 @@ def _resolvent_profile(s: complex, ak: float, c2):
     return c2 ** (-s) * specfun.gauss_2f1(s - ak, s + ak, 2 * s, 1.0 / c2)
 
 
-def resolvent_closed(sp: SpectralParam, k: Union[float, MagneticK],
-                     z: HalfPlanePoint, zp: HalfPlanePoint) -> complex:
+def resolvent_closed(sp: SpectralParam, k: float, z: HalfPlanePoint,
+                     zp: HalfPlanePoint) -> complex:
     """Closed-form resolvent kernel on the half-plane.
 
     Gamma(s-k)Gamma(s+k)/(4 pi Gamma(2s)) * phase^k * cosh^(-2s)(rho/2)
@@ -205,7 +188,7 @@ def resolvent_closed(sp: SpectralParam, k: Union[float, MagneticK],
     if c2 - 1.0 < _DIAG_TOL:
         raise DiagonalSingularity("resolvent kernel diverges on the diagonal z = z'")
     phase = magnetic_phase_halfplane(k, z, zp)
-    return phase * (_gamma_prefactor(sp.s, k) * _resolvent_profile(sp.s, as_magnetic(k).abs_k, c2))
+    return phase * (_gamma_prefactor(sp.s, k) * _resolvent_profile(sp.s, abs(k), c2))
 
 
 def _profile_angle(b: np.ndarray, ch_r: float) -> np.ndarray:
@@ -217,16 +200,16 @@ def _profile_angle(b: np.ndarray, ch_r: float) -> np.ndarray:
     return b / 2.0 + np.log(c + np.sqrt(np.maximum(c * c - e, 0.0)))
 
 
-def _check_decay(mu: complex, k: Union[float, MagneticK]):
-    need = max(0.0, as_magnetic(k).abs_k - 0.5)
+def _check_decay(mu: complex, k: float):
+    need = max(0.0, abs(k) - 0.5)
     if not complex(mu).imag < -need:
         raise ConvergenceViolated(
             f"resolvent integral needs Im mu < {-need:.3g} (kernel grows like "
             f"e^((|k|-1/2) b)); got mu={mu}")
 
 
-def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
-                       z: HalfPlanePoint, zp: HalfPlanePoint) -> quad.QuadratureResult:
+def resolvent_integral(sp: SpectralParam, k: float, z: HalfPlanePoint,
+                       zp: HalfPlanePoint) -> quad.QuadratureResult:
     """Resolvent as the transmutation integral
     (1/2) * integral_rho^inf W(b, rho) e^{-i mu b} db.
 
@@ -253,7 +236,7 @@ def resolvent_integral(sp: SpectralParam, k: Union[float, MagneticK],
     if rho < 1e-7:
         raise DiagonalSingularity("transmutation integral needs z != z'")
     phase = magnetic_phase_halfplane(k, z, zp)
-    ak, ch_r, g = as_magnetic(k).abs_k, math.cosh(rho / 2.0), math.sqrt(2.0 * rho)
+    ak, ch_r, g = abs(k), math.cosh(rho / 2.0), math.sqrt(2.0 * rho)
 
     def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         xg = x / (4.0 * g)
@@ -279,7 +262,7 @@ def _edge_q(x):
     return np.where(d > 0.0, 2.0 * x / np.where(d > 0.0, d, 1.0), 1.0)
 
 
-def heat_kernel(t: float, k: Union[float, MagneticK], z: HalfPlanePoint, zp: HalfPlanePoint,
+def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
                 cfg: quad.QuadConfig = quad.DEFAULT_CONFIG) -> quad.QuadratureResult:
     """Heat kernel as the subordination integral
     integral_rho^inf e^{-b^2/4t} / (4 pi t)^{3/2} * W(b, z, z') * b db.
@@ -300,7 +283,7 @@ def heat_kernel(t: float, k: Union[float, MagneticK], z: HalfPlanePoint, zp: Hal
         raise ValueError("heat kernel needs t > 0")
     rho = dist_halfplane(z, zp)
     phase = magnetic_phase_halfplane(k, z, zp)
-    ak, ch_r = as_magnetic(k).abs_k, math.cosh(rho / 2.0)
+    ak, ch_r = abs(k), math.cosh(rho / 2.0)
     norm = 2.0 * math.pi * (4.0 * math.pi * t) ** 1.5
 
     def f(s: np.ndarray, _) -> np.ndarray:

@@ -25,7 +25,9 @@ Calibrated conventions (measured by the harness, not assumed):
   constant is the principal branch e^{i pi k}; with it the series path
   matches the Fourier path to machine precision for 2k = 1..4.
 * resolvent transmutation: closed = 2 * int_0^inf e^{-i mu b} W(b) db, with
-  Whittaker order nu = i mu.
+  Whittaker order nu = i mu, the only order resolvent_closed takes (the
+  harness calibration reaches the rejected order nu = mu as
+  resolvent_closed at -i mu).
 * the alternative wave-kernel variant (its own prefactor c1, auxiliaries
   Y5/Z5 and opposite confluent arguments) reproduces -2x the k = 0 kernel
   and deviates non-uniformly for k != 0; it is kept for comparison and
@@ -53,7 +55,7 @@ from .errors import (
     UnsupportedK,
     require_finite,
 )
-from .geometry import MagneticK, as_magnetic
+from .geometry import two_k_int
 from .hkernels import SpectralParam, _check_decay, _gamma_prefactor as _hyp_gamma_prefactor, \
     _resolvent_profile as _hyp_resolvent_profile, _wave_profile
 
@@ -101,10 +103,6 @@ class MorseConfig:
     def rho_m(self) -> float:
         """Support radius |X - X'|; equals the hyperbolic distance minimum."""
         return abs(self.X - self.Xp)
-
-    @property
-    def mk(self) -> MagneticK:
-        return as_magnetic(self.k)
 
 
 def wave_aux_z(cfg: MorseConfig, b) -> np.ndarray:
@@ -179,12 +177,11 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     W at (-|k|, lam) = W at (+|k|, -lam): the Fourier transport conjugates
     the magnetic phase, which is the same as flipping the frequency.
     """
-    mk = cfg.mk
-    if not mk.is_discrete or mk.abs_k > 2:
+    n, ak = two_k_int(cfg.k), abs(cfg.k)
+    if n is None or ak > 2:
         raise UnsupportedK(f"confluent-series path needs 2k integer, |k| <= 2; got k={cfg.k}")
     _require_support(cfg, b)
     lam_eff = -cfg.lam if cfg.k < 0 else cfg.lam
-    ak = mk.abs_k
     sign = 1.0  # sign(k) after reflection to k = |k|; +1 at k = 0 by convention
     y, yp = cfg.y, cfg.yp
     two_edge, z_scale = 2.0 * math.cosh(cfg.rho_m / 2.0), 2.0 * math.sqrt(y * yp)
@@ -205,7 +202,7 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     c_k = cmath.exp(1j * math.pi * ak) * math.exp(
         specfun.log_gamma(2 * ak + 0.5).real - specfun.log_gamma(4 * ak + 1.0).real) \
         / (2.0 * math.sqrt(math.pi))
-    deriv = _window_derivative(content, b, mk.two_k_int, cfg.rho_m)
+    deriv = _window_derivative(content, b, n, cfg.rho_m)
     return c_k * (4.0 * y * yp) ** (-ak) * deriv
 
 
@@ -223,18 +220,17 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float) -> complex:
     kernel, and for k != 0 the deviation is b-dependent.  Calibration flags
     it; ALT_VARIANT_K0_SCALE is the measured -1/2 (meaningful at k = 0 only).
     """
-    mk = cfg.mk
-    if not mk.is_discrete or mk.abs_k > 2:
+    n, ak = two_k_int(cfg.k), abs(cfg.k)
+    if n is None or ak > 2:
         raise UnsupportedK(f"alternative path needs 2k integer, |k| <= 2; got k={cfg.k}")
     _require_support(cfg, b)
-    ak = mk.abs_k
-    n = mk.two_k_int
     ch = math.cosh((cfg.X - cfg.Xp) / 2.0)
+    sign = -1.0 if cfg.k < 0 else 1.0
 
     def content(d: complex) -> complex:
         root = cmath.sqrt(d * (d + 2.0 * ch))
         y5 = 2.0 * math.exp((cfg.X + cfg.Xp) / 2.0) * root
-        z5 = 2.0 * root / (root + 1j * mk.sign * ch)
+        z5 = 2.0 * root / (root + 1j * sign * ch)
         try:
             ph1 = specfun.humbert_phi1(2 * ak + 0.5, 2 * ak, 4 * ak + 1.0,
                                        -2j * cfg.lam * y5, z5)
@@ -249,9 +245,8 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float) -> complex:
             * cmath.exp(1j * cfg.lam * y5) * ph1
 
     # (-1)^(|k|+1) read on the same principal branch as the winning variant
-    sign = cmath.exp(1j * math.pi * (ak + 1.0))
-    c1 = sign * math.exp(specfun.log_gamma(2 * ak + 0.5).real
-                         - specfun.log_gamma(4 * ak + 1.0).real) \
+    c1 = cmath.exp(1j * math.pi * (ak + 1.0)) * math.exp(
+        specfun.log_gamma(2 * ak + 0.5).real - specfun.log_gamma(4 * ak + 1.0).real) \
         / (2.0 ** ak * math.sqrt(math.pi))
     return c1 * _window_derivative(content, b, n, cfg.rho_m)
 
@@ -275,7 +270,6 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     thousands) it returns converged=False.
     """
     _require_support(cfg, b)
-    mk = cfg.mk
     y, yp = cfg.y, cfg.yp
     v = y + yp
     z_edge = float(wave_aux_z(cfg, b))
@@ -285,8 +279,8 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
         # 2 Re g: the phase ((-u + iv)/(u + iv))^k is e^{ik(pi - 2 arg(u + iv))}
         u = z_edge * np.cos(theta)
         c = ch_b2 * np.sqrt(4.0 * y * yp / (u * u + v * v))
-        return _wave_profile(mk.abs_k, c) * np.cos(mk.k * (math.pi - 2.0 * np.arctan2(v, u))
-                                                   - cfg.lam * u) / math.pi
+        return _wave_profile(abs(cfg.k), c) * np.cos(cfg.k * (math.pi - 2.0 * np.arctan2(v, u))
+                                                     - cfg.lam * u) / math.pi
 
     lam_z = cfg.lam * z_edge
     res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(lam_z / 4.0) + 8,
@@ -295,22 +289,13 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     return quad.QuadratureResult(complex(res.value), res.err_estimate, res.n_evals, res.converged)
 
 
-def _whittaker_order(mu, index_convention: str):
-    mu = mu.astype(complex) if specfun._is_array(mu) else complex(mu)
-    if index_convention == "order_imu":
-        return 1j * mu
-    if index_convention == "order_mu":
-        return mu
-    raise ValueError(f"unknown index convention {index_convention!r}")
-
-
-def resolvent_closed(cfg: MorseConfig, mu, index_convention: str = "order_imu"):
+def resolvent_closed(cfg: MorseConfig, mu):
     """Whittaker-product closed form of the Morse resolvent.
 
     Gamma(nu-k+1/2)/(lam Gamma(1+2nu)) e^{-(X+X')/2}
       * W_{k,nu}(2 lam e^{max(X,X')}) * M_{k,nu}(2 lam e^{min(X,X')}),
 
-    nu = i mu under the calibrated index convention, with the signed k as the
+    nu = i mu (the calibrated index convention), with the signed k as the
     Whittaker index.  The formula pairs M with the smaller and W with the
     larger coordinate, making it a function of the unordered pair.  mu may be
     an ndarray: every special function then takes the array of orders (one
@@ -318,7 +303,7 @@ def resolvent_closed(cfg: MorseConfig, mu, index_convention: str = "order_imu"):
     call would.
     """
     k = cfg.k
-    nu = _whittaker_order(mu, index_convention)
+    nu = 1j * (mu.astype(complex) if specfun._is_array(mu) else complex(mu))
     pole_arg = nu - k + 0.5
     i = specfun._first(specfun._near_int(pole_arg, 1e-10) & (pole_arg.real < 0.5))
     if i is not None:
@@ -370,7 +355,7 @@ def resolvent_integral(cfg: MorseConfig, mu: complex) -> quad.QuadratureResult:
     if cfg.rho_m < 1e-7:
         raise DiagonalSingularity("resolvent integral needs X != X'")
     s = SpectralParam(mu).s
-    k, ak, lam = cfg.k, cfg.mk.abs_k, cfg.lam
+    k, ak, lam = cfg.k, abs(cfg.k), cfg.lam
     pref = _hyp_gamma_prefactor(s, k)
     y, yp = cfg.y, cfg.yp
     v, d = y + yp, abs(y - yp)

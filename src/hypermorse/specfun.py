@@ -46,7 +46,6 @@ from .errors import (
 
 __all__ = [
     "log_gamma",
-    "gamma",
     "pochhammer",
     "gauss_2f1",
     "kummer_1f1",
@@ -186,10 +185,6 @@ def log_gamma(z):
         acc += c / (zz + i)
     t = zz + _LANCZOS_G + 0.5
     return (zz + 0.5) * cmath.log(t) - t + _LOG_SQRT_2PI + cmath.log(acc)
-
-
-def gamma(z: complex) -> complex:
-    return cmath.exp(log_gamma(z))
 
 
 def pochhammer(a: complex, n: int) -> complex:
@@ -337,22 +332,35 @@ def _pfaff_group(a: complex, b: complex, c: complex, z, term_n: None):
     return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, z / (z - 1.0))
 
 
+# The thresholds of gauss_2f1's region policy (see its docstring), read by
+# _region (scalars, no NumPy) and _region_masks (arrays) alike.
+_LOG_GAP = 0.3      # the log connection needs |1 - z| below this
+_LOG_GAP_AB = 2.0   # ... and |1 - z| |a b| below this
+_C_SUM_TOL = 9e-16  # c = a + b to 4 ulps: |c - a - b| over max(|a|, |b|, |c|)
+_DIRECT_R = 0.7     # the direct series at |z| <= this
+_SERIES_R = 0.98    # Pfaff maps inside this; beyond it no sum is reliable
+
+
+def _c_is_a_plus_b(a: complex, b: complex, c: complex) -> bool:
+    return abs(c - a - b) <= _C_SUM_TOL * max(abs(a), abs(b), abs(c))
+
+
 def _region(z: complex, a: complex, b: complex, c: complex, term_n: Union[int, None]):
     """The sum gauss_2f1 takes at z, in its docstring's order, or None at
     z = 0 (F = 1); raises where none is reliable."""
     if z == 0:
         return None
     gap = abs(1.0 - z)
-    if term_n is None and gap < 0.3 and gap * abs(a * b) < 2.0 \
-            and abs(c - a - b) <= 9e-16 * max(abs(a), abs(b), abs(c)):
+    if term_n is None and gap < _LOG_GAP and gap * abs(a * b) < _LOG_GAP_AB \
+            and _c_is_a_plus_b(a, b, c):
         if z == 1:
             raise LogarithmicSingularity(f"2F1 with c = a + b = {c} diverges at z = 1")
         return _log_group
-    if term_n is not None or abs(z) <= 0.7:
+    if term_n is not None or abs(z) <= _DIRECT_R:
         return _direct_group
-    if z != 1 and abs(z / (z - 1.0)) < min(0.98, abs(z)):
+    if z != 1 and abs(z / (z - 1.0)) < min(_SERIES_R, abs(z)):
         return _pfaff_group
-    if abs(z) < 0.98:
+    if abs(z) < _SERIES_R:
         return _direct_group
     raise SeriesNonConvergence(f"2F1 argument z={z} outside the reliable region")
 
@@ -365,16 +373,16 @@ def _region_masks(zs, a: complex, b: complex, c: complex, term_n: Union[int, Non
         return [(_direct_group, nonzero)]
     size = np.abs(zs)
     log = np.zeros(zs.shape, dtype=bool)
-    if abs(c - a - b) <= 9e-16 * max(abs(a), abs(b), abs(c)):
+    if _c_is_a_plus_b(a, b, c):
         gap = np.abs(1.0 - zs)
-        log = nonzero & (gap < 0.3) & (gap * abs(a * b) < 2.0)
-    direct = nonzero & ~log & (size <= 0.7)
+        log = nonzero & (gap < _LOG_GAP) & (gap * abs(a * b) < _LOG_GAP_AB)
+    direct = nonzero & ~log & (size <= _DIRECT_R)
     rest = nonzero & ~log & ~direct
     pfaff, bad = np.zeros(zs.shape, dtype=bool), log & (zs == 1)
     if np.count_nonzero(rest):
         with np.errstate(divide="ignore", invalid="ignore"):
-            pfaff = rest & (np.abs(zs / (zs - 1.0)) < np.minimum(0.98, size))
-        direct |= rest & ~pfaff & (size < 0.98)
+            pfaff = rest & (np.abs(zs / (zs - 1.0)) < np.minimum(_SERIES_R, size))
+        direct |= rest & ~pfaff & (size < _SERIES_R)
         bad |= rest & ~direct & ~pfaff
     if np.count_nonzero(bad):
         i = bad.argmax()

@@ -21,3 +21,19 @@ def test_quad_is_the_trapezoid_rule_only():
     for name in ("integrate_finite", "integrate_semiinfinite", "integrate_sqrt_endpoint", "_panels"):
         assert not hasattr(quad, name)
     assert not hasattr(errors, "TailDivergence")
+
+
+def test_one_convention_per_kernel():
+    # the kernels ship only the calibrated conventions and take k as a float;
+    # the rejected candidates live in the harness calibration
+    import dataclasses
+    import inspect
+
+    from hypermorse import geometry, hkernels, mkernels
+    for name in ("MagneticK", "as_magnetic"):
+        assert not hasattr(geometry, name)
+    for name in ("SPECTRAL_MAPPINGS", "CALIBRATED_MAPPING"):
+        assert not hasattr(hkernels, name)
+    assert [f.name for f in dataclasses.fields(hkernels.SpectralParam)] == ["mu"]
+    assert list(inspect.signature(mkernels.resolvent_closed).parameters) == ["cfg", "mu"]
+    assert not hasattr(mkernels.MorseConfig, "mk")

@@ -6,10 +6,10 @@ import pytest
 
 from hypermorse.geometry import (
     HalfPlanePoint,
-    MagneticK,
     cosh2_half_dist,
     dist_halfplane,
     magnetic_phase_halfplane,
+    two_k_int,
 )
 
 
@@ -22,12 +22,15 @@ class TestPoints:
         with pytest.raises(ValueError):
             HalfPlanePoint(0.0, -1.0)
 
-    def test_magnetic_k_discreteness(self):
-        assert MagneticK(0.5).is_discrete
-        assert MagneticK(2.0).is_discrete
-        assert not MagneticK(0.3).is_discrete
-        assert MagneticK(-1.5).two_k_int == 3
-        assert MagneticK(0.0).sign == 1.0
+    def test_two_k_int(self):
+        # round(2|k|) where 2k is an integer to 1e-12, else None
+        assert two_k_int(0.5) == 1
+        assert two_k_int(2.0) == 4
+        assert two_k_int(-1.5) == 3
+        assert two_k_int(0.0) == 0
+        assert two_k_int(1.0 + 1e-13) == 2
+        assert two_k_int(0.3) is None
+        assert two_k_int(0.5 + 1e-11) is None
 
 
 class TestDistances:

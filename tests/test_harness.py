@@ -1,4 +1,6 @@
 """Tests for calibration, identity suites, and grid evaluation."""
+import cmath
+import json
 import math
 
 import pytest
@@ -7,7 +9,6 @@ from hypermorse import harness, mkernels, specfun
 from hypermorse.errors import CalibrationAmbiguous, InvalidGrid, MissingParameter, NonFiniteInput
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.harness import (
-    CalibrationRecord,
     IdentityReport,
     apply_halfplane_generator,
     calibrate_spectral_mapping,
@@ -20,7 +21,7 @@ from hypermorse.harness import (
     grid_eval,
     run_suite,
 )
-from hypermorse.hkernels import heat_kernel
+from hypermorse.hkernels import SpectralParam, heat_kernel
 from hypermorse.mkernels import MorseConfig
 from hypermorse.quad import QuadratureResult
 
@@ -117,14 +118,33 @@ class TestCalibration:
     def test_json_round_trip(self, record, tmp_path):
         path = tmp_path / "calibration.json"
         rec2 = calibrate_spectral_mapping(str(path))
-        loaded = CalibrationRecord.from_json(path.read_text())
-        assert loaded == rec2
+        assert json.loads(path.read_text()) == rec2.to_dict()
+
+    @pytest.mark.parametrize("mu", [-0.8j, -1.5j, 0.4 - 1.1j])
+    def test_mapping_candidates(self, mu):
+        # each candidate's mu' gives SpectralParam the candidate's exponent s
+        expect = {"A": (1 - 1j * mu) / 2, "B": 0.5 - 1j * mu, "C": 0.5 + 1j * mu}
+        assert set(harness._MAPPINGS) == set(expect)
+        for name, to_mu in harness._MAPPINGS.items():
+            assert SpectralParam(to_mu(mu)).s == pytest.approx(expect[name], rel=1e-15)
+
+    @pytest.mark.parametrize("mu", [-0.7j, -1.1j])
+    def test_whittaker_order_candidates(self, mu):
+        # order_mu is the Whittaker product at order nu = mu, reached as the
+        # shipped closed form (order i mu') at mu' = -i mu:
+        # Gamma(nu + 1/2) / Gamma(1 + 2 nu) e^{-(X + X')/2} W_{0,nu}(2 e^{X'}) M_{0,nu}(2 e^X)
+        cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
+        expect = cmath.exp(specfun.log_gamma(mu + 0.5) - specfun.log_gamma(1.0 + 2.0 * mu)) \
+            * math.exp(-0.15) * specfun.whittaker("W", 0.0, mu, 2.0 * math.exp(0.3)) \
+            * specfun.whittaker("M", 0.0, mu, 2.0)
+        assert harness._WHITTAKER_ORDERS["order_mu"](mu) == -1j * mu
+        assert abs(mkernels.resolvent_closed(cfg, -1j * mu) - expect) <= 1e-14 * abs(expect)
 
 
 class TestReports:
     def test_identity_report_round_trip(self):
         rep = IdentityReport("x", "grid", 1e-9, {"a": 1}, True, 1e-6, 12.5, 10, 0)
-        assert IdentityReport.from_dict(rep.to_dict()) == rep
+        assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
 
     def test_reports_serialize_as_plain_json(self):
         import json as jsonmod

@@ -359,12 +359,6 @@ class TestResolventClosed:
         b = resolvent_closed(MorseConfig(1.0, 0.5, 0.5, -0.2), -0.8j)
         assert relerr(a, b) < 1e-14
 
-    def test_order_mu_convention_differs(self):
-        cfg = MorseConfig(1.0, 0.0, 0.0, 0.3)
-        a = resolvent_closed(cfg, -0.8j, index_convention="order_imu")
-        b = resolvent_closed(cfg, -0.8j, index_convention="order_mu")
-        assert relerr(a, b) > 1e-2
-
     @pytest.mark.parametrize("k", [-0.5, -1.0])
     def test_negative_k_matches_integral(self, k):
         # the Whittaker index is the signed k; with |k| the k < 0 closed form

@@ -19,7 +19,6 @@ from hypermorse.errors import (
 from hypermorse.specfun import (
     bessel,
     chebyshev_t,
-    gamma,
     gauss_2f1,
     humbert_phi1,
     kummer_1f1,
@@ -62,7 +61,7 @@ class TestLogGamma:
     def test_reflection_region_value(self):
         # Gamma recovered by exponentiation across the reflection boundary
         z = complex(-1.5, 0.4)
-        prod = gamma(z) * gamma(1 - z)
+        prod = cmath.exp(log_gamma(z)) * cmath.exp(log_gamma(1 - z))
         assert relerr(prod, math.pi / cmath.sin(math.pi * z)) < 1e-12
 
 
@@ -633,7 +632,7 @@ class TestWhittaker:
         # M_{0,a}(z) = 2^{2a} Gamma(a+1) sqrt(z) I_a(z/2)
         a, z = 0.3, 1.1
         lhs = whittaker("M", 0.0, a, z)
-        rhs = 2 ** (2 * a) * gamma(a + 1).real * math.sqrt(z) * bessel("I", a, z / 2)
+        rhs = 2 ** (2 * a) * cmath.exp(log_gamma(a + 1)).real * math.sqrt(z) * bessel("I", a, z / 2)
         assert relerr(lhs, rhs) < 1e-12
 
     def test_w_reduces_to_bessel_k(self):
