@@ -60,10 +60,6 @@ for z in [mp.mpf("0.5"), mp.mpf(5), mp.mpc(1, 1), mp.mpc("2.3", "-0.7"),
           mp.mpc("-1.5", "0.4"), mp.mpc("-0.7", "-0.2")]:
     add("log_gamma", [complex(z)], mp.loggamma(z))
 
-# pochhammer ---------------------------------------------------------------
-for (a, n) in [(mp.mpf("1.3"), 5), (mp.mpf("-2.5"), 4), (mp.mpc(2, 1), 3)]:
-    add("pochhammer", [complex(a), n], mp.rf(a, n))
-
 # gauss_2f1 ----------------------------------------------------------------
 for (a, b, c, z) in [
     (mp.mpf("0.5"), mp.mpf("-0.5"), mp.mpf("0.5"), mp.mpf("-3.2")),

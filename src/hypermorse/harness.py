@@ -8,11 +8,13 @@ parameters to reproduce it from a single CLI call.  Calibration measures each
 convention candidate against one reference per point.  The rejected candidates
 live here only: the kernels ship the calibrated conventions alone, so each
 candidate is reached through the production routine at a moved argument
-(_MAPPINGS, _WHITTAKER_ORDERS).
+(_MAPPINGS, _WHITTAKER_ORDERS), or is itself the candidate
+(wave_kernel_phi1_alt).
 """
 from __future__ import annotations
 
 import ast
+import cmath
 import csv
 import itertools
 import json
@@ -27,8 +29,9 @@ import numpy as np
 
 from . import mkernels, quad, specfun
 from .errors import (CalibrationAmbiguous, HypermorseError, InvalidGrid, MissingParameter,
-                     NotConverged, require_finite)
-from .geometry import HalfPlanePoint
+                     NotConverged, OutsideConvergenceRegion, Phi1OutsideDisc, UnsupportedK,
+                     require_finite)
+from .geometry import HalfPlanePoint, two_k_int
 from .hkernels import (
     SpectralParam,
     WAVE_FORMS,
@@ -47,7 +50,6 @@ from .mkernels import (
     wave_kernel_bessel0,
     wave_kernel_fourier,
     wave_kernel_phi1,
-    wave_kernel_phi1_alt,
 )
 
 __all__ = [
@@ -234,6 +236,16 @@ def check_hyperbolic_resolvent() -> IdentityReport:
                         f"mu in {list(map(str, mus))}, k in {list(ks)}, {len(_RESOLVENT_PAIRS)} pairs")
 
 
+def _d1(g: Callable, c: float, h: float):
+    """Five-point-stencil first derivative of g at c, step h."""
+    return (-g(c + 2 * h) + 8 * g(c + h) - 8 * g(c - h) + g(c - 2 * h)) / (12 * h)
+
+
+def _d2(g: Callable, c: float, h: float, gc):
+    """Five-point-stencil second derivative of g at c, step h; gc = g(c)."""
+    return (-g(c + 2 * h) + 16 * g(c + h) - 30 * gc + 16 * g(c - h) - g(c - 2 * h)) / (12 * h * h)
+
+
 def apply_halfplane_generator(f: Callable[[float, float], complex], z: HalfPlanePoint,
                               k: float, h: float = 0.02) -> complex:
     """Five-point-stencil application of the half-plane generator
@@ -244,14 +256,9 @@ def apply_halfplane_generator(f: Callable[[float, float], complex], z: HalfPlane
     belongs to the reciprocal phase convention.
     """
     x, y = z.x, z.y
-    fc = f(x, y)
-    fxx = (-f(x + 2 * h, y) + 16 * f(x + h, y) - 30 * fc + 16 * f(x - h, y)
-           - f(x - 2 * h, y)) / (12 * h * h)
-    fyy = (-f(x, y + 2 * h) + 16 * f(x, y + h) - 30 * fc + 16 * f(x, y - h)
-           - f(x, y - 2 * h)) / (12 * h * h)
-    fx = (-f(x + 2 * h, y) + 8 * f(x + h, y) - 8 * f(x - h, y)
-          + f(x - 2 * h, y)) / (12 * h)
-    return y * y * (fxx + fyy) - 2j * k * y * fx + 0.25 * fc
+    fc, along_x = f(x, y), lambda xx: f(xx, y)
+    fxx, fyy = _d2(along_x, x, h, fc), _d2(partial(f, x), y, h, fc)
+    return y * y * (fxx + fyy) - 2j * k * y * _d1(along_x, x, h) + 0.25 * fc
 
 
 _PDE_SAMPLES = (
@@ -276,8 +283,7 @@ def check_hyperbolic_heat_pde() -> IdentityReport:
             return _converged(hyp_heat_kernel(tt, k, HalfPlanePoint(x, y), zp, qcfg))
 
         def residual() -> float:
-            dt = (-h(t + 2 * ht, *p1) + 8 * h(t + ht, *p1) - 8 * h(t - ht, *p1)
-                  + h(t - 2 * ht, *p1)) / (12 * ht)
+            dt = _d1(lambda tt: h(tt, *p1), t, ht)
             gen = apply_halfplane_generator(partial(h, t), z, k)
             return abs(dt - gen) / max(abs(dt), abs(gen))
 
@@ -300,7 +306,7 @@ def check_morse_wave_bessel(path: str) -> IdentityReport:
     """k = 0 reduction: each wave-kernel path matches (1/2) J0 on a 6 x 6
     (b, y') grid at lam = 1, y = 1."""
     paths = {"phi1": wave_kernel_phi1,
-             "alternate": lambda c, b: mkernels.ALT_VARIANT_K0_SCALE * wave_kernel_phi1_alt(c, b),
+             "alternate": lambda c, b: ALT_VARIANT_K0_SCALE * wave_kernel_phi1_alt(c, b),
              "fourier": lambda c, b: _converged(wave_kernel_fourier(c, b))}
     if path not in paths:
         raise ValueError(f"unknown path {path!r}")
@@ -417,9 +423,8 @@ def check_morse_heat_pde() -> IdentityReport:
         def residual() -> float:
             nonlocal shift
             qc = q(t, x)
-            dt = (-q(t + 2 * h, x) + 8 * q(t + h, x) - 8 * q(t - h, x) + q(t - 2 * h, x)) / (12 * h)
-            lq = (-q(t, x + 2 * h) + 16 * q(t, x + h) - 30 * qc + 16 * q(t, x - h)
-                  - q(t, x - 2 * h)) / (12 * h * h) + (2 * k * math.exp(x) - math.exp(2 * x)) * qc
+            dt = _d1(lambda tt: q(tt, x), t, h)
+            lq = _d2(partial(q, t), x, h, qc) + (2 * k * math.exp(x) - math.exp(2 * x)) * qc
             shift = point["shift"] = (dt - lq) / qc if shift is None else shift
             return abs(dt - lq - shift * qc) / max(abs(dt), abs(lq))
 
@@ -452,7 +457,7 @@ def _parse_params(raw: str) -> list:
 
 
 def _eval_specfun(fn: str, params: list) -> complex:
-    if fn in ("log_gamma", "pochhammer", "gauss_2f1", "kummer_1f1", "humbert_phi1"):
+    if fn in ("log_gamma", "gauss_2f1", "kummer_1f1", "humbert_phi1"):
         return getattr(specfun, fn)(*params)
     if fn == "chebyshev_t":
         return complex(specfun.chebyshev_t(int(params[0]), params[1]))
@@ -473,6 +478,46 @@ _MAPPINGS = {"A": lambda mu: -mu / 2, "B": lambda mu: -mu, "C": lambda mu: mu}
 # so that mkernels.resolvent_closed at mu' has that order: nu = mu and
 # nu = i mu (the shipped one).
 _WHITTAKER_ORDERS = {"order_mu": lambda mu: -1j * mu, "order_imu": lambda mu: mu}
+# measured k = 0 ratio of the true kernel to the alternative wave variant
+ALT_VARIANT_K0_SCALE = -0.5
+
+
+def wave_kernel_phi1_alt(cfg: MorseConfig, b: float) -> complex:
+    """The calibration's rejected Morse wave variant:
+    c1(k) (d/(sinh(b/2) db))^{2|k|} [ Y5^{4|k|}/Z5^{2|k|} e^{-k(X+X')}
+      e^{i lam Y5} Phi1(2|k|+1/2, 2|k|, 4|k|+1, -2 i lam Y5, Z5) ],
+    c1(k) = (-1)^{|k|+1} Gamma(2|k|+1/2) / (2^{|k|} Gamma(4|k|+1) sqrt(pi)),
+    Y5 = 2 e^{(X+X')/2} sqrt(cosh^2(b/2) - cosh^2((X-X')/2)), and Z5 the
+    Cayley-type ratio built from the same root, read the only way that gives
+    a Bessel reduction at k = 0.  Even so it lands at -2x the true kernel at
+    k = 0 (hence ALT_VARIANT_K0_SCALE) and deviates b-dependently at k != 0.
+    """
+    n, ak = two_k_int(cfg.k), abs(cfg.k)
+    if n is None or ak > 2:
+        raise UnsupportedK(f"alternative path needs 2k integer, |k| <= 2; got k={cfg.k}")
+    mkernels._require_support(cfg, b)
+    ch = math.cosh((cfg.X - cfg.Xp) / 2.0)
+    sign = -1.0 if cfg.k < 0 else 1.0
+
+    def content(d: complex) -> complex:
+        root = cmath.sqrt(d * (d + 2.0 * ch))
+        y5 = 2.0 * math.exp((cfg.X + cfg.Xp) / 2.0) * root
+        z5 = 2.0 * root / (root + 1j * sign * ch)
+        try:
+            ph1 = specfun.humbert_phi1(2 * ak + 0.5, 2 * ak, 4 * ak + 1.0,
+                                       -2j * cfg.lam * y5, z5)
+        except OutsideConvergenceRegion as exc:
+            raise Phi1OutsideDisc(
+                f"second argument |Z5|={abs(z5):.4f} outside the unit disc at w - w_rho={d}") from exc
+        pow_part = y5 ** (4 * ak) / z5 ** (2 * ak) if ak else 1.0 + 0.0j
+        return pow_part * math.exp(-cfg.k * (cfg.X + cfg.Xp)) \
+            * cmath.exp(1j * cfg.lam * y5) * ph1
+
+    # (-1)^(|k|+1) read on the same principal branch as the winning variant
+    c1 = cmath.exp(1j * math.pi * (ak + 1.0)) * math.exp(
+        specfun.log_gamma(2 * ak + 0.5).real - specfun.log_gamma(4 * ak + 1.0).real) \
+        / (2.0 ** ak * math.sqrt(math.pi))
+    return c1 * mkernels._window_derivative(content, b, n, cfg.rho_m)
 
 
 def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRecord:
@@ -511,7 +556,7 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
         [(b, _value_or_nan(wave_kernel_phi1_alt, cfg0, b)) for b in (0.8, 1.5, 2.4)],
         lambda b, alt: wave_kernel_bessel0(cfg0, b),
         {"primary": lambda b, alt: wave_kernel_phi1(cfg0, b), "alternate": lambda b, alt: alt,
-         "alternate_k0_rescaled": lambda b, alt: mkernels.ALT_VARIANT_K0_SCALE * alt})
+         "alternate_k0_rescaled": lambda b, alt: ALT_VARIANT_K0_SCALE * alt})
 
     record = CalibrationRecord(
         mapping_id=_unique_winner(mappings, tol, "spectral mapping"),

@@ -28,10 +28,6 @@ Calibrated conventions (measured by the harness, not assumed):
   Whittaker order nu = i mu, the only order resolvent_closed takes (the
   harness calibration reaches the rejected order nu = mu as
   resolvent_closed at -i mu).
-* the alternative wave-kernel variant (its own prefactor c1, auxiliaries
-  Y5/Z5 and opposite confluent arguments) reproduces -2x the k = 0 kernel
-  and deviates non-uniformly for k != 0; it is kept for comparison and
-  flagged by calibration, never used inside integrals.
 * Hartman-Watson oracle: theta at argument t/2 (not t/4), overall 1/(4 pi)
   against this package's heat normalization; exact in t and k once both
   corrections are applied.
@@ -60,13 +56,9 @@ from .hkernels import SpectralParam, _check_decay, _gamma_prefactor as _hyp_gamm
     _resolvent_profile as _hyp_resolvent_profile, _wave_profile
 
 __all__ = [
-    "MorseConfig", "wave_aux_z", "wave_kernel_bessel0", "wave_kernel_phi1", "wave_kernel_phi1_alt",
-    "wave_kernel_fourier", "resolvent_closed", "resolvent_integral", "heat_kernel", "theta_hw",
-    "hartman_watson_heat_oracle", "ALT_VARIANT_K0_SCALE",
+    "MorseConfig", "wave_aux_z", "wave_kernel_bessel0", "wave_kernel_phi1", "wave_kernel_fourier",
+    "resolvent_closed", "resolvent_integral", "heat_kernel", "theta_hw", "hartman_watson_heat_oracle",
 ]
-
-# measured k = 0 ratio of the true kernel to the alternative-variant formula
-ALT_VARIANT_K0_SCALE = -0.5
 
 _RES_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-12)
 _LINE_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-13)
@@ -206,51 +198,6 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     return c_k * (4.0 * y * yp) ** (-ak) * deriv
 
 
-def wave_kernel_phi1_alt(cfg: MorseConfig, b: float) -> complex:
-    """The alternative wave-kernel construction, kept as a comparison path.
-
-    It evaluates
-    c1(k) (d/(sinh(b/2) db))^{2|k|} [ Y5^{4|k|}/Z5^{2|k|} e^{-k(X+X')}
-      e^{i lam Y5} Phi1(2|k|+1/2, 2|k|, 4|k|+1, -2 i lam Y5, Z5) ],
-    c1(k) = (-1)^{|k|+1} Gamma(2|k|+1/2) / (2^{|k|} Gamma(4|k|+1) sqrt(pi)),
-    Y5 = 2 e^{(X+X')/2} sqrt(cosh^2(b/2) - cosh^2((X-X')/2)), and Z5 the
-    Cayley-type ratio built from the same root.  Its exponential factor and
-    confluent parameters are resolved to the only reading that yields a
-    Bessel reduction at k = 0; even so the k = 0 value lands at -2x the true
-    kernel, and for k != 0 the deviation is b-dependent.  Calibration flags
-    it; ALT_VARIANT_K0_SCALE is the measured -1/2 (meaningful at k = 0 only).
-    """
-    n, ak = two_k_int(cfg.k), abs(cfg.k)
-    if n is None or ak > 2:
-        raise UnsupportedK(f"alternative path needs 2k integer, |k| <= 2; got k={cfg.k}")
-    _require_support(cfg, b)
-    ch = math.cosh((cfg.X - cfg.Xp) / 2.0)
-    sign = -1.0 if cfg.k < 0 else 1.0
-
-    def content(d: complex) -> complex:
-        root = cmath.sqrt(d * (d + 2.0 * ch))
-        y5 = 2.0 * math.exp((cfg.X + cfg.Xp) / 2.0) * root
-        z5 = 2.0 * root / (root + 1j * sign * ch)
-        try:
-            ph1 = specfun.humbert_phi1(2 * ak + 0.5, 2 * ak, 4 * ak + 1.0,
-                                       -2j * cfg.lam * y5, z5)
-        except OutsideConvergenceRegion as exc:
-            raise Phi1OutsideDisc(
-                f"second argument |Z5|={abs(z5):.4f} outside the unit disc at w - w_rho={d}") from exc
-        if ak == 0:
-            pow_part = 1.0 + 0.0j
-        else:
-            pow_part = y5 ** (4 * ak) / z5 ** (2 * ak)
-        return pow_part * math.exp(-cfg.k * (cfg.X + cfg.Xp)) \
-            * cmath.exp(1j * cfg.lam * y5) * ph1
-
-    # (-1)^(|k|+1) read on the same principal branch as the winning variant
-    c1 = cmath.exp(1j * math.pi * (ak + 1.0)) * math.exp(
-        specfun.log_gamma(2 * ak + 0.5).real - specfun.log_gamma(4 * ak + 1.0).real) \
-        / (2.0 ** ak * math.sqrt(math.pi))
-    return c1 * _window_derivative(content, b, n, cfg.rho_m)
-
-
 def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     """Wave kernel as the Fourier transport of the hyperbolic wave kernel:
 
@@ -265,9 +212,9 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     theta with pi - theta, so W is 2 Re of the sum over [0, pi/2], exactly
     real.  n starts at lam Z / 4 + 8 (lam Z nodes a period, the bandwidth of
     e^{-i lam Z cos theta}) and doubles; err_estimate is the last doubling's
-    difference, never below the round-off floor eps (lam Z + 4) h sum|f| (the
-    phase lam u carries eps lam Z).  Past the sum's node budget (lam Z in the
-    thousands) it returns converged=False.
+    difference, never below the round-off floor eps (lam Z + 4) h sum w|f|
+    (the phase lam u carries eps lam Z).  Past the sum's node budget (lam Z
+    in the thousands) it returns converged=False.
     """
     _require_support(cfg, b)
     y, yp = cfg.y, cfg.yp
@@ -275,18 +222,19 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     z_edge = float(wave_aux_z(cfg, b))
     ch_b2 = math.cosh(b / 2.0)
 
-    def f(theta: np.ndarray) -> np.ndarray:
+    def f(theta: np.ndarray, _) -> np.ndarray:
         # 2 Re g: the phase ((-u + iv)/(u + iv))^k is e^{ik(pi - 2 arg(u + iv))}
         u = z_edge * np.cos(theta)
         c = ch_b2 * np.sqrt(4.0 * y * yp / (u * u + v * v))
-        return _wave_profile(abs(cfg.k), c) * np.cos(cfg.k * (math.pi - 2.0 * np.arctan2(v, u))
-                                                     - cfg.lam * u) / math.pi
+        return (_wave_profile(abs(cfg.k), c) * np.cos(cfg.k * (math.pi - 2.0 * np.arctan2(v, u))
+                                                      - cfg.lam * u) / math.pi)[None, :]
 
     lam_z = cfg.lam * z_edge
     res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(lam_z / 4.0) + 8,
                                   quad.DEFAULT_CONFIG.abs_tol, quad.DEFAULT_CONFIG.rel_tol,
                                   np.finfo(float).eps * (lam_z + 4.0))
-    return quad.QuadratureResult(complex(res.value), res.err_estimate, res.n_evals, res.converged)
+    return quad.QuadratureResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals,
+                                 res.converged)
 
 
 def resolvent_closed(cfg: MorseConfig, mu):

@@ -6,14 +6,14 @@ Weideman, SIAM Review 2014): trapezoid_even over [0, inf) for even integrands
 with a decaying tail, after a change of variable that moves any endpoint
 singularity away, and trapezoid_periodic over one half period of a periodic
 even integrand.  The kernels choose the variable; this module only halves
-the step.
+the step, in one loop (_halving) that both rules share: they differ only in
+their first step, their end node and their node budget.
 
-Integrands are callables of a float ndarray of abscissae.  Each level is one
-call on its new nodes only (trapezoid_even's first call holds its first two
-levels), so an integrand with a fixed cost per call (one special-function
-table, say) pays it once per level.  Both routines are pure functions of
-their inputs, sum each level exactly and evaluate nodes in a fixed order, so
-results are deterministic and safe to call from multiple threads.
+Integrands are callables f(x, rows) of a float ndarray of abscissae and the
+rows still open.  Each level is one call on its new nodes only (the first
+call holds two levels), so an integrand with a fixed cost per call (one
+special-function table, say) pays it once per level.  Results are pure,
+exactly summed, deterministic functions of the inputs, safe across threads.
 """
 from __future__ import annotations
 
@@ -73,36 +73,55 @@ class QuadratureResult:
 def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0) -> QuadratureResult:
     """Rows of int_0^inf of real even integrands, analytic near the real axis
     and negligible past x_max, as T(h) = h (f(0)/2 + sum_{0 < jh < x_max}
-    f(jh)), which converges exponentially (Trefethen & Weideman 2014).
+    f(jh)), h halving from _TRAP_H0; otherwise as _halving.
+    """
+    return _halving(f, _TRAP_H0, x_max / _TRAP_H0, False, abs_tol, rel_tol, noise, _TRAP_MAX_NODES)
+
+
+def trapezoid_periodic(f, length: float, n0: int, abs_tol, rel_tol: float,
+                       noise: float = 0.0) -> QuadratureResult:
+    """Rows of int_0^length of real integrands even about both ends (so
+    periodic, period 2 length) and analytic on the real axis, as T(n) =
+    h (f(0)/2 + sum_{0 < j < n} f(jh) + f(length)/2), h = length/n, n doubling
+    from n0, cut so that the first call (n0, 2 n0) fits; otherwise as _halving.
+    """
+    n = max(1, min(int(n0), (_PERIODIC_MAX_NODES - 1) // 2))
+    return _halving(f, length / n, n, True, abs_tol, rel_tol, noise, _PERIODIC_MAX_NODES)
+
+
+def _halving(f, h: float, span: float, closed: bool, abs_tol, rel_tol: float, noise: float,
+             max_nodes: int) -> QuadratureResult:
+    """Trapezoid sums over the nodes jh, 0 <= j < span (j <= span if closed:
+    the end node at half weight), f(0) at half weight, h halving.
 
     f(x, rows) gives the rows (an index array) at nodes x, shape (len(rows),
-    len(x)); abs_tol, one per row or a scalar for one row, sets the rows.  h
-    halves from _TRAP_H0, one call of f per level but the first, which holds
-    levels _TRAP_H0 and _TRAP_H0/2 (no row stops sooner), reusing nodes and
-    summing each level exactly; a row stops once err = |T(h) - T(h/2)| meets
-    max(abs_tol, rel_tol |T|), or the floor max(noise h sum|f|, eps |T|)
-    (noise: f's relative round-off; err never below the floor; a floor above
-    the tolerance makes converged False).  Rows open past _TRAP_MAX_NODES
-    nodes, the first call's included, make converged False.  value and
-    err_estimate hold one entry per row; n_evals counts every row's nodes.
+    len(x)); abs_tol, one per row or a scalar for one row, sets the rows.
+    Each level is one call of f on its new nodes, summed exactly; the first
+    call holds levels h and h/2, so no row stops sooner.  A row stops once
+    err = |T(h) - T(h/2)| meets max(abs_tol, rel_tol |T|), or the floor
+    max(noise h sum w|f|, eps |T|) (noise: f's relative round-off; err never
+    below the floor; a floor above the tolerance, or a NaN, makes converged
+    False).  Rows open past max_nodes nodes, the first call's included, make
+    converged False.  value and err_estimate hold one entry per row; n_evals
+    counts every row's nodes.
     """
     tol = np.array(abs_tol, dtype=float, ndmin=1).tolist()
     value, err = [math.inf] * len(tol), [math.inf] * len(tol)
     rows, sums = list(range(len(tol))), [None] * len(tol)  # the open rows, their (total, mag, T(2h))
     n, n_nodes, converged = 0, 0, True
-    h, nodes = _TRAP_H0 / 2.0, np.arange(0.0, x_max, _TRAP_H0)
-    first, nodes = len(nodes), np.concatenate([nodes, np.arange(h, x_max, _TRAP_H0)])
-    while n_nodes + len(nodes) <= _TRAP_MAX_NODES:
+    nodes = np.arange(0.0, span + closed) * h
+    first, h, span = len(nodes), h / 2.0, 2.0 * span
+    nodes = np.concatenate([nodes, np.arange(1.0, span, 2.0) * h])
+    while n_nodes + len(nodes) <= max_nodes:
         vals = f(nodes, np.array(rows))
         n, n_nodes = n + vals.size, n_nodes + len(nodes)
         lines = vals.tolist()  # row by row in Python floats: most sums have one or two rows
         mags = np.abs(vals).tolist() if noise else lines  # (unread when noise is 0)
         kept = []
         for r, line, mag_line, row_sums in zip(rows, lines, mags, sums):
-            if row_sums is None:  # level _TRAP_H0 (f(0) at half weight, outside the fsum), then its midpoints
-                total = 0.5 * line[0]
-                mag = abs(total) + math.fsum(mag_line[1:first]) if noise else abs(total)
-                total += math.fsum(line[1:first])
+            if row_sums is None:  # the first level, then its midpoints
+                total = _first_level(line[:first], closed)
+                mag = _first_level(mag_line[:first], closed) if noise else 0.0
                 prev, line, mag_line = 2.0 * h * total, line[first:], mag_line[first:]
             else:
                 total, mag, prev = row_sums
@@ -117,45 +136,18 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
             bound = max(tol[r], rel_tol * size)
             if e > max(bound, floor):
                 kept.append((r, (total, mag, v)))
-            elif e > bound:  # stopped at a floor above the tolerance
+            elif not e <= bound:  # stopped at a floor above the tolerance, or at a NaN
                 converged = False
         if not kept:
             return QuadratureResult(np.array(value), np.array(err), n, converged)
         rows, sums = [r for r, _ in kept], [row_sums for _, row_sums in kept]
-        h, nodes = h / 2.0, np.arange(h / 2.0, x_max, h)
+        h, span = h / 2.0, 2.0 * span
+        nodes = np.arange(1.0, span, 2.0) * h
     return QuadratureResult(np.array(value), np.array(err), n, False)
 
 
-def trapezoid_periodic(f, length: float, n0: int, abs_tol: float, rel_tol: float,
-                       noise: float = 0.0) -> QuadratureResult:
-    """int_0^length f of a real integrand even about both ends (so periodic,
-    period 2 length) and analytic on the real axis, as the endpoint trapezoid
-    sum T(n) = h (f(0)/2 + sum_{0 < j < n} f(jh) + f(length)/2), h = length/n,
-    which converges exponentially in n (Trefethen & Weideman 2014).
-
-    n doubles from n0, each level one call of f on its new midpoints only,
-    summed exactly, until err = |T(2n) - T(n)| meets max(abs_tol, rel_tol |T|)
-    or the floor max(noise h sum|f|, eps |T|) (noise: f's relative round-off;
-    err never below the floor, and a floor over the tolerance makes converged
-    False, as in trapezoid_even).  Levels past _PERIODIC_MAX_NODES nodes are
-    not run (n0 is cut to leave room for one doubling); the last level then
-    comes back with converged=False.
-    """
-    n, noise = max(1, min(int(n0), (_PERIODIC_MAX_NODES - 1) // 2)), float(noise)
-    vals = f(np.arange(n + 1) * (length / n))
-    total = math.fsum(vals[1:-1].tolist()) + 0.5 * float(vals[0] + vals[-1])
-    mag = float(np.abs(vals).sum())
-    n_evals, prev = n + 1, length / n * total
-    while n_evals + n <= _PERIODIC_MAX_NODES:
-        h = length / (2 * n)
-        vals = f(h * np.arange(1, 2 * n, 2))
-        total, mag = total + math.fsum(vals.tolist()), mag + float(np.abs(vals).sum())
-        n_evals, n = n_evals + n, 2 * n
-        value = h * total
-        floor = max(noise * h * mag, _EPS * abs(value))
-        err = max(abs(value - prev), floor)
-        bound = max(abs_tol, rel_tol * abs(value))
-        if err <= max(bound, floor):
-            return QuadratureResult(value, err, n_evals, bool(floor <= bound))
-        prev = value
-    return QuadratureResult(value, err, n_evals, False)
+def _first_level(line: list, closed: bool) -> float:
+    """A first level's sum over h: f(0), and the end node if closed, at half weight."""
+    if closed:
+        return 0.5 * (line[0] + line[-1]) + math.fsum(line[1:-1])
+    return 0.5 * line[0] + math.fsum(line[1:])

@@ -1,10 +1,10 @@
 """Self-contained special functions used by the kernel formulas.
 
 Complex log-gamma (Lanczos; the C library's lgamma on the positive real
-axis), Pochhammer symbols, the Gauss and Kummer hypergeometric series, the
-two-variable confluent series Phi1, Chebyshev polynomials of the first kind,
-Bessel J/I by their ascending series and K by its integral over [0, inf)
-(one quad.trapezoid_even sum at every order), and Whittaker M/W.
+axis), the Gauss and Kummer hypergeometric series, the two-variable
+confluent series Phi1, Chebyshev polynomials of the first kind, Bessel J/I
+by their ascending series and K by its integral over [0, inf) (one
+quad.trapezoid_even sum at every order), and Whittaker M/W.
 
 F(a, b; c; z) has three regions (see gauss_2f1): the direct series, the
 Pfaff transformation, and for c = a + b near z = 1, the case of the
@@ -46,7 +46,6 @@ from .errors import (
 
 __all__ = [
     "log_gamma",
-    "pochhammer",
     "gauss_2f1",
     "kummer_1f1",
     "humbert_phi1",
@@ -185,16 +184,6 @@ def log_gamma(z):
         acc += c / (zz + i)
     t = zz + _LANCZOS_G + 0.5
     return (zz + 0.5) * cmath.log(t) - t + _LOG_SQRT_2PI + cmath.log(acc)
-
-
-def pochhammer(a: complex, n: int) -> complex:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); exact for small n."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    out = 1.0 + 0.0j
-    for i in range(n):
-        out *= a + i
-    return out
 
 
 def _terminating_index(a: complex, b: complex = None) -> Union[int, None]:

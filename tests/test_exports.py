@@ -37,3 +37,5 @@ def test_one_convention_per_kernel():
     assert [f.name for f in dataclasses.fields(hkernels.SpectralParam)] == ["mu"]
     assert list(inspect.signature(mkernels.resolvent_closed).parameters) == ["cfg", "mu"]
     assert not hasattr(mkernels.MorseConfig, "mk")
+    for name in ("wave_kernel_phi1_alt", "ALT_VARIANT_K0_SCALE"):
+        assert not hasattr(mkernels, name)

@@ -19,7 +19,6 @@ from hypermorse.geometry import HalfPlanePoint
 from hypermorse.hkernels import SpectralParam, heat_kernel as heat_kernel_h, \
     resolvent_integral as resolvent_integral_h, wave_kernel as wave_kernel_h
 from hypermorse.mkernels import (
-    ALT_VARIANT_K0_SCALE,
     MorseConfig,
     hartman_watson_heat_oracle,
     heat_kernel,
@@ -30,8 +29,8 @@ from hypermorse.mkernels import (
     wave_kernel_bessel0,
     wave_kernel_fourier,
     wave_kernel_phi1,
-    wave_kernel_phi1_alt,
 )
+from hypermorse.harness import ALT_VARIANT_K0_SCALE, wave_kernel_phi1_alt
 
 
 def relerr(a, b):

@@ -16,8 +16,8 @@ EPS = np.finfo(float).eps
 CFG = QuadConfig()
 
 
-def _even_rows(*fns):
-    """trapezoid_even integrand of one row per function of x."""
+def _rows(*fns):
+    """Trapezoid integrand of one row per function of x."""
     return lambda x, rows: np.array([fns[i](x) for i in rows])
 
 
@@ -32,9 +32,9 @@ class TestKnownIntegrals:
         (50.0, 9.2128894235980254559e+20),
     ])
     def test_periodic_bessel_i0(self, a, true):
-        res = trapezoid_periodic(lambda th: np.exp(a * np.cos(th)), math.pi, 4, 1e-14, 1e-12,
-                                 EPS * (1.0 + a))
-        assert res.converged and abs(res.value - true) <= res.err_estimate
+        res = trapezoid_periodic(_rows(lambda th: np.exp(a * np.cos(th))), math.pi, 4, 1e-14,
+                                 1e-12, EPS * (1.0 + a))
+        assert res.converged and abs(res.value[0] - true) <= res.err_estimate[0]
 
     # int_0^pi cos(x cos theta) dtheta = pi J_0(x); the phase x cos theta
     # carries about eps x
@@ -45,17 +45,17 @@ class TestKnownIntegrals:
         (60.0, -0.28736714773680157854),
     ])
     def test_periodic_bessel_j0(self, x, true):
-        res = trapezoid_periodic(lambda th: np.cos(x * np.cos(th)), math.pi, 4, 1e-14, 1e-12,
-                                 EPS * (1.0 + x))
-        assert res.converged and abs(res.value - true) <= res.err_estimate
+        res = trapezoid_periodic(_rows(lambda th: np.cos(x * np.cos(th))), math.pi, 4, 1e-14,
+                                 1e-12, EPS * (1.0 + x))
+        assert res.converged and abs(res.value[0] - true) <= res.err_estimate[0]
 
     def test_trapezoid_rows(self):
         # int_0^inf of a Gaussian, a Gaussian-damped cosine and sech x (an
         # exponential tail), one trapezoid array; the Gaussian's levels agree
         # to the bit one rounding off sqrt(pi)/2, so its err_estimate must not
         # fall to 0
-        rows = _even_rows(lambda x: np.exp(-x * x), lambda x: np.exp(-x * x) * np.cos(5.0 * x),
-                          lambda x: 1.0 / np.cosh(x))
+        rows = _rows(lambda x: np.exp(-x * x), lambda x: np.exp(-x * x) * np.cos(5.0 * x),
+                     lambda x: 1.0 / np.cosh(x))
         true = [math.sqrt(math.pi) / 2, math.sqrt(math.pi) / 2 * math.exp(-6.25), math.pi / 2]
         res = trapezoid_even(rows, 40.0, [1e-14] * 3, 1e-10)
         assert res.converged and res.n_evals < 3 * 1000
@@ -65,14 +65,14 @@ class TestKnownIntegrals:
     def test_trapezoid_err_floor_at_zero_noise(self):
         # noise = 0 leaves only the eps |T| floor: still a bound, and no wider
         # than a few roundings
-        res = trapezoid_even(_even_rows(lambda x: np.exp(-x * x)), 40.0, [1e-14], 1e-10, 0.0)
+        res = trapezoid_even(_rows(lambda x: np.exp(-x * x)), 40.0, [1e-14], 1e-10, 0.0)
         err = abs(res.value[0] - math.sqrt(math.pi) / 2)
         assert res.converged and 0 < err <= res.err_estimate[0] <= 4 * np.finfo(float).eps
 
     def test_trapezoid_unresolved_row(self):
         # a row too narrow for the node budget leaves the result unconverged
         # while the other row keeps its own value
-        rows = _even_rows(lambda x: np.exp(-x * x), lambda x: np.exp(-1e6 * x * x))
+        rows = _rows(lambda x: np.exp(-x * x), lambda x: np.exp(-1e6 * x * x))
         res = trapezoid_even(rows, 6.0, [1e-14, 1e-14], 1e-12)
         assert not res.converged
         assert abs(res.value[0] - math.sqrt(math.pi) / 2) <= res.err_estimate[0]
@@ -114,36 +114,52 @@ class TestKnownIntegrals:
 
 class TestTrapezoidPeriodic:
     def test_one_call_per_level_reuses_nodes(self):
-        # the first call holds the n0 + 1 endpoint nodes, each later call the
-        # odd multiples of the new step only
+        # the first call holds levels n0 and 2 n0: the n0 + 1 endpoint nodes,
+        # then the n0 midpoints; each later call the odd multiples of the new
+        # step only
         calls = []
 
-        def f(th):
+        def f(th, rows):
             calls.append(th.copy())
-            return np.exp(np.cos(th))
+            return np.exp(np.cos(th))[None, :]
 
         res = trapezoid_periodic(f, math.pi, 3, 1e-14, 1e-12)
         assert res.converged and len(calls) >= 2
-        np.testing.assert_array_equal(calls[0], np.arange(4) * (math.pi / 3))
-        for level, th in enumerate(calls[1:], start=1):
+        np.testing.assert_array_equal(calls[0], np.concatenate([np.arange(4) * (math.pi / 3),
+                                                                np.arange(1, 6, 2) * (math.pi / 6)]))
+        for level, th in enumerate(calls[1:], start=2):
             n = 3 * 2 ** level
             np.testing.assert_array_equal(th, np.arange(1, n, 2) * (math.pi / n))
         assert res.n_evals == sum(th.size for th in calls)
 
+    def test_rows_match_single_row_calls(self):
+        # two rows in one call stop on their own: each equals its single-row
+        # call bit for bit, and n_evals is the sum over the rows
+        fns = (lambda th: np.exp(np.cos(th)), lambda th: np.cos(30.0 * np.cos(th)))
+        both = trapezoid_periodic(_rows(*fns), math.pi, 4, [1e-14, 1e-14], 1e-12, 32 * EPS)
+        single = [trapezoid_periodic(_rows(fn), math.pi, 4, 1e-14, 1e-12, 32 * EPS) for fn in fns]
+        assert both.converged and all(res.converged for res in single)
+        assert single[0].n_evals != single[1].n_evals
+        assert both.n_evals == sum(res.n_evals for res in single)
+        for r, res in enumerate(single):
+            assert both.value[r] == res.value[0] and both.err_estimate[r] == res.err_estimate[0]
+
     def test_node_budget(self):
         # n0 far past the budget is cut to leave room for one doubling; a
         # result that needs more levels than fit comes back unconverged
-        res = trapezoid_periodic(lambda th: np.cos(1e5 * np.cos(th)), math.pi, 10 ** 9, 1e-14, 1e-12)
+        res = trapezoid_periodic(_rows(lambda th: np.cos(1e5 * np.cos(th))), math.pi, 10 ** 9,
+                                 1e-14, 1e-12)
         assert not res.converged and res.n_evals <= quad._PERIODIC_MAX_NODES
-        assert math.isfinite(res.value) and res.err_estimate > 0
+        assert math.isfinite(res.value[0]) and res.err_estimate[0] > 0
 
     def test_floor_above_tolerance(self):
         # a round-off floor over the tolerance stops the doubling and leaves
         # converged False, with the floor as err_estimate
-        res = trapezoid_periodic(lambda th: np.exp(np.cos(th)), math.pi, 4, 1e-300, 1e-14, 1e-10)
+        res = trapezoid_periodic(_rows(lambda th: np.exp(np.cos(th))), math.pi, 4, 1e-300, 1e-14,
+                                 1e-10)
         assert not res.converged
-        assert res.err_estimate >= 1e-10 * abs(res.value)
-        assert abs(res.value - 3.9774632605064226373) <= res.err_estimate
+        assert res.err_estimate[0] >= 1e-10 * abs(res.value[0])
+        assert abs(res.value[0] - 3.9774632605064226373) <= res.err_estimate[0]
 
 
 class TestProperties:
@@ -155,34 +171,48 @@ class TestProperties:
             g = lambda x: c[2] * np.exp(-2.0 * x * x) * np.cos(x) + c[3] * np.exp(-x * x / 3.0)
             alpha, beta = rng.normal(size=2)
             combo = lambda x: alpha * f(x) + beta * g(x)
-            va = trapezoid_even(_even_rows(combo), 40.0, 1e-14, 1e-12).value[0]
-            vf, vg = trapezoid_even(_even_rows(f, g), 40.0, [1e-14, 1e-14], 1e-12).value
+            va = trapezoid_even(_rows(combo), 40.0, 1e-14, 1e-12).value[0]
+            vf, vg = trapezoid_even(_rows(f, g), 40.0, [1e-14, 1e-14], 1e-12).value
             assert abs(va - (alpha * vf + beta * vg)) < 1e-11 * max(1.0, abs(va))
 
     def test_determinism_bit_identical(self):
-        for run in (lambda: trapezoid_even(_even_rows(lambda x: np.exp(-x * x) * np.cos(3 * x)),
+        for run in (lambda: trapezoid_even(_rows(lambda x: np.exp(-x * x) * np.cos(3 * x)),
                                            40.0, 1e-14, 1e-10),
-                    lambda: trapezoid_periodic(lambda th: np.cos(7.0 * np.cos(th)), math.pi, 4,
-                                               1e-14, 1e-10)):
+                    lambda: trapezoid_periodic(_rows(lambda th: np.cos(7.0 * np.cos(th))), math.pi,
+                                               4, 1e-14, 1e-10)):
             r1, r2 = run(), run()
             assert np.all(r1.value == r2.value)
             assert np.all(r1.err_estimate == r2.err_estimate)
             assert r1.n_evals == r2.n_evals
 
     def test_converged_respects_tolerance_invariant(self):
-        res = trapezoid_even(_even_rows(lambda x: np.exp(-x * x)), 40.0, CFG.abs_tol, CFG.rel_tol)
+        res = trapezoid_even(_rows(lambda x: np.exp(-x * x)), 40.0, CFG.abs_tol, CFG.rel_tol)
         assert res.converged
         assert res.err_estimate[0] <= max(CFG.abs_tol, CFG.rel_tol * abs(res.value[0]))
-        res = trapezoid_periodic(lambda th: np.cos(5.0 * np.cos(th)), math.pi, 4, CFG.abs_tol,
-                                 CFG.rel_tol)
-        assert res.converged and res.err_estimate <= res.tolerance_bound(CFG)
+        res = trapezoid_periodic(_rows(lambda th: np.cos(5.0 * np.cos(th))), math.pi, 4,
+                                 CFG.abs_tol, CFG.rel_tol)
+        assert res.converged
+        assert res.err_estimate[0] <= max(CFG.abs_tol, CFG.rel_tol * abs(res.value[0]))
+
+    def test_nan_is_not_converged(self):
+        # a NaN node stops its row at once and leaves the result unconverged
+        # under both rules; the other row keeps its own value
+        def nan_at(x0, fn):
+            return lambda x: np.where(x == x0, np.nan, fn(x))
+
+        gauss = lambda x: np.exp(-x * x)
+        res = trapezoid_even(_rows(gauss, nan_at(0.5, gauss)), 6.0, [1e-14, 1e-14], 1e-12)
+        assert not res.converged and math.isnan(res.value[1])
+        assert abs(res.value[0] - math.sqrt(math.pi) / 2) <= res.err_estimate[0]
+        res = trapezoid_periodic(_rows(nan_at(0.0, np.cos)), 3.0, 4, 1e-14, 1e-12)
+        assert not res.converged and math.isnan(res.value[0]) and res.n_evals == 9
 
     def test_invariant_holds_under_cancellation(self):
         # int_0^inf e^{-x^2} cos(10 x) dx = (sqrt(pi)/2) e^{-25} is ~1e-11 of
         # the summed |f|: the round-off of the cosine's phase (noise 10 eps)
         # cannot certify rel_tol 1e-10, and the flag must say so honestly
         exact = 1.2307869792307557085e-11
-        res = trapezoid_even(_even_rows(lambda x: np.exp(-x * x) * np.cos(10.0 * x)), 40.0,
+        res = trapezoid_even(_rows(lambda x: np.exp(-x * x) * np.cos(10.0 * x)), 40.0,
                              1e-300, 1e-10, 10.0 * EPS)
         assert not res.converged
         assert res.err_estimate[0] > 1e-10 * abs(res.value[0])

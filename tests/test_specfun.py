@@ -23,7 +23,6 @@ from hypermorse.specfun import (
     humbert_phi1,
     kummer_1f1,
     log_gamma,
-    pochhammer,
     whittaker,
 )
 
@@ -88,17 +87,6 @@ class TestLogGammaArray:
     def test_pole_inside_array_raises(self):
         with pytest.raises(PoleAtNonPositiveInteger, match="-2"):
             log_gamma(np.array([1.5, 0.3 + 1j, -2.0, -3.0]))
-
-
-class TestPochhammer:
-    def test_basic(self):
-        assert pochhammer(1.6, 5) == pytest.approx(1.6 * 2.6 * 3.6 * 4.6 * 5.6)
-
-    def test_zero_terms(self):
-        assert pochhammer(2.3, 0) == 1.0
-
-    def test_negative_integer_truncates(self):
-        assert pochhammer(-2.0, 3) == 0.0
 
 
 class TestGauss2F1:
