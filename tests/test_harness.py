@@ -320,6 +320,20 @@ class TestGenerator:
         assert abs(dt - good) / abs(dt) < 1e-3
         assert abs(dt - flipped) / abs(dt) > 0.5
 
+    def test_stencils_exact_on_low_degree_polynomials(self):
+        # the five-point first derivative is exact through degree 4, the
+        # second through degree 5; only rounding is left
+        p = lambda x: 0.3 - 1.2 * x + 0.7 * x ** 2 + 0.25 * x ** 3 - 0.4 * x ** 4 + 0.1 * x ** 5
+        d1 = lambda x: -1.2 + 1.4 * x + 0.75 * x ** 2 - 1.6 * x ** 3 + 0.5 * x ** 4
+        d2 = lambda x: 1.4 + 1.5 * x - 4.8 * x ** 2 + 2.0 * x ** 3
+        quartic = lambda x: p(x) - 0.1 * x ** 5
+        for c, h in ((0.0, 0.1), (0.8, 0.05), (-1.3, 0.2)):
+            assert harness._d1(quartic, c, h) == pytest.approx(d1(c) - 0.5 * c ** 4, rel=1e-12,
+                                                               abs=1e-12)
+            assert harness._d2(p, c, h, p(c)) == pytest.approx(d2(c), rel=1e-10, abs=1e-10)
+        # a quintic's fifth derivative is what the first-derivative stencil misses
+        assert abs(harness._d1(p, 0.0, 0.1) - d1(0.0)) > 1e-7
+
 
 class TestEvalKernel:
     def test_hres_matches_api(self):

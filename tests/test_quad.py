@@ -144,6 +144,19 @@ class TestTrapezoidPeriodic:
         for r, res in enumerate(single):
             assert both.value[r] == res.value[0] and both.err_estimate[r] == res.err_estimate[0]
 
+    def test_abs_tol_per_row(self):
+        # one integrand twice, with a loose and a tight abs_tol: the loose row
+        # stops sooner, and each row equals its single-row call bit for bit
+        fn = lambda th: np.cos(100.0 * np.cos(th))
+        both = trapezoid_periodic(_rows(fn, fn), math.pi, 4, [1e-6, 1e-12], 1e-300, 100 * EPS)
+        single = [trapezoid_periodic(_rows(fn), math.pi, 4, tol, 1e-300, 100 * EPS)
+                  for tol in (1e-6, 1e-12)]
+        assert both.converged and single[0].n_evals < single[1].n_evals
+        assert both.n_evals == single[0].n_evals + single[1].n_evals
+        for r, res in enumerate(single):
+            assert both.value[r] == res.value[0] and both.err_estimate[r] == res.err_estimate[0]
+        assert both.err_estimate[1] <= 1e-12 < both.err_estimate[0] <= 1e-6
+
     def test_node_budget(self):
         # n0 far past the budget is cut to leave room for one doubling; a
         # result that needs more levels than fit comes back unconverged
