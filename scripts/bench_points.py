@@ -8,7 +8,9 @@ points), and for every node of the `hheat` and `mwave` grids of the first
 `grid_sweep` round at seeds 1 and 2 (all read from perfbench/workloads.py) it
 prints, as one JSON object, the best-of-N in-process wall time of each point
 in ms and its n_evals, the machine-independent count.  The calibration's
-n_evals is the sum over the transmutation integrals it computes.
+n_evals is the sum over the transmutation integrals it computes.  Each grid
+of those rounds is also timed as one `harness.grid_eval` call writing into a
+temporary directory ("grid_eval": kernel, best ms and rows per grid).
 Run from the repository root:
 
     python3 scripts/bench_points.py
@@ -18,8 +20,10 @@ same machine, one after the other.
 """
 import json
 import math
+import os
 import pathlib
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -78,17 +82,25 @@ def main() -> int:
         cfg = MorseConfig(1.0, two_k / 2.0, 0.0, (-1.0) ** i * dist)
         kinds["mheat"].append(best_of(lambda: mkernels.heat_kernel(cfg, t)))
         kinds["hw_oracle"].append(best_of(lambda: mkernels.hartman_watson_heat_oracle(cfg, t)))
-    for seed in GRID_SEEDS:
-        for point in next(rounds("grid_sweep", seed)):
-            kernel, params, grid = point.args
-            if kernel in ("hheat", "mwave"):
-                kinds.setdefault(kernel, [])
-                for node in grid_nodes(params, grid):
-                    kinds[kernel].append(best_of(lambda: harness.eval_kernel(kernel, node)))
+    grids = {"kernel": [], "best_ms": [], "rows": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        for seed in GRID_SEEDS:
+            for point in next(rounds("grid_sweep", seed)):
+                kernel, params, grid = point.args
+                if kernel in ("hheat", "mwave"):
+                    kinds.setdefault(kernel, [])
+                    for node in grid_nodes(params, grid):
+                        kinds[kernel].append(best_of(lambda: harness.eval_kernel(kernel, node)))
+                ms, rows = best_of(lambda: harness.grid_eval(kernel, dict(params), dict(grid),
+                                                             path))
+                for key, value in zip(grids, (kernel, round(ms, 3), rows)):
+                    grids[key].append(value)
     for kind, runs in kinds.items():
         out[kind] = {"best_ms": [round(ms, 3) for ms, _ in runs],
                      "n_evals": [res.n_evals for _, res in runs],
                      "sum_best_ms": round(sum(ms for ms, _ in runs), 3)}
+    out["grid_eval"] = grids
     print(json.dumps(out, indent=1))
     return 0
 

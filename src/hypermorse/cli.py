@@ -148,16 +148,20 @@ def _parse_grid_spec(path: str):
                 key = "lam"
             if key == "kernel":
                 kernel = value
-            elif ":" in value:
-                pieces = value.split(":")
-                if len(pieces) != 3:
-                    raise InvalidGrid(f"{path}:{lineno}: ranged axis needs lo:hi:count")
-                grid[key] = (float(pieces[0]), float(pieces[1]), int(pieces[2]))
-            elif "," in value:
-                a, b = value.split(",", 1)
-                params[key] = (float(a), float(b))
-            else:
-                params[key] = float(value)
+                continue
+            try:
+                if ":" in value:
+                    pieces = value.split(":")
+                    if len(pieces) != 3:
+                        raise InvalidGrid(f"{path}:{lineno}: ranged axis needs lo:hi:count")
+                    grid[key] = (float(pieces[0]), float(pieces[1]), int(pieces[2]))
+                elif "," in value:
+                    a, b = value.split(",", 1)
+                    params[key] = (float(a), float(b))
+                else:
+                    params[key] = float(value)
+            except ValueError as exc:
+                raise InvalidGrid(f"{path}:{lineno}: {key} = {value!r} is not a number") from exc
     return kernel, params, grid
 
 

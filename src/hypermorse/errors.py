@@ -10,6 +10,10 @@ class NonFiniteInput(HypermorseError, ValueError):
     """A kernel parameter is NaN or infinite."""
 
 
+class DomainError(HypermorseError, ValueError):
+    """A kernel parameter lies outside its domain (t <= 0, y <= 0, lam <= 0, an unknown form)."""
+
+
 def require_finite(**named):
     """Raise NonFiniteInput naming the first argument that is, or holds in a
     tuple, a NaN or infinite number; strings pass."""

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import DomainError
+
 __all__ = [
     "HalfPlanePoint",
     "cosh2_half_dist",
@@ -38,7 +40,7 @@ class HalfPlanePoint:
 
     def __post_init__(self):
         if not self.y > 0:
-            raise ValueError(f"half-plane point needs y > 0, got y={self.y}")
+            raise DomainError(f"half-plane point needs y > 0, got y={self.y}")
 
 
 def two_k_int(k: float) -> Optional[int]:

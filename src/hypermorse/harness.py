@@ -19,6 +19,8 @@ import csv
 import itertools
 import json
 import math
+import os
+import stat
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -29,8 +31,8 @@ import numpy as np
 
 from . import mkernels, quad, specfun
 from .errors import (CalibrationAmbiguous, HypermorseError, InvalidGrid, MissingParameter,
-                     NotConverged, OutsideConvergenceRegion, Phi1OutsideDisc, UnsupportedK,
-                     require_finite)
+                     NonFiniteInput, NotConverged, OutsideConvergenceRegion, Phi1OutsideDisc,
+                     UnsupportedK, require_finite)
 from .geometry import HalfPlanePoint, two_k_int
 from .hkernels import (
     SpectralParam,
@@ -730,16 +732,55 @@ def _apply_axis(point: dict, name: str, value: float):
         point[name] = value
 
 
+# grid nodes sharing these parameters are one array call (mwave at k != 0 only)
+_ROW_KEYS = {"hheat": ("k", "t"), "hres": ("k", "mu"), "mwave": ("k", "lam")}
+
+
+def _eval_group(kernel_id: str, nodes: list) -> list:
+    """(value, err_estimate, converged), or the HypermorseError raised, for
+    each node: two nodes or more are one array call, and one node, or a call
+    that raises, runs eval_kernel per node."""
+    try:
+        if len(nodes) > 1:
+            p, col = nodes[0], {name: [q[name] for q in nodes] for name in nodes[0]}
+            if kernel_id == "mwave":
+                cfgs = list(map(MorseConfig, col["lam"], col["k"], col["X"], col["Xp"]))
+                res = wave_kernel_fourier(cfgs, col["b"])
+            else:
+                z, zp = ([HalfPlanePoint(*v) for v in col[name]] for name in ("z", "zp"))
+                if kernel_id == "hres":
+                    vals = hyp_resolvent_closed(SpectralParam(_complex(p["mu"])), p["k"], z, zp)
+                    return [(v, 0.0, True) for v in vals]
+                res = hyp_heat_kernel(p["t"], p["k"], z, zp)
+            return list(zip(res.value, res.err_estimate, res.converged))
+    except HypermorseError:
+        pass  # each node on its own: its value or its error
+    out = []
+    for p in nodes:
+        try:
+            res = eval_kernel(kernel_id, p)
+            out.append((res.value, res.err_estimate, res.converged))
+        except HypermorseError as exc:
+            out.append(exc)
+    return out
+
+
 def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -> int:
     """Evaluate a kernel over the cartesian product of the grid axes.
 
     grid_spec maps parameter names to (start, stop, count); an axis written
     'zp.y' sweeps one component of a pair-valued parameter.  params and the
     axes together must hold every parameter KERNEL_PARAMS names for the
-    kernel, or InvalidGrid is raised before any point runs.  One CSV row per
-    point: grid coordinates, Re/Im in decimal and hexadecimal, the error
-    estimate, and the convergence flag.  Per-point kernel errors land in the
-    row's error column and the run continues.  Returns the row count.
+    kernel, and each axis must be well formed, or InvalidGrid is raised
+    before any point runs.  Nodes sharing their non-position parameters
+    (_ROW_KEYS) are one array call per group: an hheat row equals eval_kernel
+    at its node bit for bit, an hres or mwave row may differ from it by a few
+    ulps, and a rerun is bit-identical.  One CSV row per point: grid
+    coordinates, Re/Im in decimal and hexadecimal, the error estimate, and
+    the convergence flag.  Per-point kernel errors land in the row's error
+    column and the run continues.  The file is rewritten in place, a regular
+    file then cut at the rows written; no durability is promised (a kill
+    during the write can leave stale bytes past them).  Returns the row count.
     """
     if kernel_id not in KERNEL_IDS:
         raise InvalidGrid(f"unknown kernel id {kernel_id!r}")
@@ -756,28 +797,42 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
                 raise ValueError
         except (TypeError, ValueError) as exc:
             raise InvalidGrid(f"axis {name!r} needs (start, stop, count), got {spec!r}") from exc
-        axes.append((name, np.linspace(float(lo), float(hi), n)))
+        axes.append((name, np.linspace(float(lo), float(hi), n).tolist()))
+    names, keys = [n for n, _ in axes], _ROW_KEYS.get(kernel_id, ())
+    try:  # a non-finite value: each node on its own, to name it in its row
+        require_finite(**params, **{f"axis {n}": vals for n, vals in axes})
+    except NonFiniteInput:
+        keys = ()
+    points, groups, done = [], {}, {}  # (coordinates, parameters, group) per node
+    for combo in itertools.product(*(vals for _, vals in axes)):
+        point = dict(params)
+        for n_, v in zip(names, combo):
+            _apply_axis(point, n_, v)
+        alone = not keys or (kernel_id == "mwave" and point["k"] == 0)
+        key = len(points) if alone else tuple(point[n_] for n_ in keys)
+        groups.setdefault(key, []).append(len(points))
+        points.append((combo, point, key))
 
-    rows = 0
-    with open(output_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = [n for n, _ in axes]
-        writer.writerow(names + ["re", "im", "re_hex", "im_hex", "err_estimate",
-                                 "converged", "error"])
-        for combo in itertools.product(*(vals for _, vals in axes)):
-            point = dict(params)
-            for n_, v in zip(names, combo):
-                _apply_axis(point, n_, float(v))
-            try:
-                res = eval_kernel(kernel_id, point)
-                v = complex(res.value)
-                writer.writerow([f"{c:.17g}" for c in combo]
-                                + [f"{v.real:.17g}", f"{v.imag:.17g}",
-                                   float(v.real).hex(), float(v.imag).hex(),
-                                   f"{res.err_estimate:.3g}", res.converged, ""])
-            except HypermorseError as exc:
-                writer.writerow([f"{c:.17g}" for c in combo]
-                                + ["nan", "nan", "", "", "", False,
-                                   f"{type(exc).__name__}: {exc}"])
-            rows += 1
-    return rows
+    fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)  # open("w") without truncating
+    with open(fd, "w", newline="") as fh:
+        try:
+            writer = csv.writer(fh)
+            writer.writerow(names + ["re", "im", "re_hex", "im_hex", "err_estimate", "converged",
+                                     "error"])
+            for i, (combo, _, key) in enumerate(points):
+                if i not in done:
+                    group = groups[key]
+                    done.update(zip(group, _eval_group(kernel_id, [points[j][1] for j in group])))
+                row = [f"{c:.17g}" for c in combo]
+                if isinstance(done[i], HypermorseError):
+                    row += ["nan", "nan", "", "", "", False, f"{type(done[i]).__name__}: {done[i]}"]
+                else:
+                    v, err, converged = done[i]
+                    v = complex(v)
+                    row += [f"{v.real:.17g}", f"{v.imag:.17g}", v.real.hex(), v.imag.hex(),
+                            f"{err:.3g}", bool(converged), ""]
+                writer.writerow(row)
+        finally:  # a FIFO or a device is written, not cut
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    return len(points)

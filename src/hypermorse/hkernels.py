@@ -36,6 +36,7 @@ from . import quad, specfun
 from .errors import (
     ConvergenceViolated,
     DiagonalSingularity,
+    DomainError,
     GammaPole,
     NotConverged,
     OutsideSupport,
@@ -137,7 +138,7 @@ def wave_kernel_radial(k: float, b, rho: float, form: str = "auto"):
         vals = inv_sqrt_s * C ** (2 * ak) \
             * specfun.gauss_2f1(-ak, 0.5 - ak, 0.5, 1.0 - 1.0 / (C * C)).real
     else:
-        raise ValueError(f"unknown wave-kernel form {form!r}")
+        raise DomainError(f"unknown wave-kernel form {form!r}")
     return complex(vals[0]) if scalar else vals.astype(complex)
 
 
@@ -183,11 +184,17 @@ def resolvent_closed(sp: SpectralParam, k: float, z: HalfPlanePoint,
 
     Gamma(s-k)Gamma(s+k)/(4 pi Gamma(2s)) * phase^k * cosh^(-2s)(rho/2)
       * F(s-|k|, s+|k|; 2s; sech^2(rho/2)).
+
+    z and zp may be equal-length lists of points: an ndarray of values then,
+    their c2 one array through the series and the gamma prefactor computed
+    once (a few ulps from the single calls); a pair on the diagonal raises.
     """
-    c2 = cosh2_half_dist(z, zp)
-    if c2 - 1.0 < _DIAG_TOL:
+    pairs = list(zip(z, zp)) if isinstance(z, list) else [(z, zp)]
+    c2 = [cosh2_half_dist(*pair) for pair in pairs]
+    if min(c2) - 1.0 < _DIAG_TOL:
         raise DiagonalSingularity("resolvent kernel diverges on the diagonal z = z'")
-    phase = magnetic_phase_halfplane(k, z, zp)
+    phase = [magnetic_phase_halfplane(k, *pair) for pair in pairs]
+    c2, phase = (np.array(c2), np.array(phase)) if isinstance(z, list) else (c2[0], phase[0])
     return phase * (_gamma_prefactor(sp.s, k) * _resolvent_profile(sp.s, abs(k), c2))
 
 
@@ -278,30 +285,46 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
     two levels out to that cut hold more nodes than the sum's budget (t > 38
     at |k| = 2, t > 92 at |k| = 1, t > 347 at |k| = 1/2, never at k = 0) it
     raises NotConverged.
+
+    z and zp may be equal-length lists of points: a row each of one sum cut
+    at the largest pair's cut, each row 0 past its own, so equal to its
+    pair's call bit for bit (quad._halving keeps rows apart); value,
+    err_estimate and converged (QuadratureResult.converged_rows) then hold
+    one entry per pair.
     """
     if not t > 0:
-        raise ValueError("heat kernel needs t > 0")
-    rho = dist_halfplane(z, zp)
-    phase = magnetic_phase_halfplane(k, z, zp)
-    ak, ch_r = abs(k), math.cosh(rho / 2.0)
+        raise DomainError("heat kernel needs t > 0")
+    pairs = list(zip(z, zp)) if isinstance(z, list) else [(z, zp)]
+    ak, slope = abs(k), abs(k) - 0.5
     norm = 2.0 * math.pi * (4.0 * math.pi * t) ** 1.5
+    par = []  # rho, cosh(rho/2) and the cut s_max of each pair
+    for pair in pairs:
+        rho = dist_halfplane(*pair)
+        b_max = 2.0 * t * slope + math.sqrt((2.0 * t * slope - rho) ** 2 + 180.0 * t)
+        par.append((rho, math.cosh(rho / 2.0), math.sqrt(b_max * b_max - rho * rho)))
+    cols = np.array(par).T[:, :, None] if len(par) > 1 else None
 
-    def f(s: np.ndarray, _) -> np.ndarray:
+    def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # one pair: Python floats, so that a single point pays no broadcasting
+        rho, ch_r, cut = par[0] if cols is None else cols[:, rows]
         s2 = s * s
         b = np.sqrt(rho * rho + s2)
         x = (b + rho) / 2.0
         w = s2 / np.maximum(4.0 * x, 1e-300)
         a = _profile_angle(b, ch_r)
         decay = -b * b / (4.0 * t) - b / 2.0
-        return (np.sqrt(_edge_q(x) * _edge_q(w))
-                * (np.exp(decay + 2.0 * ak * a) + np.exp(decay - 2.0 * ak * a)) / norm)[None, :]
+        vals = (np.sqrt(_edge_q(x) * _edge_q(w))
+                * (np.exp(decay + 2.0 * ak * a) + np.exp(decay - 2.0 * ak * a)) / norm)
+        return vals[None, :] if cols is None else np.where(s < cut, vals, 0.0)  # 0 past a row's cut
 
-    slope = ak - 0.5
-    b_max = 2.0 * t * slope + math.sqrt((2.0 * t * slope - rho) ** 2 + 180.0 * t)
-    s_max = math.sqrt(b_max * b_max - rho * rho)
-    res = quad.trapezoid_even(f, s_max, cfg.abs_tol, cfg.rel_tol)
+    s_max = max(cut for _, _, cut in par)
+    res = quad.trapezoid_even(f, s_max, [cfg.abs_tol] * len(par), cfg.rel_tol)
     if not res.n_evals:  # not even the first two levels fit the node budget
         raise NotConverged(f"heat sum out to s = {s_max:.4g} needs more trapezoid nodes than the"
                            f" budget holds (t (|k| - 1/2) = {t * slope:.3g} too large)")
-    return quad.QuadratureResult(phase * res.value[0], res.err_estimate[0], res.n_evals,
-                                 res.converged)
+    if isinstance(z, list):
+        phase = np.array([magnetic_phase_halfplane(k, *pair) for pair in pairs])
+        return quad.QuadratureResult(phase * res.value, res.err_estimate, res.n_evals,
+                                     res.converged_rows(cfg.abs_tol, cfg.rel_tol))
+    return quad.QuadratureResult(magnetic_phase_halfplane(k, z, zp) * res.value[0],
+                                 res.err_estimate[0], res.n_evals, res.converged)

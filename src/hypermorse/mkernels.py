@@ -44,6 +44,7 @@ from . import quad, specfun
 from .errors import (
     CancellationLimit,
     DiagonalSingularity,
+    DomainError,
     GammaPole,
     OutsideConvergenceRegion,
     OutsideSupport,
@@ -81,7 +82,7 @@ class MorseConfig:
         if not math.isfinite(self.lam + self.k + self.X + self.Xp):  # a NaN or inf spoils the sum
             require_finite(lam=self.lam, k=self.k, X=self.X, Xp=self.Xp)
         if not self.lam > 0:
-            raise ValueError("Morse coupling lam must be positive")
+            raise DomainError("Morse coupling lam must be positive")
 
     @property
     def y(self) -> float:
@@ -215,24 +216,35 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     difference, never below the round-off floor eps (lam Z + 4) h sum w|f|
     (the phase lam u carries eps lam Z).  Past the sum's node budget (lam Z
     in the thousands) it returns converged=False.
+
+    cfg and b may be equal-length lists: a row each of one sum, n starting
+    at the largest row's, each row with its own floor; value, err_estimate
+    and converged (QuadratureResult.converged_rows) then hold one entry per
+    row.
     """
-    _require_support(cfg, b)
-    y, yp = cfg.y, cfg.yp
-    v = y + yp
-    z_edge = float(wave_aux_z(cfg, b))
-    ch_b2 = math.cosh(b / 2.0)
+    cfgs, bs = (cfg, b) if isinstance(cfg, list) else ([cfg], [b])
+    for cfg_, b_ in zip(cfgs, bs):
+        _require_support(cfg_, b_)
+    par = [(cfg_.y, cfg_.yp, cfg_.lam, cfg_.k, float(wave_aux_z(cfg_, b_)), math.cosh(b_ / 2.0))
+           for cfg_, b_ in zip(cfgs, bs)]
+    cols = np.array(par).T[:, :, None] if len(par) > 1 else None
 
-    def f(theta: np.ndarray, _) -> np.ndarray:
+    def f(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # one row: Python floats, so that a single point pays no broadcasting
+        y, yp, lam, k, z_edge, ch_b2 = par[0] if cols is None else cols[:, rows]
         # 2 Re g: the phase ((-u + iv)/(u + iv))^k is e^{ik(pi - 2 arg(u + iv))}
-        u = z_edge * np.cos(theta)
+        u, v = z_edge * np.cos(theta), y + yp
         c = ch_b2 * np.sqrt(4.0 * y * yp / (u * u + v * v))
-        return (_wave_profile(abs(cfg.k), c) * np.cos(cfg.k * (math.pi - 2.0 * np.arctan2(v, u))
-                                                      - cfg.lam * u) / math.pi)[None, :]
+        return (_wave_profile(abs(k), c) * np.cos(k * (math.pi - 2.0 * np.arctan2(v, u)) - lam * u)
+                / math.pi).reshape(len(rows), -1)
 
-    lam_z = cfg.lam * z_edge
-    res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(lam_z / 4.0) + 8,
-                                  quad.DEFAULT_CONFIG.abs_tol, quad.DEFAULT_CONFIG.rel_tol,
-                                  np.finfo(float).eps * (lam_z + 4.0))
+    lam_z, tol, eps = [row[2] * row[4] for row in par], quad.DEFAULT_CONFIG, np.finfo(float).eps
+    res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(max(lam_z) / 4.0) + 8,
+                                  [tol.abs_tol] * len(par), tol.rel_tol,
+                                  [eps * (lz + 4.0) for lz in lam_z])
+    if isinstance(cfg, list):
+        return quad.QuadratureResult(res.value.astype(complex), res.err_estimate, res.n_evals,
+                                     res.converged_rows(tol.abs_tol, tol.rel_tol))
     return quad.QuadratureResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals,
                                  res.converged)
 
@@ -352,7 +364,7 @@ def heat_kernel(cfg: MorseConfig, t: float,
     SeriesNonConvergence.
     """
     if not t > 0:
-        raise ValueError("heat kernel needs t > 0")
+        raise DomainError("heat kernel needs t > 0")
     c = (math.ceil(2.0 * max(cfg.k + 0.25, 0.25) - 0.5) + 0.5) / 2.0
     w1, w2 = specfun._whittaker_w_terms(cfg.k, c, 2.0 * cfg.lam * math.exp(max(cfg.X, cfg.Xp)))
     eps = np.finfo(float).eps
@@ -428,7 +440,7 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
     1e-14).  Callers use t >= 0.7.
     """
     if not t > 0:
-        raise ValueError("oracle needs t > 0")
+        raise DomainError("oracle needs t > 0")
     acc = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
     err = peak = 0.0
     r0, tau, damp0 = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0), t / 2.0, cfg.lam * (cfg.y + cfg.yp)

@@ -61,6 +61,12 @@ class QuadratureResult:
     def tolerance_bound(self, cfg: QuadConfig) -> float:
         return max(cfg.abs_tol, cfg.rel_tol * abs(self.value))
 
+    def converged_rows(self, abs_tol, rel_tol: float) -> np.ndarray:
+        """Each row's converged flag, by the halving loop's own rule: its
+        err_estimate is finite and meets max(abs_tol, rel_tol |value|)."""
+        err = self.err_estimate
+        return (err <= np.maximum(abs_tol, rel_tol * np.abs(self.value))) & np.isfinite(err)
+
     def scaled(self, c) -> "QuadratureResult":
         return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.n_evals,
                                 self.converged)
@@ -70,7 +76,7 @@ class QuadratureResult:
                                 self.n_evals + other.n_evals, self.converged and other.converged)
 
 
-def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0) -> QuadratureResult:
+def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise=0.0) -> QuadratureResult:
     """Rows of int_0^inf of real even integrands, analytic near the real axis
     and negligible past x_max, as T(h) = h (f(0)/2 + sum_{0 < jh < x_max}
     f(jh)), h halving from _TRAP_H0; otherwise as _halving.
@@ -79,7 +85,7 @@ def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise: float = 0.0)
 
 
 def trapezoid_periodic(f, length: float, n0: int, abs_tol, rel_tol: float,
-                       noise: float = 0.0) -> QuadratureResult:
+                       noise=0.0) -> QuadratureResult:
     """Rows of int_0^length of real integrands even about both ends (so
     periodic, period 2 length) and analytic on the real axis, as T(n) =
     h (f(0)/2 + sum_{0 < j < n} f(jh) + f(length)/2), h = length/n, n doubling
@@ -89,23 +95,26 @@ def trapezoid_periodic(f, length: float, n0: int, abs_tol, rel_tol: float,
     return _halving(f, length / n, n, True, abs_tol, rel_tol, noise, _PERIODIC_MAX_NODES)
 
 
-def _halving(f, h: float, span: float, closed: bool, abs_tol, rel_tol: float, noise: float,
+def _halving(f, h: float, span: float, closed: bool, abs_tol, rel_tol: float, noise,
              max_nodes: int) -> QuadratureResult:
     """Trapezoid sums over the nodes jh, 0 <= j < span (j <= span if closed:
     the end node at half weight), f(0) at half weight, h halving.
 
     f(x, rows) gives the rows (an index array) at nodes x, shape (len(rows),
-    len(x)); abs_tol, one per row or a scalar for one row, sets the rows.
-    Each level is one call of f on its new nodes, summed exactly; the first
-    call holds levels h and h/2, so no row stops sooner.  A row stops once
-    err = |T(h) - T(h/2)| meets max(abs_tol, rel_tol |T|), or the floor
-    max(noise h sum w|f|, eps |T|) (noise: f's relative round-off; err never
-    below the floor; a floor above the tolerance, or a NaN, makes converged
-    False).  Rows open past max_nodes nodes, the first call's included, make
-    converged False.  value and err_estimate hold one entry per row; n_evals
-    counts every row's nodes.
+    len(x)); abs_tol, one per row or a scalar for one row, sets the rows,
+    and noise is one per row or one for all.  Each level is one call of f on
+    its new nodes, summed exactly; the first call holds levels h and h/2, so
+    no row stops sooner.  A row stops once err = |T(h) - T(h/2)| meets
+    max(abs_tol, rel_tol |T|), or the floor max(noise h sum w|f|, eps |T|)
+    (noise: f's relative round-off; err never below the floor; a floor above
+    the tolerance, or a NaN, makes converged False).  Rows open past
+    max_nodes nodes, the first call's included, make converged False.  No row
+    reads another's sums, so each row is its own single-row call, and
+    QuadratureResult.converged_rows gives each row's flag.  value and
+    err_estimate hold one entry per row; n_evals counts every row's nodes.
     """
     tol = np.array(abs_tol, dtype=float, ndmin=1).tolist()
+    noise = [noise] * len(tol) if np.isscalar(noise) else list(noise)
     value, err = [math.inf] * len(tol), [math.inf] * len(tol)
     rows, sums = list(range(len(tol))), [None] * len(tol)  # the open rows, their (total, mag, T(2h))
     n, n_nodes, converged = 0, 0, True
@@ -116,21 +125,21 @@ def _halving(f, h: float, span: float, closed: bool, abs_tol, rel_tol: float, no
         vals = f(nodes, np.array(rows))
         n, n_nodes = n + vals.size, n_nodes + len(nodes)
         lines = vals.tolist()  # row by row in Python floats: most sums have one or two rows
-        mags = np.abs(vals).tolist() if noise else lines  # (unread when noise is 0)
+        mags = np.abs(vals).tolist() if any(noise) else lines  # (unread where noise is 0)
         kept = []
         for r, line, mag_line, row_sums in zip(rows, lines, mags, sums):
             if row_sums is None:  # the first level, then its midpoints
                 total = _first_level(line[:first], closed)
-                mag = _first_level(mag_line[:first], closed) if noise else 0.0
+                mag = _first_level(mag_line[:first], closed) if noise[r] else 0.0
                 prev, line, mag_line = 2.0 * h * total, line[first:], mag_line[first:]
             else:
                 total, mag, prev = row_sums
             total += math.fsum(line)
-            if noise:
+            if noise[r]:
                 mag += math.fsum(mag_line)
             v = h * total
             size = abs(v)
-            floor = max(noise * h * mag, _EPS * size)
+            floor = max(noise[r] * h * mag, _EPS * size)
             e = max(abs(v - prev), floor)
             value[r], err[r] = v, e
             bound = max(tol[r], rel_tol * size)

@@ -132,6 +132,15 @@ class TestGrid:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("line", ["k = abc", "t = 1:2:x", "z = 0,one"])
+    def test_value_not_a_number_is_usage_error(self, tmp_path, capsys, line):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"kernel = hheat\nzp = 0,2\n{line}\n")
+        out = tmp_path / "o.csv"
+        rc = main(["grid", "--kernel", "hheat", "--spec", str(spec), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert f"{spec}:3:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec_text", [
         "kernel = mwave\nk = 0\nlambda = 1.0\nXp = 0.3\nb = 0.5:1.0:2\n",
         "k = 0.5\nmu = 0,-0.9\nz = 0,1\nzp = 0.5,2\nzp.y = 1.5:2.5:2\n",

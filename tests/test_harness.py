@@ -457,6 +457,167 @@ class TestGridEval:
         direct = eval_kernel("hres", {**params, "mu": -0.9j})
         assert float.fromhex(row["re_hex"]) == complex(direct.value).real
 
+    @staticmethod
+    def _rows(path):
+        import csv as csvmod
+        with open(path, newline="") as fh:
+            return list(csvmod.DictReader(fh))
+
+    @staticmethod
+    def _node(params, row, axes):
+        """The parameters of a CSV row (its decimal coordinates round-trip)."""
+        point = dict(params)
+        for name in axes:
+            harness._apply_axis(point, name, float(row[name]))
+        return point
+
+    def _against_eval(self, tmp_path, kernel, params, axes, rel):
+        """Each grid row against eval_kernel at its node: the hex values within
+        rel (0: bit for bit), the flag equal; returns the rows."""
+        out = tmp_path / "grid.csv"
+        assert grid_eval(kernel, params, axes, str(out)) == math.prod(c for *_, c in axes.values())
+        rows = self._rows(out)
+        for row in rows:
+            assert row["error"] == ""
+            direct = complex(eval_kernel(kernel, self._node(params, row, axes)).value)
+            got = complex(float.fromhex(row["re_hex"]), float.fromhex(row["im_hex"]))
+            assert abs(got - direct) <= rel * abs(direct)
+            assert row["converged"] == "True"
+        return rows
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 1.5])
+    def test_hheat_rows_bit_identical_to_eval_kernel(self, tmp_path, k):
+        # the 9 nodes share (k, t): one sum, each row cut at its own s_max
+        params = {"k": k, "t": 0.8, "z": (0.0, 1.1), "zp": (0.0, 1.0)}
+        self._against_eval(tmp_path, "hheat", params,
+                           {"zp.x": (0.3, 0.9, 3), "zp.y": (0.6, 1.6, 3)}, 0.0)
+
+    def test_hres_rows_within_1e14(self, tmp_path):
+        # one profile call on the array of c2: a few ulps from the scalar path
+        params = {"k": 0.7, "mu": (0.3, -1.1), "z": (0.1, 0.9), "zp": (-0.4, 1.0)}
+        self._against_eval(tmp_path, "hres", params, {"zp.y": (0.6, 2.4, 8)}, 1e-14)
+
+    @pytest.mark.parametrize("k", [0.5, -1.0, 1.3])
+    def test_mwave_rows_within_1e13(self, tmp_path, k):
+        # one periodic sum from the largest row's n: a few ulps from eval_kernel
+        params = {"k": k, "lam": 1.3, "X": 0.1}
+        self._against_eval(tmp_path, "mwave", params,
+                           {"b": (0.9, 2.6, 3), "Xp": (-0.5, -0.2, 3)}, 1e-13)
+
+    def test_hres_diagonal_node_falls_back_per_node(self, tmp_path):
+        # the group's array call raises, so each node runs on its own: the
+        # diagonal node records its error, the others their eval_kernel values
+        out = tmp_path / "grid.csv"
+        params = {"k": 0.5, "mu": -0.9j, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
+        assert grid_eval("hres", params, {"zp.y": (0.5, 1.5, 3)}, str(out)) == 3
+        rows = self._rows(out)
+        assert "DiagonalSingularity" in rows[1]["error"] and rows[1]["converged"] == "False"
+        for row in (rows[0], rows[2]):
+            direct = eval_kernel("hres", self._node(params, row, ["zp.y"])).value
+            assert row["error"] == "" and float.fromhex(row["re_hex"]) == direct.real
+
+    def test_one_group_per_t(self, tmp_path, monkeypatch):
+        calls = []
+        real = harness.hyp_heat_kernel
+
+        def counted(t, k, z, zp, *args):
+            calls.append((t, len(z) if isinstance(z, list) else 1))
+            return real(t, k, z, zp, *args)
+
+        monkeypatch.setattr(harness, "hyp_heat_kernel", counted)
+        params = {"k": 0.5, "z": (0.0, 1.0), "zp": (0.2, 1.0)}
+        grid_eval("hheat", params, {"t": (0.5, 1.0, 2), "zp.y": (1.5, 2.5, 3)},
+                  str(tmp_path / "grid.csv"))
+        assert calls == [(0.5, 3), (1.0, 3)]
+
+    def test_domain_errors_are_rows(self, tmp_path):
+        # t <= 0 and y <= 0 raise DomainError, a HypermorseError: a row each
+        out = tmp_path / "grid.csv"
+        params = {"k": 0.5, "z": (0.0, 1.0), "zp": (0.3, 1.5)}
+        assert grid_eval("hheat", params, {"t": (-1.0, 1.0, 3)}, str(out)) == 3
+        assert [r["error"].split(":")[0] for r in self._rows(out)] == ["DomainError"] * 2 + [""]
+        params = {"k": 0.5, "mu": (0.0, -0.9), "z": (0.0, 1.0), "zp": (0.5, 2.0)}
+        assert grid_eval("hres", params, {"zp.y": (-1.0, 2.0, 4)}, str(out)) == 4
+        assert [r["error"].split(":")[0] for r in self._rows(out)] == ["DomainError"] * 2 + [""] * 2
+
+    def test_bad_component_axis_is_invalid_before_any_point(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        params = {"k": 0.0, "t": 0.5, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
+        with pytest.raises(InvalidGrid, match="must address .x or .y"):
+            grid_eval("hheat", params, {"zp.q": (1.5, 2.0, 2)}, str(out))
+        assert not out.exists()
+
+    def test_non_finite_value_names_each_node(self, tmp_path):
+        # a NaN shared by a group is no array call: each node's eval_kernel
+        # names it in its row
+        out = tmp_path / "grid.csv"
+        params = {"k": 0.5, "t": 0.8, "z": (math.nan, 1.0), "zp": (0.3, 1.5)}
+        assert grid_eval("hheat", params, {"zp.y": (1.5, 2.0, 3)}, str(out)) == 3
+        assert all(r["error"].startswith("NonFiniteInput: parameter z=") for r in self._rows(out))
+
+    def test_shorter_grid_over_longer_file(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        params = {"k": 0.0, "t": 0.5, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
+        grid_eval("hheat", params, {"zp.y": (1.5, 3.0, 40)}, str(out))
+        grid_eval("hheat", params, {"zp.y": (1.5, 2.0, 2)}, str(out))
+        text = out.read_text()
+        assert len(text.splitlines()) == 3 and text.endswith("\n")
+        assert [float(r["zp.y"]) for r in self._rows(out)] == [1.5, 2.0]
+
+    def test_written_in_place_like_open_w(self, tmp_path):
+        # created 0o666 less the umask; a symlink is written through and a
+        # hard link keeps seeing the file
+        import os
+        import stat
+        params = {"k": 0.0, "t": 0.5, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
+        target, link, hard = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
+        mask = os.umask(0o027)
+        try:
+            grid_eval("hheat", params, {"zp.y": (1.5, 3.0, 5)}, str(target))
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        link.symlink_to(target)
+        os.link(target, hard)
+        grid_eval("hheat", params, {"zp.y": (1.5, 2.0, 2)}, str(link))
+        assert link.is_symlink() and len(self._rows(target)) == 2
+        assert hard.read_text() == target.read_text() and hard.stat().st_ino == target.stat().st_ino
+
+    def test_devices_and_fifos_are_written_not_cut(self, tmp_path):
+        import os
+        import threading
+        params = {"k": 0.0, "t": 0.5, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
+        assert grid_eval("hheat", params, {"zp.y": (1.5, 2.0, 2)}, os.devnull) == 2
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+        reader.start()
+        try:
+            assert grid_eval("hheat", params, {"zp.y": (1.5, 2.0, 2)}, str(fifo)) == 2
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive() and len(got[0].splitlines()) == 3
+
+    def test_exception_leaves_the_rows_written(self, tmp_path, monkeypatch):
+        # a non-kernel error stops the sweep: the file holds the header and
+        # the rows before it, none of an older, longer file
+        out = tmp_path / "grid.csv"
+        params = {"k": 0.0, "lam": 1.0, "X": 0.0}
+        grid_eval("mheat", params, {"t": (0.5, 0.5, 1), "Xp": (0.1, 1.2, 6)}, str(out))
+        real, seen = harness.eval_kernel, []
+
+        def failing(kernel_id, p):
+            seen.append(p)
+            if len(seen) == 3:
+                raise RuntimeError("stop")
+            return real(kernel_id, p)
+
+        monkeypatch.setattr(harness, "eval_kernel", failing)
+        with pytest.raises(RuntimeError):
+            grid_eval("mheat", params, {"t": (0.5, 0.5, 1), "Xp": (0.1, 1.2, 6)}, str(out))
+        assert [float(r["Xp"]) for r in self._rows(out)] == [p["Xp"] for p in seen[:2]]
+
     def test_invalid_grid(self, tmp_path):
         with pytest.raises(InvalidGrid):
             grid_eval("hheat", {}, {}, str(tmp_path / "x.csv"))

@@ -157,6 +157,19 @@ class TestTrapezoidPeriodic:
             assert both.value[r] == res.value[0] and both.err_estimate[r] == res.err_estimate[0]
         assert both.err_estimate[1] <= 1e-12 < both.err_estimate[0] <= 1e-6
 
+    def test_noise_per_row(self):
+        # one integrand twice, each row with its own noise: each row equals its
+        # single-row call bit for bit, and the noisy row's floor, above the
+        # tolerance, leaves only that row unconverged
+        fn = lambda th: np.cos(100.0 * np.cos(th))
+        noise = [100 * EPS, 1e-9]
+        both = trapezoid_periodic(_rows(fn, fn), math.pi, 4, [1e-14, 1e-14], 1e-12, noise)
+        for r, nz in enumerate(noise):
+            one = trapezoid_periodic(_rows(fn), math.pi, 4, 1e-14, 1e-12, nz)
+            assert both.value[r] == one.value[0] and both.err_estimate[r] == one.err_estimate[0]
+            assert both.converged_rows(1e-14, 1e-12)[r] == one.converged
+        assert not both.converged and both.converged_rows(1e-14, 1e-12).tolist() == [True, False]
+
     def test_node_budget(self):
         # n0 far past the budget is cut to leave room for one doubling; a
         # result that needs more levels than fit comes back unconverged
@@ -219,6 +232,17 @@ class TestProperties:
         assert abs(res.value[0] - math.sqrt(math.pi) / 2) <= res.err_estimate[0]
         res = trapezoid_periodic(_rows(nan_at(0.0, np.cos)), 3.0, 4, 1e-14, 1e-12)
         assert not res.converged and math.isnan(res.value[0]) and res.n_evals == 9
+
+    def test_nan_row_leaves_other_rows_converged(self):
+        # each row's flag is the loop's own rule on that row: a NaN row marks
+        # the result unconverged but none of its neighbours
+        gauss = lambda x: np.exp(-x * x)
+        res = trapezoid_even(_rows(gauss, lambda x: np.full_like(x, np.nan), gauss), 6.0,
+                             [1e-14] * 3, 1e-12)
+        assert not res.converged and math.isnan(res.value[1])
+        assert res.converged_rows(1e-14, 1e-12).tolist() == [True, False, True]
+        single = trapezoid_even(_rows(gauss), 6.0, 1e-14, 1e-12)
+        assert res.value[0] == res.value[2] == single.value[0]
 
     def test_invariant_holds_under_cancellation(self):
         # int_0^inf e^{-x^2} cos(10 x) dx = (sqrt(pi)/2) e^{-25} is ~1e-11 of
