@@ -16,6 +16,7 @@ from __future__ import annotations
 import ast
 import cmath
 import csv
+import io
 import itertools
 import json
 import math
@@ -732,8 +733,8 @@ def _apply_axis(point: dict, name: str, value: float):
         point[name] = value
 
 
-# grid nodes sharing these parameters are one array call (mwave at k != 0 only)
-_ROW_KEYS = {"hheat": ("k", "t"), "hres": ("k", "mu"), "mwave": ("k", "lam")}
+# grid nodes sharing these are one array call (all mwave nodes at k != 0 are one)
+_ROW_KEYS = {"hheat": ("k", "t"), "hres": ("k", "mu"), "mwave": ()}
 
 
 def _eval_group(kernel_id: str, nodes: list) -> list:
@@ -778,9 +779,10 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
     ulps, and a rerun is bit-identical.  One CSV row per point: grid
     coordinates, Re/Im in decimal and hexadecimal, the error estimate, and
     the convergence flag.  Per-point kernel errors land in the row's error
-    column and the run continues.  The file is rewritten in place, a regular
-    file then cut at the rows written; no durability is promised (a kill
-    during the write can leave stale bytes past them).  Returns the row count.
+    column and the run continues.  Every row is formatted first, then
+    written over the file in place in one write, a regular file then cut at
+    the rows; no durability is promised (a kill during that write can leave
+    stale bytes past them).  Returns the row count.
     """
     if kernel_id not in KERNEL_IDS:
         raise InvalidGrid(f"unknown kernel id {kernel_id!r}")
@@ -798,41 +800,44 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
         except (TypeError, ValueError) as exc:
             raise InvalidGrid(f"axis {name!r} needs (start, stop, count), got {spec!r}") from exc
         axes.append((name, np.linspace(float(lo), float(hi), n).tolist()))
-    names, keys = [n for n, _ in axes], _ROW_KEYS.get(kernel_id, ())
+    names, keys = [n for n, _ in axes], _ROW_KEYS.get(kernel_id)
     try:  # a non-finite value: each node on its own, to name it in its row
         require_finite(**params, **{f"axis {n}": vals for n, vals in axes})
     except NonFiniteInput:
-        keys = ()
+        keys = None
     points, groups, done = [], {}, {}  # (coordinates, parameters, group) per node
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = dict(params)
         for n_, v in zip(names, combo):
             _apply_axis(point, n_, v)
-        alone = not keys or (kernel_id == "mwave" and point["k"] == 0)
+        alone = keys is None or (kernel_id == "mwave" and point["k"] == 0)
         key = len(points) if alone else tuple(point[n_] for n_ in keys)
         groups.setdefault(key, []).append(len(points))
         points.append((combo, point, key))
 
-    fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)  # open("w") without truncating
-    with open(fd, "w", newline="") as fh:
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(names + ["re", "im", "re_hex", "im_hex", "err_estimate", "converged",
-                                     "error"])
-            for i, (combo, _, key) in enumerate(points):
-                if i not in done:
-                    group = groups[key]
-                    done.update(zip(group, _eval_group(kernel_id, [points[j][1] for j in group])))
-                row = [f"{c:.17g}" for c in combo]
-                if isinstance(done[i], HypermorseError):
-                    row += ["nan", "nan", "", "", "", False, f"{type(done[i]).__name__}: {done[i]}"]
-                else:
-                    v, err, converged = done[i]
-                    v = complex(v)
-                    row += [f"{v.real:.17g}", f"{v.imag:.17g}", v.real.hex(), v.imag.hex(),
-                            f"{err:.3g}", bool(converged), ""]
-                writer.writerow(row)
-        finally:  # a FIFO or a device is written, not cut
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(names + ["re", "im", "re_hex", "im_hex", "err_estimate", "converged", "error"])
+    try:
+        for i, (combo, _, key) in enumerate(points):
+            if i not in done:
+                group = groups[key]
+                done.update(zip(group, _eval_group(kernel_id, [points[j][1] for j in group])))
+            row = [f"{c:.17g}" for c in combo]
+            if isinstance(done[i], HypermorseError):
+                row += ["nan", "nan", "", "", "", False, f"{type(done[i]).__name__}: {done[i]}"]
+            else:
+                v, err, converged = done[i]
+                v = complex(v)
+                row += [f"{v.real:.17g}", f"{v.imag:.17g}", v.real.hex(), v.imag.hex(),
+                        f"{err:.3g}", bool(converged), ""]
+            writer.writerow(row)
+    finally:  # the rows formatted, also those before an exception, in one write
+        fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)  # open("w") without truncating
+        with open(fd, "w", newline="") as fh:
+            try:
+                fh.write(text.getvalue())
+            finally:  # a FIFO or a device is written, not cut
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
     return len(points)

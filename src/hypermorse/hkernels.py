@@ -186,8 +186,7 @@ def resolvent_closed(sp: SpectralParam, k: float, z: HalfPlanePoint,
       * F(s-|k|, s+|k|; 2s; sech^2(rho/2)).
 
     z and zp may be equal-length lists of points: an ndarray of values then,
-    their c2 one array through the series and the gamma prefactor computed
-    once (a few ulps from the single calls); a pair on the diagonal raises.
+    one series call on their c2 (a few ulps from the single calls).
     """
     pairs = list(zip(z, zp)) if isinstance(z, list) else [(z, zp)]
     c2 = [cosh2_half_dist(*pair) for pair in pairs]
@@ -286,11 +285,9 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
     at |k| = 2, t > 92 at |k| = 1, t > 347 at |k| = 1/2, never at k = 0) it
     raises NotConverged.
 
-    z and zp may be equal-length lists of points: a row each of one sum cut
-    at the largest pair's cut, each row 0 past its own, so equal to its
-    pair's call bit for bit (quad._halving keeps rows apart); value,
-    err_estimate and converged (QuadratureResult.converged_rows) then hold
-    one entry per pair.
+    z and zp may be equal-length lists of points: a row each of one sum, 0
+    past the row's own cut, so each entry of value, err_estimate and
+    converged equals its pair's call bit for bit.
     """
     if not t > 0:
         raise DomainError("heat kernel needs t > 0")
@@ -302,11 +299,10 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
         rho = dist_halfplane(*pair)
         b_max = 2.0 * t * slope + math.sqrt((2.0 * t * slope - rho) ** 2 + 180.0 * t)
         par.append((rho, math.cosh(rho / 2.0), math.sqrt(b_max * b_max - rho * rho)))
-    cols = np.array(par).T[:, :, None] if len(par) > 1 else None
+    cols = np.array(par).T[:, :, None]
 
     def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # one pair: Python floats, so that a single point pays no broadcasting
-        rho, ch_r, cut = par[0] if cols is None else cols[:, rows]
+        rho, ch_r, cut = cols[:, rows]
         s2 = s * s
         b = np.sqrt(rho * rho + s2)
         x = (b + rho) / 2.0
@@ -315,7 +311,7 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
         decay = -b * b / (4.0 * t) - b / 2.0
         vals = (np.sqrt(_edge_q(x) * _edge_q(w))
                 * (np.exp(decay + 2.0 * ak * a) + np.exp(decay - 2.0 * ak * a)) / norm)
-        return vals[None, :] if cols is None else np.where(s < cut, vals, 0.0)  # 0 past a row's cut
+        return np.where(s < cut, vals, 0.0)  # 0 past a row's cut
 
     s_max = max(cut for _, _, cut in par)
     res = quad.trapezoid_even(f, s_max, [cfg.abs_tol] * len(par), cfg.rel_tol)
@@ -325,6 +321,6 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
     if isinstance(z, list):
         phase = np.array([magnetic_phase_halfplane(k, *pair) for pair in pairs])
         return quad.QuadratureResult(phase * res.value, res.err_estimate, res.n_evals,
-                                     res.converged_rows(cfg.abs_tol, cfg.rel_tol))
+                                     res.converged_rows)
     return quad.QuadratureResult(magnetic_phase_halfplane(k, z, zp) * res.value[0],
                                  res.err_estimate[0], res.n_evals, res.converged)

@@ -217,34 +217,31 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     (the phase lam u carries eps lam Z).  Past the sum's node budget (lam Z
     in the thousands) it returns converged=False.
 
-    cfg and b may be equal-length lists: a row each of one sum, n starting
-    at the largest row's, each row with its own floor; value, err_estimate
-    and converged (QuadratureResult.converged_rows) then hold one entry per
-    row.
+    cfg and b may be equal-length lists: a row each of one sum from the
+    largest row's n, so value, err_estimate and converged hold one entry each.
     """
     cfgs, bs = (cfg, b) if isinstance(cfg, list) else ([cfg], [b])
     for cfg_, b_ in zip(cfgs, bs):
         _require_support(cfg_, b_)
-    par = [(cfg_.y, cfg_.yp, cfg_.lam, cfg_.k, float(wave_aux_z(cfg_, b_)), math.cosh(b_ / 2.0))
-           for cfg_, b_ in zip(cfgs, bs)]
-    cols = np.array(par).T[:, :, None] if len(par) > 1 else None
+    par = [(c_.lam, float(wave_aux_z(c_, b_)), c_.k, abs(c_.k), c_.y + c_.yp, 4.0 * c_.y * c_.yp,
+            math.cosh(b_ / 2.0)) for c_, b_ in zip(cfgs, bs)]
+    cols = np.array(par).T[:, :, None]
 
     def f(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # one row: Python floats, so that a single point pays no broadcasting
-        y, yp, lam, k, z_edge, ch_b2 = par[0] if cols is None else cols[:, rows]
+        lam, z_edge, k, ak, v, yy4, ch_b2 = cols[:, rows]
         # 2 Re g: the phase ((-u + iv)/(u + iv))^k is e^{ik(pi - 2 arg(u + iv))}
-        u, v = z_edge * np.cos(theta), y + yp
-        c = ch_b2 * np.sqrt(4.0 * y * yp / (u * u + v * v))
-        return (_wave_profile(abs(k), c) * np.cos(k * (math.pi - 2.0 * np.arctan2(v, u)) - lam * u)
-                / math.pi).reshape(len(rows), -1)
+        u = z_edge * np.cos(theta)
+        c = ch_b2 * np.sqrt(yy4 / (u * u + v * v))
+        return (_wave_profile(ak, c) * np.cos(k * (math.pi - 2.0 * np.arctan2(v, u)) - lam * u)
+                / math.pi)
 
-    lam_z, tol, eps = [row[2] * row[4] for row in par], quad.DEFAULT_CONFIG, np.finfo(float).eps
+    lam_z, tol, eps = [row[0] * row[1] for row in par], quad.DEFAULT_CONFIG, np.finfo(float).eps
     res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(max(lam_z) / 4.0) + 8,
                                   [tol.abs_tol] * len(par), tol.rel_tol,
                                   [eps * (lz + 4.0) for lz in lam_z])
     if isinstance(cfg, list):
         return quad.QuadratureResult(res.value.astype(complex), res.err_estimate, res.n_evals,
-                                     res.converged_rows(tol.abs_tol, tol.rel_tol))
+                                     res.converged_rows)
     return quad.QuadratureResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals,
                                  res.converged)
 

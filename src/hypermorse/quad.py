@@ -57,15 +57,10 @@ class QuadratureResult:
     err_estimate: float
     n_evals: int
     converged: bool
+    converged_rows: list = None  # a sum of rows: each row's flag, converged their all
 
     def tolerance_bound(self, cfg: QuadConfig) -> float:
         return max(cfg.abs_tol, cfg.rel_tol * abs(self.value))
-
-    def converged_rows(self, abs_tol, rel_tol: float) -> np.ndarray:
-        """Each row's converged flag, by the halving loop's own rule: its
-        err_estimate is finite and meets max(abs_tol, rel_tol |value|)."""
-        err = self.err_estimate
-        return (err <= np.maximum(abs_tol, rel_tol * np.abs(self.value))) & np.isfinite(err)
 
     def scaled(self, c) -> "QuadratureResult":
         return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.n_evals,
@@ -107,17 +102,16 @@ def _halving(f, h: float, span: float, closed: bool, abs_tol, rel_tol: float, no
     no row stops sooner.  A row stops once err = |T(h) - T(h/2)| meets
     max(abs_tol, rel_tol |T|), or the floor max(noise h sum w|f|, eps |T|)
     (noise: f's relative round-off; err never below the floor; a floor above
-    the tolerance, or a NaN, makes converged False).  Rows open past
-    max_nodes nodes, the first call's included, make converged False.  No row
-    reads another's sums, so each row is its own single-row call, and
-    QuadratureResult.converged_rows gives each row's flag.  value and
-    err_estimate hold one entry per row; n_evals counts every row's nodes.
+    the tolerance, or a NaN, leaves the row unconverged), as do rows open
+    past max_nodes nodes, the first call's included.  No row reads another's
+    sums.  value, err_estimate and converged_rows hold one entry per row;
+    n_evals counts every row's nodes.
     """
     tol = np.array(abs_tol, dtype=float, ndmin=1).tolist()
     noise = [noise] * len(tol) if np.isscalar(noise) else list(noise)
     value, err = [math.inf] * len(tol), [math.inf] * len(tol)
     rows, sums = list(range(len(tol))), [None] * len(tol)  # the open rows, their (total, mag, T(2h))
-    n, n_nodes, converged = 0, 0, True
+    n, n_nodes, ok = 0, 0, [True] * len(tol)
     nodes = np.arange(0.0, span + closed) * h
     first, h, span = len(nodes), h / 2.0, 2.0 * span
     nodes = np.concatenate([nodes, np.arange(1.0, span, 2.0) * h])
@@ -146,13 +140,15 @@ def _halving(f, h: float, span: float, closed: bool, abs_tol, rel_tol: float, no
             if e > max(bound, floor):
                 kept.append((r, (total, mag, v)))
             elif not e <= bound:  # stopped at a floor above the tolerance, or at a NaN
-                converged = False
+                ok[r] = False
         if not kept:
-            return QuadratureResult(np.array(value), np.array(err), n, converged)
+            return QuadratureResult(np.array(value), np.array(err), n, all(ok), ok)
         rows, sums = [r for r, _ in kept], [row_sums for _, row_sums in kept]
         h, span = h / 2.0, 2.0 * span
         nodes = np.arange(1.0, span, 2.0) * h
-    return QuadratureResult(np.array(value), np.array(err), n, False)
+    for r in rows:  # open at the budget
+        ok[r] = False
+    return QuadratureResult(np.array(value), np.array(err), n, False, ok)
 
 
 def _first_level(line: list, closed: bool) -> float:

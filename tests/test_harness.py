@@ -516,6 +516,22 @@ class TestGridEval:
             direct = eval_kernel("hres", self._node(params, row, ["zp.y"])).value
             assert row["error"] == "" and float.fromhex(row["re_hex"]) == direct.real
 
+    def test_mwave_one_group_across_k_and_lam(self, tmp_path, monkeypatch):
+        # each row of the Fourier sum reads its own k and lam: the 6 nodes at
+        # k != 0 are one call, the 2 at k = 0 run alone (the J0 closed form)
+        calls = []
+        real = harness.wave_kernel_fourier
+
+        def counted(cfg, b):
+            calls.append(len(cfg) if isinstance(cfg, list) else 1)
+            return real(cfg, b)
+
+        monkeypatch.setattr(harness, "wave_kernel_fourier", counted)
+        params = {"X": 0.1, "Xp": -0.3, "b": 1.5}
+        rows = self._against_eval(tmp_path, "mwave", params,
+                                  {"k": (-0.5, 1.0, 4), "lam": (0.8, 1.6, 2)}, 1e-13)
+        assert calls[0] == 6 and calls.count(6) == 1 and len(rows) == 8
+
     def test_one_group_per_t(self, tmp_path, monkeypatch):
         calls = []
         real = harness.hyp_heat_kernel
@@ -598,6 +614,24 @@ class TestGridEval:
         finally:
             reader.join(timeout=30)
         assert not reader.is_alive() and len(got[0].splitlines()) == 3
+
+    def test_file_untouched_while_the_nodes_run(self, tmp_path, monkeypatch):
+        # every row is formatted before the file is opened: a process killed
+        # during the sweep leaves the older file whole
+        # (120 rows pass any write buffer; hwave runs node by node)
+        out = tmp_path / "grid.csv"
+        params = {"k": 0.5, "z": (0.0, 1.0), "zp": (0.5, 1.5)}
+        grid_eval("hwave", params, {"b": (2.0, 3.0, 200)}, str(out))
+        before, seen = out.read_bytes(), []
+        real = harness.eval_kernel
+
+        def watching(kernel_id, p):
+            seen.append(out.read_bytes() == before)
+            return real(kernel_id, p)
+
+        monkeypatch.setattr(harness, "eval_kernel", watching)
+        grid_eval("hwave", params, {"b": (2.5, 3.5, 120)}, str(out))
+        assert seen == [True] * 120 and len(self._rows(out)) == 120
 
     def test_exception_leaves_the_rows_written(self, tmp_path, monkeypatch):
         # a non-kernel error stops the sweep: the file holds the header and

@@ -167,8 +167,8 @@ class TestTrapezoidPeriodic:
         for r, nz in enumerate(noise):
             one = trapezoid_periodic(_rows(fn), math.pi, 4, 1e-14, 1e-12, nz)
             assert both.value[r] == one.value[0] and both.err_estimate[r] == one.err_estimate[0]
-            assert both.converged_rows(1e-14, 1e-12)[r] == one.converged
-        assert not both.converged and both.converged_rows(1e-14, 1e-12).tolist() == [True, False]
+            assert both.converged_rows[r] == one.converged
+        assert not both.converged and both.converged_rows == [True, False]
 
     def test_node_budget(self):
         # n0 far past the budget is cut to leave room for one doubling; a
@@ -240,7 +240,7 @@ class TestProperties:
         res = trapezoid_even(_rows(gauss, lambda x: np.full_like(x, np.nan), gauss), 6.0,
                              [1e-14] * 3, 1e-12)
         assert not res.converged and math.isnan(res.value[1])
-        assert res.converged_rows(1e-14, 1e-12).tolist() == [True, False, True]
+        assert res.converged_rows == [True, False, True]
         single = trapezoid_even(_rows(gauss), 6.0, 1e-14, 1e-12)
         assert res.value[0] == res.value[2] == single.value[0]
 
