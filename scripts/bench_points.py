@@ -11,6 +11,16 @@ in ms and its n_evals, the machine-independent count.  The calibration's
 n_evals is the sum over the transmutation integrals it computes.  Each grid
 of those rounds is also timed as one `harness.grid_eval` call writing into a
 temporary directory ("grid_eval": kernel, best ms and rows per grid).
+
+"gauss_2f1" holds the traffic of specfun.gauss_2f1, the calls made from
+outside it (a Pfaff step's inner call is not counted), for one `transverse`
+round (its seed only shuffles the order) and the first `closed_random` and
+`grid_sweep` rounds at seeds 1 and 2, each point run once as the benchmark
+runs it: per round, the scalar and the array calls, the array entries, and
+how many scalar arguments and array entries each region takes (direct, log,
+pfaff, zero for z = 0, raised where none is reliable).  A change to the
+region policy can cite its traffic from here.
+
 Run from the repository root:
 
     python3 scripts/bench_points.py
@@ -18,6 +28,7 @@ Run from the repository root:
 Wall times depend on the machine and its load; compare runs taken on the
 same machine, one after the other.
 """
+import itertools
 import json
 import math
 import os
@@ -26,10 +37,15 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from hypermorse import harness, mkernels  # noqa: E402
+import hypermorse  # noqa: E402
+from checks import call  # noqa: E402  the benchmark's call of a point
+from hypermorse import harness, mkernels, specfun  # noqa: E402
+from hypermorse.errors import HypermorseError  # noqa: E402
 from hypermorse.mkernels import MorseConfig  # noqa: E402
 from workloads import HEAT_STRATA, RES_STRATA, grid_nodes, rounds  # noqa: E402  the rounds' points
 
@@ -70,6 +86,49 @@ def calibration_evals() -> int:
     return total
 
 
+def gauss_2f1_traffic(points, grid_path: str) -> dict:
+    """Outer gauss_2f1 calls while the points run, scalar and array, and the
+    regions their arguments take, by specfun._region's pick."""
+    kinds = ("direct", "log", "pfaff", "zero", "raised")
+    counts = {"scalar": dict.fromkeys(("calls",) + kinds, 0),
+              "array": dict.fromkeys(("calls", "entries") + kinds, 0)}
+    real_f, real_region, depth, shape = specfun.gauss_2f1, specfun._region, 0, "scalar"
+
+    def gauss_2f1(a, b, c, z):
+        nonlocal depth, shape
+        depth += 1
+        try:
+            if depth == 1:
+                shape = "array" if isinstance(z, np.ndarray) and z.ndim else "scalar"
+                counts[shape]["calls"] += 1
+                if shape == "array":
+                    counts[shape]["entries"] += z.size
+            return real_f(a, b, c, z)
+        finally:
+            depth -= 1
+
+    def region(*args):
+        kind = "raised"
+        try:
+            group = real_region(*args)
+            kind = "zero" if group is None else group.__name__.strip("_").split("_")[0]
+            return group
+        finally:
+            if depth == 1:
+                counts[shape][kind] += 1
+
+    specfun.gauss_2f1, specfun._region = gauss_2f1, region
+    try:
+        for point in points:
+            try:
+                call(hypermorse, point, grid_path)
+            except HypermorseError:
+                pass  # a point that raises still made its calls
+    finally:
+        specfun.gauss_2f1, specfun._region = real_f, real_region
+    return counts
+
+
 def main() -> int:
     ms, _ = best_of(harness.calibrate_spectral_mapping)
     out = {"repeats": REPEATS, "calibrate": {"best_ms": round(ms, 3), "n_evals": calibration_evals()}}
@@ -101,6 +160,12 @@ def main() -> int:
                      "n_evals": [res.n_evals for _, res in runs],
                      "sum_best_ms": round(sum(ms for ms, _ in runs), 3)}
     out["grid_eval"] = grids
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        traffic = {"transverse": gauss_2f1_traffic(next(rounds("transverse", 1)), path)}
+        for workload, seed in itertools.product(("closed_random", "grid_sweep"), GRID_SEEDS):
+            traffic[f"{workload}.seed{seed}"] = gauss_2f1_traffic(next(rounds(workload, seed)), path)
+    out["gauss_2f1"] = traffic
     print(json.dumps(out, indent=1))
     return 0
 

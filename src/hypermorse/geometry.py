@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "HalfPlanePoint",
@@ -39,6 +39,8 @@ class HalfPlanePoint:
     y: float
 
     def __post_init__(self):
+        if not math.isfinite(self.x + self.y):  # a NaN or inf spoils the sum
+            require_finite(x=self.x, y=self.y)
         if not self.y > 0:
             raise DomainError(f"half-plane point needs y > 0, got y={self.y}")
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import mkernels, quad, specfun
 from .errors import (CalibrationAmbiguous, HypermorseError, InvalidGrid, MissingParameter,
-                     NonFiniteInput, NotConverged, OutsideConvergenceRegion, Phi1OutsideDisc,
+                     NotConverged, OutsideConvergenceRegion, Phi1OutsideDisc,
                      UnsupportedK, require_finite)
 from .geometry import HalfPlanePoint, two_k_int
 from .hkernels import (
@@ -135,7 +135,7 @@ def _converged(res: quad.QuadratureResult):
     """res.value, or NotConverged where res did not converge: an integral that
     missed its tolerance never counts toward a pass."""
     if not res.converged:
-        raise NotConverged(f"integral unconverged: err_estimate {res.err_estimate:.3g}"
+        raise NotConverged(f"integral unconverged: err_estimate {np.max(res.err_estimate):.3g}"
                            f" after {res.n_evals} evaluations")
     return res.value
 
@@ -753,7 +753,7 @@ def _eval_group(kernel_id: str, nodes: list) -> list:
                     vals = hyp_resolvent_closed(SpectralParam(_complex(p["mu"])), p["k"], z, zp)
                     return [(v, 0.0, True) for v in vals]
                 res = hyp_heat_kernel(p["t"], p["k"], z, zp)
-            return list(zip(res.value, res.err_estimate, res.converged))
+            return list(zip(res.value, res.err_estimate, res.converged_rows))
     except HypermorseError:
         pass  # each node on its own: its value or its error
     out = []
@@ -801,10 +801,6 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
             raise InvalidGrid(f"axis {name!r} needs (start, stop, count), got {spec!r}") from exc
         axes.append((name, np.linspace(float(lo), float(hi), n).tolist()))
     names, keys = [n for n, _ in axes], _ROW_KEYS.get(kernel_id)
-    try:  # a non-finite value: each node on its own, to name it in its row
-        require_finite(**params, **{f"axis {n}": vals for n, vals in axes})
-    except NonFiniteInput:
-        keys = None
     points, groups, done = [], {}, {}  # (coordinates, parameters, group) per node
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = dict(params)

@@ -106,10 +106,11 @@ def wave_kernel_radial(k: float, b, rho: float, form: str = "auto"):
     "iii" (Chebyshev) and "iv" (finite sum; the last two need 2k integer)
     are independent targets of the hyperbolic_forms identity.
     """
-    ak, n_int = abs(k), two_k_int(k)
     b_arr = np.asarray(b, dtype=float)
     scalar = b_arr.ndim == 0
     b_arr = np.atleast_1d(b_arr)
+    require_finite(k=k, rho=rho, b=b_arr.tolist())
+    ak, n_int = abs(k), two_k_int(k)
     if np.any(b_arr <= rho):
         raise OutsideSupport(f"radial wave kernel needs b > rho={rho}")
     C, S = _cosh2_ratio(b_arr, rho)
@@ -149,6 +150,7 @@ def wave_kernel(form: str, k: float, b: float,
     Returns a hard zero for b < rho; exactly at b = rho the kernel carries
     its integrable inverse-square-root singularity and the call raises.
     """
+    require_finite(k=k, b=b)
     rho = dist_halfplane(z, zp)
     if b < rho:
         return 0.0 + 0.0j
@@ -188,6 +190,7 @@ def resolvent_closed(sp: SpectralParam, k: float, z: HalfPlanePoint,
     z and zp may be equal-length lists of points: an ndarray of values then,
     one series call on their c2 (a few ulps from the single calls).
     """
+    require_finite(k=k)
     pairs = list(zip(z, zp)) if isinstance(z, list) else [(z, zp)]
     c2 = [cosh2_half_dist(*pair) for pair in pairs]
     if min(c2) - 1.0 < _DIAG_TOL:
@@ -236,6 +239,7 @@ def resolvent_integral(sp: SpectralParam, k: float, z: HalfPlanePoint,
     e^{-i mu b} and the edge factor's e^{-b/2}, so that no factor overflows
     out to the cut.
     """
+    require_finite(k=k)
     mu = complex(sp.mu)
     _check_decay(mu, k)
     rho = dist_halfplane(z, zp)
@@ -287,8 +291,9 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
 
     z and zp may be equal-length lists of points: a row each of one sum, 0
     past the row's own cut, so each entry of value, err_estimate and
-    converged equals its pair's call bit for bit.
+    converged_rows equals its pair's call bit for bit; converged is all rows'.
     """
+    require_finite(t=t, k=k)
     if not t > 0:
         raise DomainError("heat kernel needs t > 0")
     pairs = list(zip(z, zp)) if isinstance(z, list) else [(z, zp)]
@@ -318,9 +323,5 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
     if not res.n_evals:  # not even the first two levels fit the node budget
         raise NotConverged(f"heat sum out to s = {s_max:.4g} needs more trapezoid nodes than the"
                            f" budget holds (t (|k| - 1/2) = {t * slope:.3g} too large)")
-    if isinstance(z, list):
-        phase = np.array([magnetic_phase_halfplane(k, *pair) for pair in pairs])
-        return quad.QuadratureResult(phase * res.value, res.err_estimate, res.n_evals,
-                                     res.converged_rows)
-    return quad.QuadratureResult(magnetic_phase_halfplane(k, z, zp) * res.value[0],
-                                 res.err_estimate[0], res.n_evals, res.converged)
+    res.value = np.array([magnetic_phase_halfplane(k, *pair) for pair in pairs]) * res.value
+    return res if isinstance(z, list) else res.row(0)

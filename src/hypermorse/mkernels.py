@@ -112,6 +112,7 @@ def wave_aux_z(cfg: MorseConfig, b) -> np.ndarray:
 
 
 def _require_support(cfg: MorseConfig, b: float, strict: bool = True):
+    require_finite(b=b)
     if b < cfg.rho_m or (strict and b == cfg.rho_m):
         raise OutsideSupport(
             f"Morse wave kernel supported on b >= |X - X'| = {cfg.rho_m}, got b={b}")
@@ -218,7 +219,8 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     in the thousands) it returns converged=False.
 
     cfg and b may be equal-length lists: a row each of one sum from the
-    largest row's n, so value, err_estimate and converged hold one entry each.
+    largest row's n, so value, err_estimate and converged_rows hold one entry
+    each, and converged is all rows'.
     """
     cfgs, bs = (cfg, b) if isinstance(cfg, list) else ([cfg], [b])
     for cfg_, b_ in zip(cfgs, bs):
@@ -239,11 +241,8 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
     res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(max(lam_z) / 4.0) + 8,
                                   [tol.abs_tol] * len(par), tol.rel_tol,
                                   [eps * (lz + 4.0) for lz in lam_z])
-    if isinstance(cfg, list):
-        return quad.QuadratureResult(res.value.astype(complex), res.err_estimate, res.n_evals,
-                                     res.converged_rows)
-    return quad.QuadratureResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals,
-                                 res.converged)
+    res.value = res.value.astype(complex)
+    return res if isinstance(cfg, list) else res.row(0)
 
 
 def resolvent_closed(cfg: MorseConfig, mu):
@@ -360,6 +359,7 @@ def heat_kernel(cfg: MorseConfig, t: float,
     2 lam e^{max(X, X')} lifts the floor; past 40 the closed resolvent raises
     SeriesNonConvergence.
     """
+    require_finite(t=t)
     if not t > 0:
         raise DomainError("heat kernel needs t > 0")
     c = (math.ceil(2.0 * max(cfg.k + 0.25, 0.25) - 0.5) + 0.5) / 2.0
@@ -372,8 +372,7 @@ def heat_kernel(cfg: MorseConfig, t: float,
         mu = sig - 1j * c
         return -(mu * np.exp(-t * mu * mu) * resolvent_closed(cfg, mu)).imag[None, :] / (4 * math.pi ** 2)
 
-    res = quad.trapezoid_even(f, sig_max, qcfg.abs_tol, qcfg.rel_tol, noise)
-    return quad.QuadratureResult(res.value[0], res.err_estimate[0], res.n_evals, res.converged)
+    return quad.trapezoid_even(f, sig_max, qcfg.abs_tol, qcfg.rel_tol, noise).row(0)
 
 
 def theta_hw(r, tau: float, abs_tol) -> quad.QuadratureResult:
@@ -436,6 +435,7 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
     converged needs that total to meet _HW_CFG (rel_tol 1e-7, abs_tol
     1e-14).  Callers use t >= 0.7.
     """
+    require_finite(t=t)
     if not t > 0:
         raise DomainError("oracle needs t > 0")
     acc = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
@@ -468,7 +468,7 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
 
     xi_max = math.log(max(45.0, u_max / damp0))  # damping e^{-45} on the left, u_max on the right
     res = quad.trapezoid_even(outer, xi_max, _HW_CFG.abs_tol, _HW_CFG.rel_tol)
-    res = quad.QuadratureResult(res.value[0], res.err_estimate[0], res.n_evals, res.converged) + acc
+    res = res.row(0) + acc
     res.err_estimate += 2.0 * xi_max * err
     res.converged = res.converged and res.err_estimate <= res.tolerance_bound(_HW_CFG)
     return res.scaled(1.0 / (4.0 * math.pi))

@@ -62,6 +62,11 @@ class QuadratureResult:
     def tolerance_bound(self, cfg: QuadConfig) -> float:
         return max(cfg.abs_tol, cfg.rel_tol * abs(self.value))
 
+    def row(self, i: int) -> "QuadratureResult":
+        """Row i of a sum of rows as Python numbers, converged its own flag."""
+        return QuadratureResult(self.value.item(i), self.err_estimate.item(i), self.n_evals,
+                                self.converged_rows[i])
+
     def scaled(self, c) -> "QuadratureResult":
         return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.n_evals,
                                 self.converged)

@@ -322,16 +322,12 @@ def _pfaff_group(a: complex, b: complex, c: complex, z, term_n: None):
 
 
 # The thresholds of gauss_2f1's region policy (see its docstring), read by
-# _region (scalars, no NumPy) and _region_masks (arrays) alike.
+# _region alone, at a scalar z and at each entry of an array.
 _LOG_GAP = 0.3      # the log connection needs |1 - z| below this
 _LOG_GAP_AB = 2.0   # ... and |1 - z| |a b| below this
 _C_SUM_TOL = 9e-16  # c = a + b to 4 ulps: |c - a - b| over max(|a|, |b|, |c|)
 _DIRECT_R = 0.7     # the direct series at |z| <= this
 _SERIES_R = 0.98    # Pfaff maps inside this; beyond it no sum is reliable
-
-
-def _c_is_a_plus_b(a: complex, b: complex, c: complex) -> bool:
-    return abs(c - a - b) <= _C_SUM_TOL * max(abs(a), abs(b), abs(c))
 
 
 def _region(z: complex, a: complex, b: complex, c: complex, term_n: Union[int, None]):
@@ -341,7 +337,7 @@ def _region(z: complex, a: complex, b: complex, c: complex, term_n: Union[int, N
         return None
     gap = abs(1.0 - z)
     if term_n is None and gap < _LOG_GAP and gap * abs(a * b) < _LOG_GAP_AB \
-            and _c_is_a_plus_b(a, b, c):
+            and abs(c - a - b) <= _C_SUM_TOL * max(abs(a), abs(b), abs(c)):
         if z == 1:
             raise LogarithmicSingularity(f"2F1 with c = a + b = {c} diverges at z = 1")
         return _log_group
@@ -352,33 +348,6 @@ def _region(z: complex, a: complex, b: complex, c: complex, term_n: Union[int, N
     if abs(z) < _SERIES_R:
         return _direct_group
     raise SeriesNonConvergence(f"2F1 argument z={z} outside the reliable region")
-
-
-def _region_masks(zs, a: complex, b: complex, c: complex, term_n: Union[int, None]):
-    """_region over the array zs as [(sum, mask of its entries)]; zeros are in no
-    mask.  Raises as _region does, at the first entry where no sum is reliable."""
-    nonzero = zs != 0
-    if term_n is not None:
-        return [(_direct_group, nonzero)]
-    size = np.abs(zs)
-    log = np.zeros(zs.shape, dtype=bool)
-    if _c_is_a_plus_b(a, b, c):
-        gap = np.abs(1.0 - zs)
-        log = nonzero & (gap < _LOG_GAP) & (gap * abs(a * b) < _LOG_GAP_AB)
-    direct = nonzero & ~log & (size <= _DIRECT_R)
-    rest = nonzero & ~log & ~direct
-    pfaff, bad = np.zeros(zs.shape, dtype=bool), log & (zs == 1)
-    if np.count_nonzero(rest):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pfaff = rest & (np.abs(zs / (zs - 1.0)) < np.minimum(_SERIES_R, size))
-        direct |= rest & ~pfaff & (size < _SERIES_R)
-        bad |= rest & ~direct & ~pfaff
-    if np.count_nonzero(bad):
-        i = bad.argmax()
-        if log[i]:
-            raise LogarithmicSingularity(f"2F1 with c = a + b = {c} diverges at z = 1")
-        raise SeriesNonConvergence(f"2F1 argument z={complex(zs[i])} outside the reliable region")
-    return [(_log_group, log), (_direct_group, direct), (_pfaff_group, pfaff)]
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, z):
@@ -397,11 +366,11 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
     * the Pfaff transformation F(a,b,c,z) = (1-z)^(-a) F(a, c-b, c, z/(z-1))
       where it maps the argument closer to 0 and inside 0.98 (always for z < 0);
     * the direct series for |z| < 0.98; beyond it SeriesNonConvergence.
-    An array raises where an entry would.  NumPy masks sort its entries into
-    the regions, and each region of two or more entries is one table of
-    terms, with as many rows as its largest |z| (log region: |1 - z|) needs,
-    doubled for the entries that need more; each entry stops by its own
-    three-quiet-terms rule.
+    An array raises where an entry would, at the first: _region sorts each
+    entry as it does a scalar z, all before any sum runs.  Each region of two
+    or more entries is one table of terms, with as many rows as its largest
+    |z| (log region: |1 - z|) needs, doubled for the entries that need more;
+    each entry stops by its own three-quiet-terms rule.
     """
     a, b, c = complex(a), complex(b), complex(c)
     term_n = _terminating_index(a, b)
@@ -412,10 +381,13 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
         group = _region(z, a, b, c, term_n)
         return 1.0 + 0.0j if group is None else group(a, b, c, z, term_n)
     zs = z.astype(complex).ravel()
-    out = np.ones(zs.shape, dtype=complex)
-    for group, sel in _region_masks(zs, a, b, c, term_n):
-        if np.count_nonzero(sel):
-            out[sel] = group(a, b, c, zs[sel], term_n)
+    out, entries = np.ones(zs.shape, dtype=complex), {}  # each sum's entries; zeros keep F = 1
+    for i, zi in enumerate(zs.tolist()):
+        group = _region(zi, a, b, c, term_n)
+        if group is not None:
+            entries.setdefault(group, []).append(i)
+    for group, idx in entries.items():
+        out[idx] = group(a, b, c, zs[idx], term_n)
     return out.reshape(z.shape)
 
 

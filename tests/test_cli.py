@@ -153,6 +153,14 @@ class TestGrid:
         assert rc == 2 and not out.exists()
         assert "needs" in capsys.readouterr().err
 
+    def test_ranged_axis_of_two_pieces_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("kernel = hheat\nk = 0.5\nt = 0.8\nz = 0,1\nzp = 0.3,1.5\nzp.y = 1.5:2.0\n")
+        out = tmp_path / "o.csv"
+        rc = main(["grid", "--kernel", "hheat", "--spec", str(spec), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert f"{spec}:6: ranged axis needs lo:hi:count" in capsys.readouterr().err
+
     def test_kernel_line_must_match(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("kernel = mheat\nk = 0\nlambda = 1.0\nX = 0\nXp = 0.3\nt = 0.5:1.0:2\n")

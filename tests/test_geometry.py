@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hypermorse.errors import NonFiniteInput
 from hypermorse.geometry import (
     HalfPlanePoint,
     cosh2_half_dist,
@@ -21,6 +22,12 @@ class TestPoints:
     def test_halfplane_validation(self):
         with pytest.raises(ValueError):
             HalfPlanePoint(0.0, -1.0)
+
+    @pytest.mark.parametrize("x, y, named", [(math.nan, 1.0, "x=nan"), (0.0, math.inf, "y=inf"),
+                                             (-math.inf, 1.0, "x=-inf"), (0.0, math.nan, "y=nan")])
+    def test_non_finite_coordinate_is_named(self, x, y, named):
+        with pytest.raises(NonFiniteInput, match=named):
+            HalfPlanePoint(x, y)
 
     def test_two_k_int(self):
         # round(2|k|) where 2k is an integer to 1e-12, else None

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from hypermorse import harness, mkernels, specfun
-from hypermorse.errors import CalibrationAmbiguous, InvalidGrid, MissingParameter, NonFiniteInput
+from hypermorse.errors import (CalibrationAmbiguous, GammaPole, InvalidGrid, MissingParameter,
+                               NonFiniteInput)
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.harness import (
     IdentityReport,
@@ -348,6 +349,43 @@ class TestEvalKernel:
         with pytest.raises(ValueError):
             eval_kernel("nope", {})
 
+    @pytest.mark.parametrize("kernel, params", [
+        ("hres", {"k": 0.5, "mu": (0.3, -0.9), "z": (0.0, 1.0), "zp": (0.5, 2.0)}),
+        ("hwave", {"k": 0.5, "b": 2.5, "z": (0.0, 1.0), "zp": (0.5, 2.0), "form": "ii"}),
+        ("hheat", {"k": 0.5, "t": 0.8, "z": (0.0, 1.0), "zp": (0.5, 2.0)}),
+        ("mres", {"k": 0.5, "lam": 1.0, "mu": (0.3, -0.9), "X": 0.0, "Xp": 0.35}),
+        ("mheat", {"k": 0.5, "lam": 1.0, "X": 0.0, "Xp": 0.35, "t": 0.8}),
+        ("mwave", {"k": 0.0, "lam": 1.0, "X": 0.0, "Xp": 0.35, "b": 1.2}),
+        ("mwave", {"k": 0.5, "lam": 1.0, "X": 0.0, "Xp": 0.35, "b": 1.2}),
+    ])
+    def test_each_kernel_is_its_direct_call(self, kernel, params):
+        from hypermorse import hkernels
+        p = params
+        z, zp = (HalfPlanePoint(*p.get(name, (0.0, 1.0))) for name in ("z", "zp"))
+        cfg = MorseConfig(p["lam"], p["k"], p["X"], p["Xp"]) if "lam" in p else None
+
+        def closed(value):
+            return QuadratureResult(value, 0.0, 0, True)
+
+        direct = {
+            "hres": lambda: closed(hkernels.resolvent_closed(SpectralParam(complex(*p["mu"])), p["k"], z, zp)),
+            "hwave": lambda: closed(hkernels.wave_kernel(p["form"], p["k"], p["b"], z, zp)),
+            "hheat": lambda: hkernels.heat_kernel(p["t"], p["k"], z, zp),
+            "mres": lambda: closed(mkernels.resolvent_closed(cfg, complex(*p["mu"]))),
+            "mheat": lambda: mkernels.heat_kernel(cfg, p["t"]),
+            "mwave": lambda: (mkernels.wave_kernel_fourier(cfg, p["b"]) if p["k"]
+                              else closed(mkernels.wave_kernel_bessel0(cfg, p["b"]))),
+        }
+        got, expect = eval_kernel(kernel, params), direct[kernel]()
+        assert (got.value, got.err_estimate, got.n_evals, got.converged) == \
+            (expect.value, expect.err_estimate, expect.n_evals, True)
+
+    def test_gamma_pole_at_two_s(self):
+        # mu = i/2 puts 2s = 1 + 2 i mu on the pole at 0, while s -+ k are not poles
+        params = {"k": 0.3, "mu": 0.5j, "z": (0.0, 1.0), "zp": (0.5, 2.0)}
+        with pytest.raises(GammaPole, match="log_gamma pole at z=0j"):
+            eval_kernel("hres", params)
+
     def test_missing_parameter_is_named(self):
         with pytest.raises(MissingParameter, match="needs X$"):
             eval_kernel("mwave", {"k": 0, "lam": 1, "Xp": 0.3, "b": 1})
@@ -441,6 +479,30 @@ class TestGridEval:
         with pytest.raises(InvalidGrid, match=f"needs {missing},"):
             grid_eval(kernel, params, axes, str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis", [(1.5, 2.0), (1.5, 2.0, 0), (1.5, 2.0, "three"),
+                                      (1.5, 2.0, None), (1.5, 2.0, 2, 4)])
+    def test_malformed_axis_with_every_parameter(self, tmp_path, axis):
+        # every parameter given, so only the axis check can stop the grid
+        params = {"k": 0.5, "t": 0.8, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
+        out = tmp_path / "grid.csv"
+        with pytest.raises(InvalidGrid, match=r"axis 'zp.y' needs \(start, stop, count\)"):
+            grid_eval("hheat", params, {"zp.y": axis}, str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel, params, axes, named", [
+        ("hres", {"k": 0.5, "mu": (math.nan, -0.9), "z": (0.0, 1.0), "zp": (0.5, 2.0)},
+         {"zp.y": (1.5, 2.0, 3)}, "mu"),
+        ("mwave", {"k": 0.5, "lam": math.inf, "X": 0.1, "Xp": -0.3}, {"b": (1.5, 2.0, 3)}, "lam"),
+        ("hheat", {"k": 0.5, "z": (0.0, 1.0), "zp": (0.3, 1.5)}, {"t": (0.5, math.nan, 3)}, "t"),
+    ])
+    def test_non_finite_group_value_names_each_node(self, tmp_path, kernel, params, axes, named):
+        # the group's array call raises a typed error; each node's eval_kernel
+        # then names the parameter in its row
+        out = tmp_path / "grid.csv"
+        assert grid_eval(kernel, params, axes, str(out)) == 3
+        assert [r["error"].split("=")[0] for r in self._rows(out)] == \
+            [f"NonFiniteInput: parameter {named}"] * 3
 
     def test_component_axis_counts_as_its_parameter(self, tmp_path):
         params = {"k": 0.0, "t": 0.5, "z": (0.0, 1.0), "zp": (0.0, 1.0)}

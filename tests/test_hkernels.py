@@ -10,6 +10,7 @@ from hypermorse.errors import (
     ConvergenceViolated,
     DiagonalSingularity,
     GammaPole,
+    NonFiniteInput,
     NotConverged,
     OutsideSupport,
     UnsupportedK,
@@ -141,6 +142,10 @@ class TestResolventClosed:
 
 
 class TestResolventIntegral:
+    def test_diagonal_raises(self):
+        with pytest.raises(DiagonalSingularity, match="z != z'"):
+            resolvent_integral(SpectralParam(-0.8j), 0.0, Z1, HalfPlanePoint(0.0, 1.0 + 1e-9))
+
     def test_k0_matches_closed(self):
         sp = SpectralParam(-0.8j)
         got = resolvent_integral(sp, 0.0, Z1, Z2)
@@ -230,6 +235,15 @@ class TestResolventIntegral:
 
 
 class TestHeatKernel:
+    def test_list_rows_are_the_single_calls(self):
+        zps = [Z2, HalfPlanePoint(1.5, 0.7), HalfPlanePoint(-0.2, 1.3)]
+        res = heat_kernel(0.8, 0.5, [Z1] * 3, zps)
+        assert res.converged is True and res.converged_rows == [True] * 3
+        for i, zp in enumerate(zps):
+            one, row = heat_kernel(0.8, 0.5, Z1, zp), res.row(i)
+            assert (row.value, row.err_estimate, row.converged) == (one.value, one.err_estimate, True)
+            assert type(one.value) is complex
+
     def test_positive_at_k0(self):
         for t in [0.3, 0.8]:
             for zp in [Z2, HalfPlanePoint(1.5, 0.7)]:
@@ -355,3 +369,22 @@ class TestHeatKernel:
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):
             heat_kernel(0.0, 0.0, Z1, Z2)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite t, k or b is named at each kernel's entry."""
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: heat_kernel(0.8, math.nan, Z1, Z2), "k=nan"),
+        (lambda: heat_kernel(math.inf, 0.5, Z1, Z2), "t=inf"),
+        (lambda: heat_kernel(math.nan, 0.5, [Z1, Z1], [Z2, Z2]), "t=nan"),  # the list form
+        (lambda: wave_kernel("auto", 0.5, math.nan, Z1, Z2), "b=nan"),
+        (lambda: wave_kernel("auto", math.nan, 0.1, Z1, Z2), "k=nan"),  # b < rho would return 0
+        (lambda: wave_kernel_radial(math.nan, 2.0, 0.5), "k=nan"),
+        (lambda: wave_kernel_radial(0.5, np.array([2.0, math.inf]), 0.5), "b="),
+        (lambda: resolvent_closed(SpectralParam(-0.9j), math.nan, Z1, Z2), "k=nan"),
+        (lambda: resolvent_integral(SpectralParam(-0.9j), math.inf, Z1, Z2), "k=inf"),
+    ])
+    def test_named(self, call, named):
+        with pytest.raises(NonFiniteInput, match=named):
+            call()

@@ -9,8 +9,11 @@ from hypermorse import mkernels, quad, specfun
 from hypermorse.errors import (
     CancellationLimit,
     ConvergenceViolated,
+    DiagonalSingularity,
     GammaPole,
     HypermorseError,
+    NonFiniteInput,
+    NotConverged,
     OutsideSupport,
     Phi1OutsideDisc,
     UnsupportedK,
@@ -282,6 +285,18 @@ class TestAlternateVariantPath:
 
 
 class TestFourierPath:
+    def test_list_call_with_no_converged_row_is_not_converged(self):
+        # past the node budget (lam Z in the thousands) no row converges; the
+        # list form's converged is then False, never a truthy list of flags
+        from hypermorse.harness import _converged
+        cfg = MorseConfig(2000.0, 0.5, 0.0, 0.3)
+        res = wave_kernel_fourier([cfg, cfg], [6.0, 6.5])
+        assert res.converged is False and res.converged_rows == [False, False]
+        with pytest.raises(NotConverged):
+            _converged(res)
+        one = wave_kernel_fourier(cfg, 6.0)
+        assert one.converged is False and type(one.value) is complex
+
     def test_k0_equals_bessel(self):
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(1.5))
         for b in [0.6, 1.2, 2.8]:
@@ -392,6 +407,10 @@ class TestResolventClosedArray:
 
 
 class TestResolventIntegral:
+    def test_diagonal_raises(self):
+        with pytest.raises(DiagonalSingularity, match="X != X'"):
+            resolvent_integral(MorseConfig(1.0, 0.5, 0.2, 0.2 + 1e-9), -1.3j)
+
     def test_k0_matches_closed(self):
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
         mu = -0.7j
@@ -857,3 +876,19 @@ class TestSingleProfilePath:
         assert wave_kernel_h("auto", 0.3, 6.0, z, zp) != 0
         assert wave_kernel_fourier(CFG_HALF, 1.0).converged
         assert heat_kernel(MorseConfig(1.0, 0.3, 0.0, 0.3), 0.8).converged
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite t or b is named at each kernel's entry (MorseConfig names the rest)."""
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: wave_kernel_fourier(CFG_HALF, math.nan), "b=nan"),
+        (lambda: wave_kernel_fourier([CFG_HALF, CFG_HALF], [1.0, math.inf]), "b=inf"),
+        (lambda: wave_kernel_bessel0(CFG0, math.nan), "b=nan"),
+        (lambda: mkernels.wave_kernel_phi1(CFG_HALF, math.inf), "b=inf"),
+        (lambda: heat_kernel(CFG_HALF, math.nan), "t=nan"),
+        (lambda: hartman_watson_heat_oracle(CFG_HALF, math.inf), "t=inf"),
+    ])
+    def test_named(self, call, named):
+        with pytest.raises(NonFiniteInput, match=named):
+            call()

@@ -278,6 +278,25 @@ class TestGauss2F1Array:
         with pytest.raises(SeriesNonConvergence):
             gauss_2f1(0.4, 0.9, 1.7, np.array([0.3, 0.995, -0.5]))
 
+    def test_first_bad_entry_raises_its_scalar_error_before_any_sum(self, monkeypatch):
+        a, b, c = _S - 0.5, _S + 0.5, 2 * _S
+        messages = []
+        for z in (1.5 + 0.5j, 1.0):
+            with pytest.raises((SeriesNonConvergence, LogarithmicSingularity)) as exc:
+                gauss_2f1(a, b, c, z)
+            messages.append((exc.type, str(exc.value)))
+
+        def no_sum(*args):
+            raise AssertionError("a sum ran before every entry was sorted")
+
+        for name in ("_direct_group", "_log_group", "_pfaff_group"):
+            monkeypatch.setattr(specfun, name, no_sum)
+        for zs, (kind, message) in (((0.5, 0.99, 1.5 + 0.5j, 1.0, -3.0), messages[0]),
+                                    ((0.5, 0.99, 1.0, 1.5 + 0.5j, -3.0), messages[1])):
+            with pytest.raises(kind) as exc:
+                gauss_2f1(a, b, c, np.array(zs))
+            assert str(exc.value) == message
+
     def test_each_entry_meets_its_own_stop_rule(self, monkeypatch):
         # equal |z|, |F| 56 and 3.6e-5: the large entry's loop goes quiet
         # (relative to 56) 13 terms before the small entry's terms do; cut
@@ -428,6 +447,11 @@ class TestWhittakerArray:
 class TestHumbertPhi1:
     def test_at_origin(self):
         assert humbert_phi1(1.2, 0.4, 2.0, 0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("c", [0.0, -2.0, -3.0 + 1e-14j])
+    def test_lower_parameter_pole_raises(self, c):
+        with pytest.raises(ParameterPole, match="Phi1 lower parameter"):
+            humbert_phi1(1.2, 0.4, c, 0.3, 0.2)
 
     def test_x_zero_collapses_to_2f1(self):
         a, b, c, y = 1.2, 0.7, 2.3, 0.4
