@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-point cost of the point kinds of the `transverse` and `grid_sweep`
-benchmark rounds.
+"""Per-point cost of the point kinds of the `transverse`, `grid_sweep` and
+`closed_random` benchmark rounds.
 
 For the calibration, the Morse resolvent integral (the `transverse` round's
 20 strata), the Morse heat kernel and its Hartman-Watson oracle (its two heat
@@ -11,6 +11,11 @@ in ms and its n_evals, the machine-independent count.  The calibration's
 n_evals is the sum over the transmutation integrals it computes.  Each grid
 of those rounds is also timed as one `harness.grid_eval` call writing into a
 temporary directory ("grid_eval": kernel, best ms and rows per grid).
+
+"closed_random" holds, for each point kind of the first CLOSED_ROUNDS
+`closed_random` rounds at seeds 1 and 2 (`hwave.int`, `mres`,
+`specfun.gauss_2f1.pfaff`, ...), the number of points and the median and
+mean of each point's best-of-N in-process wall time in microseconds.
 
 "gauss_2f1" holds the traffic of specfun.gauss_2f1, the calls made from
 outside it (a Pfaff step's inner call is not counted), for one `transverse`
@@ -50,7 +55,8 @@ from hypermorse.mkernels import MorseConfig  # noqa: E402
 from workloads import HEAT_STRATA, RES_STRATA, grid_nodes, rounds  # noqa: E402  the rounds' points
 
 REPEATS = 5  # calls per point; the best counts
-GRID_SEEDS = (1, 2)  # grid_sweep rounds: the first of each seed
+SEEDS = (1, 2)  # of the grid_sweep and closed_random rounds
+CLOSED_ROUNDS = 100  # closed_random rounds per seed
 
 
 def best_of(fn):
@@ -129,6 +135,20 @@ def gauss_2f1_traffic(points, grid_path: str) -> dict:
     return counts
 
 
+def closed_kinds() -> dict:
+    """Per closed_random point kind: points, and the median and mean over them
+    of the best-of-REPEATS microseconds, over CLOSED_ROUNDS rounds of each seed."""
+    us = {}
+    for seed in SEEDS:
+        it = rounds("closed_random", seed)
+        for _ in range(CLOSED_ROUNDS):
+            for point in next(it):
+                ms, _ = best_of(lambda: call(hypermorse, point))
+                us.setdefault(point.kind, []).append(1e3 * ms)
+    return {kind: {"points": len(v), "median_us": round(float(np.median(v)), 2),
+                   "mean_us": round(float(np.mean(v)), 2)} for kind, v in sorted(us.items())}
+
+
 def main() -> int:
     ms, _ = best_of(harness.calibrate_spectral_mapping)
     out = {"repeats": REPEATS, "calibrate": {"best_ms": round(ms, 3), "n_evals": calibration_evals()}}
@@ -144,7 +164,7 @@ def main() -> int:
     grids = {"kernel": [], "best_ms": [], "rows": []}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "grid.csv")
-        for seed in GRID_SEEDS:
+        for seed in SEEDS:
             for point in next(rounds("grid_sweep", seed)):
                 kernel, params, grid = point.args
                 if kernel in ("hheat", "mwave"):
@@ -160,10 +180,11 @@ def main() -> int:
                      "n_evals": [res.n_evals for _, res in runs],
                      "sum_best_ms": round(sum(ms for ms, _ in runs), 3)}
     out["grid_eval"] = grids
+    out["closed_random"] = closed_kinds()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "grid.csv")
         traffic = {"transverse": gauss_2f1_traffic(next(rounds("transverse", 1)), path)}
-        for workload, seed in itertools.product(("closed_random", "grid_sweep"), GRID_SEEDS):
+        for workload, seed in itertools.product(("closed_random", "grid_sweep"), SEEDS):
             traffic[f"{workload}.seed{seed}"] = gauss_2f1_traffic(next(rounds(workload, seed)), path)
     out["gauss_2f1"] = traffic
     print(json.dumps(out, indent=1))

@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--Xp", type=float, help="Morse position")
     p_eval.add_argument("--t", type=float, help="heat time > 0")
     p_eval.add_argument("--b", type=float, help="wave-kernel variable")
-    p_eval.add_argument("--form", default="auto",
-                        help="wave-kernel representation (hwave only)")
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--suite", required=True,

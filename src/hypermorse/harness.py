@@ -8,8 +8,9 @@ parameters to reproduce it from a single CLI call.  Calibration measures each
 convention candidate against one reference per point.  The rejected candidates
 live here only: the kernels ship the calibrated conventions alone, so each
 candidate is reached through the production routine at a moved argument
-(_MAPPINGS, _WHITTAKER_ORDERS), or is itself the candidate
-(wave_kernel_phi1_alt).
+(_MAPPINGS, _WHITTAKER_ORDERS), or is the production series at its own power
+part, frequency and constant (wave_kernel_phi1_alt).  So are the hyperbolic
+wave kernel's five reference forms (wave_form_radial, for the forms check).
 """
 from __future__ import annotations
 
@@ -31,13 +32,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import mkernels, quad, specfun
-from .errors import (CalibrationAmbiguous, HypermorseError, InvalidGrid, MissingParameter,
-                     NotConverged, OutsideConvergenceRegion, Phi1OutsideDisc,
-                     UnsupportedK, require_finite)
+from .errors import (CalibrationAmbiguous, DomainError, HypermorseError, InvalidGrid,
+                     MissingParameter, NotConverged, UnsupportedK, require_finite)
 from .geometry import HalfPlanePoint, two_k_int
 from .hkernels import (
     SpectralParam,
-    WAVE_FORMS,
+    _cosh2_ratio,
     heat_kernel as hyp_heat_kernel,
     resolvent_closed as hyp_resolvent_closed,
     resolvent_integral as hyp_resolvent_integral,
@@ -195,8 +195,41 @@ class _Worst:
 # hyperbolic identities
 # ---------------------------------------------------------------------------
 
+WAVE_FORMS = ("baseline", "i", "ii", "iii", "iv")
+
+
+def wave_form_radial(form: str, k: float, b: np.ndarray, rho: float) -> np.ndarray:
+    """Reference form of wave_kernel_radial at the float array b > rho: three
+    hypergeometric series ("baseline", "i", "ii"), the Chebyshev polynomial
+    ("iii") or a finite sum ("iv"), the last two for 2k integer only."""
+    ak, n_int = abs(k), two_k_int(k)
+    if form in ("iii", "iv") and n_int is None:
+        raise UnsupportedK(f"form {form} needs 2k integer, got k={k}")
+    C, S = _cosh2_ratio(b, rho)
+    inv_sqrt_s = 1.0 / (2.0 * math.pi * np.sqrt(S))
+    if form == "iii":
+        vals = inv_sqrt_s * specfun.chebyshev_t(n_int, C)
+    elif form == "iv":
+        n_top = int(math.floor(ak + 1e-12))
+        acc, coeff = np.zeros_like(b), 1.0
+        for n in range(n_top + 1):
+            acc += coeff * np.cosh(b / 2.0) ** (2 * ak - 2 * n) * S ** n
+            coeff *= (-ak + n) * (0.5 - ak + n) / ((0.5 + n) * (n + 1))
+        vals = math.cosh(rho / 2.0) ** (-2 * ak) * acc / (2.0 * math.pi * np.sqrt(S))
+    elif form == "baseline":
+        vals = inv_sqrt_s * specfun.gauss_2f1(ak, -ak, 0.5, 1.0 - C * C).real
+    elif form == "i":
+        vals = inv_sqrt_s * specfun.gauss_2f1(2 * ak, -2 * ak, 0.5, (1.0 - C) / 2.0).real
+    elif form == "ii":
+        vals = inv_sqrt_s * C ** (2 * ak) \
+            * specfun.gauss_2f1(-ak, 0.5 - ak, 0.5, 1.0 - 1.0 / (C * C)).real
+    else:
+        raise DomainError(f"unknown wave-kernel form {form!r}")
+    return vals.astype(complex)
+
+
 def check_hyperbolic_forms() -> IdentityReport:
-    """The production profile ("auto") and all five wave-kernel
+    """The production closed form ("auto") and all five reference
     representations agree for 2k = 0..4 on a 10 x 10 grid rho in [0.2, 2.5],
     b in (rho, rho + 4]."""
     worst = _Worst()
@@ -204,8 +237,8 @@ def check_hyperbolic_forms() -> IdentityReport:
         bs = rho + 4.0 * np.linspace(0.08, 1.0, 10)  # one array call per form
         points = [{"two_k": two_k, "rho": rho, "b": b} for b in bs.tolist()]
         try:
-            vals = np.array([wave_kernel_radial(two_k / 2.0, bs, rho, form=fm)
-                             for fm in ("auto",) + WAVE_FORMS])
+            vals = np.array([wave_kernel_radial(two_k / 2.0, bs, rho)]
+                            + [wave_form_radial(fm, two_k / 2.0, bs, rho) for fm in WAVE_FORMS])
         except HypermorseError as exc:
             for point in points:
                 worst.error(point, exc)
@@ -494,33 +527,17 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float) -> complex:
     Cayley-type ratio built from the same root, read the only way that gives
     a Bessel reduction at k = 0.  Even so it lands at -2x the true kernel at
     k = 0 (hence ALT_VARIANT_K0_SCALE) and deviates b-dependently at k != 0.
+    Y5 = Z and Z5 = 2Z/(Z + V) of mkernels._phi1_series at sign(k) (+ at k = 0),
+    so Y5^{4|k|}/Z5^{2|k|} = (Z (Z + V) / 2)^{2|k|}, 2|k| an integer.
     """
-    n, ak = two_k_int(cfg.k), abs(cfg.k)
-    if n is None or ak > 2:
-        raise UnsupportedK(f"alternative path needs 2k integer, |k| <= 2; got k={cfg.k}")
-    mkernels._require_support(cfg, b)
-    ch = math.cosh((cfg.X - cfg.Xp) / 2.0)
-    sign = -1.0 if cfg.k < 0 else 1.0
-
-    def content(d: complex) -> complex:
-        root = cmath.sqrt(d * (d + 2.0 * ch))
-        y5 = 2.0 * math.exp((cfg.X + cfg.Xp) / 2.0) * root
-        z5 = 2.0 * root / (root + 1j * sign * ch)
-        try:
-            ph1 = specfun.humbert_phi1(2 * ak + 0.5, 2 * ak, 4 * ak + 1.0,
-                                       -2j * cfg.lam * y5, z5)
-        except OutsideConvergenceRegion as exc:
-            raise Phi1OutsideDisc(
-                f"second argument |Z5|={abs(z5):.4f} outside the unit disc at w - w_rho={d}") from exc
-        pow_part = y5 ** (4 * ak) / z5 ** (2 * ak) if ak else 1.0 + 0.0j
-        return pow_part * math.exp(-cfg.k * (cfg.X + cfg.Xp)) \
-            * cmath.exp(1j * cfg.lam * y5) * ph1
-
+    ak = abs(cfg.k)
     # (-1)^(|k|+1) read on the same principal branch as the winning variant
     c1 = cmath.exp(1j * math.pi * (ak + 1.0)) * math.exp(
         specfun.log_gamma(2 * ak + 0.5).real - specfun.log_gamma(4 * ak + 1.0).real) \
         / (2.0 ** ak * math.sqrt(math.pi))
-    return c1 * mkernels._window_derivative(content, b, n, cfg.rho_m)
+    return mkernels._phi1_series(cfg, b, -cfg.lam, -1.0 if cfg.k < 0 else 1.0,
+                                 lambda z, zv, ak: (z * zv / 2.0) ** (2 * ak),
+                                 c1 * math.exp(-cfg.k * (cfg.X + cfg.Xp)))
 
 
 def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRecord:
@@ -663,7 +680,7 @@ def run_suite(suite: str, tol_overrides: Optional[dict] = None):
 # kernel evaluation dispatch and grid runner
 # ---------------------------------------------------------------------------
 
-# the parameters each kernel reads (hwave's "form" is optional, "auto" by default)
+# the parameters each kernel reads; eval_kernel ignores any other key (a "form" among them)
 KERNEL_PARAMS = {
     "hres": ("k", "mu", "z", "zp"),
     "hheat": ("k", "t", "z", "zp"),
@@ -692,7 +709,8 @@ def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
     Closed-form evaluations report a zero error estimate; quadrature-backed
     ones propagate their own bookkeeping.  A parameter of KERNEL_PARAMS
     missing from params raises MissingParameter, and a NaN or infinite
-    parameter NonFiniteInput, each naming it before any kernel runs.
+    parameter NonFiniteInput, each naming it before any kernel runs.  A key
+    the kernel does not read (hwave's former "form", say) is ignored.
     """
     if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}; choose from {KERNEL_IDS}")
@@ -704,8 +722,7 @@ def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
         val = hyp_resolvent_closed(sp, p["k"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))
         return quad.QuadratureResult(val, 0.0, 0, True)
     if kernel_id == "hwave":
-        val = hyp_wave_kernel(p.get("form", "auto"), p["k"], p["b"],
-                              HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))
+        val = hyp_wave_kernel(p["k"], p["b"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))
         return quad.QuadratureResult(val, 0.0, 0, True)
     if kernel_id == "hheat":
         return hyp_heat_kernel(p["t"], p["k"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))

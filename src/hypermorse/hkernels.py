@@ -8,10 +8,9 @@ F(|k|, -|k|; 1/2; 1 - C^2), C = cosh(b/2)/cosh(rho/2), through its closed
 form cosh(2|k| arccosh C) (_wave_profile), which holds for every real k and
 reduces to the Chebyshev polynomial T_{2|k|}(C) when 2k is an integer;
 resolvent_integral takes it as the two exponentials e^{+-2|k| arccosh C},
-so that its large-b nodes do not overflow.  The five named representations
-in WAVE_FORMS (three hypergeometric series, the Chebyshev polynomial and a
-finite sum) are kept only as independent targets of the hyperbolic_forms
-identity check.
+so that its large-b nodes do not overflow.  Its five reference forms (three
+hypergeometric series, the Chebyshev polynomial and a finite sum) live in
+the harness, as targets of the hyperbolic_forms identity check.
 
 Conventions fixed by calibration (see the harness module, which holds the
 rejected candidates; the kernels carry none):
@@ -40,7 +39,7 @@ from .errors import (
     GammaPole,
     NotConverged,
     OutsideSupport,
-    UnsupportedK,
+    PoleAtNonPositiveInteger,
     require_finite,
 )
 from .geometry import (
@@ -48,20 +47,16 @@ from .geometry import (
     cosh2_half_dist,
     dist_halfplane,
     magnetic_phase_halfplane,
-    two_k_int,
 )
 
 __all__ = [
     "SpectralParam",
-    "WAVE_FORMS",
     "wave_kernel",
     "wave_kernel_radial",
     "resolvent_closed",
     "resolvent_integral",
     "heat_kernel",
 ]
-
-WAVE_FORMS = ("baseline", "i", "ii", "iii", "iv")
 
 _DIAG_TOL = 1e-14
 
@@ -97,54 +92,21 @@ def _wave_profile(ak: float, C):
     return np.cosh(2.0 * ak * np.arccosh(np.maximum(C, 1.0)))
 
 
-def wave_kernel_radial(k: float, b, rho: float, form: str = "auto"):
+def wave_kernel_radial(k: float, b, rho: float):
     """Radial part of the wave kernel: the full kernel without its
-    magnetic phase.  Vectorized over b (all entries must satisfy b > rho).
-
-    form "auto" is the production closed form (_wave_profile) for every
-    real k.  The named forms "baseline", "i", "ii" (hypergeometric),
-    "iii" (Chebyshev) and "iv" (finite sum; the last two need 2k integer)
-    are independent targets of the hyperbolic_forms identity.
+    magnetic phase, the closed form (_wave_profile) for every real k.
+    Vectorized over b (all entries must satisfy b > rho).
     """
-    b_arr = np.asarray(b, dtype=float)
-    scalar = b_arr.ndim == 0
-    b_arr = np.atleast_1d(b_arr)
+    scalar, b_arr = np.ndim(b) == 0, np.atleast_1d(np.asarray(b, dtype=float))
     require_finite(k=k, rho=rho, b=b_arr.tolist())
-    ak, n_int = abs(k), two_k_int(k)
     if np.any(b_arr <= rho):
         raise OutsideSupport(f"radial wave kernel needs b > rho={rho}")
     C, S = _cosh2_ratio(b_arr, rho)
-    inv_sqrt_s = 1.0 / (2.0 * math.pi * np.sqrt(S))
-
-    if form in ("iii", "iv") and n_int is None:
-        raise UnsupportedK(f"form {form} needs 2k integer, got k={k}")
-
-    if form == "auto":
-        vals = inv_sqrt_s * _wave_profile(ak, C)
-    elif form == "iii":
-        vals = inv_sqrt_s * specfun.chebyshev_t(n_int, C)
-    elif form == "iv":
-        n_top = int(math.floor(ak + 1e-12))
-        acc = np.zeros_like(b_arr)
-        coeff = 1.0
-        for n in range(n_top + 1):
-            acc += coeff * np.cosh(b_arr / 2.0) ** (2 * ak - 2 * n) * S ** n
-            coeff *= (-ak + n) * (0.5 - ak + n) / ((0.5 + n) * (n + 1))
-        vals = math.cosh(rho / 2.0) ** (-2 * ak) * acc / (2.0 * math.pi * np.sqrt(S))
-    elif form == "baseline":
-        vals = inv_sqrt_s * specfun.gauss_2f1(ak, -ak, 0.5, 1.0 - C * C).real
-    elif form == "i":
-        vals = inv_sqrt_s * specfun.gauss_2f1(2 * ak, -2 * ak, 0.5, (1.0 - C) / 2.0).real
-    elif form == "ii":
-        vals = inv_sqrt_s * C ** (2 * ak) \
-            * specfun.gauss_2f1(-ak, 0.5 - ak, 0.5, 1.0 - 1.0 / (C * C)).real
-    else:
-        raise DomainError(f"unknown wave-kernel form {form!r}")
+    vals = 1.0 / (2.0 * math.pi * np.sqrt(S)) * _wave_profile(abs(k), C)
     return complex(vals[0]) if scalar else vals.astype(complex)
 
 
-def wave_kernel(form: str, k: float, b: float,
-                z: HalfPlanePoint, zp: HalfPlanePoint) -> complex:
+def wave_kernel(k: float, b: float, z: HalfPlanePoint, zp: HalfPlanePoint) -> complex:
     """Wave-transmutation kernel at time-like variable b, support b > rho.
 
     Returns a hard zero for b < rho; exactly at b = rho the kernel carries
@@ -157,20 +119,25 @@ def wave_kernel(form: str, k: float, b: float,
     if b == rho:
         raise OutsideSupport(f"wave kernel singular at b = rho = {rho}")
     phase = magnetic_phase_halfplane(k, z, zp)
-    return phase * wave_kernel_radial(k, b, rho, form=form)
+    return phase * wave_kernel_radial(k, b, rho)
+
+
+def _gamma_ratio(num: tuple, den):
+    """Gamma(num[0]) ... Gamma(num[-1]) / Gamma(den) at complex scalars, or at ndarrays
+    in one log_gamma call; a log_gamma pole raises GammaPole with its message."""
+    args = num + (den,)
+    try:
+        lg = specfun.log_gamma(np.stack(args)) if specfun._is_array(den) \
+            else [specfun.log_gamma(a) for a in args]
+    except PoleAtNonPositiveInteger as exc:
+        raise GammaPole(str(exc)) from exc
+    total = sum(lg[1:-1], lg[0]) - lg[-1]
+    return np.exp(total) if isinstance(total, np.ndarray) else cmath.exp(total)
 
 
 def _gamma_prefactor(s: complex, k: float) -> complex:
     """Gamma(s-k) Gamma(s+k) / (4 pi Gamma(2s)); even in the sign of k."""
-    for arg in (s - k, s + k):
-        if abs(complex(arg).imag) < 1e-12 and complex(arg).real < 0.5 \
-                and abs(complex(arg).real - round(complex(arg).real)) < 1e-10:
-            raise GammaPole(f"resolvent pole: s -+ k = {arg} is a non-positive integer")
-    try:
-        lg = specfun.log_gamma(s - k) + specfun.log_gamma(s + k) - specfun.log_gamma(2 * s)
-    except specfun.PoleAtNonPositiveInteger as exc:  # 2s pole
-        raise GammaPole(str(exc)) from exc
-    return cmath.exp(lg) / (4.0 * math.pi)
+    return _gamma_ratio((s - k, s + k), 2 * s) / (4.0 * math.pi)
 
 
 def _resolvent_profile(s: complex, ak: float, c2):

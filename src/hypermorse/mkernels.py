@@ -45,7 +45,6 @@ from .errors import (
     CancellationLimit,
     DiagonalSingularity,
     DomainError,
-    GammaPole,
     OutsideConvergenceRegion,
     OutsideSupport,
     Phi1OutsideDisc,
@@ -54,7 +53,7 @@ from .errors import (
 )
 from .geometry import two_k_int
 from .hkernels import SpectralParam, _check_decay, _gamma_prefactor as _hyp_gamma_prefactor, \
-    _resolvent_profile as _hyp_resolvent_profile, _wave_profile
+    _gamma_ratio, _resolvent_profile as _hyp_resolvent_profile, _wave_profile
 
 __all__ = [
     "MorseConfig", "wave_aux_z", "wave_kernel_bessel0", "wave_kernel_phi1", "wave_kernel_fourier",
@@ -153,12 +152,37 @@ def _window_derivative(content, b: float, order: int, rho: float) -> complex:
     return math.factorial(order) / (2.0 * r) ** order * total / _CIRCLE_NODES
 
 
+def _phi1_series(cfg: MorseConfig, b: float, freq: float, sign: float, power, const) -> complex:
+    """const (d/(sinh(b/2) db))^{2|k|} [ power(Z, Z + V, |k|) e^{-i freq Z} Phi1(2|k|+1/2,
+      2|k|, 4|k|+1, 2 i freq Z, 2Z/(Z + V)) ], V = i sign (y + y'), Z = 2 sqrt(y y' d
+    (d + 2 cosh(rho/2))) at the offset d of _window_derivative: the series of
+    wave_kernel_phi1 (raising as it states) and of harness.wave_kernel_phi1_alt."""
+    n, ak = two_k_int(cfg.k), abs(cfg.k)
+    if n is None or ak > 2:
+        raise UnsupportedK(f"confluent-series path needs 2k integer, |k| <= 2; got k={cfg.k}")
+    _require_support(cfg, b)
+    two_edge, z_scale = 2.0 * math.cosh(cfg.rho_m / 2.0), 2.0 * math.sqrt(cfg.y * cfg.yp)
+    yv = 1j * sign * (cfg.y + cfg.yp)
+
+    def content(d: complex) -> complex:
+        z = z_scale * cmath.sqrt(d * (d + two_edge))
+        zeta = 2.0 * z / (z + yv)
+        try:
+            ph1 = specfun.humbert_phi1(2 * ak + 0.5, 2 * ak, 4 * ak + 1.0, 2j * freq * z, zeta)
+        except OutsideConvergenceRegion as exc:
+            raise Phi1OutsideDisc(
+                f"second argument |zeta|={abs(zeta):.4f} outside the unit disc at w - w_rho={d}") from exc
+        return power(z, z + yv, ak) * cmath.exp(-1j * freq * z) * ph1
+
+    return const * _window_derivative(content, b, n, cfg.rho_m)
+
+
 def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     """Wave kernel through the two-variable confluent series.
 
     C_k (4 y y')^{-|k|} (d/(sinh(b/2) db))^{2|k|} [ (2Z)^{4|k|}/(Z+Y)^{2|k|}
       e^{-i lam Z} Phi1(2|k|+1/2, 2|k|, 4|k|+1, 2 i lam Z, 2Z/(Z+Y)) ],
-    C_k = e^{i pi k} Gamma(2|k|+1/2) / (2 Gamma(4|k|+1) sqrt(pi)).
+    C_k = e^{i pi k} Gamma(2|k|+1/2) / (2 Gamma(4|k|+1) sqrt(pi)), Y = i (y + y').
 
     Needs 2k integer with |k| <= 2 and the second series argument inside the
     unit disc, which confines b to the window rho < b < b*, cosh(b*/2) =
@@ -171,33 +195,13 @@ def wave_kernel_phi1(cfg: MorseConfig, b: float) -> complex:
     W at (-|k|, lam) = W at (+|k|, -lam): the Fourier transport conjugates
     the magnetic phase, which is the same as flipping the frequency.
     """
-    n, ak = two_k_int(cfg.k), abs(cfg.k)
-    if n is None or ak > 2:
-        raise UnsupportedK(f"confluent-series path needs 2k integer, |k| <= 2; got k={cfg.k}")
-    _require_support(cfg, b)
-    lam_eff = -cfg.lam if cfg.k < 0 else cfg.lam
-    sign = 1.0  # sign(k) after reflection to k = |k|; +1 at k = 0 by convention
-    y, yp = cfg.y, cfg.yp
-    two_edge, z_scale = 2.0 * math.cosh(cfg.rho_m / 2.0), 2.0 * math.sqrt(y * yp)
-
-    def content(d: complex) -> complex:
-        z = z_scale * cmath.sqrt(d * (d + two_edge))
-        yv = 1j * sign * (y + yp)
-        zeta = 2.0 * z / (z + yv)
-        try:
-            ph1 = specfun.humbert_phi1(2 * ak + 0.5, 2 * ak, 4 * ak + 1.0,
-                                       2j * lam_eff * z, zeta)
-        except OutsideConvergenceRegion as exc:
-            raise Phi1OutsideDisc(
-                f"second argument |zeta|={abs(zeta):.4f} outside the unit disc at w - w_rho={d}") from exc
-        return (2.0 * z) ** (4 * ak) / (z + yv) ** (2 * ak) \
-            * cmath.exp(-1j * lam_eff * z) * ph1
-
+    ak = abs(cfg.k)
     c_k = cmath.exp(1j * math.pi * ak) * math.exp(
         specfun.log_gamma(2 * ak + 0.5).real - specfun.log_gamma(4 * ak + 1.0).real) \
         / (2.0 * math.sqrt(math.pi))
-    deriv = _window_derivative(content, b, n, cfg.rho_m)
-    return c_k * (4.0 * y * yp) ** (-ak) * deriv
+    return _phi1_series(cfg, b, -cfg.lam if cfg.k < 0 else cfg.lam, 1.0,  # sign(k) after reflection
+                        lambda z, zv, ak: (2.0 * z) ** (4 * ak) / zv ** (2 * ak),
+                        c_k * (4.0 * cfg.y * cfg.yp) ** (-ak))
 
 
 def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
@@ -256,20 +260,14 @@ def resolvent_closed(cfg: MorseConfig, mu):
     larger coordinate, making it a function of the unordered pair.  mu may be
     an ndarray: every special function then takes the array of orders (one
     1F1 table per Whittaker M), and the first bad entry raises as a scalar
-    call would.
+    call would.  A NaN or infinite mu raises NonFiniteInput before any series
+    runs, a pole of either gamma function GammaPole.
     """
-    k = cfg.k
-    nu = 1j * (mu.astype(complex) if specfun._is_array(mu) else complex(mu))
-    pole_arg = nu - k + 0.5
-    i = specfun._first(specfun._near_int(pole_arg, 1e-10) & (pole_arg.real < 0.5))
-    if i is not None:
-        raise GammaPole(f"bound-state pole: nu - k + 1/2 = {np.ravel(pole_arg)[i]}")
+    k, array = cfg.k, specfun._is_array(mu)
+    require_finite(mu=mu.ravel().tolist() if array else mu)
+    nu = 1j * (mu.astype(complex) if array else complex(mu))
     x_lo, x_hi = min(cfg.X, cfg.Xp), max(cfg.X, cfg.Xp)
-    if specfun._is_array(mu):
-        lg = specfun.log_gamma(np.stack([pole_arg, 1.0 + 2.0 * nu]))
-        pref = np.exp(lg[0] - lg[1]) / cfg.lam
-    else:
-        pref = cmath.exp(specfun.log_gamma(pole_arg) - specfun.log_gamma(1.0 + 2.0 * nu)) / cfg.lam
+    pref = _gamma_ratio((nu - k + 0.5,), 1.0 + 2.0 * nu) / cfg.lam
     return pref * math.exp(-(cfg.X + cfg.Xp) / 2.0) \
         * specfun.whittaker("W", k, nu, 2.0 * cfg.lam * math.exp(x_hi)) \
         * specfun.whittaker("M", k, nu, 2.0 * cfg.lam * math.exp(x_lo))
@@ -438,8 +436,7 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
     require_finite(t=t)
     if not t > 0:
         raise DomainError("oracle needs t > 0")
-    acc = quad.QuadratureResult(0.0, 0.0, 0, True)  # inner n_evals and converged
-    err = peak = 0.0
+    inner_evals, inner_ok, err, peak = 0, True, 0.0, 0.0
     r0, tau, damp0 = 2.0 * cfg.lam * math.exp((cfg.X + cfg.Xp) / 2.0), t / 2.0, cfg.lam * (cfg.y + cfg.yp)
     x0, slope = math.log(damp0), 2.0 * cfg.k - 1.0
     # the right cut: w^2 / (2 tau) - (2k - 1) u = 45 at r = 2 e^{-w}, u = w + log r0 once u >~ 2
@@ -447,7 +444,7 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
     u_max = min(math.asinh(r0 * math.exp(w) / 2.0), 700.0 / (2.0 * abs(cfg.k) + 1.0))
 
     def outer(xi: np.ndarray, _) -> np.ndarray:
-        nonlocal acc, err, peak
+        nonlocal inner_evals, inner_ok, err, peak
         x = x0 + np.concatenate([xi, -xi])
         u, out = np.exp(x), np.zeros(2 * xi.size)
         log_weight = x + 2.0 * cfg.k * u - damp0 / np.tanh(u)  # du = u dx
@@ -462,13 +459,14 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
             raise CancellationLimit(f"round-off {werr[over[0]]:.3g} at u={u[over[0]]:.4g}"
                                     f" tops max(abs_tol, rel_tol * peak {peak:.3g})")
         out[live] = vals
-        acc += quad.QuadratureResult(0.0, 0.0, th.n_evals, th.converged)
+        inner_evals, inner_ok = inner_evals + th.n_evals, inner_ok and th.converged
         err = werr.max(initial=err)
         return (out[:xi.size] + out[xi.size:])[None, :]
 
     xi_max = math.log(max(45.0, u_max / damp0))  # damping e^{-45} on the left, u_max on the right
     res = quad.trapezoid_even(outer, xi_max, _HW_CFG.abs_tol, _HW_CFG.rel_tol)
-    res = res.row(0) + acc
+    res = res.row(0)
+    res.n_evals += inner_evals
     res.err_estimate += 2.0 * xi_max * err
-    res.converged = res.converged and res.err_estimate <= res.tolerance_bound(_HW_CFG)
+    res.converged = res.converged and inner_ok and res.err_estimate <= res.tolerance_bound(_HW_CFG)
     return res.scaled(1.0 / (4.0 * math.pi))

@@ -69,11 +69,7 @@ class QuadratureResult:
 
     def scaled(self, c) -> "QuadratureResult":
         return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.n_evals,
-                                self.converged)
-
-    def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
-        return QuadratureResult(self.value + other.value, self.err_estimate + other.err_estimate,
-                                self.n_evals + other.n_evals, self.converged and other.converged)
+                                self.converged, self.converged_rows)
 
 
 def trapezoid_even(f, x_max: float, abs_tol, rel_tol: float, noise=0.0) -> QuadratureResult:

@@ -39,3 +39,21 @@ def test_one_convention_per_kernel():
     assert not hasattr(mkernels.MorseConfig, "mk")
     for name in ("wave_kernel_phi1_alt", "ALT_VARIANT_K0_SCALE"):
         assert not hasattr(mkernels, name)
+
+
+def test_one_wave_form():
+    # the hyperbolic wave kernel ships its closed form alone: no form list, no
+    # form argument and no --form option; the reference forms live in the harness
+    import inspect
+
+    import pytest
+
+    from hypermorse import harness, hkernels
+    from hypermorse.cli import main
+    assert not hasattr(hkernels, "WAVE_FORMS") and len(harness.WAVE_FORMS) == 5
+    for fn in (hkernels.wave_kernel, hkernels.wave_kernel_radial):
+        assert "form" not in inspect.signature(fn).parameters
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--kernel", "hwave", "--k", "0.5", "--b", "2.5", "--z", "0,1", "--zp", "0.5,2",
+              "--form", "ii"])
+    assert exc.value.code == 2

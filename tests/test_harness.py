@@ -351,6 +351,7 @@ class TestEvalKernel:
 
     @pytest.mark.parametrize("kernel, params", [
         ("hres", {"k": 0.5, "mu": (0.3, -0.9), "z": (0.0, 1.0), "zp": (0.5, 2.0)}),
+        # a key the kernel does not read, such as a "form", is ignored
         ("hwave", {"k": 0.5, "b": 2.5, "z": (0.0, 1.0), "zp": (0.5, 2.0), "form": "ii"}),
         ("hheat", {"k": 0.5, "t": 0.8, "z": (0.0, 1.0), "zp": (0.5, 2.0)}),
         ("mres", {"k": 0.5, "lam": 1.0, "mu": (0.3, -0.9), "X": 0.0, "Xp": 0.35}),
@@ -369,7 +370,7 @@ class TestEvalKernel:
 
         direct = {
             "hres": lambda: closed(hkernels.resolvent_closed(SpectralParam(complex(*p["mu"])), p["k"], z, zp)),
-            "hwave": lambda: closed(hkernels.wave_kernel(p["form"], p["k"], p["b"], z, zp)),
+            "hwave": lambda: closed(hkernels.wave_kernel(p["k"], p["b"], z, zp)),
             "hheat": lambda: hkernels.heat_kernel(p["t"], p["k"], z, zp),
             "mres": lambda: closed(mkernels.resolvent_closed(cfg, complex(*p["mu"]))),
             "mheat": lambda: mkernels.heat_kernel(cfg, p["t"]),
@@ -385,6 +386,12 @@ class TestEvalKernel:
         params = {"k": 0.3, "mu": 0.5j, "z": (0.0, 1.0), "zp": (0.5, 2.0)}
         with pytest.raises(GammaPole, match="log_gamma pole at z=0j"):
             eval_kernel("hres", params)
+
+    def test_gamma_pole_at_two_nu_on_mres(self):
+        # mu = i puts 1 + 2 nu = -1 (nu = i mu) on a pole, as the 2s pole of hres
+        params = {"k": 0, "lam": 1, "mu": 1j, "X": 0, "Xp": 0.3}
+        with pytest.raises(GammaPole, match=r"log_gamma pole at z=\(-1"):
+            eval_kernel("mres", params)
 
     def test_missing_parameter_is_named(self):
         with pytest.raises(MissingParameter, match="needs X$"):

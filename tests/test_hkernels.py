@@ -16,9 +16,9 @@ from hypermorse.errors import (
     UnsupportedK,
 )
 from hypermorse.geometry import HalfPlanePoint, dist_halfplane, magnetic_phase_halfplane
+from hypermorse.harness import WAVE_FORMS, wave_form_radial
 from hypermorse.hkernels import (
     SpectralParam,
-    WAVE_FORMS,
     heat_kernel,
     resolvent_closed,
     resolvent_integral,
@@ -35,6 +35,12 @@ Z1 = HalfPlanePoint(0.0, 1.0)
 Z2 = HalfPlanePoint(0.5, 2.0)
 
 
+def form_kernel(form, k, b, z, zp):
+    """The wave kernel through one of the harness's reference forms, phase included."""
+    radial = wave_form_radial(form, k, np.array([b]), dist_halfplane(z, zp))
+    return magnetic_phase_halfplane(k, z, zp) * complex(radial[0])
+
+
 class TestSpectralParam:
     def test_mappings(self):
         # one mapping, s = 1/2 + i mu; the rejected ones live in the harness
@@ -45,26 +51,27 @@ class TestSpectralParam:
 
 class TestWaveKernel:
     def test_zero_below_support(self):
-        assert wave_kernel("baseline", 1.0, 0.1, Z1, Z2) == 0.0
+        assert wave_kernel(1.0, 0.1, Z1, Z2) == 0.0
 
     def test_raises_on_support_edge(self):
         rho = dist_halfplane(Z1, Z2)
         with pytest.raises(OutsideSupport):
-            wave_kernel("baseline", 1.0, rho, Z1, Z2)
+            wave_kernel(1.0, rho, Z1, Z2)
 
     def test_k0_closed_form(self):
         # k=0: W = (1/2pi) (cosh^2 b/2 - cosh^2 rho/2)^(-1/2)
         rho = dist_halfplane(Z1, Z2)
         b = rho + 1.3
         expect = 1.0 / (2 * math.pi * math.sqrt(math.cosh(b / 2) ** 2 - math.cosh(rho / 2) ** 2))
-        assert wave_kernel("baseline", 0.0, b, Z1, Z2) == pytest.approx(expect, rel=1e-12)
+        assert wave_kernel(0.0, b, Z1, Z2) == pytest.approx(expect, rel=1e-12)
+        assert form_kernel("baseline", 0.0, b, Z1, Z2) == pytest.approx(expect, rel=1e-12)
 
     def test_half_k_chebyshev_value(self):
         # k=1/2, points on the y axis (phase = 1), rho = 1, b = 2:
         # W = (1/2pi) (cosh^2 1 - cosh^2 0.5)^(-1/2) * cosh(1)/cosh(0.5)
         z, zp = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.0, math.e)
         assert dist_halfplane(z, zp) == pytest.approx(1.0, rel=1e-14)
-        val = wave_kernel("iii", 0.5, 2.0, z, zp)
+        val = form_kernel("iii", 0.5, 2.0, z, zp)
         expect = (math.cosh(1.0) / math.cosh(0.5)) / (
             2 * math.pi * math.sqrt(math.cosh(1.0) ** 2 - math.cosh(0.5) ** 2))
         assert val.real == pytest.approx(expect, rel=1e-12)
@@ -73,30 +80,30 @@ class TestWaveKernel:
     def test_forms_agree_at_spec_point(self):
         # k=1, b=2.5, rho=0.8: all five representations agree
         z, zp = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.0, math.exp(0.8))
-        vals = [wave_kernel(f, 1.0, 2.5, z, zp) for f in WAVE_FORMS]
+        vals = [form_kernel(f, 1.0, 2.5, z, zp) for f in WAVE_FORMS]
         for v in vals[1:]:
             assert relerr(v, vals[0]) < 1e-11
 
     def test_forms_agree_generic_phase(self):
-        vals = [wave_kernel(f, 1.5, 2.2, Z1, Z2) for f in WAVE_FORMS]
+        vals = [form_kernel(f, 1.5, 2.2, Z1, Z2) for f in WAVE_FORMS]
         for v in vals[1:]:
             assert relerr(v, vals[0]) < 1e-10
 
     def test_auto_generic_k_far_from_support_edge(self):
         # at b = 6 the baseline series no longer converges; the production
         # closed form must still match the quadratic-transformation form "i"
-        got = wave_kernel("auto", 0.3, 6.0, Z1, Z2)
-        assert relerr(got, wave_kernel("i", 0.3, 6.0, Z1, Z2)) < 1e-12
+        got = wave_kernel(0.3, 6.0, Z1, Z2)
+        assert relerr(got, form_kernel("i", 0.3, 6.0, Z1, Z2)) < 1e-12
 
     def test_discrete_forms_rejected_for_generic_k(self):
         with pytest.raises(UnsupportedK):
-            wave_kernel("iii", 0.3, 2.0, Z1, Z2)
+            form_kernel("iii", 0.3, 2.0, Z1, Z2)
 
     def test_phase_conjugation(self):
         b = 2.4
         for k in [0.5, 1.0]:
-            assert wave_kernel("auto", -k, b, Z1, Z2) == pytest.approx(
-                wave_kernel("auto", k, b, Z1, Z2).conjugate(), rel=1e-12)
+            assert wave_kernel(-k, b, Z1, Z2) == pytest.approx(
+                wave_kernel(k, b, Z1, Z2).conjugate(), rel=1e-12)
 
     def test_radial_vectorized_matches_scalar(self):
         rho = 0.9
@@ -133,6 +140,12 @@ class TestResolventClosed:
         sp = SpectralParam(-1j * (1.0 - 0.5))
         with pytest.raises(GammaPole):
             resolvent_closed(sp, 1.0, Z1, Z2)
+
+    # s = 1/2 + i mu: s - k = -1, s + k = -2, 2s = -1 and 2s = 0, each the only pole
+    @pytest.mark.parametrize("k, mu", [(0.3, 1.2j), (0.3, 2.8j), (0.3, 1j), (0.3, 0.5j)])
+    def test_each_gamma_pole_raises_with_log_gamma_message(self, k, mu):
+        with pytest.raises(GammaPole, match="log_gamma pole at z="):
+            resolvent_closed(SpectralParam(mu), k, Z1, Z2)
 
     def test_gamma_prefactor_even_in_k(self):
         sp = SpectralParam(-1j * (1.45 - 0.5))
@@ -228,7 +241,7 @@ class TestResolventIntegral:
         # in b = rho + u^2
         rho = dist_halfplane(Z1, Z2)
         for b in np.linspace(0.0, rho, 6, endpoint=False):
-            assert wave_kernel("auto", 0.0, float(b), Z1, Z2) == 0.0
+            assert wave_kernel(0.0, float(b), Z1, Z2) == 0.0
         res = resolvent_integral(SpectralParam(-1.0j), 0.0, Z1, Z2)
         assert res.converged
         assert relerr(res.value, 0.085913818846404776697) < 1e-11
@@ -378,8 +391,8 @@ class TestNonFiniteInput:
         (lambda: heat_kernel(0.8, math.nan, Z1, Z2), "k=nan"),
         (lambda: heat_kernel(math.inf, 0.5, Z1, Z2), "t=inf"),
         (lambda: heat_kernel(math.nan, 0.5, [Z1, Z1], [Z2, Z2]), "t=nan"),  # the list form
-        (lambda: wave_kernel("auto", 0.5, math.nan, Z1, Z2), "b=nan"),
-        (lambda: wave_kernel("auto", math.nan, 0.1, Z1, Z2), "k=nan"),  # b < rho would return 0
+        (lambda: wave_kernel(0.5, math.nan, Z1, Z2), "b=nan"),
+        (lambda: wave_kernel(math.nan, 0.1, Z1, Z2), "k=nan"),  # b < rho would return 0
         (lambda: wave_kernel_radial(math.nan, 2.0, 0.5), "k=nan"),
         (lambda: wave_kernel_radial(0.5, np.array([2.0, math.inf]), 0.5), "b="),
         (lambda: resolvent_closed(SpectralParam(-0.9j), math.nan, Z1, Z2), "k=nan"),

@@ -272,6 +272,17 @@ class TestAlternateVariantPath:
             truth = wave_kernel_bessel0(cfg, b)
             assert relerr(cal, truth) < 1e-10
 
+    @pytest.mark.parametrize("k, b, exc", [
+        (0.3, 1.0, UnsupportedK),  # 2k not an integer
+        (0.5, 0.2, OutsideSupport),  # b = rho
+        (-0.5, 1.01 * _window_end(0.2), Phi1OutsideDisc),  # past b*
+    ])
+    def test_raises_as_the_production_series(self, k, b, exc):
+        cfg = MorseConfig(1.0, k, 0.0, 0.2)
+        for fn in (wave_kernel_phi1, wave_kernel_phi1_alt):
+            with pytest.raises(exc):
+                fn(cfg, b)
+
     def test_half_k_deviation_is_b_dependent(self):
         # the flagged variant is NOT a constant multiple of the true kernel
         cfg = MorseConfig(lam=1.0, k=0.5, X=0.0, Xp=0.0)
@@ -404,6 +415,24 @@ class TestResolventClosedArray:
         cfg = MorseConfig(1.0, 1.0, 0.0, 0.3)
         with pytest.raises(GammaPole):
             resolvent_closed(cfg, np.array([0.3 - 0.9j, -0.5j, 1.0 - 1.25j]))
+
+    # nu = i mu: nu - k + 1/2 = 0 and -2, 1 + 2 nu = -1 and 0, each the only pole
+    @pytest.mark.parametrize("k, mu", [(1.0, -0.5j), (0.3, 2.2j), (0.0, 1j), (0.3, 0.5j)])
+    def test_each_gamma_pole_raises_with_log_gamma_message(self, k, mu):
+        cfg = MorseConfig(1.0, k, 0.0, 0.3)
+        for m in (mu, np.array([0.3 - 0.9j, mu])):
+            with pytest.raises(GammaPole, match="log_gamma pole at z="):
+                resolvent_closed(cfg, m)
+
+    def test_non_finite_mu_named_before_any_series(self, monkeypatch):
+        # with the gamma and Whittaker functions removed, only a check ahead of them passes
+        monkeypatch.setattr(specfun, "log_gamma", None)
+        monkeypatch.setattr(specfun, "whittaker", None)
+        cfg = MorseConfig(1.0, 0.5, 0.0, 0.3)
+        for mu in (complex(math.nan, -1.0), np.array([0.3 - 0.9j, complex(math.nan, -1.0)]),
+                   np.array([complex(math.inf, -1.0)])):
+            with pytest.raises(NonFiniteInput, match="mu="):
+                resolvent_closed(cfg, mu)
 
 
 class TestResolventIntegral:
@@ -715,6 +744,15 @@ class TestHartmanWatsonOracle:
         assert got.converged
         assert abs(got.value[0] / pref - ref) <= got.err_estimate[0] / pref + floor
 
+    @pytest.mark.parametrize("r, tau", [([0.5, 0.6], 0.5), ([1e-3, 20.0], 1.2)])
+    def test_rows_are_the_single_calls(self, r, tau):
+        # each row of one array call, its row flag included, is its one-row call
+        both = theta_hw(np.array(r), tau, 1e-14)
+        for i, ri in enumerate(r):
+            row, one = both.row(i), theta_hw(np.array([ri]), tau, 1e-14).row(0)
+            assert (row.value, row.err_estimate, row.converged) == \
+                (one.value, one.err_estimate, one.converged)
+
     def test_matches_heat_kernel_k0(self):
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(1.3))
         t = 1.0
@@ -873,7 +911,7 @@ class TestSingleProfilePath:
         z, zp = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.5, 2.0)
         assert heat_kernel_h(1.0, 0.3, z, zp).converged
         assert resolvent_integral_h(SpectralParam(-0.9j), 0.3, z, zp).converged
-        assert wave_kernel_h("auto", 0.3, 6.0, z, zp) != 0
+        assert wave_kernel_h(0.3, 6.0, z, zp) != 0
         assert wave_kernel_fourier(CFG_HALF, 1.0).converged
         assert heat_kernel(MorseConfig(1.0, 0.3, 0.0, 0.3), 0.8).converged
 
