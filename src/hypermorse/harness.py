@@ -283,15 +283,15 @@ def _d2(g: Callable, c: float, h: float, gc):
 
 
 def apply_halfplane_generator(f: Callable[[float, float], complex], z: HalfPlanePoint,
-                              k: float, h: float = 0.02) -> complex:
+                              k: float) -> complex:
     """Five-point-stencil application of the half-plane generator
-    y^2 (d_xx + d_yy) - 2 i k y d_x + 1/4 to f(x, y) at z.
+    y^2 (d_xx + d_yy) - 2 i k y d_x + 1/4 to f(x, y) at z, step 0.02 in x and y.
 
     The sign of the first-order term is the one that pairs with the package's
     phase orientation ((z' - conj z)/(z - conj z'))^k; the opposite sign
     belongs to the reciprocal phase convention.
     """
-    x, y = z.x, z.y
+    x, y, h = z.x, z.y, 0.02
     fc, along_x = f(x, y), lambda xx: f(xx, y)
     fxx, fyy = _d2(along_x, x, h, fc), _d2(partial(f, x), y, h, fc)
     return y * y * (fxx + fyy) - 2j * k * y * _d1(along_x, x, h) + 0.25 * fc
@@ -708,33 +708,49 @@ def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
 
     Closed-form evaluations report a zero error estimate; quadrature-backed
     ones propagate their own bookkeeping.  A parameter of KERNEL_PARAMS
-    missing from params raises MissingParameter, and a NaN or infinite
-    parameter NonFiniteInput, each naming it before any kernel runs.  A key
-    the kernel does not read (hwave's former "form", say) is ignored.
+    missing from params raises MissingParameter, and a NaN or infinite one
+    NonFiniteInput, each naming it before any kernel runs.  A key the kernel
+    does not read (hwave's former "form", say, or a NaN t) is ignored.
     """
     if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}; choose from {KERNEL_IDS}")
-    p = params
-    _require_params(kernel_id, p)
-    require_finite(**p)
-    if kernel_id == "hres":
-        sp = SpectralParam(_complex(p["mu"]))
-        val = hyp_resolvent_closed(sp, p["k"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))
-        return quad.QuadratureResult(val, 0.0, 0, True)
-    if kernel_id == "hwave":
-        val = hyp_wave_kernel(p["k"], p["b"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))
-        return quad.QuadratureResult(val, 0.0, 0, True)
+    _require_params(kernel_id, params)
+    require_finite(**{name: params[name] for name in KERNEL_PARAMS[kernel_id]})
+    return _evaluate(kernel_id, [params])[0]
+
+
+# grid nodes sharing these are one list call (all mwave nodes at k != 0 are one)
+_ROW_KEYS = {"hheat": ("k", "t"), "hres": ("k", "mu"), "mwave": ()}
+
+
+def _evaluate(kernel_id: str, nodes: list) -> list:
+    """One QuadratureResult per parameter node: one node is the kernel's
+    scalar call, two or more sharing their _ROW_KEYS its list call.  A closed
+    form reports a zero error estimate and no evaluations."""
+    p, one = nodes[0], len(nodes) == 1  # each argument: p's, or the list of the nodes'
+    if kernel_id[0] == "h":  # the half-plane kernels
+        z = HalfPlanePoint(*p["z"]) if one else [HalfPlanePoint(*q["z"]) for q in nodes]
+        zp = HalfPlanePoint(*p["zp"]) if one else [HalfPlanePoint(*q["zp"]) for q in nodes]
+    else:
+        cfg = (MorseConfig(p["lam"], p["k"], p["X"], p["Xp"]) if one
+               else [MorseConfig(q["lam"], q["k"], q["X"], q["Xp"]) for q in nodes])
     if kernel_id == "hheat":
-        return hyp_heat_kernel(p["t"], p["k"], HalfPlanePoint(*p["z"]), HalfPlanePoint(*p["zp"]))
-    cfg = MorseConfig(lam=p["lam"], k=p["k"], X=p["X"], Xp=p["Xp"])
-    if kernel_id == "mres":
-        val = morse_resolvent_closed(cfg, _complex(p["mu"]))
-        return quad.QuadratureResult(val, 0.0, 0, True)
-    if kernel_id == "mwave":
-        if cfg.k == 0:
-            return quad.QuadratureResult(wave_kernel_bessel0(cfg, p["b"]), 0.0, 0, True)
-        return wave_kernel_fourier(cfg, p["b"])
-    return morse_heat_kernel(cfg, p["t"])
+        res = hyp_heat_kernel(p["t"], p["k"], z, zp)
+    elif kernel_id == "mheat":
+        res = morse_heat_kernel(cfg, p["t"])
+    elif kernel_id == "mwave" and not (one and cfg.k == 0):
+        res = wave_kernel_fourier(cfg, p["b"] if one else [q["b"] for q in nodes])
+    else:
+        if kernel_id == "hres":
+            val = hyp_resolvent_closed(SpectralParam(_complex(p["mu"])), p["k"], z, zp)
+        elif kernel_id == "hwave":
+            val = hyp_wave_kernel(p["k"], p["b"], z, zp)
+        elif kernel_id == "mres":
+            val = morse_resolvent_closed(cfg, _complex(p["mu"]))
+        else:  # mwave at k = 0
+            val = wave_kernel_bessel0(cfg, p["b"])
+        return [quad.QuadratureResult(v, 0.0, 0, True) for v in ([val] if one else val)]
+    return [res] if one else [res.row(i) for i in range(len(nodes))]
 
 
 def _apply_axis(point: dict, name: str, value: float):
@@ -742,45 +758,21 @@ def _apply_axis(point: dict, name: str, value: float):
     the axis is written as 'zp.y' / 'z.x'."""
     if "." in name:
         base, comp = name.split(".", 1)
-        if comp not in ("x", "y") or base not in point:
+        pair = point.get(base)
+        if comp not in ("x", "y") or not (isinstance(pair, (tuple, list)) and len(pair) == 2):
             raise InvalidGrid(f"axis {name!r} must address .x or .y of a pair parameter")
-        x, y = point[base]
+        x, y = pair
         point[base] = (value, y) if comp == "x" else (x, value)
     else:
         point[name] = value
 
 
-# grid nodes sharing these are one array call (all mwave nodes at k != 0 are one)
-_ROW_KEYS = {"hheat": ("k", "t"), "hres": ("k", "mu"), "mwave": ()}
-
-
-def _eval_group(kernel_id: str, nodes: list) -> list:
-    """(value, err_estimate, converged), or the HypermorseError raised, for
-    each node: two nodes or more are one array call, and one node, or a call
-    that raises, runs eval_kernel per node."""
+def _eval_or_error(kernel_id: str, params: dict):
+    """eval_kernel(kernel_id, params), or the HypermorseError it raises."""
     try:
-        if len(nodes) > 1:
-            p, col = nodes[0], {name: [q[name] for q in nodes] for name in nodes[0]}
-            if kernel_id == "mwave":
-                cfgs = list(map(MorseConfig, col["lam"], col["k"], col["X"], col["Xp"]))
-                res = wave_kernel_fourier(cfgs, col["b"])
-            else:
-                z, zp = ([HalfPlanePoint(*v) for v in col[name]] for name in ("z", "zp"))
-                if kernel_id == "hres":
-                    vals = hyp_resolvent_closed(SpectralParam(_complex(p["mu"])), p["k"], z, zp)
-                    return [(v, 0.0, True) for v in vals]
-                res = hyp_heat_kernel(p["t"], p["k"], z, zp)
-            return list(zip(res.value, res.err_estimate, res.converged_rows))
-    except HypermorseError:
-        pass  # each node on its own: its value or its error
-    out = []
-    for p in nodes:
-        try:
-            res = eval_kernel(kernel_id, p)
-            out.append((res.value, res.err_estimate, res.converged))
-        except HypermorseError as exc:
-            out.append(exc)
-    return out
+        return eval_kernel(kernel_id, params)
+    except HypermorseError as exc:
+        return exc
 
 
 def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -> int:
@@ -789,11 +781,13 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
     grid_spec maps parameter names to (start, stop, count); an axis written
     'zp.y' sweeps one component of a pair-valued parameter.  params and the
     axes together must hold every parameter KERNEL_PARAMS names for the
-    kernel, and each axis must be well formed, or InvalidGrid is raised
-    before any point runs.  Nodes sharing their non-position parameters
-    (_ROW_KEYS) are one array call per group: an hheat row equals eval_kernel
-    at its node bit for bit, an hres or mwave row may differ from it by a few
-    ulps, and a rerun is bit-identical.  One CSV row per point: grid
+    kernel, and each axis must be well formed (a whole count >= 1, a
+    component of a pair), or InvalidGrid is raised before any point runs.
+    Two nodes or more sharing their non-position parameters (_ROW_KEYS) are
+    one list call of _evaluate: an hheat row equals eval_kernel at its node
+    bit for bit, an hres or mwave row may differ from it by a few ulps, and a
+    rerun is bit-identical.  A node alone, and each node of a group whose
+    list call raised, is eval_kernel.  One CSV row per point: grid
     coordinates, Re/Im in decimal and hexadecimal, the error estimate, and
     the convergence flag.  Per-point kernel errors land in the row's error
     column and the run continues.  Every row is formatted first, then
@@ -811,12 +805,12 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
     for name, spec in grid_spec.items():
         try:
             lo, hi, n = spec
-            n = int(n)
-            if n < 1:
+            count = int(n)
+            if count < 1 or count != float(n):  # a count of 2.7 is no count
                 raise ValueError
-        except (TypeError, ValueError) as exc:
+            axes.append((name, np.linspace(float(lo), float(hi), count).tolist()))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGrid(f"axis {name!r} needs (start, stop, count), got {spec!r}") from exc
-        axes.append((name, np.linspace(float(lo), float(hi), n).tolist()))
     names, keys = [n for n, _ in axes], _ROW_KEYS.get(kernel_id)
     points, groups, done = [], {}, {}  # (coordinates, parameters, group) per node
     for combo in itertools.product(*(vals for _, vals in axes)):
@@ -835,15 +829,19 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
         for i, (combo, _, key) in enumerate(points):
             if i not in done:
                 group = groups[key]
-                done.update(zip(group, _eval_group(kernel_id, [points[j][1] for j in group])))
-            row = [f"{c:.17g}" for c in combo]
-            if isinstance(done[i], HypermorseError):
-                row += ["nan", "nan", "", "", "", False, f"{type(done[i]).__name__}: {done[i]}"]
+                nodes = [points[j][1] for j in group]
+                try:  # two nodes or more: one list call
+                    results = _evaluate(kernel_id, nodes) if len(nodes) > 1 else None
+                except HypermorseError:  # each node on its own: its value or its error
+                    results = None
+                done.update(zip(group, results or [_eval_or_error(kernel_id, p) for p in nodes]))
+            row, res = [f"{c:.17g}" for c in combo], done[i]
+            if isinstance(res, HypermorseError):
+                row += ["nan", "nan", "", "", "", False, f"{type(res).__name__}: {res}"]
             else:
-                v, err, converged = done[i]
-                v = complex(v)
+                v = complex(res.value)
                 row += [f"{v.real:.17g}", f"{v.imag:.17g}", v.real.hex(), v.imag.hex(),
-                        f"{err:.3g}", bool(converged), ""]
+                        f"{res.err_estimate:.3g}", bool(res.converged), ""]
             writer.writerow(row)
     finally:  # the rows formatted, also those before an exception, in one write
         fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)  # open("w") without truncating

@@ -102,12 +102,12 @@ def _near_int(z, tol: float):
 
 
 def _nonpositive_int(z):
-    """Whether z is a non-positive integer to _INT_TOL; at an ndarray, the mask."""
+    """Whether z is a non-positive integer to _INT_TOL; at an ndarray, the mask.
+    A scalar tests Re z < 0.5 first, so a NaN or +inf never reaches round()."""
     if isinstance(z, np.ndarray):
         return _near_int(z, _INT_TOL) & (z.real < 0.5)
     z = complex(z)
-    return (abs(z.imag) < _INT_TOL and z.real < 0.5
-            and abs(z.real - round(z.real)) < _INT_TOL)
+    return z.real < 0.5 and _near_int(z, _INT_TOL)
 
 
 def _first(mask):

@@ -161,6 +161,14 @@ class TestGrid:
         assert rc == 2 and not out.exists()
         assert f"{spec}:6: ranged axis needs lo:hi:count" in capsys.readouterr().err
 
+    def test_component_axis_of_a_scalar_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("kernel = hheat\nk = 0.5\nt = 0.8\nz = 0,1\nzp = 0.3,1.5\nk.x = 0.1:0.2:2\n")
+        out = tmp_path / "o.csv"
+        rc = main(["grid", "--kernel", "hheat", "--spec", str(spec), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "axis 'k.x' must address .x or .y of a pair parameter" in capsys.readouterr().err
+
     def test_kernel_line_must_match(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("kernel = mheat\nk = 0\nlambda = 1.0\nX = 0\nXp = 0.3\nt = 0.5:1.0:2\n")

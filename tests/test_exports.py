@@ -57,3 +57,13 @@ def test_one_wave_form():
         main(["eval", "--kernel", "hwave", "--k", "0.5", "--b", "2.5", "--z", "0,1", "--zp", "0.5,2",
               "--form", "ii"])
     assert exc.value.code == 2
+
+
+def test_one_kernel_dispatch():
+    # eval_kernel and the grid's list calls share harness._evaluate: no second
+    # mapping of parameter nodes to kernel calls, and no stencil-step knob
+    import inspect
+
+    from hypermorse import harness
+    assert not hasattr(harness, "_eval_group")
+    assert list(inspect.signature(harness.apply_halfplane_generator).parameters) == ["f", "z", "k"]

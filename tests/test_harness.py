@@ -336,6 +336,18 @@ class TestGenerator:
         assert abs(harness._d1(p, 0.0, 0.1) - d1(0.0)) > 1e-7
 
 
+_ONE_NODE_PER_KERNEL = [
+    ("hres", {"k": 0.5, "mu": (0.3, -0.9), "z": (0.0, 1.0), "zp": (0.5, 2.0)}),
+    # a key the kernel does not read, such as a "form" or a non-finite t, is ignored
+    ("hwave", {"k": 0.5, "b": 2.5, "z": (0.0, 1.0), "zp": (0.5, 2.0), "form": "ii", "t": math.nan}),
+    ("hheat", {"k": 0.5, "t": 0.8, "z": (0.0, 1.0), "zp": (0.5, 2.0)}),
+    ("mres", {"k": 0.5, "lam": 1.0, "mu": (0.3, -0.9), "X": 0.0, "Xp": 0.35}),
+    ("mheat", {"k": 0.5, "lam": 1.0, "X": 0.0, "Xp": 0.35, "t": 0.8}),
+    ("mwave", {"k": 0.0, "lam": 1.0, "X": 0.0, "Xp": 0.35, "b": 1.2}),
+    ("mwave", {"k": 0.5, "lam": 1.0, "X": 0.0, "Xp": 0.35, "b": 1.2}),
+]
+
+
 class TestEvalKernel:
     def test_hres_matches_api(self):
         from hypermorse.hkernels import SpectralParam, resolvent_closed
@@ -349,16 +361,7 @@ class TestEvalKernel:
         with pytest.raises(ValueError):
             eval_kernel("nope", {})
 
-    @pytest.mark.parametrize("kernel, params", [
-        ("hres", {"k": 0.5, "mu": (0.3, -0.9), "z": (0.0, 1.0), "zp": (0.5, 2.0)}),
-        # a key the kernel does not read, such as a "form", is ignored
-        ("hwave", {"k": 0.5, "b": 2.5, "z": (0.0, 1.0), "zp": (0.5, 2.0), "form": "ii"}),
-        ("hheat", {"k": 0.5, "t": 0.8, "z": (0.0, 1.0), "zp": (0.5, 2.0)}),
-        ("mres", {"k": 0.5, "lam": 1.0, "mu": (0.3, -0.9), "X": 0.0, "Xp": 0.35}),
-        ("mheat", {"k": 0.5, "lam": 1.0, "X": 0.0, "Xp": 0.35, "t": 0.8}),
-        ("mwave", {"k": 0.0, "lam": 1.0, "X": 0.0, "Xp": 0.35, "b": 1.2}),
-        ("mwave", {"k": 0.5, "lam": 1.0, "X": 0.0, "Xp": 0.35, "b": 1.2}),
-    ])
+    @pytest.mark.parametrize("kernel, params", _ONE_NODE_PER_KERNEL)
     def test_each_kernel_is_its_direct_call(self, kernel, params):
         from hypermorse import hkernels
         p = params
@@ -488,7 +491,9 @@ class TestGridEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("axis", [(1.5, 2.0), (1.5, 2.0, 0), (1.5, 2.0, "three"),
-                                      (1.5, 2.0, None), (1.5, 2.0, 2, 4)])
+                                      (1.5, 2.0, None), (1.5, 2.0, 2, 4), (1.5, 2.0, math.inf),
+                                      (1.5, 2.0, math.nan), (1.5, 2.0, 2.7), ("one", 2.0, 2),
+                                      (None, 2.0, 2)])
     def test_malformed_axis_with_every_parameter(self, tmp_path, axis):
         # every parameter given, so only the axis check can stop the grid
         params = {"k": 0.5, "t": 0.8, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
@@ -514,6 +519,17 @@ class TestGridEval:
     def test_component_axis_counts_as_its_parameter(self, tmp_path):
         params = {"k": 0.0, "t": 0.5, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
         assert grid_eval("hheat", params, {"zp.y": (1.5, 2.0, 2)}, str(tmp_path / "grid.csv")) == 2
+
+    @pytest.mark.parametrize("kernel, params", _ONE_NODE_PER_KERNEL)
+    def test_one_node_row_is_eval_kernel(self, tmp_path, kernel, params):
+        # a one-node grid is eval_kernel at its node, bit for bit
+        out = tmp_path / "grid.csv"
+        assert grid_eval(kernel, params, {"k": (params["k"], params["k"], 1)}, str(out)) == 1
+        (row,) = self._rows(out)
+        expect = eval_kernel(kernel, params)
+        value = complex(expect.value)
+        assert (row["re_hex"], row["im_hex"], row["converged"], row["error"]) == \
+            (value.real.hex(), value.imag.hex(), str(expect.converged), "")
 
     def test_complex_pair_mu(self, tmp_path):
         # a spec's "mu = re,im" arrives as a pair
@@ -625,11 +641,15 @@ class TestGridEval:
         assert grid_eval("hres", params, {"zp.y": (-1.0, 2.0, 4)}, str(out)) == 4
         assert [r["error"].split(":")[0] for r in self._rows(out)] == ["DomainError"] * 2 + [""] * 2
 
-    def test_bad_component_axis_is_invalid_before_any_point(self, tmp_path):
+    @pytest.mark.parametrize("kernel, axis", [
+        ("hheat", "zp.q"), ("hheat", "k.x"), ("hheat", "t.y"), ("hheat", "w.x"), ("hres", "mu.x"),
+    ])
+    def test_bad_component_axis_is_invalid_before_any_point(self, tmp_path, kernel, axis):
+        # a component of a scalar parameter, or of a complex mu given as a number
         out = tmp_path / "grid.csv"
-        params = {"k": 0.0, "t": 0.5, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
-        with pytest.raises(InvalidGrid, match="must address .x or .y"):
-            grid_eval("hheat", params, {"zp.q": (1.5, 2.0, 2)}, str(out))
+        params = {"k": 0.0, "t": 0.5, "mu": -0.9j, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
+        with pytest.raises(InvalidGrid, match=f"axis '{axis}' must address .x or .y"):
+            grid_eval(kernel, params, {axis: (1.5, 2.0, 2)}, str(out))
         assert not out.exists()
 
     def test_non_finite_value_names_each_node(self, tmp_path):
