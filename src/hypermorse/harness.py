@@ -311,12 +311,11 @@ _PDE_SAMPLES = (
 def check_hyperbolic_heat_pde() -> IdentityReport:
     """d/dt of the heat kernel vs the spatial generator, five-point stencils."""
     worst, ht = _Worst(), 0.02
-    qcfg = quad.QuadConfig(rel_tol=1e-11, abs_tol=1e-16)
     for (t, k, p1, p2) in _PDE_SAMPLES:
         z, zp = HalfPlanePoint(*p1), HalfPlanePoint(*p2)
 
         def h(tt: float, x: float, y: float) -> complex:
-            return _converged(hyp_heat_kernel(tt, k, HalfPlanePoint(x, y), zp, qcfg))
+            return _converged(hyp_heat_kernel(tt, k, HalfPlanePoint(x, y), zp))
 
         def residual() -> float:
             dt = _d1(lambda tt: h(tt, *p1), t, ht)
@@ -451,10 +450,9 @@ def check_morse_heat_pde() -> IdentityReport:
     spectral shift s is measured at the first sample and held for the rest;
     each point records it.  Unlike the oracle this reaches k = 2."""
     worst, h, shift = _Worst(), 0.01, None
-    qcfg = quad.QuadConfig(rel_tol=1e-10, abs_tol=1e-16)
     for (t, k, x, xp) in _MORSE_PDE_SAMPLES:
         def q(tt: float, xx: float) -> float:
-            return _converged(morse_heat_kernel(MorseConfig(1.0, k, xx, xp), tt, qcfg))
+            return _converged(morse_heat_kernel(MorseConfig(1.0, k, xx, xp), tt))
 
         def residual() -> float:
             nonlocal shift

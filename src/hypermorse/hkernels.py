@@ -228,7 +228,7 @@ def resolvent_integral(sp: SpectralParam, k: float, z: HalfPlanePoint,
 
     r = -mu.imag - ak + 0.5
     res = quad.trapezoid_even(f, 4.0 * g * math.asinh(math.sqrt(40.0 / r) / g),
-                              np.full(2, quad.DEFAULT_CONFIG.abs_tol), quad.DEFAULT_CONFIG.rel_tol)
+                              np.full(2, quad.ABS_TOL), quad.REL_TOL)
     return quad.QuadratureResult(0.5 * phase * complex(*res.value),
                                  0.5 * math.hypot(*res.err_estimate), res.n_evals, res.converged)
 
@@ -239,8 +239,7 @@ def _edge_q(x):
     return np.where(d > 0.0, 2.0 * x / np.where(d > 0.0, d, 1.0), 1.0)
 
 
-def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
-                cfg: quad.QuadConfig = quad.DEFAULT_CONFIG) -> quad.QuadratureResult:
+def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint) -> quad.QuadratureResult:
     """Heat kernel as the subordination integral
     integral_rho^inf e^{-b^2/4t} / (4 pi t)^{3/2} * W(b, z, z') * b db.
 
@@ -249,12 +248,12 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
     w = (b - rho)/2 = s^2 / 4x, is 2 e^{-b/2} sqrt(q(x) q(w)) (_edge_q; its
     square tends to 4 rho / sinh rho at s = 0).  The integrand is even and
     analytic in s for every rho >= 0, z = z' included, so it is one trapezoid
-    sum (quad.trapezoid_even, Trefethen & Weideman 2014), cut where
-    (b^2 - rho^2)/4t - (|k| - 1/2)(b - rho) = 45, the profile's exponentials
-    (_profile_angle) joined to the Gaussian and e^{-b/2}.  Where the first
-    two levels out to that cut hold more nodes than the sum's budget (t > 38
-    at |k| = 2, t > 92 at |k| = 1, t > 347 at |k| = 1/2, never at k = 0) it
-    raises NotConverged.
+    sum (quad.trapezoid_even, Trefethen & Weideman 2014; to quad.REL_TOL and
+    ABS_TOL), cut where (b^2 - rho^2)/4t - (|k| - 1/2)(b - rho) = 45, the
+    profile's exponentials (_profile_angle) joined to the Gaussian and
+    e^{-b/2}.  Where the first two levels out to that cut hold more nodes
+    than the sum's budget (t > 38 at |k| = 2, t > 92 at |k| = 1, t > 347 at
+    |k| = 1/2, never at k = 0) it raises NotConverged.
 
     z and zp may be equal-length lists of points: a row each of one sum, 0
     past the row's own cut, so each entry of value, err_estimate and
@@ -286,7 +285,7 @@ def heat_kernel(t: float, k: float, z: HalfPlanePoint, zp: HalfPlanePoint,
         return np.where(s < cut, vals, 0.0)  # 0 past a row's cut
 
     s_max = max(cut for _, _, cut in par)
-    res = quad.trapezoid_even(f, s_max, [cfg.abs_tol] * len(par), cfg.rel_tol)
+    res = quad.trapezoid_even(f, s_max, [quad.ABS_TOL] * len(par), quad.REL_TOL)
     if not res.n_evals:  # not even the first two levels fit the node budget
         raise NotConverged(f"heat sum out to s = {s_max:.4g} needs more trapezoid nodes than the"
                            f" budget holds (t (|k| - 1/2) = {t * slope:.3g} too large)")

@@ -60,9 +60,9 @@ __all__ = [
     "resolvent_closed", "resolvent_integral", "heat_kernel", "theta_hw", "hartman_watson_heat_oracle",
 ]
 
-_RES_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-12)
-_LINE_CFG = quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-13)
-_HW_CFG = quad.QuadConfig(rel_tol=1e-7, abs_tol=1e-14)
+_RES_REL_TOL, _RES_ABS_TOL = 1e-8, 1e-12
+_LINE_REL_TOL, _LINE_ABS_TOL = 1e-8, 1e-13
+_HW_REL_TOL, _HW_ABS_TOL = 1e-7, 1e-14
 
 # trapezoid nodes on the Cauchy circle of the wave kernel's derivatives, every order
 _CIRCLE_NODES = 16
@@ -241,9 +241,9 @@ def wave_kernel_fourier(cfg: MorseConfig, b: float) -> quad.QuadratureResult:
         return (_wave_profile(ak, c) * np.cos(k * (math.pi - 2.0 * np.arctan2(v, u)) - lam * u)
                 / math.pi)
 
-    lam_z, tol, eps = [row[0] * row[1] for row in par], quad.DEFAULT_CONFIG, np.finfo(float).eps
+    lam_z, eps = [row[0] * row[1] for row in par], np.finfo(float).eps
     res = quad.trapezoid_periodic(f, math.pi / 2.0, math.ceil(max(lam_z) / 4.0) + 8,
-                                  [tol.abs_tol] * len(par), tol.rel_tol,
+                                  [quad.ABS_TOL] * len(par), quad.REL_TOL,
                                   [eps * (lz + 4.0) for lz in lam_z])
     res.value = res.value.astype(complex)
     return res if isinstance(cfg, list) else res.row(0)
@@ -332,13 +332,12 @@ def resolvent_integral(cfg: MorseConfig, mu: complex) -> quad.QuadratureResult:
         return np.stack([even.real, even.imag])[rows]
 
     res = quad.trapezoid_even(fold, 2.0 * math.acosh(1.0 + 90.0 / (lam * d)),
-                              np.full(1 if s.imag == 0.0 else 2, _RES_CFG.abs_tol), _RES_CFG.rel_tol)
+                              np.full(1 if s.imag == 0.0 else 2, _RES_ABS_TOL), _RES_REL_TOL)
     return quad.QuadratureResult(complex(*res.value), math.hypot(*res.err_estimate), res.n_evals,
                                  res.converged).scaled(2.0 * pref / math.sqrt(y * yp))
 
 
-def heat_kernel(cfg: MorseConfig, t: float,
-                qcfg: quad.QuadConfig = _LINE_CFG) -> quad.QuadratureResult:
+def heat_kernel(cfg: MorseConfig, t: float) -> quad.QuadratureResult:
     """Morse heat kernel int_{|X-X'|}^inf e^{-b^2/4t} / (4 pi t)^{3/2} W(b) b db
     as q(t) = (i / 8 pi^2) int_{Im mu = -c} mu e^{-t mu^2} R(mu) dmu, R the
     closed resolvent.  R's poles sit at nu = i mu = k - 1/2 - n (signed k); c
@@ -346,16 +345,16 @@ def heat_kernel(cfg: MorseConfig, t: float,
     stays off the integers where W fails.  On the line the integrand is
     analytic and Gaussian, so the trapezoid rule converges exponentially, and
     R(-conj mu) = conj R(mu) leaves q = -(h / 4 pi^2) sum' Im f(jh), j >= 0,
-    cut where e^{-t(sigma^2 - c^2)} < eps (quad.trapezoid_even, tolerance
-    qcfg).  Each trapezoid call is one resolvent_closed call on the array of
-    its nodes' mu (its first call two levels: 27 and 21 nodes at the
-    benchmark's two heat points), and n_evals counts closed resolvents.  Its
-    round-off floor is 4 eps kappa h sum|f| / 4 pi^2, kappa the cancellation
-    of W's two M terms at sigma = 0 (its worst): each term carries a few ulps
-    of its own, from two log-gamma values, a power and a series (up to about
-    4 eps kappa measured in W at one node).  Large k t or Morse argument
-    2 lam e^{max(X, X')} lifts the floor; past 40 the closed resolvent raises
-    SeriesNonConvergence.
+    cut where e^{-t(sigma^2 - c^2)} < eps (quad.trapezoid_even to rel_tol
+    1e-8, abs_tol 1e-13, for every caller).  Each trapezoid call is one
+    resolvent_closed call on the array of its nodes' mu (its first call two
+    levels: 27 and 21 nodes at the benchmark's two heat points), and n_evals
+    counts closed resolvents.  Its round-off floor is 4 eps kappa h sum|f| /
+    4 pi^2, kappa the cancellation of W's two M terms at sigma = 0 (its
+    worst): each term carries a few ulps of its own, from two log-gamma
+    values, a power and a series (up to about 4 eps kappa measured in W at
+    one node).  Large k t or Morse argument 2 lam e^{max(X, X')} lifts the
+    floor; past 40 the closed resolvent raises SeriesNonConvergence.
     """
     require_finite(t=t)
     if not t > 0:
@@ -370,7 +369,7 @@ def heat_kernel(cfg: MorseConfig, t: float,
         mu = sig - 1j * c
         return -(mu * np.exp(-t * mu * mu) * resolvent_closed(cfg, mu)).imag[None, :] / (4 * math.pi ** 2)
 
-    return quad.trapezoid_even(f, sig_max, qcfg.abs_tol, qcfg.rel_tol, noise).row(0)
+    return quad.trapezoid_even(f, sig_max, _LINE_ABS_TOL, _LINE_REL_TOL, noise).row(0)
 
 
 def theta_hw(r, tau: float, abs_tol) -> quad.QuadratureResult:
@@ -430,8 +429,8 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
     round-off floor: tails at k well past 1, small t).
     n_evals and converged cover every inner integral; err_estimate adds the
     largest weighted inner error times the swept length 2 xi_max, and
-    converged needs that total to meet _HW_CFG (rel_tol 1e-7, abs_tol
-    1e-14).  Callers use t >= 0.7.
+    converged needs that total to meet max(abs_tol 1e-14, rel_tol 1e-7
+    times |value|).  Callers use t >= 0.7.
     """
     require_finite(t=t)
     if not t > 0:
@@ -450,11 +449,11 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
         log_weight = x + 2.0 * cfg.k * u - damp0 / np.tanh(u)  # du = u dx
         live = (u <= u_max) & (log_weight >= -700.0)
         u, weight, sh2 = u[live], np.exp(log_weight[live]), 2.0 * np.sinh(u[live])
-        th = theta_hw(r0 * 2.0 / sh2, tau, _HW_CFG.abs_tol / weight * sh2)
+        th = theta_hw(r0 * 2.0 / sh2, tau, _HW_ABS_TOL / weight * sh2)
         vals = np.where(np.abs(th.value) > th.err_estimate, weight * th.value / sh2, 0.0)
         werr = weight * th.err_estimate / sh2
         peak = np.abs(vals).max(initial=peak)
-        over = np.flatnonzero(werr > max(_HW_CFG.abs_tol, _HW_CFG.rel_tol * peak))
+        over = np.flatnonzero(werr > max(_HW_ABS_TOL, _HW_REL_TOL * peak))
         if over.size:
             raise CancellationLimit(f"round-off {werr[over[0]]:.3g} at u={u[over[0]]:.4g}"
                                     f" tops max(abs_tol, rel_tol * peak {peak:.3g})")
@@ -464,9 +463,9 @@ def hartman_watson_heat_oracle(cfg: MorseConfig, t: float) -> quad.QuadratureRes
         return (out[:xi.size] + out[xi.size:])[None, :]
 
     xi_max = math.log(max(45.0, u_max / damp0))  # damping e^{-45} on the left, u_max on the right
-    res = quad.trapezoid_even(outer, xi_max, _HW_CFG.abs_tol, _HW_CFG.rel_tol)
-    res = res.row(0)
+    res = quad.trapezoid_even(outer, xi_max, _HW_ABS_TOL, _HW_REL_TOL).row(0)
     res.n_evals += inner_evals
     res.err_estimate += 2.0 * xi_max * err
-    res.converged = res.converged and inner_ok and res.err_estimate <= res.tolerance_bound(_HW_CFG)
+    res.converged = (res.converged and inner_ok
+                     and res.err_estimate <= max(_HW_ABS_TOL, _HW_REL_TOL * abs(res.value)))
     return res.scaled(1.0 / (4.0 * math.pi))

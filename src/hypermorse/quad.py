@@ -5,9 +5,11 @@ integrand, which converges exponentially in the number of nodes (Trefethen &
 Weideman, SIAM Review 2014): trapezoid_even over [0, inf) for even integrands
 with a decaying tail, after a change of variable that moves any endpoint
 singularity away, and trapezoid_periodic over one half period of a periodic
-even integrand.  The kernels choose the variable; this module only halves
-the step, in one loop (_halving) that both rules share: they differ only in
-their first step, their end node and their node budget.
+even integrand.  The kernels choose the variable and the tolerances, each a
+module constant (REL_TOL and ABS_TOL here, for the kernels that set none of
+their own); this module only halves the step, in one loop (_halving) that
+both rules share: they differ only in their first step, their end node and
+their node budget.
 
 Integrands are callables f(x, rows) of a float ndarray of abscissae and the
 rows still open.  Each level is one call on its new nodes only (the first
@@ -22,25 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadConfig", "QuadratureResult", "trapezoid_even", "trapezoid_periodic"]
+__all__ = ["QuadratureResult", "trapezoid_even", "trapezoid_periodic"]
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances of a kernel integral: its err_estimate, the difference of
-    the last two trapezoid levels, meets max(abs_tol, rel_tol * |value|).
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_CONFIG = QuadConfig()
-
+# where a kernel sets none: its integral's err_estimate meets max(ABS_TOL, REL_TOL * |value|)
+REL_TOL, ABS_TOL = 1e-10, 1e-14
 _EPS = float(np.finfo(float).eps)
 # trapezoid_even: first step and node budget per row
 _TRAP_H0 = 0.5
@@ -58,9 +45,6 @@ class QuadratureResult:
     n_evals: int
     converged: bool
     converged_rows: list = None  # a sum of rows: each row's flag, converged their all
-
-    def tolerance_bound(self, cfg: QuadConfig) -> float:
-        return max(cfg.abs_tol, cfg.rel_tol * abs(self.value))
 
     def row(self, i: int) -> "QuadratureResult":
         """Row i of a sum of rows as Python numbers, converged its own flag."""

@@ -16,8 +16,7 @@ def test_quad_is_the_trapezoid_rule_only():
     # every kernel integral is a trapezoid sum: the adaptive Gauss-Kronrod
     # integrators and their TailDivergence error are gone
     from hypermorse import errors, quad
-    assert set(quad.__all__) == {"QuadConfig", "QuadratureResult", "trapezoid_even",
-                                 "trapezoid_periodic"}
+    assert set(quad.__all__) == {"QuadratureResult", "trapezoid_even", "trapezoid_periodic"}
     for name in ("integrate_finite", "integrate_semiinfinite", "integrate_sqrt_endpoint", "_panels"):
         assert not hasattr(quad, name)
     assert not hasattr(errors, "TailDivergence")
@@ -67,3 +66,17 @@ def test_one_kernel_dispatch():
     from hypermorse import harness
     assert not hasattr(harness, "_eval_group")
     assert list(inspect.signature(harness.apply_halfplane_generator).parameters) == ["f", "z", "k"]
+
+
+def test_no_tolerance_knobs():
+    # every kernel integral's tolerance is a module constant: no tolerance
+    # object, and the heat kernels take no tolerance argument, so the identity
+    # checks run the kernels as they ship
+    import inspect
+
+    from hypermorse import hkernels, mkernels, quad
+    for name in ("QuadConfig", "DEFAULT_CONFIG"):
+        assert not hasattr(quad, name)
+    assert not hasattr(quad.QuadratureResult, "tolerance_bound")
+    assert list(inspect.signature(hkernels.heat_kernel).parameters) == ["t", "k", "z", "zp"]
+    assert list(inspect.signature(mkernels.heat_kernel).parameters) == ["cfg", "t"]

@@ -234,8 +234,7 @@ class TestReports:
         # a kernel of the operator with the opposite sign of k fails the check
         real = mkernels.heat_kernel
         monkeypatch.setattr("hypermorse.harness.morse_heat_kernel",
-                            lambda cfg, t, qcfg: real(MorseConfig(cfg.lam, -cfg.k, cfg.X, cfg.Xp),
-                                                      t, qcfg))
+                            lambda cfg, t: real(MorseConfig(cfg.lam, -cfg.k, cfg.X, cfg.Xp), t))
         rep = check_morse_heat_pde()
         assert not rep.passed and rep.max_rel_err > 1e-2
 
@@ -302,19 +301,17 @@ class TestGenerator:
     def test_wrong_sign_breaks_pde(self):
         # flipping the first-order term's sign must wreck the residual; this
         # pins the operator/phase pairing the package documents
-        from hypermorse.quad import QuadConfig
         z, zp, t, k = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(0.3, 1.4), 0.7, 1.0
-        qcfg = QuadConfig(rel_tol=1e-11, abs_tol=1e-16)
         ht = 0.02
 
         def h_of_t(tt):
-            return heat_kernel(tt, k, z, zp, qcfg).value
+            return heat_kernel(tt, k, z, zp).value
 
         dt = (-h_of_t(t + 2 * ht) + 8 * h_of_t(t + ht) - 8 * h_of_t(t - ht)
               + h_of_t(t - 2 * ht)) / (12 * ht)
 
         def h_of_z(x, y):
-            return heat_kernel(t, k, HalfPlanePoint(x, y), zp, qcfg).value
+            return heat_kernel(t, k, HalfPlanePoint(x, y), zp).value
 
         good = apply_halfplane_generator(h_of_z, z, k)
         flipped = apply_halfplane_generator(h_of_z, z, -k)  # sign of 2iky d_x flips

@@ -6,14 +6,12 @@ import pytest
 
 from hypermorse import quad
 from hypermorse.quad import (
-    QuadConfig,
     QuadratureResult,
     trapezoid_even,
     trapezoid_periodic,
 )
 
 EPS = np.finfo(float).eps
-CFG = QuadConfig()
 
 
 def _rows(*fns):
@@ -212,13 +210,13 @@ class TestProperties:
             assert r1.n_evals == r2.n_evals
 
     def test_converged_respects_tolerance_invariant(self):
-        res = trapezoid_even(_rows(lambda x: np.exp(-x * x)), 40.0, CFG.abs_tol, CFG.rel_tol)
+        res = trapezoid_even(_rows(lambda x: np.exp(-x * x)), 40.0, quad.ABS_TOL, quad.REL_TOL)
         assert res.converged
-        assert res.err_estimate[0] <= max(CFG.abs_tol, CFG.rel_tol * abs(res.value[0]))
+        assert res.err_estimate[0] <= max(quad.ABS_TOL, quad.REL_TOL * abs(res.value[0]))
         res = trapezoid_periodic(_rows(lambda th: np.cos(5.0 * np.cos(th))), math.pi, 4,
-                                 CFG.abs_tol, CFG.rel_tol)
+                                 quad.ABS_TOL, quad.REL_TOL)
         assert res.converged
-        assert res.err_estimate[0] <= max(CFG.abs_tol, CFG.rel_tol * abs(res.value[0]))
+        assert res.err_estimate[0] <= max(quad.ABS_TOL, quad.REL_TOL * abs(res.value[0]))
 
     def test_nan_is_not_converged(self):
         # a NaN node stops its row at once and leaves the result unconverged
@@ -257,13 +255,7 @@ class TestProperties:
         assert abs(res.value[0] - exact) < res.err_estimate[0]
 
 
-class TestQuadConfig:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            QuadConfig(rel_tol=-1)
-        with pytest.raises(ValueError):
-            QuadConfig(abs_tol=0.0)
-
+class TestQuadratureResult:
     def test_result_dataclass(self):
         r = QuadratureResult(1 + 2j, 1e-12, 30, True)
         assert r.value == 1 + 2j
