@@ -152,7 +152,7 @@ def _parse_grid_spec(path: str):
                     pieces = value.split(":")
                     if len(pieces) != 3:
                         raise InvalidGrid(f"{path}:{lineno}: ranged axis needs lo:hi:count")
-                    grid[key] = (float(pieces[0]), float(pieces[1]), int(pieces[2]))
+                    grid[key] = tuple(map(float, pieces))  # grid_eval tests the count
                 elif "," in value:
                     a, b = value.split(",", 1)
                     params[key] = (float(a), float(b))

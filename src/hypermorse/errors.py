@@ -11,17 +11,14 @@ class NonFiniteInput(HypermorseError, ValueError):
 
 
 class DomainError(HypermorseError, ValueError):
-    """A kernel parameter lies outside its domain (t <= 0, y <= 0, lam <= 0, an unknown form)."""
+    """A kernel parameter lies outside its domain (t <= 0, y <= 0, lam <= 0) or has the wrong form."""
 
 
 def require_finite(**named):
     """Raise NonFiniteInput naming the first argument that is, or holds in a
-    tuple, a NaN or infinite number; strings pass."""
+    tuple or list, a NaN or infinite number."""
     for name, value in named.items():
-        if isinstance(value, (tuple, list)):
-            ok = all(map(cmath.isfinite, value))
-        else:
-            ok = isinstance(value, str) or cmath.isfinite(value)
+        ok = all(map(cmath.isfinite, value)) if isinstance(value, (tuple, list)) else cmath.isfinite(value)
         if not ok:
             raise NonFiniteInput(f"parameter {name}={value!r} is not finite")
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import mkernels, quad, specfun
 from .errors import (CalibrationAmbiguous, DomainError, HypermorseError, InvalidGrid,
-                     MissingParameter, NotConverged, UnsupportedK, require_finite)
+                     MissingParameter, NonFiniteInput, NotConverged, UnsupportedK)
 from .geometry import HalfPlanePoint, two_k_int
 from .hkernels import (
     SpectralParam,
@@ -697,6 +697,33 @@ def _require_params(kernel_id: str, given, exc: type = MissingParameter, where: 
         raise exc(f"kernel {kernel_id!r} needs {', '.join(missing)}{where}")
 
 
+_REAL = (int, float, np.integer, np.floating)
+_NUMBER = _REAL + (complex, np.complexfloating)
+_FORMS = {"z": "a pair of real numbers", "zp": "a pair of real numbers", "mu": "a number or a (re, im) tuple"}
+
+
+def _check_params(kernel_id: str, params: dict, exc: type) -> Optional[str]:
+    """Raise exc naming the first parameter of KERNEL_PARAMS[kernel_id] of the
+    wrong form: z and zp pairs of real numbers, mu a number or a (re, im)
+    tuple of them, any other a real number.  Returns the name of the first
+    NaN or infinite one, or None."""
+    bad = None
+    for name in KERNEL_PARAMS[kernel_id]:
+        v = params[name]
+        if name in ("z", "zp") or name == "mu" and isinstance(v, tuple):
+            ok = (isinstance(v, (tuple, list)) and len(v) == 2
+                  and isinstance(v[0], _REAL) and isinstance(v[1], _REAL))
+            finite = ok and math.isfinite(v[0]) and math.isfinite(v[1])
+        else:
+            ok = isinstance(v, _NUMBER if name == "mu" else _REAL)
+            finite = ok and cmath.isfinite(v)
+        if not ok:
+            raise exc(f"parameter {name}={v!r} is not {_FORMS.get(name, 'a real number')}")
+        if bad is None and not finite:
+            bad = name
+    return bad
+
+
 def _complex(v) -> complex:  # a spec's pair "re,im" arrives as a tuple
     return complex(*v) if isinstance(v, tuple) else complex(v)
 
@@ -706,14 +733,17 @@ def eval_kernel(kernel_id: str, params: dict) -> quad.QuadratureResult:
 
     Closed-form evaluations report a zero error estimate; quadrature-backed
     ones propagate their own bookkeeping.  A parameter of KERNEL_PARAMS
-    missing from params raises MissingParameter, and a NaN or infinite one
-    NonFiniteInput, each naming it before any kernel runs.  A key the kernel
-    does not read (hwave's former "form", say, or a NaN t) is ignored.
+    missing from params raises MissingParameter, one of the wrong form
+    (_check_params) DomainError, and a NaN or infinite one NonFiniteInput,
+    each naming it before any kernel runs.  A key the kernel does not read
+    (hwave's former "form", say, or a NaN t) is ignored.
     """
     if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}; choose from {KERNEL_IDS}")
     _require_params(kernel_id, params)
-    require_finite(**{name: params[name] for name in KERNEL_PARAMS[kernel_id]})
+    bad = _check_params(kernel_id, params, DomainError)
+    if bad is not None:
+        raise NonFiniteInput(f"parameter {bad}={params[bad]!r} is not finite")
     return _evaluate(kernel_id, [params])[0]
 
 
@@ -779,8 +809,9 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
     grid_spec maps parameter names to (start, stop, count); an axis written
     'zp.y' sweeps one component of a pair-valued parameter.  params and the
     axes together must hold every parameter KERNEL_PARAMS names for the
-    kernel, and each axis must be well formed (a whole count >= 1, a
-    component of a pair), or InvalidGrid is raised before any point runs.
+    kernel, each axis must be well formed (a whole count >= 1, a component
+    of a pair) and each node's parameters of the form eval_kernel takes, or
+    InvalidGrid is raised before any point runs or the file is opened.
     Two nodes or more sharing their non-position parameters (_ROW_KEYS) are
     one list call of _evaluate: an hheat row equals eval_kernel at its node
     bit for bit, an hres or mwave row may differ from it by a few ulps, and a
@@ -815,6 +846,7 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
         point = dict(params)
         for n_, v in zip(names, combo):
             _apply_axis(point, n_, v)
+        _check_params(kernel_id, point, InvalidGrid)
         alone = keys is None or (kernel_id == "mwave" and point["k"] == 0)
         key = len(points) if alone else tuple(point[n_] for n_ in keys)
         groups.setdefault(key, []).append(len(points))

@@ -169,6 +169,24 @@ class TestGrid:
         assert rc == 2 and not out.exists()
         assert "axis 'k.x' must address .x or .y of a pair parameter" in capsys.readouterr().err
 
+    def test_pair_parameter_given_a_number_is_usage_error(self, tmp_path, capsys):
+        # it printed a traceback, exited 1 and left a CSV of the header alone
+        spec = tmp_path / "spec.txt"
+        spec.write_text("kernel = hheat\nk = 0.5\nt = 0.8\nz = 1\nzp = 0.3,1.5\nzp.y = 1.5:2.0:2\n")
+        out = tmp_path / "o.csv"
+        rc = main(["grid", "--kernel", "hheat", "--spec", str(spec), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "parameter z=1.0 is not a pair of real numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count, rc", [("2.0", 0), ("2", 0), ("2.5", 2), ("0", 2), ("inf", 2)])
+    def test_axis_count_is_a_number_grid_eval_tests(self, tmp_path, count, rc):
+        # one rule for the API and the spec file: a whole count >= 1, written as any number
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"kernel = mheat\nk = 0\nlambda = 1.0\nX = 0\nXp = 0.3\nt = 0.5:1.0:{count}\n")
+        out = tmp_path / "o.csv"
+        assert main(["grid", "--kernel", "mheat", "--spec", str(spec), "--out", str(out)]) == rc
+        assert len(out.read_text().splitlines()) == 3 if rc == 0 else not out.exists()
+
     def test_kernel_line_must_match(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("kernel = mheat\nk = 0\nlambda = 1.0\nX = 0\nXp = 0.3\nt = 0.5:1.0:2\n")

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hypermorse import harness, mkernels, specfun
-from hypermorse.errors import (CalibrationAmbiguous, GammaPole, InvalidGrid, MissingParameter,
+from hypermorse.errors import (CalibrationAmbiguous, DomainError, GammaPole, InvalidGrid, MissingParameter,
                                NonFiniteInput)
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.harness import (
@@ -344,6 +344,21 @@ _ONE_NODE_PER_KERNEL = [
     ("mwave", {"k": 0.5, "lam": 1.0, "X": 0.0, "Xp": 0.35, "b": 1.2}),
 ]
 
+# (kernel, key, value): a parameter of the wrong form at a node of _ONE_NODE_PER_KERNEL
+_WRONG_FORMS = [
+    ("hres", "z", 1.0),
+    ("hres", "z", (0.0, 1.0, 2.0)),
+    ("hres", "zp", (0.5, "2")),
+    ("hres", "mu", "abc"),
+    ("hres", "mu", [0.3, -0.9]),
+    ("hres", "mu", (0.3j, -0.9)),
+    ("hheat", "k", (0.1, 0.2)),
+    ("hheat", "t", 1j),
+    ("mres", "mu", None),
+    ("mwave", "Xp", None),
+    ("mheat", "lam", "1"),
+]
+
 
 class TestEvalKernel:
     def test_hres_matches_api(self):
@@ -408,6 +423,19 @@ class TestEvalKernel:
         params = {"k": 0.5, "lam": 1.0, "mu": -0.9j, "X": math.inf, "Xp": 0.0}
         with pytest.raises(NonFiniteInput, match="X=inf"):
             eval_kernel("mres", params)
+
+    @pytest.mark.parametrize("kernel, key, value", _WRONG_FORMS)
+    def test_wrong_form_is_a_domain_error(self, monkeypatch, kernel, key, value):
+        # named before any kernel runs; these escaped as TypeError or ValueError
+        monkeypatch.setattr(harness, "_evaluate", None)
+        params = dict(dict(_ONE_NODE_PER_KERNEL)[kernel], **{key: value})
+        with pytest.raises(DomainError, match=f"parameter {key}="):
+            eval_kernel(kernel, params)
+
+    def test_wrong_form_is_named_before_a_non_finite_value(self):
+        params = {"k": 0.5, "t": math.nan, "z": 1.0, "zp": (0.5, 2.0)}
+        with pytest.raises(DomainError, match="parameter z=1.0 is not a pair of real numbers"):
+            eval_kernel("hheat", params)
 
     def test_non_finite_rejected_at_the_kernel_entry_points(self):
         from hypermorse.hkernels import SpectralParam
@@ -647,6 +675,15 @@ class TestGridEval:
         params = {"k": 0.0, "t": 0.5, "mu": -0.9j, "z": (0.0, 1.0), "zp": (0.0, 1.0)}
         with pytest.raises(InvalidGrid, match=f"axis '{axis}' must address .x or .y"):
             grid_eval(kernel, params, {axis: (1.5, 2.0, 2)}, str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel, key, value", _WRONG_FORMS)
+    def test_wrong_form_is_invalid_before_any_point(self, tmp_path, monkeypatch, kernel, key, value):
+        monkeypatch.setattr(harness, "_evaluate", None)
+        params = dict(dict(_ONE_NODE_PER_KERNEL)[kernel], **{key: value})
+        out, axis = tmp_path / "grid.csv", "t" if key == "k" else "k"  # hheat's k is the key
+        with pytest.raises(InvalidGrid, match=f"parameter {key}="):
+            grid_eval(kernel, params, {axis: (0.5, 0.5, 2)}, str(out))
         assert not out.exists()
 
     def test_non_finite_value_names_each_node(self, tmp_path):

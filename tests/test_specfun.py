@@ -10,6 +10,7 @@ from hypermorse.geometry import HalfPlanePoint
 from hypermorse.errors import (
     IntegerTwoMuUnsupported,
     LogarithmicSingularity,
+    NonFiniteInput,
     NotConverged,
     OutsideConvergenceRegion,
     ParameterPole,
@@ -689,3 +690,46 @@ class TestOracleTable:
         for row in load_oracle_rows():
             got, ref, tol = evaluate_row(row)
             assert relerr(got, ref) < tol, f"{row['function']}({row['params']})"
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+class TestNonFiniteInput:
+    # each entry point names a NaN or infinite argument before any sum runs:
+    # these ran 5,000 series terms, returned NaN, or escaped untyped
+    @pytest.mark.parametrize("fn, args, named", [
+        (gauss_2f1, (_NAN, 1, 2, 0.3), "a"),
+        (gauss_2f1, (1, 1, -_INF, 0.3), "c"),
+        (gauss_2f1, (0.3, 0.4, 1.2, _NAN), "z"),
+        (kummer_1f1, (_NAN, 1, 0.3), "a"),
+        (kummer_1f1, (0.5, 1.5, complex(0.3, _INF)), "x"),
+        (humbert_phi1, (_NAN, 1, 2, 0.3, 0.2), "a"),
+        (humbert_phi1, (0.5, 1, 2, 0.3, _INF), "y"),
+        (bessel, ("J", 0.0, _NAN), "x"),
+        (bessel, ("K", _NAN, 1.0), "nu"),
+        (whittaker, ("M", 0.2, _NAN, 1.0), "mu"),
+        (whittaker, ("W", 0.2, _NAN, 1.0), "mu"),
+        (whittaker, ("W", 0.2, _INF, 1.0), "mu"),
+        (whittaker, ("W", _NAN, 0.3, 1.0), "k"),
+        (log_gamma, (_NAN,), "z"),
+        (log_gamma, (-_INF,), "z"),
+        (chebyshev_t, (3, _NAN), "x"),
+        (chebyshev_t, (_NAN, 0.3), "n"),
+        # one entry of an array argument
+        (log_gamma, (np.array([1.5, 2.0 + 1j, _NAN]),), "z"),
+        (kummer_1f1, (np.array([0.5, _INF]), 1.5, 0.3), "a"),
+        (kummer_1f1, (0.5, np.array([1.5, _NAN]), 0.3), "c"),
+        (whittaker, ("M", 0.2, np.array([0.3, _NAN]), 1.0), "mu"),
+        (whittaker, ("W", 0.2, np.array([0.3, -_INF]), 1.0), "mu"),
+        (gauss_2f1, (0.3, 0.4, 1.2, np.array([0.1, _NAN])), "z"),
+        (chebyshev_t, (3, np.array([0.2, _INF])), "x"),
+    ])
+    def test_named_before_any_sum(self, monkeypatch, fn, args, named):
+        def no_sum(*_):
+            raise AssertionError("a sum ran")
+        for name in ("_hyp_series", "_table_sums", "_bessel_k"):
+            monkeypatch.setattr(specfun, name, no_sum)
+        with pytest.raises(NonFiniteInput, match=f"parameter {named}="):
+            fn(*args)
+
