@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the entry-point finite check."""
 import cmath
 
+import numpy as np
+
 
 class HypermorseError(Exception):
     """Base class for all package-specific errors."""
@@ -16,9 +18,13 @@ class DomainError(HypermorseError, ValueError):
 
 def require_finite(**named):
     """Raise NonFiniteInput naming the first argument that is, or holds in a
-    tuple or list, a NaN or infinite number."""
+    tuple, a list or an ndarray (one np.isfinite pass), a NaN or infinite
+    number."""
     for name, value in named.items():
-        ok = all(map(cmath.isfinite, value)) if isinstance(value, (tuple, list)) else cmath.isfinite(value)
+        if isinstance(value, np.ndarray):
+            ok = np.isfinite(value).all()
+        else:
+            ok = all(map(cmath.isfinite, value)) if isinstance(value, (tuple, list)) else cmath.isfinite(value)
         if not ok:
             raise NonFiniteInput(f"parameter {name}={value!r} is not finite")
 

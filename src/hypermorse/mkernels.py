@@ -264,7 +264,7 @@ def resolvent_closed(cfg: MorseConfig, mu):
     runs, a pole of either gamma function GammaPole.
     """
     k, array = cfg.k, specfun._is_array(mu)
-    require_finite(mu=mu.ravel().tolist() if array else mu)
+    require_finite(mu=mu)
     nu = 1j * (mu.astype(complex) if array else complex(mu))
     x_lo, x_hi = min(cfg.X, cfg.Xp), max(cfg.X, cfg.Xp)
     pref = _gamma_ratio((nu - k + 0.5,), 1.0 + 2.0 * nu) / cfg.lam

@@ -37,12 +37,12 @@ from . import quad
 from .errors import (
     IntegerTwoMuUnsupported,
     LogarithmicSingularity,
-    NonFiniteInput,
     NotConverged,
     OutsideConvergenceRegion,
     ParameterPole,
     PoleAtNonPositiveInteger,
     SeriesNonConvergence,
+    require_finite,
 )
 
 __all__ = [
@@ -122,15 +122,6 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
 
 
-def _require_finite(**named):
-    """Raise NonFiniteInput naming the first argument that is NaN or infinite,
-    or an ndarray with such an entry (one np.isfinite pass each).  Scalar
-    callers test a sum of their arguments first: a NaN or inf spoils it."""
-    for name, x in named.items():
-        if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x)):
-            raise NonFiniteInput(f"parameter {name}={x!r} is not finite")
-
-
 def _log_sin_pi(z: complex) -> complex:
     """log sin(pi z) on the branch that keeps log_gamma's reflection formula
     continuous off the negative real axis (standard loggamma convention)."""
@@ -179,11 +170,11 @@ def log_gamma(z):
     other Re z >= 0.5, branch-tracked reflection otherwise.
     """
     if isinstance(z, np.ndarray) and z.ndim:
-        _require_finite(z=z)
+        require_finite(z=z)
         return _log_gamma_array(z.astype(complex).ravel()).reshape(z.shape)
     z = complex(z)
     if not cmath.isfinite(z):
-        _require_finite(z=z)
+        require_finite(z=z)
     if z.imag == 0.0 and z.real > 0.0:
         return complex(math.lgamma(z.real))
     if _nonpositive_int(z):
@@ -387,7 +378,7 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
     """
     a, b, c = complex(a), complex(b), complex(c)
     if isinstance(z, np.ndarray) or not cmath.isfinite(a + b + c + z):
-        _require_finite(a=a, b=b, c=c, z=z)
+        require_finite(a=a, b=b, c=c, z=z)
     term_n = _terminating_index(a, b)
     if _nonpositive_int(c) and (term_n is None or term_n > int(round(-c.real))):
         raise ParameterPole(f"2F1 lower parameter c={c} at a non-positive integer")
@@ -461,11 +452,11 @@ def kummer_1f1(a, c, x: complex):
     """
     if _is_array(a) or _is_array(c):
         a, c = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(c, dtype=complex))
-        _require_finite(a=a, c=c, x=x)
+        require_finite(a=a, c=c, x=x)
         return _kummer_columns(a.ravel(), c.ravel(), complex(x)).reshape(a.shape)
     a, c, x = complex(a), complex(c), complex(x)
     if not cmath.isfinite(a + c + x):
-        _require_finite(a=a, c=c, x=x)
+        require_finite(a=a, c=c, x=x)
     term_n = _terminating_index(a)
     if _nonpositive_int(c):
         c_pole = int(round(-c.real))
@@ -500,7 +491,7 @@ def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex) -> 
     """
     a, b, c, x, y = complex(a), complex(b), complex(c), complex(x), complex(y)
     if not cmath.isfinite(a + b + c + x + y):
-        _require_finite(a=a, b=b, c=c, x=x, y=y)
+        require_finite(a=a, b=b, c=c, x=x, y=y)
     n_max = _terminating_index(b)
     if _terminating_index(a) is not None:
         n_max = _terminating_index(a) if n_max is None else min(n_max, _terminating_index(a))
@@ -528,7 +519,7 @@ def chebyshev_t(n: int, x):
     Accepts scalars or ndarrays.
     """
     x = np.asarray(x, dtype=float)
-    _require_finite(n=n, x=x)
+    require_finite(n=n, x=x)
     if n < 0:
         raise ValueError("chebyshev_t needs n >= 0")
     t_prev = np.ones_like(x)
@@ -589,7 +580,7 @@ def bessel(kind: str, nu: float, x: float) -> float:
     raises NotConverged; past the largest double it raises OverflowError.
     """
     if not cmath.isfinite(nu + x):
-        _require_finite(nu=nu, x=x)
+        require_finite(nu=nu, x=x)
     if x <= 0:
         raise ValueError("bessel requires x > 0")
     if x > BESSEL_X_MAX:
@@ -617,7 +608,7 @@ def whittaker(kind: str, k: float, mu, z: float):
     """
     array = _is_array(mu)
     if array or not cmath.isfinite(k + mu + z):
-        _require_finite(k=k, mu=mu, z=z)
+        require_finite(k=k, mu=mu, z=z)
     if z <= 0:
         raise ValueError("whittaker requires z > 0")
     mu, exp = (mu.astype(complex), np.exp) if array else (complex(mu), cmath.exp)
