@@ -810,7 +810,7 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
     'zp.y' sweeps one component of a pair-valued parameter.  params and the
     axes together must hold every parameter KERNEL_PARAMS names for the
     kernel, each axis must be well formed (a whole count >= 1, a component
-    of a pair) and each node's parameters of the form eval_kernel takes, or
+    of a pair) and the parameters of the form eval_kernel takes, or
     InvalidGrid is raised before any point runs or the file is opened.
     Two nodes or more sharing their non-position parameters (_ROW_KEYS) are
     one list call of _evaluate: an hheat row equals eval_kernel at its node
@@ -846,7 +846,8 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
         point = dict(params)
         for n_, v in zip(names, combo):
             _apply_axis(point, n_, v)
-        _check_params(kernel_id, point, InvalidGrid)
+        if not points:  # the nodes differ only in the axes' floats: the first has the form of all
+            _check_params(kernel_id, point, InvalidGrid)
         alone = keys is None or (kernel_id == "mwave" and point["k"] == 0)
         key = len(points) if alone else tuple(point[n_] for n_ in keys)
         groups.setdefault(key, []).append(len(points))

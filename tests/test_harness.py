@@ -6,8 +6,8 @@ import math
 import pytest
 
 from hypermorse import harness, mkernels, specfun
-from hypermorse.errors import (CalibrationAmbiguous, DomainError, GammaPole, InvalidGrid, MissingParameter,
-                               NonFiniteInput)
+from hypermorse.errors import (CalibrationAmbiguous, DomainError, GammaPole, InvalidGrid,
+                               MissingParameter, NonFiniteInput)
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.harness import (
     IdentityReport,
