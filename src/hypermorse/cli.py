@@ -6,8 +6,8 @@ Subcommands:
   calibrate  run convention calibration and write the record
   grid       sweep a kernel over a grid and write a CSV table
 
-Exit codes: 0 all pass, 1 identity failure, 2 usage or configuration error,
-3 calibration failure.
+Exit codes: 0 all pass, 1 identity failure, 2 usage or configuration error
+(an unwritable output path among them), 3 calibration failure.
 """
 from __future__ import annotations
 
@@ -108,8 +108,8 @@ def _cmd_verify(args) -> int:
         "calibration": record.to_dict() if record else None,
         "reports": [r.to_dict() for r in reports],
     }
-    with open(args.report, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    if not _write(args.report, json.dumps(doc, indent=2, sort_keys=True)):
+        return 2
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.identity_id}: max_rel_err={r.max_rel_err:.3e} "
@@ -121,12 +121,26 @@ def _cmd_verify(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     try:
-        record = harness.calibrate_spectral_mapping(args.out)
+        record = harness.calibrate_spectral_mapping()
     except CalibrationAmbiguous as exc:
         print(f"calibration failure: {exc}", file=sys.stderr)
         return 3
-    print(record.to_json())
+    text = record.to_json()
+    if not _write(args.out, text):
+        return 2
+    print(text)
     return 0
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to path, or print the error naming path and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _parse_grid_spec(path: str):

@@ -4,8 +4,10 @@ Every cross-representation identity the kernel modules implement is checked
 here over parameter grids, each against its own TOLERANCES entry; run_suite
 applies any tolerance overrides once, to the finished reports.  Suites run
 every grid point even after failures and report the worst point with enough
-parameters to reproduce it from a single CLI call.  Calibration measures each
-convention candidate against one reference per point.  The rejected candidates
+parameters to reproduce it from a single CLI call.  Every residual is one
+_relerr between two values computed once, with nothing fitted from the
+samples.  Calibration compares each convention candidate's list of values
+with one list of reference values and writes no file.  The rejected candidates
 live here only: the kernels ship the calibrated conventions alone, so each
 candidate is reached through the production routine at a moved argument
 (_MAPPINGS, _WHITTAKER_ORDERS), or is the production series at its own power
@@ -317,12 +319,9 @@ def check_hyperbolic_heat_pde() -> IdentityReport:
         def h(tt: float, x: float, y: float) -> complex:
             return _converged(hyp_heat_kernel(tt, k, HalfPlanePoint(x, y), zp))
 
-        def residual() -> float:
-            dt = _d1(lambda tt: h(tt, *p1), t, ht)
-            gen = apply_halfplane_generator(partial(h, t), z, k)
-            return abs(dt - gen) / max(abs(dt), abs(gen))
-
-        worst.run({"t": t, "k": k, "z": p1, "zp": p2}, residual)
+        worst.run({"t": t, "k": k, "z": p1, "zp": p2},
+                  lambda: _relerr(_d1(lambda tt: h(tt, *p1), t, ht),
+                                  apply_halfplane_generator(partial(h, t), z, k)))
     return worst.report("hyperbolic_heat_pde", f"{len(_PDE_SAMPLES)} samples, t in [0.3, 1.2]")
 
 
@@ -445,25 +444,21 @@ _MORSE_PDE_SAMPLES = ((0.8, 0.0, 0.0, 0.4), (1.0, 1.5, 0.0, 0.3), (1.2, 1.7, 0.2
 
 
 def check_morse_heat_pde() -> IdentityReport:
-    """dq/dt = (d^2/dX^2 + 2 k lam e^X - lam^2 e^{2X} + s) q, five-point
-    stencils in t and X, relative to max(|dq/dt|, |L q|).  The constant
-    spectral shift s is measured at the first sample and held for the rest;
-    each point records it.  Unlike the oracle this reaches k = 2."""
-    worst, h, shift = _Worst(), 0.01, None
+    """dq/dt = (d^2/dX^2 + 2 k lam e^X - lam^2 e^{2X}) q, the Morse heat
+    equation itself, each side by five-point stencils in t and X and compared
+    by _relerr; nothing is fitted from the samples.  Unlike the oracle this
+    reaches k = 2."""
+    worst, h = _Worst(), 0.01
     for (t, k, x, xp) in _MORSE_PDE_SAMPLES:
         def q(tt: float, xx: float) -> float:
             return _converged(morse_heat_kernel(MorseConfig(1.0, k, xx, xp), tt))
 
         def residual() -> float:
-            nonlocal shift
             qc = q(t, x)
-            dt = _d1(lambda tt: q(tt, x), t, h)
-            lq = _d2(partial(q, t), x, h, qc) + (2 * k * math.exp(x) - math.exp(2 * x)) * qc
-            shift = point["shift"] = (dt - lq) / qc if shift is None else shift
-            return abs(dt - lq - shift * qc) / max(abs(dt), abs(lq))
+            return _relerr(_d1(lambda tt: q(tt, x), t, h),
+                           _d2(partial(q, t), x, h, qc) + (2 * k * math.exp(x) - math.exp(2 * x)) * qc)
 
-        point = {"t": t, "k": k, "X": x, "Xp": xp}
-        worst.run(point, residual)
+        worst.run({"t": t, "k": k, "X": x, "Xp": xp}, residual)
     return worst.report("morse_heat_pde", f"{len(_MORSE_PDE_SAMPLES)} samples, k in [-1.3, 2], lam=1")
 
 
@@ -538,16 +533,19 @@ def wave_kernel_phi1_alt(cfg: MorseConfig, b: float) -> complex:
                                  c1 * math.exp(-cfg.k * (cfg.X + cfg.Xp)))
 
 
-def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRecord:
+def calibrate_spectral_mapping() -> CalibrationRecord:
     """Select the spectral mapping, Whittaker index convention, and Morse
     wave-kernel variant by measuring residuals of every candidate.
 
-    The kernels ship only the winners (SpectralParam's s = 1/2 + i mu and
+    Each selection computes its reference values once and each candidate's
+    values at the same points, and _residuals compares the lists.  The
+    kernels ship only the winners (SpectralParam's s = 1/2 + i mu and
     mkernels.resolvent_closed's order nu = i mu), so a rejected mapping or
     order is evaluated by the same closed form at the moved argument mu' of
     _MAPPINGS or _WHITTAKER_ORDERS.  The winner must have the strictly
     smallest residual and pass the calibration tolerance; anything else
-    raises CalibrationAmbiguous.
+    raises CalibrationAmbiguous.  Nothing is written: `hypermorse calibrate`
+    writes the record.
     """
     tol = TOLERANCES["calibration"]
 
@@ -555,28 +553,30 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
     # three point pairs; the integral reads only mu, never the mapping
     points = [(mu, HalfPlanePoint(*p1), HalfPlanePoint(*p2))
               for mu, (p1, p2) in itertools.product((-0.8j, -1.5j), _RESOLVENT_PAIRS[:3])]
-    mappings = _worst_residuals(
-        points, lambda mu, z, zp: _converged(hyp_resolvent_integral(SpectralParam(mu), 0.0, z, zp)),
-        {m: lambda mu, z, zp, f=f: hyp_resolvent_closed(SpectralParam(f(mu)), 0.0, z, zp)
-         for m, f in _MAPPINGS.items()})
+    mappings = _residuals(
+        [_value_or_nan(lambda: _converged(hyp_resolvent_integral(SpectralParam(mu), 0.0, z, zp)))
+         for mu, z, zp in points],
+        {m: [_value_or_nan(lambda: hyp_resolvent_closed(SpectralParam(f(mu)), 0.0, z, zp))
+             for mu, z, zp in points] for m, f in _MAPPINGS.items()})
 
     # Whittaker index convention: Morse closed vs integral at k = 0; the
     # integral does not depend on the convention
-    cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)
-    convs = _worst_residuals(
-        [(-0.7j,), (-1.1j,)], lambda mu: _converged(morse_resolvent_integral(cfg, mu)),
-        {c: lambda mu, f=f: morse_resolvent_closed(cfg, f(mu)) for c, f in _WHITTAKER_ORDERS.items()})
+    cfg, mus = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3), (-0.7j, -1.1j)
+    convs = _residuals(
+        [_value_or_nan(lambda: _converged(morse_resolvent_integral(cfg, mu))) for mu in mus],
+        {c: [_value_or_nan(lambda: morse_resolvent_closed(cfg, f(mu))) for mu in mus]
+         for c, f in _WHITTAKER_ORDERS.items()})
 
-    # Morse wave variant: k = 0 Bessel reduction; each point carries the raw
-    # alternate value, NaN where it raised, for the variant and its rescaling
-    cfg0 = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(1.5))
-    waves = _worst_residuals(
-        [(b, _value_or_nan(wave_kernel_phi1_alt, cfg0, b)) for b in (0.8, 1.5, 2.4)],
-        lambda b, alt: wave_kernel_bessel0(cfg0, b),
-        {"primary": lambda b, alt: wave_kernel_phi1(cfg0, b), "alternate": lambda b, alt: alt,
-         "alternate_k0_rescaled": lambda b, alt: ALT_VARIANT_K0_SCALE * alt})
+    # Morse wave variant: k = 0 Bessel reduction; the alternate values serve
+    # the variant and its rescaling
+    cfg0, bs = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=math.log(1.5)), (0.8, 1.5, 2.4)
+    alt = [_value_or_nan(lambda: wave_kernel_phi1_alt(cfg0, b)) for b in bs]
+    waves = _residuals(
+        [_value_or_nan(lambda: wave_kernel_bessel0(cfg0, b)) for b in bs],
+        {"primary": [_value_or_nan(lambda: wave_kernel_phi1(cfg0, b)) for b in bs],
+         "alternate": alt, "alternate_k0_rescaled": [ALT_VARIANT_K0_SCALE * a for a in alt]})
 
-    record = CalibrationRecord(
+    return CalibrationRecord(
         mapping_id=_unique_winner(mappings, tol, "spectral mapping"),
         whittaker_index_convention=_unique_winner(convs, tol, "Whittaker index convention"),
         morse_wave_variant=_unique_winner({v: waves[v] for v in ("primary", "alternate")}, tol,
@@ -585,29 +585,20 @@ def calibrate_spectral_mapping(out_path: Optional[str] = None) -> CalibrationRec
                    **{f"whittaker_{c}": r for c, r in convs.items()},
                    **{f"wave_{v}": r for v, r in waves.items()}},
     )
-    if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write(record.to_json())
-    return record
 
 
-def _value_or_nan(fn: Callable, *args):
-    """fn(*args), or NaN (inf under _relerr) where it raises a HypermorseError."""
+def _value_or_nan(value: Callable[[], complex]):
+    """value(), or NaN (inf under _relerr) where it raises a HypermorseError."""
     try:
-        return fn(*args)
+        return value()
     except HypermorseError:
         return math.nan
 
 
-def _worst_residuals(points: list, reference: Callable, candidates: dict) -> dict:
-    """Each candidate's worst _relerr against reference(*p) over the points p,
-    the reference computed once per point; inf where either side raises."""
-    worst = dict.fromkeys(candidates, 0.0)
-    for p in points:
-        ref = _value_or_nan(reference, *p)
-        for name, fn in candidates.items():
-            worst[name] = max(worst[name], _relerr(_value_or_nan(fn, *p), ref))
-    return worst
+def _residuals(reference: list, candidates: dict) -> dict:
+    """Each candidate's worst _relerr between its values and the reference
+    values, point by point."""
+    return {name: max(map(_relerr, vals, reference)) for name, vals in candidates.items()}
 
 
 def _unique_winner(cands: dict, tol: float, what: str) -> str:

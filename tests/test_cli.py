@@ -102,9 +102,21 @@ class TestCalibrate:
         rc = main(["calibrate", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
+        assert doc == json.loads(capsys.readouterr().out)  # the file holds the printed record
         assert doc["mapping_id"] == "C"
         assert doc["morse_wave_variant"] == "primary"
         assert doc["whittaker_index_convention"] == "order_imu"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "hyperbolic_forms", "--report"],
+    ["calibrate", "--out"],
+])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    # it printed a traceback and exited 1, the code of an identity failure
+    path = tmp_path / "missing" / "out.json"
+    assert main(argv + [str(path)]) == 2
+    assert f"error: cannot write {path}" in capsys.readouterr().err
 
 
 class TestGrid:
