@@ -545,6 +545,17 @@ class TestBessel:
     def test_j0_small(self):
         assert bessel("J", 0, 1e-8) == pytest.approx(1.0, abs=1e-8)
 
+    def test_j0_to_the_cutoff(self):
+        # the committed rows at x = 13..30, where the ascending series had lost
+        # 2.9e-12 to 1.4e-4 of J_0 to cancellation
+        from tests_oracle_support import _parse_params, load_oracle_rows
+        rows = [(_parse_params(r["params"]), float(r["ref_real"])) for r in load_oracle_rows()
+                if r["function"] == "bessel_J"]
+        far = [(x, ref) for (nu, x), ref in rows if nu == 0 and x > 8]
+        assert [x for x, _ in far] == [13.0, 19.0, 25.0, 30.0]
+        for x, ref in far:
+            assert relerr(bessel("J", 0, x), ref) < 1e-14, x
+
     def test_k_half_closed_form(self):
         x = 1.3
         expect = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
