@@ -4,15 +4,15 @@ Every cross-representation identity the kernel modules implement is checked
 here over parameter grids, each against its own TOLERANCES entry; run_suite
 applies any tolerance overrides once, to the finished reports.  Suites run
 every grid point even after failures and report the worst point with enough
-parameters to reproduce it from a single CLI call.  Every residual is one
-_relerr between two values computed once, with nothing fitted from the
-samples.  Calibration compares each convention candidate's list of values
-with one list of reference values and writes no file.  The rejected candidates
-live here only: the kernels ship the calibrated conventions alone, so each
-candidate is reached through the production routine at a moved argument
-(_MAPPINGS, _WHITTAKER_ORDERS), or is the production series at its own power
-part, frequency and constant (wave_kernel_phi1_alt).  So are the hyperbolic
-wave kernel's five reference forms (wave_form_radial, for the forms check).
+parameters to reproduce it from a single CLI call.  Each residual is one
+_relerr between values computed once, nothing fitted from the samples; the
+calibration compares each candidate's values with one reference list.  The
+rejected candidates live here only: the kernels ship the calibrated
+conventions alone, so each candidate is reached through the production
+routine at a moved argument (_MAPPINGS, _WHITTAKER_ORDERS), or is the
+production series at its own power part, frequency and constant
+(wave_kernel_phi1_alt).  So are the hyperbolic wave kernel's five reference
+forms (wave_form_radial, for the forms check).
 """
 from __future__ import annotations
 
@@ -544,8 +544,7 @@ def calibrate_spectral_mapping() -> CalibrationRecord:
     order is evaluated by the same closed form at the moved argument mu' of
     _MAPPINGS or _WHITTAKER_ORDERS.  The winner must have the strictly
     smallest residual and pass the calibration tolerance; anything else
-    raises CalibrationAmbiguous.  Nothing is written: `hypermorse calibrate`
-    writes the record.
+    raises CalibrationAmbiguous.
     """
     tol = TOLERANCES["calibration"]
 
