@@ -14,8 +14,9 @@ temporary directory ("grid_eval": kernel, best ms and rows per grid).
 
 "closed_random" holds, for each point kind of the first CLOSED_ROUNDS
 `closed_random` rounds at seeds 1 and 2 (`hwave.int`, `mres`,
-`specfun.gauss_2f1.pfaff`, ...), the number of points and the median and
-mean of each point's best-of-N in-process wall time in microseconds.
+`specfun.gauss_2f1.pfaff`, ...), the number of points and the median, mean
+and maximum of each point's best-of-N in-process wall time in microseconds;
+the maximum names the kinds that set `closed_random`'s tail.
 
 "gauss_2f1" holds the traffic of specfun.gauss_2f1, the calls made from
 outside it (a Pfaff step's inner call is not counted), for one `transverse`
@@ -136,8 +137,8 @@ def gauss_2f1_traffic(points, grid_path: str) -> dict:
 
 
 def closed_kinds() -> dict:
-    """Per closed_random point kind: points, and the median and mean over them
-    of the best-of-REPEATS microseconds, over CLOSED_ROUNDS rounds of each seed."""
+    """Per closed_random point kind: points, and the median, mean and maximum over
+    them of the best-of-REPEATS microseconds, over CLOSED_ROUNDS rounds of each seed."""
     us = {}
     for seed in SEEDS:
         it = rounds("closed_random", seed)
@@ -146,7 +147,8 @@ def closed_kinds() -> dict:
                 ms, _ = best_of(lambda: call(hypermorse, point))
                 us.setdefault(point.kind, []).append(1e3 * ms)
     return {kind: {"points": len(v), "median_us": round(float(np.median(v)), 2),
-                   "mean_us": round(float(np.mean(v)), 2)} for kind, v in sorted(us.items())}
+                   "mean_us": round(float(np.mean(v)), 2), "max_us": round(float(np.max(v)), 2)}
+            for kind, v in sorted(us.items())}
 
 
 def main() -> int:

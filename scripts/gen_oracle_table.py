@@ -136,9 +136,11 @@ for (n, x) in [(2, mp.mpf("0.5")), (3, mp.mpf(2)), (7, mp.mpf("0.3")), (5, mp.mp
     add("chebyshev_t", [n, float(x)], mp.chebyt(n, x))
 
 # bessel -------------------------------------------------------------------
-# J_0 out to x = 30, where its sum of Bessel's integral replaced the series, at |J_0| >= 0.08
+# J at integer orders out to x = 30, where its sum of Bessel's integral replaced the
+# series, at |J_n| >= 0.08
 for (nu, x) in [(0, "0.5"), (0, "2.2"), (1, "3.7"), ("0.5", "1.1"), ("2.7", "6.0"), (0, "8.0"),
-                (0, "13.0"), (0, "19.0"), (0, "25.0"), (0, "30.0")]:
+                (0, "13.0"), (0, "19.0"), (0, "25.0"), (0, "30.0"),
+                (1, "19.0"), (1, "30.0"), (2, "25.0"), (3, "30.0")]:
     add("bessel_J", [float(mp.mpf(nu)), float(mp.mpf(x))], mp.besselj(mp.mpf(nu), mp.mpf(x)))
 for (nu, x) in [("0.3", "1.1"), (1, "2.0"), (0, "0.7"), (2, "5.5")]:
     add("bessel_I", [float(mp.mpf(nu)), float(mp.mpf(x))], mp.besseli(mp.mpf(nu), mp.mpf(x)))

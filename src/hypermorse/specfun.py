@@ -2,9 +2,9 @@
 
 Complex log-gamma (Lanczos; the C library's lgamma on the positive real
 axis), the Gauss and Kummer hypergeometric series, the two-variable
-confluent series Phi1, Chebyshev polynomials of the first kind, Bessel J/I
-by their ascending series and K by its integral over [0, inf) (one
-quad.trapezoid_even sum at every order), and Whittaker M/W.
+confluent series Phi1, Chebyshev polynomials of the first kind, Bessel J by
+Bessel's integral at integer orders n < x, else J and I by their ascending
+series, K by one quad.trapezoid_even sum of its integral, and Whittaker M/W.
 
 F(a, b; c; z) has three regions (see gauss_2f1): the direct series, the
 Pfaff transformation, and for c = a + b near z = 1, the case of the
@@ -17,7 +17,8 @@ parameters (a, c) at one x (one table, a column per parameter pair), and
 log_gamma and whittaker an array of arguments or orders.  A table's every
 column stops where its scalar loop would, and an array raises where an entry
 would, at the first such entry.  humbert_phi1 sums its outer series over one
-kummer_1f1 table.  Scalars take the scalar loops.
+kummer_1f1 table.  A scalar z is a one-entry table of gauss_2f1's direct series;
+its log connection, kummer_1f1 and the Bessel series loop at a scalar.
 
 Everything is evaluated at desk scale: arguments are kept inside documented
 cutoffs (x <= 30 for Bessel functions, |z| <= 40 for the confluent series)
@@ -70,8 +71,8 @@ _TERM_TOL = 1e-16
 _K_DROP = 40.0
 _K_REL_TOL = 1e-12
 _K_S_MAX = 1e4
-# Bessel J_0: sin theta_j at the 64 midpoint nodes theta_j = (j + 1/2) pi / 64 of [0, pi]
-_J0_SIN = np.sin((np.arange(64) + 0.5) * (math.pi / 64))
+_J_THETA = (np.arange(64) + 0.5) * (math.pi / 64)  # Bessel J_n: the midpoint nodes of [0, pi]
+_J_SIN = np.sin(_J_THETA)
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -261,19 +262,16 @@ def _table_sums(terms, head: complex, z, n: int, terminating: Union[int, None] =
 
 
 def _direct_group(a: complex, b: complex, c: complex, z, term_n):
-    """F(a, b; c; z) by the direct series: a loop at a scalar z or a one-entry
-    array, one table over a longer array."""
-    scalar = isinstance(z, complex)
-    if scalar or z.size == 1:
-        zh = z if scalar else complex(z[0])
-        total = _hyp_series(lambda j: (a + j) * (b + j) / ((c + j) * (j + 1)) * zh, term_n)[0]
-        return total if scalar else np.array([total])
+    """F(a, b; c; z) by the direct series, one table over the entries of z; a
+    scalar z is a one-entry table, returned as a complex."""
+    zs = np.atleast_1d(z)
 
     def terms(n_rows, zs):
         j = np.arange(n_rows)
         return np.cumprod(((a + j) * (b + j) / ((c + j) * (j + 1)))[:, None] * zs, axis=0)
 
-    return _table_sums(terms, 1.0, z, _table_rows(np.abs(z).max()), term_n)
+    out = _table_sums(terms, 1.0, zs, _table_rows(np.abs(zs).max()), term_n)
+    return complex(out[0]) if isinstance(z, complex) else out
 
 
 def _digamma(x: complex) -> complex:
@@ -291,13 +289,12 @@ def _digamma(x: complex) -> complex:
 def _log_group(a: complex, b: complex, c: complex, z, term_n: None):
     """F(a, b; c = a + b; z) by DLMF 15.8.10, m = 0: Gamma(c)/(Gamma(a) Gamma(b)) sum_n
     (a)_n (b)_n/(n!)^2 [d_n - log(1-z)] (1-z)^n, d_n = 2 psi(n+1) - psi(a+n) - psi(b+n) by
-    psi(x + 1) = psi(x) + 1/x; a loop at a scalar z or a one-entry array, one table
-    over a longer array."""
+    psi(x + 1) = psi(x) + 1/x; one table over an array, a loop at a scalar z, where
+    the table's fixed NumPy cost made a scalar hres about 40% slower."""
     d0 = -2.0 * _EULER_GAMMA - _digamma(a) - _digamma(b)
     scale = cmath.exp(log_gamma(c) - log_gamma(a) - log_gamma(b))
-    scalar = isinstance(z, complex)
-    if scalar or z.size == 1:
-        w, d = 1.0 - (z if scalar else complex(z[0])), d0
+    if isinstance(z, complex):
+        w, d = 1.0 - z, d0
         log_w, coeff, total, quiet = cmath.log(w), 1.0 + 0.0j, 0.0j, 0
         for n in range(_MAX_TERMS):
             term = coeff * (d - log_w)
@@ -305,12 +302,12 @@ def _log_group(a: complex, b: complex, c: complex, z, term_n: None):
             if abs(term) < _TERM_TOL * max(1.0, abs(total)):
                 quiet += 1
                 if quiet >= 3:
-                    return scale * (total if scalar else np.array([total]))
+                    return scale * total
             else:
                 quiet = 0
             coeff *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
             d += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
-        raise SeriesNonConvergence(f"logarithmic 2F1 series did not converge in {n + 1} terms")
+        raise _cap_error(None)
 
     def terms(n_rows, zs):
         j, w = np.arange(n_rows - 1), 1.0 - zs
@@ -373,10 +370,11 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
       where it maps the argument closer to 0 and inside 0.98 (always for z < 0);
     * the direct series for |z| < 0.98; beyond it SeriesNonConvergence.
     An array raises where an entry would, at the first: _region sorts each
-    entry as it does a scalar z, all before any sum runs.  Each region of two
-    or more entries is one table of terms, with as many rows as its largest
-    |z| (log region: |1 - z|) needs, doubled for the entries that need more;
-    each entry stops by its own three-quiet-terms rule.
+    entry as it does a scalar z, all before any sum runs.  Each region's
+    entries are one table of terms (a direct scalar z too, so it has an entry's
+    bits; a log-region scalar is a loop), with as many rows as its largest |z|
+    (log region: |1 - z|) needs, doubled for the entries that need more; each
+    entry stops by its own three-quiet-terms rule.
     """
     a, b, c = complex(a), complex(b), complex(c)
     if isinstance(z, np.ndarray) or not cmath.isfinite(a + b + c + z):
@@ -572,16 +570,17 @@ def _bessel_k(nu: float, x: float) -> float:
 def bessel(kind: str, nu: float, x: float) -> float:
     """Bessel functions J_nu, I_nu, K_nu for x in (0, 30], nu >= 0.
 
-    J_0 is the midpoint sum of Bessel's integral (DLMF 10.9.1) at 64 nodes;
-    its integrand is periodic, so the sum converges exponentially, and over
-    x in (0, 30] it is within 5e-15 of (1/2) sqrt(J_0^2 + Y_0^2), the
-    function's scale, also near its zeros.  I and J at other orders use the
-    ascending series; full precision holds for x up to ~8, after which the
-    alternating J series cancels (about 1e-9 relative by x = 19) until the
-    hard cutoff.  K, at every order, is the trapezoid sum of its integral
-    over t in [0, inf) (DLMF 10.32.9; see _bessel_k), with step
-    pi^2 / (x + 40) and its half in one call: within 3e-15 of
-    mpmath over nu in [0, 3], x in [1e-3, 30].  Where that sum misses its
+    J at an integer order n < x (J_0 at every x) is the 64-node midpoint sum of
+    Bessel's integral (DLMF 10.9.2); its integrand is periodic, so the sum
+    converges exponentially: within 1.1e-14 of (1/2) sqrt(J_n^2 + Y_n^2), the
+    function's scale, over x in (n, 30], also near zeros.  At x <= n, J_n falls
+    far below the sum's absolute error of ~1e-16 (J_2(1e-8) = 1.25e-17), so J
+    there and at other orders, and I, use the ascending series: full precision
+    for x up to ~8, after which the J series cancels (about 1e-9 relative by
+    x = 19, 5e-5 at x = 30) until the hard cutoff.  K, at every order, is the
+    trapezoid sum of its integral over t in [0, inf) (DLMF 10.32.9; see
+    _bessel_k), with step pi^2 / (x + 40) and its half in one call: within
+    3e-15 of mpmath over nu in [0, 3], x in [1e-3, 30].  Where that sum misses its
     tolerance, or its cut passes the node budget (x below about 1e-50), K
     raises NotConverged; past the largest double it raises OverflowError.
     """
@@ -595,8 +594,8 @@ def bessel(kind: str, nu: float, x: float) -> float:
     if nu < 0:
         raise ValueError("bessel requires nu >= 0")
     if kind == "J":
-        if nu == 0:  # J_0 = (1/pi) int_0^pi cos(x sin theta) dtheta (DLMF 10.9.1)
-            return float(np.cos(x * _J0_SIN).sum()) / 64
+        if nu == round(nu) and x > nu:  # J_n = (1/pi) int_0^pi cos(x sin theta - n theta) dtheta
+            return float(np.cos(x * _J_SIN - nu * _J_THETA).sum()) / 64
         return _bessel_i_series(nu, x, signed=True)
     if kind == "I":
         return _bessel_i_series(nu, x)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hypermorse import harness
 from hypermorse.cli import main
 from hypermorse.harness import eval_kernel
 
@@ -41,6 +42,13 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert "MissingParameter" in err and "needs mu" in err
+
+    def test_malformed_pair_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--kernel", "hres", "--k", "0.5", "--mu", "0,-0.9",
+                  "--z", "1,2,3", "--zp", "0.5,2"])
+        assert exc.value.code == 2
+        assert "expected 'a,b', got '1,2,3'" in capsys.readouterr().err
 
     def test_domain_error_is_usage_error(self, capsys):
         rc = main(["eval", "--kernel", "hres", "--k", "0.5", "--mu", "0,-0.9",
@@ -117,6 +125,20 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     path = tmp_path / "missing" / "out.json"
     assert main(argv + [str(path)]) == 2
     assert f"error: cannot write {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--report"],
+    ["calibrate", "--out"],
+])
+def test_ambiguous_calibration_is_calibration_failure(tmp_path, capsys, monkeypatch, argv):
+    # no candidate meets a zero tolerance: exit 3, and nothing is written
+    monkeypatch.setitem(harness.TOLERANCES, "calibration", 0.0)
+    path = tmp_path / "out.json"
+    assert main(argv + [str(path)]) == 3
+    assert "calibration failure: no spectral mapping candidate meets the tolerance 0" \
+        in capsys.readouterr().err
+    assert not path.exists()
 
 
 class TestGrid:

@@ -3,6 +3,7 @@ import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hypermorse import harness, mkernels, specfun
@@ -116,6 +117,10 @@ class TestCalibration:
         with pytest.raises(CalibrationAmbiguous, match="mapping"):
             calibrate_spectral_mapping()
 
+    def test_tie_is_ambiguous(self):
+        with pytest.raises(CalibrationAmbiguous, match="spectral mapping selection not unique"):
+            harness._unique_winner({"A": 0.5, "B": 1e-12, "C": 1e-12}, 1e-6, "spectral mapping")
+
     @pytest.mark.parametrize("mu", [-0.8j, -1.5j, 0.4 - 1.1j])
     def test_mapping_candidates(self, mu):
         # each candidate's mu' gives SpectralParam the candidate's exponent s
@@ -151,6 +156,12 @@ class TestReports:
         for r in jsonmod.loads(text):
             assert isinstance(r["passed"], bool)
             assert isinstance(r["max_rel_err"], float)
+
+    def test_unknown_wave_form_and_path(self):
+        with pytest.raises(DomainError, match="unknown wave-kernel form 'v'"):
+            harness.wave_form_radial("v", 0.5, np.array([2.0]), 0.5)
+        with pytest.raises(ValueError, match="unknown path 'nope'"):
+            harness.check_morse_wave_bessel("nope")
 
     def test_run_suite_unknown(self):
         with pytest.raises(ValueError):

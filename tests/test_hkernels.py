@@ -57,6 +57,9 @@ class TestWaveKernel:
         rho = dist_halfplane(Z1, Z2)
         with pytest.raises(OutsideSupport):
             wave_kernel(1.0, rho, Z1, Z2)
+        for b in (rho, np.array([rho + 1.0, 0.5 * rho])):
+            with pytest.raises(OutsideSupport, match="needs b > rho"):
+                wave_kernel_radial(1.0, b, rho)
 
     def test_k0_closed_form(self):
         # k=0: W = (1/2pi) (cosh^2 b/2 - cosh^2 rho/2)^(-1/2)

@@ -10,6 +10,7 @@ from hypermorse.errors import (
     CancellationLimit,
     ConvergenceViolated,
     DiagonalSingularity,
+    DomainError,
     GammaPole,
     HypermorseError,
     NonFiniteInput,
@@ -653,6 +654,13 @@ class TestResolventIntegral:
 
 
 class TestHeatKernel:
+    def test_requires_positive_time(self):
+        for t in (0.0, -0.5):
+            with pytest.raises(DomainError, match="t > 0"):
+                heat_kernel(CFG0, t)
+            with pytest.raises(DomainError, match="t > 0"):
+                hartman_watson_heat_oracle(CFG0, t)
+
     def test_k0_direct_bessel_oracle(self):
         # spec-scale point where the direct b-sweep stays inside the J range
         cfg = MorseConfig(lam=1.0, k=0.0, X=0.0, Xp=0.3)

@@ -260,6 +260,16 @@ class TestGauss2F1Array:
         for value, z in zip(got, zs):
             assert relerr(value, gauss_2f1(*abc, z)) < 1e-15
 
+    @pytest.mark.parametrize("abc", [(0.4, 0.9, 1.7), (1.3 + 0.2j, 0.7, 2.9), (_S, 1.1, 2 * _S - 0.3)])
+    def test_direct_scalar_has_the_bits_of_an_array_entry(self, abc):
+        # a scalar z is a one-entry table of the direct series, so it sums
+        # exactly as an entry of a longer array does
+        rng = np.random.default_rng(3)
+        disc = 0.7 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+        zs = np.concatenate([np.linspace(-0.7, 0.95, 40), disc])
+        assert _regions(*abc, zs) == {specfun._direct_group}
+        assert [gauss_2f1(*abc, z) for z in zs] == gauss_2f1(*abc, zs).tolist()
+
     def test_zero_entries(self):
         got = gauss_2f1(0.3, 1.7, 2.2, np.array([0.0, 0.5, 0.0]))
         assert got[0] == 1.0 and got[2] == 1.0
@@ -352,6 +362,18 @@ class TestSeriesPolicy:
         monkeypatch.setattr(specfun, "_MAX_TERMS", 4)
         with pytest.raises(SeriesNonConvergence):
             call()
+
+    def test_log_connection_caps_with_one_message(self, monkeypatch):
+        # a scalar in the log region is a loop and an array a table: both
+        # raise the cap error that every other series raises
+        s, messages = 0.75, []
+        assert _regions(s, s, 2 * s, (0.9, 0.95)) == {specfun._log_group}
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+        for z in (0.9, np.array([0.9, 0.95])):
+            with pytest.raises(SeriesNonConvergence) as exc:
+                gauss_2f1(s, s, 2 * s, z)
+            messages.append(str(exc.value))
+        assert messages == ["series did not converge in 5 terms"] * 2
 
     def test_terminating_series_past_the_cap_raises(self, monkeypatch):
         # degree 6 under a 4-term cap: a truncated sum (0.1875, not 0.5^6) must not come back
@@ -473,6 +495,17 @@ class TestHumbertPhi1:
             b = rng.uniform(0.2, 1.5)
             assert relerr(humbert_phi1(a, b, c, 0.0, y), gauss_2f1(a, b, c, y)) < 1e-10
 
+    def test_terminating_a_is_its_finite_double_sum(self):
+        # (a)_{m+n} = 0 past m + n = 2 at a = -2, so the series ends there, at |y| > 1 too
+        a, b, c, x, y = -2.0, 0.7, 1.3, 0.5 - 0.2j, 1.5
+
+        def poch(q, n):
+            return math.prod(q + j for j in range(n))
+
+        direct = sum(poch(a, m + n) * poch(b, n) / (poch(c, m + n) * math.factorial(m) * math.factorial(n))
+                     * x ** m * y ** n for m in range(3) for n in range(3 - m))
+        assert relerr(humbert_phi1(a, b, c, x, y), direct) < 1e-14
+
     def test_outside_disc_raises(self):
         with pytest.raises(OutsideConvergenceRegion):
             humbert_phi1(1.1, 0.5, 2.0, 0.3, 1.2)
@@ -512,6 +545,10 @@ class TestHumbertPhi1:
 class TestChebyshev:
     def test_t0(self):
         assert chebyshev_t(0, 0.3) == 1.0
+
+    def test_negative_degree_raises(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            chebyshev_t(-1, 0.5)
 
     def test_t2(self):
         assert chebyshev_t(2, 0.5) == pytest.approx(-0.5)
@@ -555,6 +592,19 @@ class TestBessel:
         assert [x for x, _ in far] == [13.0, 19.0, 25.0, 30.0]
         for x, ref in far:
             assert relerr(bessel("J", 0, x), ref) < 1e-14, x
+
+    @pytest.mark.parametrize("n, x, ref", [
+        (1, 30.0, -0.11875106261662293652),   # where the ascending series cancels: -0.1187570
+        (3, 30.0, 0.12921122875972498304),
+        (1, 2.0, 0.5767248077568733872),
+        # at x <= n, J_n is far below the sum's absolute round-off: the series
+        (2, 1e-8, 1.2500000000000000419e-17),
+        (5, 0.1, 2.6030817909644415564e-9),
+        (20, 1.0, 3.8735030085246577189e-25),
+    ])
+    def test_integer_orders(self, n, x, ref):
+        # 30-digit mpmath values
+        assert relerr(bessel("J", n, x), ref) < 1e-14
 
     def test_k_half_closed_form(self):
         x = 1.3
@@ -628,6 +678,8 @@ class TestBessel:
             bessel("J", 0, -1.0)
         with pytest.raises(ValueError):
             bessel("J", -0.5, 1.0)
+        with pytest.raises(ValueError, match="kind must be one of 'J', 'I', 'K'"):
+            bessel("Y", 0, 1.0)
 
     def test_bessel_product_truncated_oracle(self):
         # I_1(2) K_1(3) vs (1/2) int e^{-b} J0(sqrt(12 cosh b - 13)) db from b0,
@@ -675,6 +727,13 @@ class TestWhittaker:
     def test_integer_two_mu_rejected(self):
         with pytest.raises(IntegerTwoMuUnsupported):
             whittaker("W", 0.3, 1.0, 2.0)
+
+    def test_domain(self):
+        for z in (0.0, -1.0):
+            with pytest.raises(ValueError, match="z > 0"):
+                whittaker("M", 0.3, 0.4, z)
+        with pytest.raises(ValueError, match="kind must be 'M' or 'W'"):
+            whittaker("U", 0.3, 0.4, 1.0)
 
     def test_wronskian_against_gamma_expression(self):
         # numeric Wronskian W{W, M} = Gamma(1+2mu)/Gamma(1/2+mu-k), d/dz by
