@@ -16,6 +16,11 @@ Sources, each a count of records and their digest:
   suite          run_suite("all"): the calibration record and each report
                  without its runtime_ms.
 
+After these four totals, one line per closed_random point kind (its
+records, `specfun.bessel.J` say) and one per suite report
+(`suite.<identity_id>`), sorted by name, so that a change can name which
+outputs moved.
+
 Run from the repository root (a few seconds; nothing is written outside a
 temporary directory):
 
@@ -84,26 +89,39 @@ def digest(lines) -> tuple:
 
 
 def suite_lines():
+    """(name, line) for the calibration record (no name) and each report of run_suite("all")."""
     rec, reports = harness.run_suite("all")
-    yield rec.to_json()
+    yield None, rec.to_json()
     for r in reports:
         doc = r.to_dict()
         del doc["runtime_ms"]
-        yield json.dumps(doc, sort_keys=True, default=str)
+        yield f"suite.{r.identity_id}", json.dumps(doc, sort_keys=True, default=str)
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "grid.csv")
+        kinds = {}  # the lines of each closed_random point kind and suite report
+
+        def named(pairs):
+            for name, line in pairs:
+                if name:
+                    kinds.setdefault(name, []).append(line)
+                yield line
+
         sources = {
-            "closed_random": (outcome(p, path) for p in points("closed_random", CLOSED_SEEDS, CLOSED_ROUNDS)),
+            "closed_random": named((p.kind, outcome(p, path))
+                                   for p in points("closed_random", CLOSED_SEEDS, CLOSED_ROUNDS)),
             "grid_sweep": (outcome(p, path) for p in points("grid_sweep", GRID_SEEDS, GRID_ROUNDS)),
             "transverse": (outcome(p, path) for p in points("transverse", (1,), 1)),
-            "suite": suite_lines(),
+            "suite": named(suite_lines()),
         }
         for name, lines in sources.items():
             n, sha = digest(lines)
             print(f"{name:14s} {n:6d} {sha}")
+        for name in sorted(kinds):
+            n, sha = digest(kinds[name])
+            print(f"{name:40s} {n:6d} {sha}")
     return 0
 
 

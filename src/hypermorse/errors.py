@@ -13,7 +13,8 @@ class NonFiniteInput(HypermorseError, ValueError):
 
 
 class DomainError(HypermorseError, ValueError):
-    """A kernel parameter lies outside its domain (t <= 0, y <= 0, lam <= 0) or has the wrong form."""
+    """An argument lies outside its domain (a kernel's t, y or lam <= 0; a Bessel x <= 0 or nu < 0,
+    a Whittaker z <= 0, a negative or non-whole Chebyshev degree, an unknown kind) or has the wrong form."""
 
 
 def require_finite(**named):

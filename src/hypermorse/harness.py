@@ -773,13 +773,10 @@ def _evaluate(kernel_id: str, nodes: list) -> list:
 
 def _apply_axis(point: dict, name: str, value: float):
     """Set a scalar axis, or one component of a pair-valued parameter when
-    the axis is written as 'zp.y' / 'z.x'."""
+    the axis is written as 'zp.y' / 'z.x' (grid_eval checks that form)."""
     if "." in name:
         base, comp = name.split(".", 1)
-        pair = point.get(base)
-        if comp not in ("x", "y") or not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-            raise InvalidGrid(f"axis {name!r} must address .x or .y of a pair parameter")
-        x, y = pair
+        x, y = point[base]
         point[base] = (value, y) if comp == "x" else (x, value)
     else:
         point[name] = value
@@ -830,14 +827,20 @@ def grid_eval(kernel_id: str, params: dict, grid_spec: dict, output_path: str) -
             axes.append((name, np.linspace(float(lo), float(hi), count).tolist()))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGrid(f"axis {name!r} needs (start, stop, count), got {spec!r}") from exc
+    first = dict(params)  # the nodes differ only in the axes' floats: the first has the form of all
+    for name, vals in axes:
+        base, dot, comp = name.partition(".")
+        pair = first.get(base)
+        if dot and (comp not in ("x", "y") or not (isinstance(pair, (tuple, list)) and len(pair) == 2)):
+            raise InvalidGrid(f"axis {name!r} must address .x or .y of a pair parameter")
+        _apply_axis(first, name, vals[0])
+    _check_params(kernel_id, first, InvalidGrid)
     names, keys = [n for n, _ in axes], _ROW_KEYS.get(kernel_id)
     points, groups, done = [], {}, {}  # (coordinates, parameters, group) per node
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = dict(params)
         for n_, v in zip(names, combo):
             _apply_axis(point, n_, v)
-        if not points:  # the nodes differ only in the axes' floats: the first has the form of all
-            _check_params(kernel_id, point, InvalidGrid)
         alone = keys is None or (kernel_id == "mwave" and point["k"] == 0)
         key = len(points) if alone else tuple(point[n_] for n_ in keys)
         groups.setdefault(key, []).append(len(points))

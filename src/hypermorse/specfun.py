@@ -18,7 +18,10 @@ log_gamma and whittaker an array of arguments or orders.  A table's every
 column stops where its scalar loop would, and an array raises where an entry
 would, at the first such entry.  humbert_phi1 sums its outer series over one
 kummer_1f1 table.  A scalar z is a one-entry table of gauss_2f1's direct series;
-its log connection, kummer_1f1 and the Bessel series loop at a scalar.
+its log connection, kummer_1f1 and the Bessel series loop at a scalar.  Every
+sum stops on three terms below 1e-16 max(1, |sum|), a Bessel series being its
+leading term times one; a lower parameter c at a non-positive integer raises
+ParameterPole unless the series ends first (_check_lower).
 
 Everything is evaluated at desk scale: arguments are kept inside documented
 cutoffs (x <= 30 for Bessel functions, |z| <= 40 for the confluent series)
@@ -28,7 +31,6 @@ expansions for large arguments are out of scope.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import Union
 
@@ -36,6 +38,7 @@ import numpy as np
 
 from . import quad
 from .errors import (
+    DomainError,
     IntegerTwoMuUnsupported,
     LogarithmicSingularity,
     NotConverged,
@@ -61,8 +64,7 @@ KUMMER_Z_MAX = 40.0
 _INT_TOL = 1e-12
 _EULER_GAMMA = 0.57721566490153286061
 # every series: at most _MAX_TERMS terms, stopping on three consecutive terms
-# below _TERM_TOL * max(1, |sum|), a Bessel series' leading term standing in
-# for the 1; read at call time
+# below _TERM_TOL * max(1, |sum|); read at call time
 _MAX_TERMS = 5000
 _TERM_TOL = 1e-16
 # Bessel K: the sum's cut, where the exponent falls _K_DROP below its peak, and its
@@ -125,16 +127,6 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
 
 
-def _log_sin_pi(z: complex) -> complex:
-    """log sin(pi z) on the branch that keeps log_gamma's reflection formula
-    continuous off the negative real axis (standard loggamma convention)."""
-    if z.imag < 0:
-        return _log_sin_pi(z.conjugate()).conjugate()
-    # sin(pi z) = -e^{-i pi z} (1 - e^{2 pi i z}) / (2i); |e^{2 pi i z}| <= 1
-    return (-1j * math.pi * z + (1j * math.pi / 2 - math.log(2.0))
-            + cmath.log(1.0 - cmath.exp(2j * math.pi * z)))
-
-
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     """log_gamma at each entry of the complex 1-D array z, the scalar's steps as
     NumPy expressions: lgamma on the positive axis, Lanczos, reflection."""
@@ -155,8 +147,7 @@ def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     lg[~axis] = (zz + 0.5) * np.log(t) - t + _LOG_SQRT_2PI + np.log(acc)
     if not np.count_nonzero(left):
         return lg
-    # Gamma(z) Gamma(1-z) = pi / sin(pi z); log sin(pi z) as _log_sin_pi takes it,
-    # in the upper half-plane, conjugated back below
+    # Gamma(z) Gamma(1-z) = pi / sin(pi z), as the scalar takes it
     zl, down = z[left], z.imag[left] < 0
     v = np.where(down, zl.conj(), zl)
     log_sin = -1j * math.pi * v + (1j * math.pi / 2 - math.log(2.0)) + np.log(1.0 - np.exp(2j * math.pi * v))
@@ -183,8 +174,13 @@ def log_gamma(z):
     if _nonpositive_int(z):
         raise PoleAtNonPositiveInteger(f"log_gamma pole at z={z}")
     if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.log(math.pi) - _log_sin_pi(z) - log_gamma(1.0 - z)
+        # Gamma(z) Gamma(1-z) = pi / sin(pi z), sin(pi v) = -e^{-i pi v} (1 - e^{2 pi i v}) / (2i):
+        # |e^{2 pi i v}| <= 1 in the upper half-plane, conjugated back below (continuous off z < 0)
+        down = z.imag < 0
+        v = z.conjugate() if down else z
+        log_sin = (-1j * math.pi * v + (1j * math.pi / 2 - math.log(2.0))
+                   + cmath.log(1.0 - cmath.exp(2j * math.pi * v)))
+        return math.log(math.pi) - (log_sin.conjugate() if down else log_sin) - log_gamma(1.0 - z)
     zz = z - 1.0
     acc = _LANCZOS_C[0]
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
@@ -193,16 +189,17 @@ def log_gamma(z):
     return (zz + 0.5) * cmath.log(t) - t + _LOG_SQRT_2PI + cmath.log(acc)
 
 
-def _terminating_index(a: complex, b: complex = None) -> Union[int, None]:
-    """Smallest N such that (a)_{N+1} = 0 or (b)_{N+1} = 0, if any."""
-    best = None
-    for p in (a, b):
-        if p is None:
-            continue
-        if _nonpositive_int(p):
-            n = int(round(-complex(p).real))
-            best = n if best is None else min(best, n)
-    return best
+def _terminating_index(*params: complex) -> Union[int, None]:
+    """Smallest N such that (p)_{N+1} = 0 for one p of params, if any."""
+    ends = [int(round(-p.real)) for p in params if _nonpositive_int(p)]
+    return min(ends) if ends else None
+
+
+def _check_lower(name: str, c: complex, term_n: Union[int, None]):
+    """Raise ParameterPole for a lower parameter c at a non-positive integer,
+    unless the series ends first: its terms past index term_n vanish."""
+    if _nonpositive_int(c) and (term_n is None or term_n > int(round(-c.real))):
+        raise ParameterPole(f"{name} lower parameter c={c} at a non-positive integer")
 
 
 def _cap_error(terminating: Union[int, None]) -> SeriesNonConvergence:
@@ -212,20 +209,20 @@ def _cap_error(terminating: Union[int, None]) -> SeriesNonConvergence:
     return SeriesNonConvergence(f"series did not converge in {_MAX_TERMS} terms")
 
 
-def _hyp_series(ratio, terminating: Union[int, None], head=1.0 + 0.0j):
-    """Sum head + sum t_n with t_{n+1} = t_n * ratio(n), t_0 = head; stops on 3
-    terms below _TERM_TOL * max(|head|, |sum|).  Returns the sum and the
-    number of terms t_n it holds."""
-    total, term, quiet, scale, tol = head, head, 0, abs(head), _TERM_TOL
+def _hyp_series(ratio, terminating: Union[int, None]):
+    """Sum of t_n with t_0 = 1, t_{n+1} = t_n * ratio(n); stops on 3 terms below
+    _TERM_TOL * max(1, |sum|), or at t_terminating, a terminating series' last.
+    The sum starts from a float, so a real ratio gives a real sum."""
+    total, term, quiet, tol = 1.0, 1.0, 0, _TERM_TOL
     for n in range(_MAX_TERMS):
         term = term * ratio(n)
         total += term
         if terminating is not None and n + 1 >= terminating:
-            return total, n + 1
-        if abs(term) < tol * max(scale, abs(total)):
+            return total
+        if abs(term) < tol * max(1.0, abs(total)):
             quiet += 1
             if quiet >= 3:
-                return total, n + 1
+                return total
         else:
             quiet = 0
     raise _cap_error(terminating)
@@ -380,8 +377,7 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
     if isinstance(z, np.ndarray) or not cmath.isfinite(a + b + c + z):
         require_finite(a=a, b=b, c=c, z=z)
     term_n = _terminating_index(a, b)
-    if _nonpositive_int(c) and (term_n is None or term_n > int(round(-c.real))):
-        raise ParameterPole(f"2F1 lower parameter c={c} at a non-positive integer")
+    _check_lower("2F1", c, term_n)
     if not (isinstance(z, np.ndarray) and z.ndim):
         z = complex(z)
         group = _region(z, a, b, c, term_n)
@@ -395,17 +391,6 @@ def gauss_2f1(a: complex, b: complex, c: complex, z):
     for group, idx in entries.items():
         out[idx] = group(a, b, c, zs[idx], term_n)
     return out.reshape(z.shape)
-
-
-@functools.lru_cache(maxsize=256)
-def _kummer_rows(r: float) -> int:
-    """Rows the 1F1 series at |x| = r needs for three terms r^n / n! below
-    _TERM_TOL: the first guess of its table, before the doubling fallback."""
-    n, log_term = 0, 0.0
-    while n < r or log_term > math.log(_TERM_TOL):
-        n += 1
-        log_term += math.log(r / n)
-    return n + 3
 
 
 def _kummer_columns(a: np.ndarray, c: np.ndarray, x: complex) -> np.ndarray:
@@ -436,8 +421,8 @@ def _kummer_columns(a: np.ndarray, c: np.ndarray, x: complex) -> np.ndarray:
         t[j >= term_n[cols]] = 0.0
         return t
 
-    if keep.size:
-        out[keep] = _table_sums(terms, 1.0, keep, _kummer_rows(abs(x)))
+    if keep.size:  # first guess e|x| + 40 rows: 7-36 past three |x|^n / n! below _TERM_TOL
+        out[keep] = _table_sums(terms, 1.0, keep, math.ceil(math.e * abs(x)) + 40)
     return out
 
 
@@ -458,10 +443,7 @@ def kummer_1f1(a, c, x: complex):
     if not cmath.isfinite(a + c + x):
         require_finite(a=a, c=c, x=x)
     term_n = _terminating_index(a)
-    if _nonpositive_int(c):
-        c_pole = int(round(-c.real))
-        if term_n is None or term_n > c_pole:
-            raise ParameterPole(f"1F1 lower parameter c={c} at a non-positive integer")
+    _check_lower("1F1", c, term_n)
     if abs(x) > KUMMER_Z_MAX:
         raise SeriesNonConvergence(
             f"1F1 argument |x|={abs(x):.3g} beyond the desk-scale cutoff {KUMMER_Z_MAX}")
@@ -469,11 +451,7 @@ def kummer_1f1(a, c, x: complex):
         return 1.0 + 0.0j
     if x.real < 0 and term_n is None:
         return cmath.exp(x) * kummer_1f1(c - a, c, -x)
-
-    def ratio(n):
-        return (a + n) / ((c + n) * (n + 1)) * x
-
-    return _hyp_series(ratio, term_n)[0]
+    return _hyp_series(lambda n: (a + n) / ((c + n) * (n + 1)) * x, term_n)
 
 
 def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex) -> complex:
@@ -482,7 +460,9 @@ def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex) -> 
 
     Convergent for |y| < 1 (any x inside the confluent cutoff); the analytic
     continuation past |y| = 1 is not implemented and such calls raise, except
-    when b is a non-positive integer, which terminates the y-series exactly.
+    when a or b is a non-positive integer, which terminates the y-series exactly.
+    A c at a non-positive integer raises ParameterPole unless a ends the series
+    first; a terminating b leaves the n = 0 term, 1F1(a; c; x), at the pole.
     Summed as sum_n [(a)_n (b)_n / ((c)_n n!)] y^n * 1F1(a+n, c+n, x): the
     1F1 values of a block of n are one kummer_1f1 table over the parameters
     (a + n, c + n), as many as the powers of |y| need (see _table_rows),
@@ -492,11 +472,8 @@ def humbert_phi1(a: complex, b: complex, c: complex, x: complex, y: complex) -> 
     a, b, c, x, y = complex(a), complex(b), complex(c), complex(x), complex(y)
     if not cmath.isfinite(a + b + c + x + y):
         require_finite(a=a, b=b, c=c, x=x, y=y)
-    n_max = _terminating_index(b)
-    if _terminating_index(a) is not None:
-        n_max = _terminating_index(a) if n_max is None else min(n_max, _terminating_index(a))
-    if _nonpositive_int(c):
-        raise ParameterPole(f"Phi1 lower parameter c={c} at a non-positive integer")
+    _check_lower("Phi1", c, _terminating_index(a))  # the m-series ends only with a
+    n_max = _terminating_index(a, b)
     if n_max is None and abs(y) >= 1.0:
         raise OutsideConvergenceRegion(
             f"Phi1 second argument |y|={abs(y):.6g} >= 1; continuation not implemented")
@@ -516,28 +493,28 @@ def chebyshev_t(n: int, x):
     """Chebyshev polynomial T_n(x) by the three-term recurrence.
 
     Valid for all real x, including x > 1 where T_n(x) = cosh(n arccosh x).
-    Accepts scalars or ndarrays.
+    Accepts scalars or ndarrays; a negative or non-whole n raises DomainError.
     """
     x = np.asarray(x, dtype=float)
     require_finite(n=n, x=x)
-    if n < 0:
-        raise ValueError("chebyshev_t needs n >= 0")
+    if n < 0 or n % 1:
+        raise DomainError(f"chebyshev_t needs n >= 0 and whole, got n={n!r}")
     t_prev = np.ones_like(x)
     if n == 0:
         return t_prev if t_prev.ndim else float(t_prev)
     t_cur = x.copy()
-    for _ in range(n - 1):
+    for _ in range(int(n) - 1):
         t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
     return t_cur if t_cur.ndim else float(t_cur)
 
 
 def _bessel_i_series(nu: float, x: float, signed: bool = False) -> float:
-    """Ascending series for J (signed=True) or I (signed=False), order nu >= 0,
-    summed from its leading term (x/2)^nu / Gamma(nu + 1), so every term
-    carries its scale."""
+    """Ascending series for J (signed=True) or I (signed=False), order nu >= 0:
+    the leading term (x/2)^nu / Gamma(nu + 1) times the series in -+x^2/4 that
+    starts from 1, so a leading term that underflows gives 0.0."""
     lead = math.exp(nu * math.log(x / 2.0) - math.lgamma(nu + 1.0))
     q = -(x * x / 4.0) if signed else (x * x / 4.0)
-    return _hyp_series(lambda n: q / ((n + 1) * (n + 1 + nu)), None, lead)[0]
+    return lead * _hyp_series(lambda n: q / ((n + 1) * (n + 1 + nu)), None)
 
 
 def _bessel_k(nu: float, x: float) -> float:
@@ -568,7 +545,8 @@ def _bessel_k(nu: float, x: float) -> float:
 
 
 def bessel(kind: str, nu: float, x: float) -> float:
-    """Bessel functions J_nu, I_nu, K_nu for x in (0, 30], nu >= 0.
+    """Bessel functions J_nu, I_nu, K_nu for x in (0, 30], nu >= 0 (x <= 0, nu < 0 or
+    another kind: DomainError; x > 30: SeriesNonConvergence).
 
     J at an integer order n < x (J_0 at every x) is the 64-node midpoint sum of
     Bessel's integral (DLMF 10.9.2); its integrand is periodic, so the sum
@@ -577,30 +555,31 @@ def bessel(kind: str, nu: float, x: float) -> float:
     far below the sum's absolute error of ~1e-16 (J_2(1e-8) = 1.25e-17), so J
     there and at other orders, and I, use the ascending series: full precision
     for x up to ~8, after which the J series cancels (about 1e-9 relative by
-    x = 19, 5e-5 at x = 30) until the hard cutoff.  K, at every order, is the
-    trapezoid sum of its integral over t in [0, inf) (DLMF 10.32.9; see
-    _bessel_k), with step pi^2 / (x + 40) and its half in one call: within
-    3e-15 of mpmath over nu in [0, 3], x in [1e-3, 30].  Where that sum misses its
+    x = 19, 5e-5 at x = 30) until the hard cutoff; where its leading term
+    (x/2)^nu / Gamma(nu + 1) underflows (J_40 and I_40 at x = 1e-8) it is 0.0.
+    K, at every order, is the trapezoid sum of its integral over t in [0, inf)
+    (DLMF 10.32.9; see _bessel_k), with step pi^2 / (x + 40) and its half in one
+    call: within 3e-15 of mpmath over nu in [0, 3], x in [1e-3, 30].  Where that sum misses its
     tolerance, or its cut passes the node budget (x below about 1e-50), K
     raises NotConverged; past the largest double it raises OverflowError.
     """
+    if kind not in ("J", "I", "K"):
+        raise DomainError(f"kind must be one of 'J', 'I', 'K', got {kind!r}")
     if not cmath.isfinite(nu + x):
         require_finite(nu=nu, x=x)
     if x <= 0:
-        raise ValueError("bessel requires x > 0")
+        raise DomainError(f"bessel requires x > 0, got x={x!r}")
     if x > BESSEL_X_MAX:
         raise SeriesNonConvergence(
             f"Bessel argument cap exceeded: x={x:.3g} > {BESSEL_X_MAX}")
     if nu < 0:
-        raise ValueError("bessel requires nu >= 0")
+        raise DomainError(f"bessel requires nu >= 0, got nu={nu!r}")
     if kind == "J":
         if nu == round(nu) and x > nu:  # J_n = (1/pi) int_0^pi cos(x sin theta - n theta) dtheta
             return float(np.cos(x * _J_SIN - nu * _J_THETA).sum()) / 64
         return _bessel_i_series(nu, x, signed=True)
     if kind == "I":
         return _bessel_i_series(nu, x)
-    if kind != "K":
-        raise ValueError("kind must be one of 'J', 'I', 'K'")
     return _bessel_k(nu, x)
 
 
@@ -609,15 +588,17 @@ def whittaker(kind: str, k: float, mu, z: float):
 
     M_{k,mu}(z) = z^(mu+1/2) e^(-z/2) 1F1(mu - k + 1/2, 1 + 2 mu, z).
     W is the standard gamma-weighted combination of M_{k,+-mu}, valid only
-    for non-integer 2 mu; integer 2 mu raises.  mu may be an ndarray of
-    orders: M is then one kummer_1f1 table, W one table over the orders
-    +-mu and one log_gamma array.
+    for non-integer 2 mu; integer 2 mu raises, z <= 0 or an unknown kind
+    DomainError.  mu may be an ndarray of orders: M is then one kummer_1f1
+    table, W one table over the orders +-mu and one log_gamma array.
     """
+    if kind not in ("M", "W"):
+        raise DomainError(f"kind must be 'M' or 'W', got {kind!r}")
     array = _is_array(mu)
     if array or not cmath.isfinite(k + mu + z):
         require_finite(k=k, mu=mu, z=z)
     if z <= 0:
-        raise ValueError("whittaker requires z > 0")
+        raise DomainError(f"whittaker requires z > 0, got z={z!r}")
     mu, exp = (mu.astype(complex), np.exp) if array else (complex(mu), cmath.exp)
     if kind == "M":
         i = _first(_nonpositive_int(1.0 + 2.0 * mu))
@@ -625,8 +606,6 @@ def whittaker(kind: str, k: float, mu, z: float):
             raise ParameterPole(f"Whittaker M parameter 1+2mu={np.ravel(1 + 2 * mu)[i]} non-positive integer")
         pref = exp((mu + 0.5) * math.log(z) - z / 2.0)
         return pref * kummer_1f1(mu - k + 0.5, 1.0 + 2.0 * mu, z)
-    if kind != "W":
-        raise ValueError("kind must be 'M' or 'W'")
     w1, w2 = _whittaker_w_terms(k, mu, z)
     return w1 + w2
 

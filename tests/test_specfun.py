@@ -8,6 +8,7 @@ import pytest
 from hypermorse import hkernels, mkernels, quad, specfun
 from hypermorse.geometry import HalfPlanePoint
 from hypermorse.errors import (
+    DomainError,
     IntegerTwoMuUnsupported,
     LogarithmicSingularity,
     NonFiniteInput,
@@ -419,7 +420,8 @@ class TestKummer1F1:
 class TestKummer1F1Array:
     """Arrays of (a, c) at one x: one table whose columns are the parameters."""
 
-    @pytest.mark.parametrize("x", [2.0, 2.98, 1.2 + 0.7j, 12.0, 39.0, -3.5, -39.0, -2.0 + 1.0j])
+    @pytest.mark.parametrize("x", [2.0, 2.98, 1.2 + 0.7j, 12.0, 39.0, -3.5, -39.0, -2.0 + 1.0j,
+                                   -40.0, -5.0, 0.3, 5.0, 25.0, 40.0])
     def test_matches_scalar_calls(self, x):
         rng = np.random.default_rng(5)
         a = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
@@ -495,9 +497,11 @@ class TestHumbertPhi1:
             b = rng.uniform(0.2, 1.5)
             assert relerr(humbert_phi1(a, b, c, 0.0, y), gauss_2f1(a, b, c, y)) < 1e-10
 
-    def test_terminating_a_is_its_finite_double_sum(self):
-        # (a)_{m+n} = 0 past m + n = 2 at a = -2, so the series ends there, at |y| > 1 too
-        a, b, c, x, y = -2.0, 0.7, 1.3, 0.5 - 0.2j, 1.5
+    @pytest.mark.parametrize("c, y", [(1.3, 1.5), (-3.0, 0.4)])
+    def test_terminating_a_is_its_finite_double_sum(self, c, y):
+        # (a)_{m+n} = 0 past m + n = 2 at a = -2, so the series ends there: at |y| > 1 too,
+        # and before (c)_{m+n} reaches its zero at c = -3
+        a, b, x = -2.0, 0.7, 0.5 - 0.2j
 
         def poch(q, n):
             return math.prod(q + j for j in range(n))
@@ -505,6 +509,11 @@ class TestHumbertPhi1:
         direct = sum(poch(a, m + n) * poch(b, n) / (poch(c, m + n) * math.factorial(m) * math.factorial(n))
                      * x ** m * y ** n for m in range(3) for n in range(3 - m))
         assert relerr(humbert_phi1(a, b, c, x, y), direct) < 1e-14
+
+    def test_terminating_b_alone_does_not_lift_the_c_pole(self):
+        # b = -2 ends the n-series only; the m-series at n = 0 still reaches (c)_3 = 0
+        with pytest.raises(ParameterPole, match="Phi1 lower parameter"):
+            humbert_phi1(1.2, -2.0, -3.0, 0.3, 0.2)
 
     def test_outside_disc_raises(self):
         with pytest.raises(OutsideConvergenceRegion):
@@ -549,6 +558,14 @@ class TestChebyshev:
     def test_negative_degree_raises(self):
         with pytest.raises(ValueError, match="n >= 0"):
             chebyshev_t(-1, 0.5)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, -0.5])
+    def test_degree_outside_domain_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match=f"chebyshev_t needs n >= 0 and whole, got n={n}"):
+            chebyshev_t(n, 0.5)
+
+    def test_whole_float_degree(self):
+        assert chebyshev_t(2.0, 0.5) == chebyshev_t(2, 0.5)
 
     def test_t2(self):
         assert chebyshev_t(2, 0.5) == pytest.approx(-0.5)
@@ -681,6 +698,20 @@ class TestBessel:
         with pytest.raises(ValueError, match="kind must be one of 'J', 'I', 'K'"):
             bessel("Y", 0, 1.0)
 
+    @pytest.mark.parametrize("args, limit", [
+        (("J", 0, -1.0), "x > 0"), (("K", 1.0, 0.0), "x > 0"), (("I", -0.5, 1.0), "nu >= 0"),
+        (("Y", 0, 1.0), "kind must be one of"),
+        (("Q", 1, -1.0), "kind must be one of"),  # the kind is checked first
+    ])
+    def test_domain_errors_are_typed(self, args, limit):
+        with pytest.raises(DomainError, match=limit):
+            bessel(*args)
+
+    @pytest.mark.parametrize("kind, nu, x", [("J", 40, 1e-8), ("I", 40, 1e-8), ("J", 2.5, 1e-200)])
+    def test_underflowed_leading_term_gives_zero(self, kind, nu, x):
+        # (x/2)^nu / Gamma(nu + 1) is below the smallest double: the value is 0.0, not 5,000 terms
+        assert bessel(kind, nu, x) == 0.0
+
     def test_bessel_product_truncated_oracle(self):
         # I_1(2) K_1(3) vs (1/2) int e^{-b} J0(sqrt(12 cosh b - 13)) db from b0,
         # truncated where the J series is reliable; the omitted tail is bounded
@@ -734,6 +765,15 @@ class TestWhittaker:
                 whittaker("M", 0.3, 0.4, z)
         with pytest.raises(ValueError, match="kind must be 'M' or 'W'"):
             whittaker("U", 0.3, 0.4, 1.0)
+
+    @pytest.mark.parametrize("args, limit", [
+        (("M", 0.3, 0.4, 0.0), "z > 0"), (("W", 0.3, 0.4, -1.0), "z > 0"),
+        (("U", 0.3, 0.4, 1.0), "kind must be"),
+        (("U", 0.3, 0.4, -1.0), "kind must be"),  # the kind is checked first
+    ])
+    def test_domain_errors_are_typed(self, args, limit):
+        with pytest.raises(DomainError, match=limit):
+            whittaker(*args)
 
     def test_wronskian_against_gamma_expression(self):
         # numeric Wronskian W{W, M} = Gamma(1+2mu)/Gamma(1/2+mu-k), d/dz by
